@@ -1,9 +1,14 @@
-"""The parallel, cached, resumable sweep engine.
+"""The in-process sweep executor, and the types every sweep returns.
 
 The paper frames DIAC as a design-exploration methodology whose space
 "exponentially expands" with designs, policies and power-failure
-scenarios.  This engine is the infrastructure that makes that expansion
-tractable:
+scenarios.  :meth:`SweepEngine.submit` runs one
+:class:`~repro.dse.request.SweepRequest` in this process or over a
+local process pool.  *What* to evaluate — expansion, resume, pruning,
+dedup, ask/tell and result assembly — is decided by
+:mod:`repro.dse.planner`, which the queue-backed
+:class:`repro.service.SweepCoordinator` shares; this module decides
+*how*:
 
 * **batching** — evaluation tasks are grouped by synthesis-stage key
   (circuit x policy), so every batch shares one
@@ -12,23 +17,12 @@ tractable:
 * **parallelism** — batches fan out over a
   :class:`concurrent.futures.ProcessPoolExecutor` with a configurable
   worker count; point evaluation is pure, so parallel results are
-  identical to the serial path (modulo ordering);
-* **streaming + resume** — records stream to any
+  identical to the serial path;
+* **streaming** — records stream to any
   :class:`~repro.dse.store.ResultStore` backend (JSONL or SQLite/WAL)
-  as batches complete, feeding an incremental
-  :class:`~repro.dse.aggregate.SweepAggregator`; a re-run against a
-  partial store skips every point already on disk via the store's
-  indexed ``keys()`` — resume never materializes the full record set;
-* **one submission API** — :meth:`SweepEngine.submit` consumes a
-  :class:`~repro.dse.request.SweepRequest`: a ``grid`` request walks
-  its full-factorial :class:`SweepSpec`, any other strategy drives a
-  :class:`~repro.dse.strategies.SearchStrategy` through the same
-  machinery generation by generation, with unchanged store keys so
-  adaptive searches resume exactly like grids (the legacy ``run`` /
-  ``run_search`` signatures remain as deprecated shims for one
-  release, and the :mod:`repro.service` coordinator consumes the same
-  request object to shard the work across processes);
-* **fault tolerance** — execution is supervised by
+  as batches complete, so a killed run loses at most its in-flight
+  batches and resumes from the store;
+* **fault tolerance** — execution runs under
   :class:`~repro.dse.resilience.ResilienceConfig`: transient failures
   (worker crashes, broken pools, injected chaos) retry with seeded
   backoff, overdue batches resubmit to fresh workers, dead pools are
@@ -41,17 +35,13 @@ tractable:
 
 from __future__ import annotations
 
+import math
 import time
-import warnings
 from collections import deque
-from collections.abc import Iterable
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
+from numbers import Real
 from typing import TYPE_CHECKING
 
 from repro.circuits.netlist import Netlist
@@ -75,15 +65,9 @@ from repro.dse.resilience import (
     describe_error,
 )
 from repro.dse.aggregate import SweepAggregator
-from repro.dse.store import (
-    ResultStore,
-    config_fingerprint,
-    value_fingerprint,
-)
-from repro.dse.strategies import EvalOutcome, SearchStrategy
+from repro.dse.store import ResultStore
 from repro.energy.scenarios import ScenarioSpec
-from repro.suite.registry import load_circuit
-from repro.tech.nvm import MRAM, NvmTechnology
+from repro.tech.nvm import MRAM, NvmTechnology, get_technology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dse.request import SweepRequest
@@ -144,105 +128,72 @@ def expand_tasks(spec: "SweepSpec") -> list[_Task]:
     return tasks
 
 
-def sync_store_metadata(
-    store: ResultStore | None,
-    base_config: DiacConfig | None,
-    axes: object,
-    resume: bool,
-) -> None:
-    """Stamp the run's spec fingerprint; warn before mixing configs.
-
-    Resume keys cover the circuit, scenario and exact design point but
-    NOT ``base_config`` — two stores written under different base
-    configurations hold records that are not comparable, and nothing in
-    the records themselves says so.  The store metadata therefore
-    carries a two-part fingerprint: the base-config hash (mismatch =
-    the silent-mixing hazard, warned about loudly) and the axes hash
-    (provenance only — growing a spec and resuming is a supported
-    workflow, not a mistake).
-    """
-    if store is None:
-        return
-    current = {
-        "base_config": config_fingerprint(base_config),
-        "axes": value_fingerprint(axes),
-    }
-    stored = store.get_metadata().get("spec_fingerprint")
-    if (
-        isinstance(stored, dict)
-        and stored.get("base_config") not in (None, current["base_config"])
-    ):
-        verb = "resuming" if resume else "appending"
-        warnings.warn(
-            f"{getattr(store, 'path', store)}: store was "
-            f"written under base configuration "
-            f"{stored['base_config']} but this run uses "
-            f"{current['base_config']}; {verb} mixes records that "
-            "are not comparable — keep one store per base "
-            "configuration",
-            stacklevel=4,
-        )
-    store.set_metadata(spec_fingerprint=current)
+#: The full-factorial axes of a :class:`SweepSpec`, in expansion order.
+_AXES = (
+    "circuits",
+    "policies",
+    "budget_scales",
+    "technologies",
+    "criteria_sets",
+    "safe_zones",
+    "threshold_scales",
+    "safe_margin_scales",
+    "scenarios",
+)
 
 
-def prune_tasks(
-    pending: list[_Task],
-    netlists: dict[str, Netlist],
-    base_config: DiacConfig | None = None,
-) -> tuple[list[_Task], dict[_TaskKey, "SweepFailure"]]:
-    """Split pending tasks into (simulate, provably-infeasible).
+def _technology(value: object) -> NvmTechnology:
+    """One ``technologies`` value: an :class:`NvmTechnology` or its name."""
+    if isinstance(value, NvmTechnology):
+        return value
+    if isinstance(value, str):
+        try:
+            return get_technology(value)
+        except KeyError as error:
+            raise ValueError(error.args[0]) from None
+    raise TypeError(
+        "technologies values must be NvmTechnology objects or names, "
+        f"got {value!r}"
+    )
 
-    Uses only the ``INFEASIBLE`` verdict — ``DOMINATED`` points can
-    still run, and pruning them would break record parity with a clean
-    sweep.  Analysis errors downgrade to ``UNKNOWN`` inside
-    :func:`~repro.analysis.assess_point`, so a point that cannot even
-    be analysed still flows through the simulation path and fails with
-    its canonical error.
-    """
-    from repro.analysis.feasibility import Verdict, assess_point
 
-    caches: dict[str, SynthesisCache] = {}
-    remaining: list[_Task] = []
-    pruned: dict[_TaskKey, SweepFailure] = {}
-    for key, circuit, scenario, point in pending:
-        report = assess_point(
-            netlists[circuit],
-            point,
-            base_config=base_config,
-            cache=caches.setdefault(circuit, SynthesisCache()),
-            scenario=scenario,
-        )
-        if report.verdict is Verdict.INFEASIBLE:
-            pruned[key] = SweepFailure(
-                circuit=circuit,
-                label=point.label(),
-                error=report.reason,
-                scenario=scenario.label(),
-                kind=PRUNED,
-                attempts=0,
-            )
-        else:
-            remaining.append((key, circuit, scenario, point))
-    return remaining, pruned
+def _scenario(value: object) -> ScenarioSpec:
+    """One ``scenarios`` value: a :class:`ScenarioSpec` or a spec string."""
+    if isinstance(value, ScenarioSpec):
+        return value
+    if isinstance(value, str):
+        return ScenarioSpec.parse(value)
+    raise TypeError(
+        "scenarios values must be ScenarioSpec objects or spec strings, "
+        f"got {value!r}"
+    )
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Full-factorial description of one exploration run.
 
+    Every axis is coerced to a tuple and validated when the spec is
+    built, so a malformed axis fails here with a clear error rather
+    than deep inside a sweep.
+
     Attributes:
         circuits: roster names (or keys of the ``netlists`` mapping given
-            to :meth:`SweepEngine.run`) to explore in one run.
-        policies: task-granularity policies.
-        budget_scales: barrier-budget multipliers.
-        technologies: NVM technologies.
+            to :meth:`SweepEngine.submit`) to explore in one run.
+        policies: task-granularity policies (1, 2 or 3).
+        budget_scales: barrier-budget multipliers (finite, positive).
+        technologies: NVM technologies, as objects or names
+            :func:`~repro.tech.nvm.get_technology` knows.
         criteria_sets: replacement criteria weightings.
         safe_zones: safe-zone runtime on/off.
-        threshold_scales: uniform threshold-set scalings.
-        safe_margin_scales: safe-zone width multipliers (``None`` keeps
-            the derived default width).
-        scenarios: harvest environments to evaluate every point under
-            (see :mod:`repro.energy.scenarios`).
+        threshold_scales: uniform threshold-set scalings (finite,
+            positive).
+        safe_margin_scales: safe-zone width multipliers (finite,
+            positive; ``None`` keeps the derived default width).
+        scenarios: harvest environments to evaluate every point under,
+            as :class:`ScenarioSpec` objects or strings
+            :meth:`ScenarioSpec.parse` accepts (see
+            :mod:`repro.energy.scenarios`).
     """
 
     circuits: tuple[str, ...] = ("s27",)
@@ -258,34 +209,48 @@ class SweepSpec:
     scenarios: tuple[ScenarioSpec, ...] = (ScenarioSpec(),)
 
     def __post_init__(self) -> None:
-        for name in (
-            "circuits",
-            "policies",
-            "budget_scales",
-            "technologies",
-            "criteria_sets",
-            "safe_zones",
-            "threshold_scales",
-            "safe_margin_scales",
-            "scenarios",
-        ):
-            if not getattr(self, name):
+        for name in _AXES:
+            values = getattr(self, name)
+            # A bare string would sweep its characters.
+            if isinstance(values, str) or not hasattr(values, "__iter__"):
+                raise TypeError(
+                    f"sweep axis {name!r} must be a sequence of values, "
+                    f"got {values!r}"
+                )
+            values = tuple(values)
+            if not values:
                 raise ValueError(f"sweep axis {name!r} must be non-empty")
-        # Reject invalid axis values up front, not minutes into a sweep.
+            object.__setattr__(self, name, values)
+        object.__setattr__(
+            self, "technologies", tuple(map(_technology, self.technologies))
+        )
+        object.__setattr__(
+            self, "scenarios", tuple(map(_scenario, self.scenarios))
+        )
+        for circuit in self.circuits:
+            if not isinstance(circuit, str):
+                raise TypeError(
+                    f"circuits must be circuit names, got {circuit!r}"
+                )
         for policy in self.policies:
-            if policy not in (1, 2, 3):
+            # bool is an int subclass: True would quietly mean policy 1.
+            if isinstance(policy, bool) or policy not in (1, 2, 3):
                 raise ValueError(f"policy must be 1, 2 or 3, got {policy!r}")
-        for axis, values in (
-            ("budget_scales", self.budget_scales),
-            ("threshold_scales", self.threshold_scales),
-        ):
-            if any(value <= 0 for value in values):
-                raise ValueError(f"{axis} values must be positive")
-        if any(
-            scale is not None and scale <= 0
-            for scale in self.safe_margin_scales
-        ):
-            raise ValueError("safe_margin_scales values must be positive")
+        for axis in ("budget_scales", "threshold_scales", "safe_margin_scales"):
+            for value in getattr(self, axis):
+                if value is None and axis == "safe_margin_scales":
+                    continue
+                if isinstance(value, bool) or not isinstance(value, Real):
+                    raise TypeError(
+                        f"{axis} values must be numbers, got {value!r}"
+                    )
+                # NaN slips past a plain <= 0 check, and a NaN key never
+                # equals itself, so resume could never match it.
+                if not (math.isfinite(value) and value > 0):
+                    raise ValueError(
+                        f"{axis} values must be finite and positive, "
+                        f"got {value!r}"
+                    )
 
     def points(self) -> list[tuple[str, ScenarioSpec, DesignPoint]]:
         """The full-factorial (circuit, scenario, point) list, in axis order."""
@@ -306,21 +271,7 @@ class SweepSpec:
         ]
 
     def __len__(self) -> int:
-        lengths = (
-            len(self.circuits),
-            len(self.policies),
-            len(self.budget_scales),
-            len(self.technologies),
-            len(self.criteria_sets),
-            len(self.safe_zones),
-            len(self.threshold_scales),
-            len(self.safe_margin_scales),
-            len(self.scenarios),
-        )
-        total = 1
-        for n in lengths:
-            total *= n
-        return total
+        return math.prod(len(getattr(self, name)) for name in _AXES)
 
 
 @dataclass(frozen=True)
@@ -357,9 +308,9 @@ class SweepStats:
     """Bookkeeping of one engine run.
 
     Attributes:
-        n_points: distinct evaluation tasks requested (spec points for
-            :meth:`SweepEngine.run`, unique proposed (circuit,
-            scenario, point) keys for :meth:`SweepEngine.run_search`).
+        n_points: distinct evaluation tasks planned (spec points for a
+            grid request, unique proposed (circuit, scenario, point)
+            keys for a search).
         n_evaluated: points evaluated this run.
         n_resumed: points skipped because the store already had them.
         n_failed: points that raised instead of producing a record
@@ -367,8 +318,7 @@ class SweepStats:
             result's ``failures`` list covers only requested
             scenarios).
         n_batches: synthesis-stage groups fanned out.
-        n_generations: strategy generations driven (0 for plain
-            :meth:`SweepEngine.run`).
+        n_generations: strategy generations driven (0 for a grid).
         synthesize_calls: actual circuit characterizations performed.
         workers: process count used (1 == serial in-process).
         wall_s: wall-clock duration of the run.
@@ -426,16 +376,16 @@ class SweepStats:
 class SweepResult:
     """Records plus run statistics.
 
-    ``records`` contains every successful record of the run — freshly
-    evaluated and resumed-from-store alike — ordered by the spec's point
-    order (:meth:`SweepEngine.run`) or first-evaluation order
-    (:meth:`SweepEngine.run_search`); ``failures`` lists the points that
-    raised (an infeasible safe-margin, a trace too weak for the
-    configuration, or a scenario that no longer resolves — e.g. a moved
-    power-log file) so one bad point never aborts the sweep.
+    ``records`` contains every successful full-fidelity record of the
+    run — freshly evaluated and resumed-from-store alike — in planned
+    order: the spec's point order for a grid request, first-proposal
+    order for a search.  ``failures`` lists, in the same order, the
+    points that raised (an infeasible safe-margin, a trace too weak for
+    the configuration, or a scenario that no longer resolves — e.g. a
+    moved power-log file) so one bad point never aborts the sweep.
 
-    ``aggregate`` carries the incremental per-(scenario, circuit)
-    aggregates the engine streamed while the sweep ran.  A result can
+    ``aggregate`` carries the per-(scenario, circuit) aggregates of
+    ``records``.  A result can
     also be a pure **store-backed view** (:meth:`from_store`): no
     ``records`` at all, every aggregate answered from the streamed
     accumulators — the memory-light way to inspect a store far larger
@@ -681,7 +631,7 @@ def _evaluate_batch(
 
 
 class SweepEngine:
-    """Runs sweeps serially or across worker processes.
+    """Executes sweeps in-process or across local worker processes.
 
     Args:
         workers: process count; 1 (default) evaluates in-process with a
@@ -690,13 +640,13 @@ class SweepEngine:
         base_config: synthesis defaults shared by every point.
         store: optional streaming result store (any
             :class:`~repro.dse.store.ResultStore` backend); when given,
-            records are appended as they are produced and
-            ``resume=True`` skips points the store already holds — via
-            the store's indexed ``keys()``, never a full ``load()``.
-        resilience: retry/timeout/pool-supervision configuration
-            (default: supervised with the default
-            :class:`~repro.dse.resilience.RetryPolicy`); pass
-            ``ResilienceConfig.disabled()`` for the bare legacy path.
+            records are appended as they are produced and a
+            ``resume=True`` request skips points the store already
+            holds — via the store's indexed ``keys()``, never a full
+            ``load()``.
+        resilience: retry/timeout/pool-rebuild configuration (default:
+            the default :class:`~repro.dse.resilience.RetryPolicy`, no
+            batch deadlines).
     """
 
     def __init__(
@@ -714,89 +664,113 @@ class SweepEngine:
         self.resilience = (
             resilience if resilience is not None else ResilienceConfig()
         )
-        # Active-run aggregation state, set by run()/run_search():
-        # records committed via _commit() also fold into the aggregator
-        # (restricted to _aggregate_keys when that is not None, so a
-        # search's screening evaluations stream to the store but stay
-        # out of the user-facing aggregates).
-        self._aggregate: SweepAggregator | None = None
-        self._aggregate_keys: set[_TaskKey] | None = None
-        self._aggregated: set[_TaskKey] = set()
 
-    def _fold(
+    def submit(
         self,
-        keyed_records: Iterable[tuple[_TaskKey, ExplorationRecord]],
-    ) -> None:
-        """Fold records into the active aggregator, at most once per key.
+        request: "SweepRequest",
+        netlists: dict[str, Netlist] | None = None,
+    ) -> SweepResult:
+        """Execute one :class:`~repro.dse.request.SweepRequest`.
 
-        Honors the ``_aggregate_keys`` restriction (a search's
-        screening evaluations stay out of the aggregates) and tracks
-        folded keys so a key promoted to full fidelity *after* its
-        record already existed still aggregates exactly once.
+        :func:`repro.dse.planner.plan_and_run` decides what to evaluate
+        — a ``grid`` request walks its spec in one generation; any other
+        strategy, named or instance, is asked and told generation by
+        generation over ``spec.circuits`` x ``spec.scenarios`` — and
+        this engine evaluates each generation's pending tasks.  The
+        distributed :class:`repro.service.SweepCoordinator` plans through
+        the same function, so moving between in-process and queue-backed
+        execution never changes the result, only where the work runs.
+
+        Args:
+            request: what to explore and how.
+            netlists: circuit name -> netlist mapping; roster names are
+                loaded automatically when omitted.
+
+        Returns:
+            A :class:`SweepResult`: the full-fidelity records in planned
+            order, their failures, the run's stats and aggregate.
+
+        Raises:
+            KeyError: for a circuit neither in ``netlists`` nor on the
+                benchmark roster.
         """
-        if self._aggregate is None:
-            return
-        allowed = self._aggregate_keys
-        picked = [
-            (key, record)
-            for key, record in keyed_records
-            if (allowed is None or key in allowed)
-            and key not in self._aggregated
-        ]
-        self._aggregated.update(key for key, _record in picked)
-        self._aggregate.add_many(record for _key, record in picked)
+        # Imported here because the planner builds on this module.
+        from repro.dse.planner import load_netlists, plan_and_run
+
+        netlists = load_netlists(request.spec.circuits, dict(netlists or {}))
+        stats = SweepStats(workers=self.workers)
+        # One cache map and one pool per submission: a search's later
+        # generations reuse the stages earlier ones synthesized (here,
+        # or in the long-lived workers' process-global caches), and a
+        # pool that died mid-generation is already rebuilt for the next.
+        # A grid is a single generation, so its pool keeps batch-local
+        # caches.
+        caches: dict[str, SynthesisCache] = {}
+        supervisor = (
+            PoolSupervisor(
+                self.workers, persistent=request.strategy_name != "grid"
+            )
+            if self.workers > 1
+            else None
+        )
+        execute = partial(
+            self._execute_tasks,
+            netlists=netlists,
+            stats=stats,
+            caches=caches,
+            supervisor=supervisor,
+        )
+        try:
+            return plan_and_run(
+                request,
+                execute,
+                stats,
+                store=self.store,
+                base_config=self.base_config,
+                netlists=netlists,
+            )
+        finally:
+            if supervisor is not None:
+                supervisor.shutdown()
 
     def _commit(
         self,
         keyed_records: list[tuple[_TaskKey, ExplorationRecord]],
     ) -> None:
-        """Persist one completed batch and fold it into the aggregates.
+        """Persist one completed batch to the store, if there is one.
 
-        The single exit point for produced records: every execution
-        path (serial, bare parallel, supervised parallel) hands its
-        completions here, so streaming-to-store and incremental
-        aggregation can never drift apart.
+        The single exit point for produced records: the serial and the
+        parallel path both hand their completions here as they finish,
+        so a killed run loses at most its in-flight batches.
         """
-        if not keyed_records:
+        if not keyed_records or self.store is None:
             return
-        if self.store is not None:
-            if len(keyed_records) == 1:
-                self.store.append(keyed_records[0][1])
-            else:
-                self.store.extend([r for _k, r in keyed_records])
-        self._fold(keyed_records)
+        if len(keyed_records) == 1:
+            self.store.append(keyed_records[0][1])
+        else:
+            self.store.extend([r for _k, r in keyed_records])
 
     def _execute_tasks(
         self,
         tasks: list[_Task],
         netlists: dict[str, Netlist],
         stats: SweepStats,
-        caches: dict[str, SynthesisCache] | None = None,
-        supervisor: PoolSupervisor | None = None,
+        caches: dict[str, SynthesisCache],
+        supervisor: PoolSupervisor | None,
     ) -> tuple[
         dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]
     ]:
         """Evaluate pending tasks, stream to the store, update ``stats``.
 
-        The single execution path behind :meth:`run` and
-        :meth:`run_search`: serial mode reuses the per-circuit
-        ``caches`` (so a generational search shares synthesis stages
-        across generations), parallel mode groups tasks by (circuit,
-        policy) and fans the groups out over a supervised process pool.
-        A caller that passes its own long-lived ``supervisor`` (the
-        generational search) also gets worker-process-global caches, so
-        stages synthesized in one generation stay warm for the next —
-        and a pool death in one generation leaves the supervisor with a
-        rebuilt pool for the next; one-shot callers get a fresh
-        supervisor and batch-local caches.
+        The planner's executor for :meth:`submit`.  Without a
+        ``supervisor`` evaluation runs in-process and reuses the
+        per-circuit ``caches`` (so a search shares synthesis stages
+        across generations); with one, tasks are grouped by (circuit,
+        policy) and the groups fan out over the supervisor's pool.
         """
         fresh: dict[_TaskKey, ExplorationRecord] = {}
         failures: dict[_TaskKey, SweepFailure] = {}
-        if self.workers == 1:
-            # One cache per circuit key: the stage memo is keyed on
-            # netlist.name, and two file-loaded circuits may share a name.
-            if caches is None:
-                caches = {}
+        if supervisor is None:
             self._execute_serial(tasks, netlists, stats, caches,
                                  fresh, failures)
             # Serial "batches" mirror the parallel grouping for stats.
@@ -817,21 +791,9 @@ class SweepEngine:
                     (key, scenario, point)
                 )
             stats.n_batches += len(groups)
-            own_supervisor = supervisor is None
-            if own_supervisor:
-                supervisor = PoolSupervisor(self.workers)
-            try:
-                if self.resilience.supervise:
-                    self._execute_parallel_supervised(
-                        groups, netlists, stats, supervisor, fresh, failures
-                    )
-                else:
-                    self._execute_parallel_bare(
-                        groups, netlists, stats, supervisor, fresh, failures
-                    )
-            finally:
-                if own_supervisor:
-                    supervisor.shutdown()
+            self._execute_parallel(
+                groups, netlists, stats, supervisor, fresh, failures
+            )
         stats.n_evaluated += len(fresh)
         stats.n_failed += len(failures)
         return fresh, failures
@@ -853,7 +815,7 @@ class SweepEngine:
         """
         cfg = self.resilience
         policy = cfg.retry
-        retry_enabled = cfg.supervise and policy.max_attempts > 1
+        retry_enabled = policy.max_attempts > 1
         for circuit in netlists:
             caches.setdefault(circuit, SynthesisCache())
         before = sum(c.synthesize_calls for c in caches.values())
@@ -962,54 +924,6 @@ class SweepEngine:
                 )
         return leftovers
 
-    def _execute_parallel_bare(
-        self,
-        groups: dict[
-            tuple[str, int],
-            list[tuple[_TaskKey, ScenarioSpec, DesignPoint]],
-        ],
-        netlists: dict[str, Netlist],
-        stats: SweepStats,
-        supervisor: PoolSupervisor,
-        fresh: dict[_TaskKey, ExplorationRecord],
-        failures: dict[_TaskKey, SweepFailure],
-    ) -> None:
-        """The pre-resilience fan-out: one submission, no retries.
-
-        Kept as the measured baseline for the supervised path's
-        overhead (``perf run --suite sweep-resilience``) and as the
-        ``supervise=False`` escape hatch.  One thing is still hardened:
-        a batch-level exception (dead worker, unpicklable result) turns
-        into classified failures for the batch's tasks instead of
-        propagating and destroying the sweep's in-memory results.
-        """
-        pool = supervisor.pool
-        futures = {
-            pool.submit(
-                _evaluate_batch, circuit, netlists[circuit],
-                jobs, self.base_config,
-                supervisor.persistent,  # long-lived pool -> worker caches
-                self.resilience.fault_plan,
-            ): ((circuit, policy), jobs)
-            for (circuit, policy), jobs in groups.items()
-        }
-        # Persist batches as they finish, not in submission order,
-        # so a kill mid-run loses at most the in-flight batches.
-        for future in as_completed(futures):
-            (circuit, _policy), jobs = futures[future]
-            try:
-                records, synth_calls, batch_failures = future.result()
-            except Exception as error:
-                self._fail_batch(
-                    circuit, jobs, failures, error=error, attempts=1
-                )
-                continue
-            stats.synthesize_calls += synth_calls
-            failures.update(batch_failures)
-            for key, record in records:
-                fresh[key] = record
-            self._commit(records)
-
     @staticmethod
     def _fail_batch(
         circuit: str,
@@ -1034,7 +948,7 @@ class SweepEngine:
                 attempts=attempts,
             )
 
-    def _execute_parallel_supervised(
+    def _execute_parallel(
         self,
         groups: dict[
             tuple[str, int],
@@ -1046,7 +960,7 @@ class SweepEngine:
         fresh: dict[_TaskKey, ExplorationRecord],
         failures: dict[_TaskKey, SweepFailure],
     ) -> None:
-        """Supervised fan-out: deadlines, retries, rebuilds, degradation.
+        """Fan-out with deadlines, retries, pool rebuilds, degradation.
 
         The event loop keeps three collections: ``ready`` batches to
         submit, ``delayed`` single-task retry batches waiting out their
@@ -1234,484 +1148,3 @@ class SweepEngine:
         if not bounds:
             return None
         return max(0.0, min(bounds))
-
-    def _store_keys(self) -> set[_TaskKey]:
-        """Task keys already on disk — the indexed resume lookup.
-
-        Deliberately never ``load()``: resume against a large store
-        must not materialize every record just to learn which points
-        are done.
-        """
-        if self.store is None:
-            return set()
-        return self.store.keys()
-
-    def _fetch_records(
-        self, wanted: dict[_TaskKey, tuple[str, str]]
-    ) -> dict[_TaskKey, ExplorationRecord]:
-        """Materialize only the resumed records a run actually needs.
-
-        ``wanted`` maps each task key to its (scenario label, circuit)
-        group; records are fetched with one indexed
-        ``iter_records(scenario=, circuit=)`` query per group.  When a
-        key appears more than once on disk (a torn write healed by
-        re-evaluation), the last record wins — the same rule as store
-        compaction.
-        """
-        resumed: dict[_TaskKey, ExplorationRecord] = {}
-        if self.store is None or not wanted:
-            return resumed
-        by_group: dict[tuple[str, str], set[_TaskKey]] = {}
-        for key, group in wanted.items():
-            by_group.setdefault(group, set()).add(key)
-        for (label, circuit), keys in by_group.items():
-            for record in self.store.iter_records(
-                scenario=label, circuit=circuit
-            ):
-                key = record.key()
-                if key in keys:
-                    resumed[key] = record
-        return resumed
-
-    def _sync_store_metadata(self, axes: object, resume: bool) -> None:
-        """Delegate to the module-level :func:`sync_store_metadata`."""
-        sync_store_metadata(self.store, self.base_config, axes, resume)
-
-    def submit(
-        self,
-        request: "SweepRequest",
-        netlists: dict[str, Netlist] | None = None,
-    ) -> SweepResult:
-        """Execute one :class:`~repro.dse.request.SweepRequest`.
-
-        The single submission entry point: a ``grid`` request walks its
-        spec full-factorially (the former ``run``); any other strategy
-        — named or instance — is materialized via
-        :meth:`~repro.dse.request.SweepRequest.build_strategy` and
-        driven ask/tell over ``spec.circuits`` x ``spec.scenarios``
-        (the former ``run_search``).  The distributed
-        :class:`repro.service.SweepCoordinator` consumes the same
-        request object, so switching between in-process and queue-backed
-        execution never changes what is described, only where it runs.
-
-        Args:
-            request: what to explore and how.
-            netlists: circuit name -> netlist mapping; roster names are
-                loaded automatically when omitted.
-
-        Returns:
-            A :class:`SweepResult`; see :meth:`SweepRequest
-            <repro.dse.request.SweepRequest>` for how the strategy
-            shapes its records.
-
-        Raises:
-            KeyError: for a circuit neither in ``netlists`` nor on the
-                benchmark roster.
-        """
-        if request.strategy_name == "grid":
-            return self._run_spec(
-                request.spec,
-                netlists=netlists,
-                resume=request.resume,
-                analysis_prune=request.analysis_prune,
-            )
-        netlists = dict(netlists or {})
-        for name in request.spec.circuits:
-            if name not in netlists:
-                netlists[name] = load_circuit(name)
-        strategy = request.build_strategy(netlists)
-        return self._run_strategy(
-            strategy,
-            circuits=request.spec.circuits,
-            scenarios=request.spec.scenarios,
-            netlists=netlists,
-            resume=request.resume,
-            max_generations=request.effective_max_generations(),
-        )
-
-    def run(
-        self,
-        spec: SweepSpec,
-        netlists: dict[str, Netlist] | None = None,
-        resume: bool = False,
-        analysis_prune: bool = False,
-    ) -> SweepResult:
-        """Deprecated alias for :meth:`submit` with a grid request.
-
-        Kept for one release as a thin shim; build a
-        :class:`~repro.dse.request.SweepRequest` and call
-        :meth:`submit` instead.
-        """
-        warnings.warn(
-            "SweepEngine.run() is deprecated; build a SweepRequest and "
-            "call SweepEngine.submit()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_spec(
-            spec,
-            netlists=netlists,
-            resume=resume,
-            analysis_prune=analysis_prune,
-        )
-
-    def _run_spec(
-        self,
-        spec: SweepSpec,
-        netlists: dict[str, Netlist] | None = None,
-        resume: bool = False,
-        analysis_prune: bool = False,
-    ) -> SweepResult:
-        """Execute a full-factorial sweep.
-
-        Args:
-            spec: the exploration space.
-            netlists: circuit name -> netlist mapping; roster names are
-                loaded automatically when omitted.
-            analysis_prune: statically analyse every pending point
-                first (:func:`repro.analysis.assess_point`) and skip
-                those proven ``INFEASIBLE`` — the simulator would
-                provably raise on them.  Pruned points are never
-                silently dropped: each becomes a ``kind="pruned"``
-                entry in ``failures`` (0 attempts) and is counted by
-                ``stats.n_pruned``.  Every record the run does produce
-                is bit-identical to a clean sweep's, because only
-                points the simulator cannot finish are pruned.
-            resume: skip points already present in the result store,
-                found via the store's indexed ``keys()`` (the full
-                record set is never loaded).  Resume keys cover the
-                circuit and the exact design point but NOT
-                ``base_config`` — mixing base configurations in one
-                store makes its records incomparable, so the engine
-                fingerprints the base configuration in the store
-                metadata and warns when a run's fingerprint differs
-                from the store's.
-
-        Returns:
-            A :class:`SweepResult` with every record of the spec (fresh
-            and resumed) in spec order, plus run statistics.
-
-        Raises:
-            KeyError: for a circuit neither in ``netlists`` nor on the
-                benchmark roster.
-        """
-        start = time.perf_counter()
-        netlists = dict(netlists or {})
-        for name in spec.circuits:
-            if name not in netlists:
-                netlists[name] = load_circuit(name)
-
-        tasks = expand_tasks(spec)
-        stats = SweepStats(n_points=len(tasks), workers=self.workers)
-        self._sync_store_metadata(_spec_axes(spec), resume)
-
-        resumed: dict[_TaskKey, ExplorationRecord] = {}
-        if resume:
-            on_disk = self._store_keys()
-            resumed = self._fetch_records(
-                {
-                    key: (scenario.label(), circuit)
-                    for key, circuit, scenario, _point in tasks
-                    if key in on_disk
-                }
-            )
-        pending = [task for task in tasks if task[0] not in resumed]
-        stats.n_resumed = len(tasks) - len(pending)
-
-        pruned: dict[_TaskKey, SweepFailure] = {}
-        if analysis_prune:
-            pending, pruned = self._prune_tasks(pending, netlists)
-            stats.n_pruned = len(pruned)
-
-        aggregate = SweepAggregator()
-        self._aggregate = aggregate
-        self._aggregate_keys = None
-        self._aggregated = set()
-        try:
-            self._fold(
-                (key, resumed[key])
-                for key, *_rest in tasks
-                if key in resumed
-            )
-            fresh, failures = self._execute_tasks(pending, netlists, stats)
-        finally:
-            self._aggregate = None
-            self._aggregate_keys = None
-
-        ordered = []
-        for key, *_rest in tasks:
-            record = resumed.get(key) or fresh.get(key)
-            if record is not None:
-                ordered.append(record)
-        stats.wall_s = time.perf_counter() - start
-        return SweepResult(
-            records=ordered,
-            stats=stats,
-            failures=list(pruned.values()) + list(failures.values()),
-            aggregate=aggregate,
-        )
-
-    def _prune_tasks(
-        self,
-        pending: list[_Task],
-        netlists: dict[str, Netlist],
-    ) -> tuple[list[_Task], dict[_TaskKey, SweepFailure]]:
-        """Delegate to the module-level :func:`prune_tasks`."""
-        return prune_tasks(pending, netlists, self.base_config)
-
-    def run_search(
-        self,
-        strategy: SearchStrategy,
-        circuits: tuple[str, ...] = ("s27",),
-        scenarios: tuple[ScenarioSpec, ...] = (ScenarioSpec(),),
-        netlists: dict[str, Netlist] | None = None,
-        resume: bool = False,
-        max_generations: int = 64,
-    ) -> SweepResult:
-        """Deprecated alias for :meth:`submit` with a strategy request.
-
-        Kept for one release as a thin shim; build a
-        :class:`~repro.dse.request.SweepRequest` (passing the strategy
-        instance or its registry name) and call :meth:`submit` instead.
-        """
-        warnings.warn(
-            "SweepEngine.run_search() is deprecated; build a "
-            "SweepRequest and call SweepEngine.submit()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_strategy(
-            strategy,
-            circuits=circuits,
-            scenarios=scenarios,
-            netlists=netlists,
-            resume=resume,
-            max_generations=max_generations,
-        )
-
-    def _run_strategy(
-        self,
-        strategy: SearchStrategy,
-        circuits: tuple[str, ...] = ("s27",),
-        scenarios: tuple[ScenarioSpec, ...] = (ScenarioSpec(),),
-        netlists: dict[str, Netlist] | None = None,
-        resume: bool = False,
-        max_generations: int = 64,
-    ) -> SweepResult:
-        """Drive an ask/tell search strategy through the sweep machinery.
-
-        Each generation the strategy proposes a batch of
-        :class:`~repro.dse.strategies.Proposal` s; every proposal is
-        crossed with ``circuits`` x ``scenarios``, deduplicated against
-        everything already evaluated (including previous generations and
-        — with ``resume=True`` — the result store, whose keys are
-        identical to :meth:`run`'s and are consulted via the indexed
-        ``keys()`` lookup), evaluated through the shared
-        synthesis-cache/process-pool/store path, and handed back via
-        ``tell``.
-
-        Screening proposals (``scenario_scale != 1``) are evaluated
-        under the correspondingly scaled scenarios; their records stream
-        to the store like any others but are *excluded* from the
-        result's ``records`` and ``failures``, which only cover the
-        requested ``scenarios`` (the stats still count every
-        evaluation, screening included).
-
-        Args:
-            strategy: the search to drive.
-            circuits: circuits every proposal is evaluated on.
-            scenarios: harvest environments every proposal is evaluated
-                under.
-            netlists: circuit name -> netlist mapping; roster names are
-                loaded automatically when omitted.
-            resume: reuse records already present in the result store.
-            max_generations: hard stop for strategies that never return
-                an empty ask.
-
-        Returns:
-            A :class:`SweepResult` whose records are the full-fidelity
-            evaluations in first-evaluation order.
-        """
-        start = time.perf_counter()
-        if not circuits:
-            raise ValueError("circuits must be non-empty")
-        if not scenarios:
-            raise ValueError("scenarios must be non-empty")
-        netlists = dict(netlists or {})
-        for name in circuits:
-            if name not in netlists:
-                netlists[name] = load_circuit(name)
-
-        stats = SweepStats(workers=self.workers)
-        self._sync_store_metadata(
-            {
-                "search": type(strategy).__name__,
-                "circuits": list(circuits),
-                "scenarios": [list(s.identity()) for s in scenarios],
-            },
-            resume,
-        )
-        # Resume consults only the store's indexed keys; the records a
-        # generation actually resumes are fetched group by group inside
-        # the loop.  With resume off, nothing on disk is read at all.
-        store_keys = self._store_keys() if resume else set()
-        evaluated: dict[_TaskKey, ExplorationRecord] = {}
-        failed: dict[_TaskKey, SweepFailure] = {}
-        caches: dict[str, SynthesisCache] = {}
-        # One supervised pool for the whole search: worker processes
-        # survive across generations, so their process-global synthesis
-        # caches keep a (circuit, policy) stage warm from generation 1
-        # to generation N — without this, parallel searches would
-        # re-synthesize every stage each generation.  The supervisor
-        # also carries pool deaths across generations: a pool that died
-        # mid-generation is already rebuilt when the next ask() lands.
-        supervisor = (
-            PoolSupervisor(self.workers, persistent=True)
-            if self.workers > 1
-            else None
-        )
-
-        full_keys: set[_TaskKey] = set()
-        aggregate = SweepAggregator()
-        self._aggregate = aggregate
-        # Restrict aggregation to full-fidelity keys: screening
-        # evaluations stream to the store like any others but stay out
-        # of the user-facing aggregates, exactly like the result's
-        # records.  full_keys is the live set — it grows before each
-        # generation executes.
-        self._aggregate_keys = full_keys
-        self._aggregated = set()
-        try:
-            self._search_loop(
-                strategy, circuits, scenarios, netlists, stats,
-                store_keys, evaluated, failed, caches, supervisor,
-                max_generations, full_keys,
-            )
-            # A key can join full_keys *after* its record was produced
-            # (a later generation re-proposes it at full fidelity);
-            # _fold's once-per-key tracking makes this sweep-up fold
-            # exactly the stragglers.
-            self._fold(
-                (key, evaluated[key])
-                for key in full_keys
-                if key in evaluated
-            )
-        finally:
-            self._aggregate = None
-            self._aggregate_keys = None
-            if supervisor is not None:
-                supervisor.shutdown()
-
-        # Screening evaluations (scaled scenarios the user never asked
-        # for) are engine internals: they count in the stats, but the
-        # result's records AND failures only cover the requested
-        # scenarios — a point that failed only during screening shows up
-        # again (and gets reported) when promoted to full fidelity.
-        records = [
-            evaluated[key] for key in evaluated if key in full_keys
-        ]
-        failures = [failed[key] for key in failed if key in full_keys]
-        stats.wall_s = time.perf_counter() - start
-        return SweepResult(
-            records=records,
-            stats=stats,
-            failures=failures,
-            aggregate=aggregate,
-        )
-
-    def _search_loop(
-        self,
-        strategy: SearchStrategy,
-        circuits: tuple[str, ...],
-        scenarios: tuple[ScenarioSpec, ...],
-        netlists: dict[str, Netlist],
-        stats: SweepStats,
-        store_keys: set[_TaskKey],
-        evaluated: dict[_TaskKey, ExplorationRecord],
-        failed: dict[_TaskKey, SweepFailure],
-        caches: dict[str, SynthesisCache],
-        supervisor: PoolSupervisor | None,
-        max_generations: int,
-        full_keys: set[_TaskKey],
-    ) -> None:
-        """The ask/evaluate/tell generations of :meth:`run_search`.
-
-        ``full_keys`` collects every task key whose effective scenario
-        is one the caller requested (``scenario_scale == 1`` proposals),
-        so the result can separate full-fidelity outcomes from
-        screening internals.  ``store_keys`` is the indexed resume set;
-        each generation batch-fetches just the resumed records its
-        proposals actually hit.
-        """
-        requested = {scenario.identity() for scenario in scenarios}
-        for _generation in range(max_generations):
-            proposals = strategy.ask()
-            if not proposals:
-                break
-            stats.n_generations += 1
-
-            proposal_keys: list[tuple[object, list[_TaskKey]]] = []
-            pending: list[_Task] = []
-            pending_keys: set[_TaskKey] = set()
-            resume_hits: dict[_TaskKey, tuple[str, str]] = {}
-            resume_tasks: dict[_TaskKey, _Task] = {}
-            for proposal in proposals:
-                keys = []
-                for circuit in circuits:
-                    for base_scenario in scenarios:
-                        scenario = proposal.scenario_for(base_scenario)
-                        key = _task_key(circuit, scenario, proposal.point)
-                        keys.append(key)
-                        if scenario.identity() in requested:
-                            full_keys.add(key)
-                        if (
-                            key in evaluated
-                            or key in failed
-                            or key in pending_keys
-                            or key in resume_hits
-                        ):
-                            continue
-                        stats.n_points += 1
-                        if key in store_keys:
-                            resume_hits[key] = (scenario.label(), circuit)
-                            resume_tasks[key] = (key, circuit, scenario,
-                                                 proposal.point)
-                            stats.n_resumed += 1
-                            continue
-                        pending_keys.add(key)
-                        pending.append((key, circuit, scenario,
-                                        proposal.point))
-                proposal_keys.append((proposal, keys))
-
-            if resume_hits:
-                fetched = self._fetch_records(resume_hits)
-                evaluated.update(fetched)
-                self._fold(fetched.items())
-                # Anything keys() promised but iter_records could not
-                # deliver (a store modified underneath a live search)
-                # is re-evaluated instead of silently dropped.
-                for key, task in resume_tasks.items():
-                    if key not in fetched and key not in pending_keys:
-                        pending_keys.add(key)
-                        pending.append(task)
-
-            fresh, failures = self._execute_tasks(
-                pending, netlists, stats, caches=caches,
-                supervisor=supervisor,
-            )
-            evaluated.update(fresh)
-            failed.update(failures)
-
-            outcomes = [
-                EvalOutcome(
-                    proposal=proposal,
-                    records=[
-                        evaluated[key] for key in keys if key in evaluated
-                    ],
-                    failures=[
-                        failed[key] for key in keys if key in failed
-                    ],
-                )
-                for proposal, keys in proposal_keys
-            ]
-            strategy.tell(outcomes)

@@ -175,18 +175,12 @@ class ResilienceConfig:
             serial in-process execution.
         fault_plan: optional deterministic chaos plan (tests and
             ``sweep --inject-faults``); ``None`` in production.
-        supervise: master switch.  ``False`` routes execution through
-            the bare pre-resilience path (no retries, no deadlines, no
-            rebuilds — unexpected exceptions are still captured as
-            failures); the perf suite measures the supervised path's
-            overhead against it.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     batch_timeout_s: float | None = None
     max_pool_deaths: int = 2
     fault_plan: "FaultPlan | None" = None
-    supervise: bool = True
 
     def __post_init__(self) -> None:
         if self.batch_timeout_s is not None and self.batch_timeout_s <= 0:
@@ -194,17 +188,12 @@ class ResilienceConfig:
         if self.max_pool_deaths < 1:
             raise ValueError("max_pool_deaths must be >= 1")
 
-    @classmethod
-    def disabled(cls) -> "ResilienceConfig":
-        """The bare path: no retries, deadlines, or pool supervision."""
-        return cls(retry=RetryPolicy(max_attempts=1), supervise=False)
-
 
 class PoolSupervisor:
     """Owns a worker pool across deaths and rebuilds.
 
-    The engine never touches a raw :class:`ProcessPoolExecutor` in
-    supervised mode: it asks the supervisor for ``pool``, reports
+    The engine never touches a raw :class:`ProcessPoolExecutor`: it
+    asks the supervisor for ``pool``, reports
     deaths/successes, and the supervisor decides whether the next
     incarnation exists at all (see :meth:`should_degrade`).
 

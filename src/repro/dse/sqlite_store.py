@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import time
 from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -86,6 +87,27 @@ def decode_key(text: str) -> tuple:
     return tuple(json.loads(text))
 
 
+def enable_wal(conn: sqlite3.Connection, busy_timeout_s: float) -> None:
+    """Set the busy timeout, then switch ``conn`` to WAL journaling.
+
+    Several processes or threads may open one fresh file at once (a
+    coordinator and its workers do).  The timeout goes first so every
+    later statement waits out a concurrent opener's lock; the WAL
+    switch itself can still report ``database is locked`` without
+    waiting, so it is retried until the same timeout runs out.
+    """
+    conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}")
+    deadline = time.monotonic() + busy_timeout_s
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or time.monotonic() > deadline:
+                raise
+            time.sleep(0.005)
+
+
 class SqliteResultStore(StoreQueryMixin):
     """Indexed, transactional result store on a single SQLite file.
 
@@ -124,28 +146,29 @@ class SqliteResultStore(StoreQueryMixin):
         #: refuses to read a damaged database rather than skip lines.
         self.last_load_skipped = 0
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(
-            f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}"
-        )
+        enable_wal(self._conn, busy_timeout_s)
         self._conn.execute(
             "PRAGMA synchronous="
             + ("FULL" if fsync_every >= 1 else "NORMAL")
         )
         with self._conn:
             self._conn.executescript(_SCHEMA)
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-            if row is None:
+            # Insert-if-absent, then read back: a read-then-insert races
+            # a concurrent first opener into a UNIQUE violation.
+            self._conn.execute(
+                "INSERT INTO meta (key, value) VALUES (?, ?) "
+                "ON CONFLICT(key) DO NOTHING",
+                ("schema_version", json.dumps(STORE_SCHEMA_VERSION)),
+            )
+            stored = json.loads(
                 self._conn.execute(
-                    "INSERT INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", json.dumps(STORE_SCHEMA_VERSION)),
-                )
-            elif json.loads(row[0]) > STORE_SCHEMA_VERSION:
+                    "SELECT value FROM meta WHERE key = 'schema_version'"
+                ).fetchone()[0]
+            )
+            if stored > STORE_SCHEMA_VERSION:
                 raise ValueError(
                     f"{self.path} was written under store schema "
-                    f"{json.loads(row[0])}; this build reads up to "
+                    f"{stored}; this build reads up to "
                     f"{STORE_SCHEMA_VERSION}"
                 )
 

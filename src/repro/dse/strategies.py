@@ -14,10 +14,11 @@ tool the moment the space grows a few axes, so this module turns the
   ``safe_margin_scale``) with sampling, grid, mutation and crossover
   operators;
 * :class:`SearchStrategy` — an ask/tell protocol: a strategy proposes a
-  batch of :class:`Proposal` s, the engine evaluates them through its
-  existing synthesis-cache/process-pool/JSONL-store machinery
-  (:meth:`repro.dse.engine.SweepEngine.run_search`), and the outcomes
-  flow back via :meth:`~SearchStrategy.tell`;
+  batch of :class:`Proposal` s, the sweep planner
+  (:mod:`repro.dse.planner`, behind
+  :meth:`repro.dse.engine.SweepEngine.submit`) evaluates them through
+  the synthesis-cache/process-pool/result-store machinery, and the
+  outcomes flow back via :meth:`~SearchStrategy.tell`;
 * four implementations — :class:`GridStrategy` (the classic
   full-factorial walk, demoted to one strategy among peers),
   :class:`RandomStrategy` (seed-deterministic uniform or
@@ -28,7 +29,7 @@ tool the moment the space grows a few axes, so this module turns the
 
 Every strategy is a pure function of its seed: two runs with the same
 space, seed and outcomes propose identical points, which is what lets
-``run_search`` resume from a partial JSONL store with unchanged keys.
+a search resume from a partial result store with unchanged keys.
 """
 
 from __future__ import annotations
@@ -370,8 +371,8 @@ def _score_outcomes(outcomes: list[EvalOutcome]) -> list[float]:
 class GridStrategy:
     """The classic full-factorial walk, as one strategy among peers.
 
-    Proposes the whole grid in a single generation — exactly what
-    :meth:`~repro.dse.engine.SweepEngine.run` does for a
+    Proposes the whole grid in a single generation — what a ``grid``
+    :class:`~repro.dse.request.SweepRequest` plans for a
     :class:`~repro.dse.engine.SweepSpec`, expressed through the ask/tell
     protocol so grids and adaptive searches run through one loop.
     """

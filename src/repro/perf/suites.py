@@ -13,9 +13,6 @@ prepared outside the timed section:
 * ``sweep-serial`` / ``sweep-warm`` / ``sweep-parallel`` —
   :class:`repro.dse.engine.SweepEngine` end-to-end throughput, cold
   versus warm synthesis cache and serial versus process-pool fan-out;
-* ``sweep-resilience`` — the same serial workload with the fault
-  recovery layer enabled versus disabled (A/B interleaved), reporting
-  the measured ``overhead_vs_disabled`` ratio;
 * ``static-analysis`` — the :mod:`repro.analysis` subsystem: interval
   bound computation rate, the measured speedup (and deterministic
   prune fraction) of an ``analysis_prune`` sweep over a grid with a
@@ -292,47 +289,6 @@ def _sweep_serial(repeats: int) -> SuiteResult:
 
 def _sweep_parallel(repeats: int) -> SuiteResult:
     return _sweep_engine_suite("sweep-parallel", 2, repeats)
-
-
-def _sweep_resilience(repeats: int) -> SuiteResult:
-    """Overhead of the resilience layer on a fault-free serial sweep.
-
-    Times the supervised engine (retry loop, failure classification,
-    deadline bookkeeping) against the same workload with resilience
-    disabled, interleaved A/B so load drift cancels.  The recorded
-    ``overhead_vs_disabled`` ratio is the acceptance number for the
-    robustness layer: recovery machinery must be ~free when nothing
-    fails (see docs/robustness.md).
-    """
-    from repro.dse import ResilienceConfig, SweepEngine, SweepRequest
-    from repro.perf.timing import time_paired
-    from repro.suite import load_circuit
-
-    request = SweepRequest(spec=_sweep_spec())
-    netlists = {SWEEP_CIRCUIT: load_circuit(SWEEP_CIRCUIT)}
-
-    def run_supervised():
-        return SweepEngine(workers=1).submit(request, netlists=netlists)
-
-    def run_bare():
-        engine = SweepEngine(
-            workers=1, resilience=ResilienceConfig.disabled()
-        )
-        return engine.submit(request, netlists=netlists)
-
-    timing, baseline, result = time_paired(
-        run_supervised, run_bare, repeats=repeats
-    )
-    return SuiteResult(
-        name="sweep-resilience",
-        timing=timing,
-        rates={
-            "evals_per_s": result.stats.n_evaluated / timing.wall_s,
-            "bare_wall_s": baseline.wall_s,
-            "overhead_vs_disabled": timing.wall_s / baseline.wall_s,
-        },
-        counters={**_sweep_counters(result), "retries": result.stats.n_retries},
-    )
 
 
 def _sweep_warm(repeats: int) -> SuiteResult:
@@ -861,7 +817,6 @@ SUITES: tuple[SuiteSpec, ...] = (
     SuiteSpec("synthesis-quick", _synthesis_quick),
     SuiteSpec("synthesis-full", _synthesis_full, in_quick=False),
     SuiteSpec("sweep-serial", _sweep_serial),
-    SuiteSpec("sweep-resilience", _sweep_resilience),
     SuiteSpec("sweep-warm", _sweep_warm),
     SuiteSpec("sweep-parallel", _sweep_parallel),
     SuiteSpec("static-analysis", _static_analysis),

@@ -12,7 +12,7 @@ worker *processes* coordinated through a SQLite-backed lease queue:
   exact batch path the engine uses;
 * :class:`~repro.service.coordinator.SweepCoordinator` — shards one
   :class:`~repro.dse.request.SweepRequest` (grid or generational) into
-  the queue, supervises/respawns workers, and returns the same
+  the queue, tends/respawns workers, and returns the same
   :class:`~repro.dse.engine.SweepResult` the engine would;
 * :class:`~repro.service.view.SweepViewServer` — a read-only HTTP JSON
   view (``/stats``, ``/fronts``, ``/failures``, ``/workers``) over a

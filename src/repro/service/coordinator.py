@@ -1,30 +1,26 @@
 """The coordinator that shards one SweepRequest across worker processes.
 
 :class:`SweepCoordinator` is the distributed twin of
-:meth:`repro.dse.engine.SweepEngine.submit` — same
+:meth:`repro.dse.engine.SweepEngine.submit`: same
 :class:`~repro.dse.request.SweepRequest` in, same
-:class:`~repro.dse.engine.SweepResult` out, but evaluation happens in
-plain worker processes (``repro worker``) pulling stage-batch leases
-from a :class:`~repro.service.queue.LeaseQueue` and upserting into the
-shared SQLite store:
+:class:`~repro.dse.engine.SweepResult` out, planned by the same
+:func:`repro.dse.planner.plan_and_run`.  Only the evaluation differs.
+The planner hands the coordinator each generation's pending tasks (a
+grid is one generation), which it enqueues on a
+:class:`~repro.service.queue.LeaseQueue`; plain worker processes
+(``repro worker``) claim stage-batch leases and upsert into the shared
+SQLite store, and the coordinator polls the queue down to zero and
+reads the records back.  Workers — and their process-global synthesis
+caches — stay alive across a search's generations.
 
-* **grid requests** enqueue the spec's deduplicated task list (resume
-  filtering and static pruning applied exactly as the engine would)
-  and poll the queue down to zero;
-* **named search strategies** run the ask/tell loop *in* the
-  coordinator — the same dedup/resume/full-fidelity bookkeeping as the
-  engine's generational loop — with each generation's evaluations
-  fanned through the queue while the workers (and their process-global
-  synthesis caches) stay alive across generations.
-
-The coordinator also supervises: expired leases are reclaimed, dead
+The coordinator also tends its fleet: expired leases are reclaimed, dead
 worker processes are respawned up to a budget, and when no worker is
 left the remaining tasks are failed instead of polling forever.
 Determinism carries through: point evaluation is pure, stores upsert
 on the engine's resume keys, and lease retries reuse the engine's
 taxonomy/backoff — so the final record set is bit-identical to a
 single-process run of the same request, however leases interleave or
-workers die (the service tests pin this).
+workers die (``tests/test_paths.py`` pins this).
 """
 
 from __future__ import annotations
@@ -32,32 +28,25 @@ from __future__ import annotations
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from repro.circuits.netlist import Netlist
 from repro.core.diac import DiacConfig
-from repro.dse.aggregate import SweepAggregator
 from repro.dse.engine import (
     SweepFailure,
     SweepResult,
     SweepStats,
-    _spec_axes,
-    _task_key,
-    expand_tasks,
-    prune_tasks,
-    sync_store_metadata,
+    _Task,
+    _TaskKey,
 )
+from repro.dse.explorer import ExplorationRecord
+from repro.dse.planner import fetch_records, plan_and_run
 from repro.dse.request import SweepRequest
 from repro.dse.resilience import ResilienceConfig
 from repro.dse.sqlite_store import SqliteResultStore
 from repro.dse.store import open_store
-from repro.dse.strategies import EvalOutcome
-from repro.energy.scenarios import ScenarioSpec
 from repro.service.queue import LeaseQueue
-from repro.suite.registry import load_circuit
-
-#: One evaluation task, the engine's shape.
-_Task = tuple[tuple, str, ScenarioSpec, "object"]
 
 
 class SweepCoordinator:
@@ -168,7 +157,7 @@ class SweepCoordinator:
             subprocess.Popen(self._worker_argv(), env=env)
         )
 
-    def _supervise_workers(self, queue: LeaseQueue) -> bool:
+    def _tend_workers(self, queue: LeaseQueue) -> bool:
         """Reap dead workers, respawn within budget; False = none left.
 
         A worker that exited *cleanly* (code 0) is not replaced — clean
@@ -213,11 +202,11 @@ class SweepCoordinator:
         """Execute one request across the worker fleet.
 
         Mirrors :meth:`SweepEngine.submit
-        <repro.dse.engine.SweepEngine.submit>`: grid requests shard the
-        spec walk, named strategies run the generational loop with
-        queue-fanned evaluations.  The result's ``records`` come back
-        from the shared store in the engine's order (spec order for
-        grids, first-evaluation order for searches).
+        <repro.dse.engine.SweepEngine.submit>`: both plan through
+        :func:`repro.dse.planner.plan_and_run`, so the result carries the
+        engine's records in the engine's order (spec order for grids,
+        first-proposal order for searches), read back from the shared
+        store.
 
         Args:
             request: what to explore and how.  Strategy *instances* are
@@ -259,6 +248,7 @@ class SweepCoordinator:
             lease_timeout_s=self.lease_timeout_s,
         )
         view = None
+        stats = SweepStats(workers=self.workers)
         try:
             queue.configure(
                 retry=self.resilience.retry,
@@ -273,12 +263,24 @@ class SweepCoordinator:
                     port=self.http_port,
                 )
                 view.start_background()
-            if request.strategy_name == "grid":
-                return self._submit_grid(
-                    request, netlists, sources, store, queue
-                )
-            return self._submit_search(
-                request, netlists, sources, store, queue
+            queue.clear_tasks()
+            queue.set_state("open")
+            for _ in range(self.workers):
+                self._spawn_worker()
+            execute = partial(
+                self._execute,
+                queue=queue,
+                store=store,
+                stats=stats,
+                sources=sources,
+            )
+            return plan_and_run(
+                request,
+                execute,
+                stats,
+                store=store,
+                base_config=self.base_config,
+                netlists=dict(netlists or {}),
             )
         finally:
             if view is not None:
@@ -302,7 +304,7 @@ class SweepCoordinator:
                 statuses.get(key) in ("done", "failed") for key in keys
             ):
                 return
-            if not self._supervise_workers(queue):
+            if not self._tend_workers(queue):
                 queue.reclaim_expired()
                 queue.fail_unfinished(
                     "no live workers remain and the respawn budget "
@@ -311,31 +313,35 @@ class SweepCoordinator:
                 return
             time.sleep(self.poll_s)
 
-    def _fetch_group_records(
+    def _execute(
         self,
+        tasks: list[_Task],
+        queue: LeaseQueue,
         store: SqliteResultStore,
-        wanted: dict[tuple, tuple[str, str]],
-    ) -> dict[tuple, "object"]:
-        """Engine-shaped group fetch: one indexed query per group."""
-        fetched: dict[tuple, object] = {}
-        by_group: dict[tuple[str, str], set[tuple]] = {}
-        for key, group in wanted.items():
-            by_group.setdefault(group, set()).add(key)
-        for (label, circuit), keys in by_group.items():
-            for record in store.iter_records(
-                scenario=label, circuit=circuit
-            ):
-                if record.key() in keys:
-                    fetched[record.key()] = record
-        return fetched
+        stats: SweepStats,
+        sources: dict[str, str] | None,
+    ) -> tuple[
+        dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]
+    ]:
+        """The planner's executor: enqueue, await the queue, read back.
 
-    def _queue_failures(
-        self, queue: LeaseQueue, keys: set[tuple] | None = None
-    ) -> dict[tuple, SweepFailure]:
-        """The queue's failed rows as engine failures, keyed by task."""
-        failures: dict[tuple, SweepFailure] = {}
-        for entry in queue.failures():
-            failures[tuple(entry["key"])] = SweepFailure(
+        The queue's counters feed the execution stats (claims beyond a
+        task's first count as retries).  Only tasks that did not fail
+        are read back from the shared store, so a stale on-disk record
+        from an earlier run never stands in for a point this run failed.
+        """
+        if not tasks:
+            return {}, {}
+        keys = [key for key, *_rest in tasks]
+        queue.enqueue(tasks, sources=sources)
+        self._await_queue(queue, keys)
+        counts = queue.counts_for(keys)
+        stats.n_evaluated += counts["n_done"]
+        stats.n_failed += counts["n_failed"]
+        stats.n_retries += counts["n_retries"]
+        wanted = set(keys)
+        failures = {
+            tuple(entry["key"]): SweepFailure(
                 circuit=entry["circuit"],
                 label=entry["label"],
                 error=entry["error"],
@@ -343,237 +349,8 @@ class SweepCoordinator:
                 kind=entry["kind"],
                 attempts=entry["attempts"],
             )
-        if keys is not None:
-            failures = {
-                key: failure
-                for key, failure in failures.items()
-                if key in keys
-            }
-        return failures
-
-    def _submit_grid(
-        self,
-        request: SweepRequest,
-        netlists: dict[str, Netlist] | None,
-        sources: dict[str, str] | None,
-        store: SqliteResultStore,
-        queue: LeaseQueue,
-    ) -> SweepResult:
-        start = time.perf_counter()
-        spec = request.spec
-        tasks = expand_tasks(spec)
-        stats = SweepStats(n_points=len(tasks), workers=self.workers)
-        sync_store_metadata(
-            store, self.base_config, _spec_axes(spec), request.resume
-        )
-
-        resumed_keys: set[tuple] = set()
-        if request.resume:
-            on_disk = store.keys()
-            resumed_keys = {
-                key for key, *_rest in tasks if key in on_disk
-            }
-        pending = [t for t in tasks if t[0] not in resumed_keys]
-        stats.n_resumed = len(tasks) - len(pending)
-
-        pruned: dict[tuple, SweepFailure] = {}
-        if request.analysis_prune:
-            loaded = dict(netlists or {})
-            for name in spec.circuits:
-                if name not in loaded:
-                    loaded[name] = load_circuit(name)
-            pending, pruned = prune_tasks(
-                pending, loaded, self.base_config
-            )
-            stats.n_pruned = len(pruned)
-
-        queue.clear_tasks()
-        queue.set_state("open")
-        queue.enqueue(pending, sources=sources)
-        for _ in range(self.workers):
-            self._spawn_worker()
-        self._await_queue(queue, [key for key, *_r in pending])
-        queue.set_state("closed")
-
-        counts = queue.counts_for([key for key, *_r in pending])
-        stats.n_evaluated = counts["n_done"]
-        stats.n_failed = counts["n_failed"]
-        stats.n_retries = counts["n_retries"]
-
-        # The run's records = this run's resolved tasks, read back from
-        # the shared store.  Failed and pruned keys are excluded so a
-        # stale on-disk record (resume=False against a reused store)
-        # can never smuggle a point this run did not produce.
-        failures = self._queue_failures(queue)
-        wanted = {
-            key: (scenario.label(), circuit)
-            for key, circuit, scenario, _point in tasks
-            if key not in failures and key not in pruned
+            for entry in queue.failures()
+            if tuple(entry["key"]) in wanted
         }
-        records_by_key = self._fetch_group_records(store, wanted)
-        aggregate = SweepAggregator()
-        ordered = []
-        for key, *_rest in tasks:
-            record = records_by_key.get(key)
-            if record is not None:
-                ordered.append(record)
-        aggregate.add_many(ordered)
-        stats.wall_s = time.perf_counter() - start
-        return SweepResult(
-            records=ordered,
-            stats=stats,
-            failures=list(pruned.values()) + list(failures.values()),
-            aggregate=aggregate,
-        )
-
-    def _submit_search(
-        self,
-        request: SweepRequest,
-        netlists: dict[str, Netlist] | None,
-        sources: dict[str, str] | None,
-        store: SqliteResultStore,
-        queue: LeaseQueue,
-    ) -> SweepResult:
-        start = time.perf_counter()
-        spec = request.spec
-        circuits = spec.circuits
-        scenarios = spec.scenarios
-        loaded = dict(netlists or {})
-        for name in circuits:
-            if name not in loaded:
-                loaded[name] = load_circuit(name)
-        strategy = request.build_strategy(loaded)
-
-        stats = SweepStats(workers=self.workers)
-        sync_store_metadata(
-            store,
-            self.base_config,
-            {
-                "search": type(strategy).__name__,
-                "circuits": list(circuits),
-                "scenarios": [list(s.identity()) for s in scenarios],
-            },
-            request.resume,
-        )
-        store_keys = store.keys() if request.resume else set()
-
-        queue.clear_tasks()
-        queue.set_state("open")
-        for _ in range(self.workers):
-            self._spawn_worker()
-
-        requested = {scenario.identity() for scenario in scenarios}
-        evaluated: dict[tuple, object] = {}
-        failed: dict[tuple, SweepFailure] = {}
-        full_keys: set[tuple] = set()
-        order: list[tuple] = []
-
-        for _generation in range(request.effective_max_generations()):
-            proposals = strategy.ask()
-            if not proposals:
-                break
-            stats.n_generations += 1
-
-            proposal_keys: list[tuple[object, list[tuple]]] = []
-            pending: list[_Task] = []
-            pending_keys: set[tuple] = set()
-            resume_hits: dict[tuple, tuple[str, str]] = {}
-            resume_tasks: dict[tuple, _Task] = {}
-            for proposal in proposals:
-                keys = []
-                for circuit in circuits:
-                    for base_scenario in scenarios:
-                        scenario = proposal.scenario_for(base_scenario)
-                        key = _task_key(circuit, scenario, proposal.point)
-                        keys.append(key)
-                        if scenario.identity() in requested:
-                            full_keys.add(key)
-                        if (
-                            key in evaluated
-                            or key in failed
-                            or key in pending_keys
-                            or key in resume_hits
-                        ):
-                            continue
-                        stats.n_points += 1
-                        if key in store_keys:
-                            resume_hits[key] = (
-                                scenario.label(), circuit,
-                            )
-                            resume_tasks[key] = (
-                                key, circuit, scenario, proposal.point,
-                            )
-                            stats.n_resumed += 1
-                            continue
-                        pending_keys.add(key)
-                        pending.append(
-                            (key, circuit, scenario, proposal.point)
-                        )
-                proposal_keys.append((proposal, keys))
-
-            if resume_hits:
-                fetched = self._fetch_group_records(store, resume_hits)
-                for key, record in fetched.items():
-                    evaluated[key] = record
-                    order.append(key)
-                for key, task in resume_tasks.items():
-                    if key not in fetched and key not in pending_keys:
-                        pending_keys.add(key)
-                        pending.append(task)
-
-            if pending:
-                queue.enqueue(pending, sources=sources)
-                self._await_queue(queue, [key for key, *_r in pending])
-                wanted = {
-                    key: (scenario.label(), circuit)
-                    for key, circuit, scenario, _point in pending
-                }
-                fresh = self._fetch_group_records(store, wanted)
-                for key, circuit, scenario, _point in pending:
-                    if key in fresh:
-                        evaluated[key] = fresh[key]
-                        order.append(key)
-                new_failures = self._queue_failures(queue, pending_keys)
-                failed.update(new_failures)
-
-            outcomes = [
-                EvalOutcome(
-                    proposal=proposal,
-                    records=[
-                        evaluated[key]
-                        for key in keys
-                        if key in evaluated
-                    ],
-                    failures=[
-                        failed[key] for key in keys if key in failed
-                    ],
-                )
-                for proposal, keys in proposal_keys
-            ]
-            strategy.tell(outcomes)
-
-        queue.set_state("closed")
-        counts = queue.counts_for(list(evaluated) + list(failed))
-        stats.n_evaluated = counts["n_done"]
-        stats.n_failed = counts["n_failed"]
-        stats.n_retries = counts["n_retries"]
-
-        records = [
-            evaluated[key]
-            for key in order
-            if key in full_keys and key in evaluated
-        ]
-        aggregate = SweepAggregator()
-        aggregate.add_many(records)
-        failures = [
-            failure
-            for key, failure in failed.items()
-            if key in full_keys
-        ]
-        stats.wall_s = time.perf_counter() - start
-        return SweepResult(
-            records=records,
-            stats=stats,
-            failures=failures,
-            aggregate=aggregate,
-        )
+        done = [task for task in tasks if task[0] not in failures]
+        return fetch_records(store, done), failures

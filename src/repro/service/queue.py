@@ -42,7 +42,7 @@ from pathlib import Path
 from repro.dse.explorer import DesignPoint
 from repro.dse.faults import key_text
 from repro.dse.resilience import TRANSIENT, RetryPolicy
-from repro.dse.sqlite_store import decode_key, encode_key
+from repro.dse.sqlite_store import decode_key, enable_wal, encode_key
 from repro.dse.store import (
     point_from_dict,
     point_to_dict,
@@ -144,15 +144,17 @@ class LeaseQueue:
         # Explicit BEGIN IMMEDIATE transactions (claims must serialize
         # across processes), so autocommit between them.
         self._conn.isolation_level = None
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(
-            f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}"
-        )
+        enable_wal(self._conn, busy_timeout_s)
         self._conn.executescript(_SCHEMA)
+        # Insert-if-absent, then read back, so concurrent first openers
+        # agree on one stamp.
+        self._conn.execute(
+            "INSERT INTO svc_meta (key, value) VALUES (?, ?) "
+            "ON CONFLICT(key) DO NOTHING",
+            ("queue_schema_version", json.dumps(QUEUE_SCHEMA_VERSION)),
+        )
         stored = self._meta_get("queue_schema_version")
-        if stored is None:
-            self._meta_set("queue_schema_version", QUEUE_SCHEMA_VERSION)
-        elif stored > QUEUE_SCHEMA_VERSION:
+        if not isinstance(stored, int) or stored > QUEUE_SCHEMA_VERSION:
             raise ValueError(
                 f"{self.path} was written under queue schema {stored}; "
                 f"this build reads up to {QUEUE_SCHEMA_VERSION}"

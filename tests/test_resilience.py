@@ -2,7 +2,7 @@
 
 Covers the failure taxonomy, the deterministic retry policy, the fault
 injection harness, crash/hang/transient recovery on every execution
-path (serial, supervised pool, run_search's persistent pool), the
+path (serial, process pool, a search's persistent pool), the
 degradation ladder, and the crash-safe result store.
 
 The recurring assertion is *recovery parity*: a seeded fault plan run
@@ -273,13 +273,12 @@ class TestSerialRecovery:
             assert failure.kind == UNEXPECTED
             assert "ArithmeticError" in failure.error
 
-    def test_disabled_resilience_never_retries(self, tmp_path, netlists):
+    def test_single_attempt_policy_never_retries(self, tmp_path, netlists):
         fault_plan = plan(tmp_path, "transientx1")
         result = SweepEngine(
             workers=1,
             resilience=ResilienceConfig(
                 retry=RetryPolicy(max_attempts=1),
-                supervise=False,
                 fault_plan=fault_plan,
             ),
         ).submit(SweepRequest(spec=RES_SPEC), netlists=netlists)

@@ -334,28 +334,6 @@ class TestDseWiring:
         assert result.failures[0].scenario == str(gone)
         assert "unknown scenario" in result.failures[0].error
 
-    def test_parallel_matches_serial_across_scenarios(self):
-        spec = SweepSpec(
-            circuits=("s27",),
-            policies=(2, 3),
-            budget_scales=(1.0,),
-            safe_zones=(True,),
-            scenarios=(
-                ScenarioSpec(),
-                ScenarioSpec("solar-cloudy", seed=11),
-            ),
-        )
-        serial = SweepEngine(workers=1).submit(SweepRequest(spec=spec))
-        parallel = SweepEngine(workers=2).submit(SweepRequest(spec=spec))
-
-        def fingerprint(r):
-            return (r.circuit, r.scenario.label(), r.point.label(), r.pdp_js)
-
-        assert sorted(map(fingerprint, parallel.records)) == sorted(
-            map(fingerprint, serial.records)
-        )
-        assert parallel.stats.n_evaluated == 4
-
     def test_scenario_survives_store_roundtrip(self, netlist):
         spec = ScenarioSpec("kinetic-shot", seed=5, scale=0.8)
         record = evaluate_point(netlist, DesignPoint(), scenario=spec)

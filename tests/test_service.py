@@ -102,33 +102,6 @@ class TestSweepRequest:
         named = SweepRequest(strategy="evolution", generations=70)
         assert named.effective_max_generations() == 70
 
-    def test_submit_matches_deprecated_run(self, reference):
-        engine = SweepEngine(workers=1)
-        with pytest.warns(DeprecationWarning, match="SweepEngine.run"):
-            legacy = engine.run(SPEC)
-        assert fingerprints(legacy.records) == fingerprints(
-            reference.records
-        )
-
-    def test_run_search_shim_warns_and_matches(self):
-        from repro.dse import DesignSpace
-
-        space = DesignSpace.from_spec(SPEC)
-        via_submit = SweepEngine(workers=1).submit(
-            SweepRequest(
-                spec=SweepSpec(circuits=("s27",)),
-                strategy=RandomStrategy(space, samples=4, seed=1),
-            )
-        )
-        engine = SweepEngine(workers=1)
-        with pytest.warns(DeprecationWarning, match="SweepEngine.run_search"):
-            legacy = engine.run_search(
-                RandomStrategy(space, samples=4, seed=1)
-            )
-        assert fingerprints(legacy.records) == fingerprints(
-            via_submit.records
-        )
-
 
 # ---------------------------------------------------------------------------
 # Config round-trip: TOML file <-> SweepRequest.
@@ -266,6 +239,39 @@ class TestLeaseQueue:
         with pytest.raises(ValueError, match="queue schema 99"):
             LeaseQueue(tmp_path / "queue.sqlite")
 
+    def test_concurrent_first_open_never_races(self, tmp_path):
+        """Stores and queues opening one fresh file at once all succeed.
+
+        A coordinator and its in-process workers do exactly this; a
+        read-then-insert schema stamp, or switching to WAL before the
+        busy timeout is set, fails some openers.
+        """
+        from repro.dse.sqlite_store import SqliteResultStore
+
+        for trial in range(20):
+            path = tmp_path / f"race-{trial}.sqlite"
+            barrier = threading.Barrier(6)
+            errors: list[BaseException] = []
+
+            def open_one(index, path=path, barrier=barrier, errors=errors):
+                barrier.wait(timeout=30)
+                try:
+                    opener = SqliteResultStore if index % 2 else LeaseQueue
+                    opener(path).close()
+                except Exception as error:  # reported on the main thread
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=open_one, args=(index,))
+                for index in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == [], f"trial {trial}: {errors!r}"
+
 
 # ---------------------------------------------------------------------------
 # Worker + coordinator: distribution must be invisible in the records.
@@ -317,33 +323,6 @@ class TestCoordinator:
             return coordinator.submit(request)
         finally:
             worker.join(timeout=30)
-
-    def test_grid_parity_in_process(self, tmp_path, reference):
-        coordinator = self.coordinator(tmp_path)
-        result = self.run_with_thread_worker(
-            coordinator, SweepRequest(spec=SPEC), tmp_path / "svc.sqlite"
-        )
-        assert not result.failures
-        assert result.stats.n_evaluated == 6
-        assert fingerprints(result.records) == fingerprints(
-            reference.records
-        )
-        assert result.aggregate.n_records == 6
-
-    def test_search_parity_in_process(self, tmp_path):
-        request = SweepRequest(
-            spec=SweepSpec(circuits=("s27",)),
-            strategy="random",
-            samples=5,
-            search_seed=3,
-        )
-        single = SweepEngine(workers=1).submit(request)
-        coordinator = self.coordinator(tmp_path)
-        result = self.run_with_thread_worker(
-            coordinator, request, tmp_path / "svc.sqlite"
-        )
-        assert fingerprints(result.records) == fingerprints(single.records)
-        assert result.stats.n_generations == single.stats.n_generations
 
     def test_grid_parity_across_worker_processes(self, tmp_path, reference):
         coordinator = self.coordinator(tmp_path, workers=2, lease_size=2)

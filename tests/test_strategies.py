@@ -578,20 +578,6 @@ class TestRunSearch:
         assert second.stats.n_evaluated == 0
         assert second.stats.n_resumed == 6
 
-    def test_parallel_search_matches_serial(self):
-        def run(workers):
-            return SweepEngine(workers=workers).submit(
-                SweepRequest(
-                    spec=SweepSpec(),
-                    strategy=RandomStrategy(SPACE, samples=6, seed=2)
-                )
-            )
-
-        serial, parallel = run(1), run(2)
-        assert sorted(
-            (r.key(), r.pdp_js) for r in serial.records
-        ) == sorted((r.key(), r.pdp_js) for r in parallel.records)
-
     def test_multi_circuit_multi_scenario_cross(self):
         result = SweepEngine(workers=1).submit(
             SweepRequest(

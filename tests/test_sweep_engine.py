@@ -18,6 +18,7 @@ from repro.dse import (
     SweepSpec,
     SynthesisCache,
 )
+from repro.energy.scenarios import ScenarioSpec
 from repro.suite import load_circuit
 from repro.tech import MRAM, RERAM
 
@@ -87,6 +88,50 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="safe_margin_scales"):
             SweepSpec(safe_margin_scales=(0.0,))
 
+    def test_bare_string_axis_rejected(self):
+        # Iterating "s27" would sweep the circuits "s", "2" and "7".
+        with pytest.raises(TypeError, match="circuits"):
+            SweepSpec(circuits="s27")
+
+    @pytest.mark.parametrize(
+        "axis", ["budget_scales", "threshold_scales", "safe_margin_scales"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scales_rejected(self, axis, value):
+        with pytest.raises(ValueError, match=f"{axis} values must be finite"):
+            SweepSpec(**{axis: (value,)})
+
+    def test_bool_policy_rejected(self):
+        with pytest.raises(ValueError, match="policy"):
+            SweepSpec(policies=(True,))
+
+    def test_names_coerce_to_scenarios_and_technologies(self):
+        spec = SweepSpec(
+            technologies=("mram", "ReRAM"),
+            scenarios=("paper-fig5", "rf-markov@7"),
+        )
+        assert spec.technologies == (MRAM, RERAM)
+        assert spec.scenarios == (
+            ScenarioSpec(), ScenarioSpec("rf-markov", seed=7)
+        )
+        with pytest.raises(ValueError, match="unknown NVM technology"):
+            SweepSpec(technologies=("flash",))
+        with pytest.raises(TypeError, match="scenarios"):
+            SweepSpec(scenarios=(7,))
+
+    def test_coercion_keeps_fingerprints(self, multi_circuit_spec):
+        from repro.dse.engine import _spec_axes
+
+        as_lists = SweepSpec(
+            circuits=["s27", "b02"],
+            policies=[1, 2, 3],
+            budget_scales=[0.5, 1.0, 2.0],
+            technologies=[MRAM],
+            safe_zones=[True, False],
+        )
+        assert as_lists == multi_circuit_spec
+        assert _spec_axes(as_lists) == _spec_axes(multi_circuit_spec)
+
     def test_duplicate_axis_values_deduped(self):
         spec = SweepSpec(
             circuits=("s27", "s27"), policies=(3,), budget_scales=(1.0, 1.0),
@@ -118,15 +163,6 @@ class TestSweepSpec:
 
 
 class TestParallelParity:
-    def test_parallel_matches_serial(self, multi_circuit_spec, serial_result):
-        parallel = SweepEngine(workers=4).submit(
-            SweepRequest(spec=multi_circuit_spec)
-        )
-        assert parallel.stats.n_evaluated == 36
-        assert sorted(map(record_fingerprint, parallel.records)) == sorted(
-            map(record_fingerprint, serial_result.records)
-        )
-
     def test_records_in_spec_order(self, multi_circuit_spec, serial_result):
         expected = [
             (c, p.label()) for c, _s, p in multi_circuit_spec.points()
