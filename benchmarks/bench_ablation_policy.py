@@ -13,7 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DiacConfig, DiacSynthesizer
-from repro.dse import DesignSpaceExplorer, pareto_front
+from repro.dse import (
+    DesignPoint,
+    SynthesisCache,
+    evaluate_point,
+    pareto_front,
+)
 from repro.evaluation import evaluate_design
 from repro.metrics import format_table
 from repro.suite import load_circuit
@@ -79,14 +84,15 @@ def test_policy3_on_pareto_front(policy_sweep):
 
 
 def test_explorer_full_factorial(benchmark):
-    explorer = DesignSpaceExplorer(load_circuit("s27"))
+    netlist = load_circuit("s27")
+    cache = SynthesisCache()
     records = benchmark.pedantic(
-        lambda: explorer.sweep(
-            policies=(1, 2, 3), budget_scales=(1.0,), safe_zones=(True,)
-        ),
+        lambda: [
+            evaluate_point(netlist, DesignPoint(policy=policy), cache=cache)
+            for policy in (1, 2, 3)
+        ],
         rounds=1,
         iterations=1,
     )
     assert len(records) == 3
-    best = explorer.best(records)
-    assert best.pdp_js == min(r.pdp_js for r in records)
+    assert cache.synthesize_calls == 3

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.dse import DesignSpaceExplorer, pareto_front
+from repro.dse import SynthesisCache, evaluate_point, expand_points, pareto_front
+from repro.core import ReplacementCriteria
 from repro.metrics import format_table
 from repro.suite import load_circuit
 from repro.tech import MRAM, RERAM
@@ -25,13 +26,19 @@ def main() -> None:
     netlist = load_circuit(name)
     print(f"exploring {name}: {netlist.num_gates} gates, {netlist.num_ffs} FFs\n")
 
-    explorer = DesignSpaceExplorer(netlist)
-    records = explorer.sweep(
+    points = expand_points(
         policies=(1, 2, 3),
         budget_scales=(0.5, 1.0, 2.0),
         technologies=(MRAM, RERAM),
+        criteria_sets=(ReplacementCriteria(),),
         safe_zones=(True, False),
+        threshold_scales=(1.0,),
+        safe_margin_scales=(None,),
     )
+    # One cache for the whole sweep: each (policy, budget, technology)
+    # plan and its HDL are built once and shared by both safe-zone modes.
+    cache = SynthesisCache()
+    records = [evaluate_point(netlist, point, cache=cache) for point in points]
 
     rows = [
         [
@@ -52,7 +59,7 @@ def main() -> None:
     )
     print()
 
-    best = explorer.best(records)
+    best = min(records, key=lambda r: r.pdp_js)
     print(f"PDP-optimal point: {best.point.label()}  (PDP {best.pdp_js:.3e} Js)")
 
     front = pareto_front(

@@ -33,7 +33,6 @@ from repro.analysis.feasibility import (
 from repro.analysis.intervals import (
     Interval,
     RunBounds,
-    StaticPreparedPoint,
     bounds_for_point,
     bounds_for_run,
     prepare_static,
@@ -54,7 +53,6 @@ __all__ = [
     "LINT_RULES",
     "LintFinding",
     "RunBounds",
-    "StaticPreparedPoint",
     "StaticScreener",
     "Verdict",
     "assess_point",

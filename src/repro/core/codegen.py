@@ -17,13 +17,15 @@ accepted the netlist" check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.circuits.verilog import parse_verilog, write_verilog
 from repro.core.replacement import NvmPlan
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimingReport:
     """Timing validation outcome (paper step 7).
 
@@ -38,7 +40,7 @@ class TimingReport:
     achievable_period_s: float
     target_period_s: float | None
     commit_latency_s: float
-    violations: list[str] = field(default_factory=list)
+    violations: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -46,22 +48,34 @@ class TimingReport:
         return not self.violations
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratedCode:
     """The DIAC code generator's output bundle.
 
     Attributes:
-        verilog: structural Verilog of the NV-enhanced design.
-        barrier_pragmas: barrier node id -> nets committed by its array.
+        header: the ``//`` pragma header describing this plan's barriers.
+        hdl: the netlist's structural Verilog (shared by every plan of
+            the netlist; :attr:`verilog` is ``header + hdl``).
+        barrier_pragmas: barrier node id -> nets committed by its array
+            (read-only).
         timing: the step-7 timing validation report.
     """
 
-    verilog: str
-    barrier_pragmas: dict[str, tuple[str, ...]]
+    header: str
+    hdl: str
+    barrier_pragmas: Mapping[str, tuple[str, ...]]
     timing: TimingReport
+
+    @property
+    def verilog(self) -> str:
+        """Structural Verilog of the NV-enhanced design."""
+        return self.header + self.hdl
 
     def roundtrip_check(self) -> None:
         """Re-parse the emitted Verilog and verify it is well formed.
+
+        The parser skips the ``//`` header, so this checks :attr:`hdl`,
+        and one passing bundle vouches for every bundle sharing its HDL.
 
         Raises:
             VerilogError / NetlistError: if the emitted HDL is malformed.
@@ -73,6 +87,7 @@ def generate_code(
     plan: NvmPlan,
     target_period_s: float | None = None,
     ff_delay_overhead: float = 0.0,
+    hdl: str | None = None,
 ) -> GeneratedCode:
     """Emit HDL for an NV-enhanced plan and validate timing.
 
@@ -82,6 +97,9 @@ def generate_code(
         ff_delay_overhead: relative registered-path penalty of the state
             elements (0.0 for DIAC's plain CMOS flip-flops; the NV-FF and
             LE-FF baselines pass their penalties here).
+        hdl: the netlist's structural Verilog when the caller already
+            holds it, e.g. another plan's :attr:`GeneratedCode.hdl`
+            (emitted with :func:`write_verilog` otherwise).
 
     Returns:
         A :class:`GeneratedCode` with the Verilog text, barrier pragma
@@ -89,7 +107,8 @@ def generate_code(
     """
     graph = plan.graph
     netlist = graph.netlist
-    base_verilog = write_verilog(netlist)
+    if hdl is None:
+        hdl = write_verilog(netlist)
 
     pragmas: dict[str, tuple[str, ...]] = {}
     lines = ["// Generated by the DIAC reproduction code generator."]
@@ -104,7 +123,6 @@ def generate_code(
             f"// DIAC pragma barrier {barrier_id} bits={node.barrier_bits} "
             f"nets={','.join(nets)}"
         )
-    verilog = "\n".join(lines) + "\n" + base_verilog
 
     achievable = graph.report.critical_path_s * (1.0 + ff_delay_overhead)
     array = plan.backup_array()
@@ -124,6 +142,11 @@ def generate_code(
         achievable_period_s=achievable,
         target_period_s=target_period_s,
         commit_latency_s=commit_latency,
-        violations=violations,
+        violations=tuple(violations),
     )
-    return GeneratedCode(verilog=verilog, barrier_pragmas=pragmas, timing=timing)
+    return GeneratedCode(
+        header="\n".join(lines) + "\n",
+        hdl=hdl,
+        barrier_pragmas=MappingProxyType(pragmas),
+        timing=timing,
+    )

@@ -28,7 +28,8 @@ burst must fit between two commit opportunities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.tree import TaskGraph, TaskNode
 from repro.tech.cacti import MemoryArrayModel, backup_array_for
@@ -63,7 +64,7 @@ class ReplacementCriteria:
             raise ValueError("at least one criterion must be enabled")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Partition:
     """A run of task nodes between two consecutive NVM barriers.
 
@@ -133,9 +134,12 @@ def live_cut_profile(
     return profile
 
 
-@dataclass
+@dataclass(frozen=True)
 class NvmPlan:
     """Result of the replacement procedure.
+
+    Frozen because one plan is shared by every design point that differs
+    only in runtime knobs (see :class:`repro.dse.explorer.SynthesisCache`).
 
     Attributes:
         graph: the NV-enhanced task graph (barrier flags set).
@@ -150,10 +154,9 @@ class NvmPlan:
     graph: TaskGraph
     budget_j: float
     technology: NvmTechnology
-    barriers: list[str]
-    infeasible: list[str]
+    barriers: tuple[str, ...]
+    infeasible: tuple[str, ...]
     criteria: ReplacementCriteria
-    _partitions: list[Partition] | None = field(default=None, repr=False)
 
     # -- derived views --------------------------------------------------------
 
@@ -176,7 +179,7 @@ class NvmPlan:
         """The CACTI-modelled backup array sized for the worst commit."""
         return backup_array_for(self.max_commit_bits, technology=self.technology)
 
-    def schedule(self) -> list[Partition]:
+    def schedule(self) -> tuple[Partition, ...]:
         """Execution schedule: partitions between barriers.
 
         Nodes run in (level, id) order; a partition closes at every
@@ -184,8 +187,15 @@ class NvmPlan:
         + primary outputs — the architectural snapshot needed to resume
         across reruns (Section IV-C assumption (1)).
         """
-        if self._partitions is not None:
-            return self._partitions
+        return self._partitions
+
+    @cached_property
+    def _partitions(self) -> tuple[Partition, ...]:
+        """:meth:`schedule`, computed once per plan.
+
+        ``cached_property`` stores into the instance ``__dict__`` directly,
+        which a frozen dataclass permits.
+        """
         order = schedule_order(self.graph)
         live = live_cut_profile(self.graph, order)
         partitions: list[Partition] = []
@@ -216,8 +226,7 @@ class NvmPlan:
                     commit_bits=final_live + REG_FLAG_BITS,
                 )
             )
-        self._partitions = partitions
-        return partitions
+        return tuple(partitions)
 
     def summary(self) -> dict[str, float]:
         """Headline plan numbers for reports."""
@@ -320,7 +329,7 @@ def insert_nvm(
         graph=work,
         budget_j=budget_j,
         technology=technology,
-        barriers=barriers,
-        infeasible=infeasible,
+        barriers=tuple(barriers),
+        infeasible=tuple(infeasible),
         criteria=criteria,
     )

@@ -10,26 +10,30 @@ defines the design-space vocabulary — :class:`DesignPoint`,
 mutating any shared state.  The parallel sweep machinery lives in
 :mod:`repro.dse.engine`.
 
-Evaluating a point runs the full DIAC pipeline, but its front half —
-synthesis characterization, tree generation, policy shaping — depends only
-on ``(netlist, policy, granularity, activity, split/merge bounds)``, not on
-the budget/criteria/safe-zone/threshold knobs.  :class:`SynthesisCache`
-memoizes that stage so the N budget/criteria variants of one policy share a
-single :class:`~repro.tech.synthesis.SynthesisReport` and shaped task graph
-instead of re-synthesizing the circuit N times.
+Evaluating a point runs the full DIAC pipeline, but most of it depends on
+few of the point's knobs: synthesis characterization, tree generation and
+policy shaping only on ``(netlist, policy, granularity, activity,
+split/merge bounds)``; NVM replacement additionally on budget, technology
+and criteria; code generation additionally on the target clock period.
+None of them depends on the safe zone, the threshold or margin scales or
+the harvest scenario.  :class:`SynthesisCache` memoizes all three levels,
+so a sweep builds each distinct plan and its HDL once instead of once per
+point.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import TypeVar, cast
 
 from repro.baselines.schemes import profile_diac
 from repro.circuits.netlist import Netlist
-from repro.core.codegen import generate_code
+from repro.core.codegen import GeneratedCode, generate_code
 from repro.core.diac import DiacConfig, DiacDesign, DiacSynthesizer
 from repro.core.policies import PolicyConfig, apply_policy, config_for_graph
-from repro.core.replacement import ReplacementCriteria, insert_nvm
+from repro.core.replacement import NvmPlan, ReplacementCriteria, insert_nvm
 from repro.core.tree import TaskGraph
 from repro.core.tree_generator import build_task_graph
 from repro.energy.scenarios import ScenarioSpec
@@ -37,6 +41,8 @@ from repro.evaluation import Environment, build_environment, evaluate_design
 from repro.sim.intermittent import ExecutionResult, SchemeProfile
 from repro.tech.nvm import MRAM, NvmTechnology
 from repro.tech.synthesis import SynthesisReport, synthesize
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -147,18 +153,54 @@ class ExplorationRecord:
 #: graph, derived policy bounds.
 _Stage = tuple[SynthesisReport, TaskGraph, PolicyConfig]
 
+#: Plans (and, separately, code bundles) one cache keeps; beyond this the
+#: least recently used is dropped.  A grid reuses at most policies x
+#: budgets x technologies x criteria plans per circuit, but a search
+#: over continuous budgets proposes a new plan per point, and each holds
+#: its own NV-enhanced task graph (about 1.3 MB on b14).
+PLAN_MEMO_SIZE = 64
+
+
+def _recall(memo: dict, key: tuple, build: Callable[[], _T]) -> _T:
+    """``memo[key]``, built on a miss; keeps ``memo`` an LRU of bounded size."""
+    value = memo.pop(key, None)
+    if value is None:
+        value = build()
+        if len(memo) >= PLAN_MEMO_SIZE:
+            del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
 
 class SynthesisCache:
-    """Memoizes the synthesis stage of point evaluation.
+    """Memoizes the design-only half of point evaluation, at three levels.
 
-    Keyed on ``(netlist name, policy, granularity, activity, split/merge
-    fractions)`` — everything the front half of the pipeline depends on.
-    ``insert_nvm`` clones the graph it is given, so one cached shaped graph
-    is safely shared by every downstream replacement run.
+    * **Stage** — characterization report, shaped task graph and policy
+      bounds, keyed by :meth:`stage_key`.
+    * **Plan** — the :class:`~repro.core.replacement.NvmPlan`, keyed by
+      :meth:`plan_key`: the stage key plus budget, NVM technology and
+      criteria.
+    * **Code** — the :class:`~repro.core.codegen.GeneratedCode`, keyed by
+      the plan key plus the target clock period.
+
+    A netlist's structural Verilog is emitted once and, when a config
+    asks for validation, round-trip checked once; every code entry only
+    adds its plan's pragma header to it.  The parser skips ``//`` lines,
+    so each bundle parses to the same netlist as the checked one.  Plans
+    and code bundles are frozen and nothing after replacement mutates a
+    plan's task graph, so one entry is safely shared by every design
+    built from it; each memo keeps its :data:`PLAN_MEMO_SIZE` most
+    recently used entries.
     """
 
     def __init__(self) -> None:
         self._stages: dict[tuple, _Stage] = {}
+        self._plans: dict[tuple, NvmPlan] = {}
+        self._codes: dict[tuple, GeneratedCode] = {}
+        #: Netlist name -> its structural Verilog, emitted once.
+        self._hdl: dict[str, str] = {}
+        #: Netlists whose Verilog passed the round-trip check.
+        self._checked: set[str] = set()
         #: Number of cache misses == actual ``synthesize`` invocations.
         self.synthesize_calls = 0
 
@@ -175,6 +217,16 @@ class SynthesisCache:
             config.activity,
             config.split_fraction,
             config.merge_fraction,
+        )
+
+    @classmethod
+    def plan_key(cls, netlist: Netlist, config: DiacConfig) -> tuple:
+        """The plan memo key: stage key + budget, technology, criteria."""
+        return (
+            *cls.stage_key(netlist, config),
+            config.budget_j,
+            config.technology,
+            config.criteria,
         )
 
     def stage_for(self, netlist: Netlist, config: DiacConfig) -> _Stage:
@@ -196,6 +248,45 @@ class SynthesisCache:
             stage = (report, shaped, policy_config)
             self._stages[key] = stage
         return stage
+
+    def plan_for(self, netlist: Netlist, config: DiacConfig) -> NvmPlan:
+        """Return the cached NVM plan; ``config.budget_j`` must be set."""
+        if config.budget_j is None:
+            raise ValueError("plan_for needs a config with budget_j set")
+        budget: float = config.budget_j
+        return _recall(
+            self._plans,
+            self.plan_key(netlist, config),
+            lambda: insert_nvm(
+                self.stage_for(netlist, config)[1],
+                budget,
+                technology=config.technology,
+                criteria=config.criteria,
+            ),
+        )
+
+    def code_for(self, netlist: Netlist, config: DiacConfig) -> GeneratedCode:
+        """Return the cached code bundle of :meth:`plan_for`'s plan.
+
+        With ``config.validate`` set, bundles are round-trip checked until
+        one of the netlist passes; every later bundle shares its HDL.  A
+        malformed HDL is never marked checked, so every point of the
+        netlist fails the same way.
+        """
+        code = _recall(
+            self._codes,
+            (*self.plan_key(netlist, config), config.target_period_s),
+            lambda: generate_code(
+                self.plan_for(netlist, config),
+                target_period_s=config.target_period_s,
+                hdl=self._hdl.get(netlist.name),
+            ),
+        )
+        if config.validate and netlist.name not in self._checked:
+            code.roundtrip_check()
+            self._checked.add(netlist.name)
+        self._hdl[netlist.name] = code.hdl
+        return code
 
 
 def _point_config(base: DiacConfig, point: DesignPoint) -> DiacConfig:
@@ -219,7 +310,8 @@ class PreparedPoint:
     reads, and the macro-task work target.  Splitting here lets
     :func:`repro.dse.batch.evaluate_jobs_batched` prepare many points,
     execute all their runs in one vector kernel, and finish each record
-    with :func:`finish_point`.
+    with :func:`finish_point`.  :func:`repro.analysis.prepare_static`
+    returns the same object with ``design.code`` unset.
     """
 
     point: DesignPoint
@@ -245,29 +337,47 @@ def prepare_point(
     needs, so ``finish_point(prepare_point(...), result)`` with the
     scalar executor's result reproduces :func:`evaluate_point` verbatim.
     """
+    return _prepare(
+        netlist, point, base_config, cache, scenario, with_code=True
+    )
+
+
+def _prepare(
+    netlist: Netlist,
+    point: DesignPoint,
+    base_config: DiacConfig | None,
+    cache: SynthesisCache | None,
+    scenario: ScenarioSpec | None,
+    *,
+    with_code: bool,
+) -> PreparedPoint:
+    """The front half shared by :func:`prepare_point` and the static path.
+
+    ``with_code=False`` (:func:`repro.analysis.prepare_static`) leaves
+    ``design.code`` unset: bounds and lint never read generated HDL.
+    """
     base = base_config or DiacConfig()
     scenario = scenario or ScenarioSpec()
     config = _point_config(base, point)
     if cache is None:  # NB: an empty cache is falsy (it has __len__).
         cache = SynthesisCache()
-    report, shaped, policy_config = cache.stage_for(netlist, config)
+    report, _shaped, policy_config = cache.stage_for(netlist, config)
 
     budget = point.budget_scale * DiacSynthesizer(config).derive_budget_j(
         netlist
     )
     config = replace(config, budget_j=budget)
-    plan = insert_nvm(
-        shaped, budget, technology=config.technology, criteria=config.criteria
-    )
-    code = generate_code(plan, target_period_s=config.target_period_s)
-    if config.validate:
-        code.roundtrip_check()
+    plan = cache.plan_for(netlist, config)
     design = DiacDesign(
         netlist=netlist,
         report=report,
         graph=plan.graph,
         plan=plan,
-        code=code,
+        code=(
+            cache.code_for(netlist, config)
+            if with_code
+            else cast(GeneratedCode, None)
+        ),
         config=config,
         policy_config=policy_config,
     )
@@ -389,11 +499,10 @@ def expand_points(
 ) -> list[DesignPoint]:
     """Full-factorial expansion of the design-point axes, in canonical order.
 
-    The single expansion shared by :meth:`DesignSpaceExplorer.sweep` and
-    :meth:`repro.dse.engine.SweepSpec.points`, so a new design axis only
-    ever needs threading through one product.  Environment axes
-    (circuits, scenarios) are not design-point fields; the engine
-    crosses them with this product itself.
+    The single expansion behind :meth:`repro.dse.engine.SweepSpec.points`,
+    so a new design axis only ever needs threading through one product.
+    Environment axes (circuits, scenarios) are not design-point fields;
+    the engine crosses them with this product itself.
     """
     return [
         DesignPoint(
@@ -417,71 +526,3 @@ def expand_points(
             )
         )
     ]
-
-
-class DesignSpaceExplorer:
-    """Sweep DIAC configurations over one circuit, serially.
-
-    A thin convenience wrapper over :func:`evaluate_point` with a
-    per-instance :class:`SynthesisCache`; multi-circuit, parallel and
-    resumable sweeps are the job of
-    :class:`repro.dse.engine.SweepEngine`.
-
-    Args:
-        netlist: the design under exploration.
-        base_config: starting configuration (defaults shared by all
-            points).
-        scenario: harvest environment shared by every evaluation (the
-            paper's Fig. 5 trace when omitted).
-    """
-
-    def __init__(
-        self,
-        netlist: Netlist,
-        base_config: DiacConfig | None = None,
-        scenario: ScenarioSpec | None = None,
-    ) -> None:
-        self.netlist = netlist
-        self.base_config = base_config or DiacConfig()
-        self.scenario = scenario
-        self.cache = SynthesisCache()
-
-    def evaluate_point(self, point: DesignPoint) -> ExplorationRecord:
-        """Synthesize and execute one design point."""
-        return evaluate_point(
-            self.netlist,
-            point,
-            base_config=self.base_config,
-            cache=self.cache,
-            scenario=self.scenario,
-        )
-
-    def sweep(
-        self,
-        policies: tuple[int, ...] = (1, 2, 3),
-        budget_scales: tuple[float, ...] = (0.5, 1.0, 2.0),
-        technologies: tuple[NvmTechnology, ...] = (MRAM,),
-        safe_zones: tuple[bool, ...] = (True, False),
-        criteria_sets: tuple[ReplacementCriteria, ...] = (
-            ReplacementCriteria(),
-        ),
-        threshold_scales: tuple[float, ...] = (1.0,),
-        safe_margin_scales: tuple[float | None, ...] = (None,),
-    ) -> list[ExplorationRecord]:
-        """Full-factorial sweep over the given axes."""
-        points = expand_points(
-            policies,
-            budget_scales,
-            technologies,
-            criteria_sets,
-            safe_zones,
-            threshold_scales,
-            safe_margin_scales,
-        )
-        return [self.evaluate_point(point) for point in points]
-
-    def best(self, records: list[ExplorationRecord]) -> ExplorationRecord:
-        """The PDP-optimal record."""
-        if not records:
-            raise ValueError("no records to choose from")
-        return min(records, key=lambda r: r.pdp_js)

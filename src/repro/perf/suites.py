@@ -292,19 +292,20 @@ def _sweep_parallel(repeats: int) -> SuiteResult:
 
 
 def _sweep_warm(repeats: int) -> SuiteResult:
-    from repro.dse import DesignSpaceExplorer
+    from repro.dse import SynthesisCache, evaluate_point
     from repro.suite import load_circuit
 
-    explorer = DesignSpaceExplorer(load_circuit(SWEEP_CIRCUIT))
-    axes = dict(
-        policies=(1, 2, 3),
-        budget_scales=(0.5, 1.0, 2.0),
-        safe_zones=(True, False),
-    )
-    explorer.sweep(**axes)  # populate the synthesis cache
+    netlist = load_circuit(SWEEP_CIRCUIT)
+    jobs = _sweep_spec().points()
+    cache = SynthesisCache()
 
     def run_warm():
-        return explorer.sweep(**axes)
+        return [
+            evaluate_point(netlist, point, cache=cache, scenario=scenario)
+            for _circuit, scenario, point in jobs
+        ]
+
+    run_warm()  # populate the synthesis cache
 
     timing, records = time_call(run_warm, repeats=repeats)
     return SuiteResult(
@@ -314,8 +315,8 @@ def _sweep_warm(repeats: int) -> SuiteResult:
         counters={
             "circuit": SWEEP_CIRCUIT,
             "points": len(records),
-            "cached_stages": len(explorer.cache),
-            "synthesize_calls": explorer.cache.synthesize_calls,
+            "cached_stages": len(cache),
+            "synthesize_calls": cache.synthesize_calls,
         },
     )
 

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dse import DesignPoint, DesignSpaceExplorer, pareto_front
+from repro.core import ReplacementCriteria
+from repro.dse import (
+    DesignPoint,
+    SynthesisCache,
+    evaluate_point,
+    expand_points,
+    pareto_front,
+)
 from repro.suite import load_circuit
 from repro.tech import MRAM, RERAM
 from repro.viz import bar_chart, line_plot
@@ -37,17 +44,34 @@ class TestPareto:
 
 
 class TestExplorer:
-    @pytest.fixture(scope="class")
-    def explorer(self):
-        return DesignSpaceExplorer(load_circuit("s27"))
+    """Serial sweeps of one circuit through ``evaluate_point``."""
 
-    def test_single_point(self, explorer):
-        record = explorer.evaluate_point(DesignPoint())
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        netlist = load_circuit("s27")
+        cache = SynthesisCache()
+
+        def run(policies, budget_scales, technologies, safe_zones):
+            points = expand_points(
+                policies,
+                budget_scales,
+                technologies,
+                (ReplacementCriteria(),),
+                safe_zones,
+                (1.0,),
+                (None,),
+            )
+            return [evaluate_point(netlist, p, cache=cache) for p in points]
+
+        return run
+
+    def test_single_point(self):
+        record = evaluate_point(load_circuit("s27"), DesignPoint())
         assert record.pdp_js > 0
         assert record.energy_j > 0
 
-    def test_sweep_dimensions(self, explorer):
-        records = explorer.sweep(
+    def test_sweep_dimensions(self, sweep):
+        records = sweep(
             policies=(2, 3),
             budget_scales=(1.0,),
             technologies=(MRAM,),
@@ -57,8 +81,8 @@ class TestExplorer:
         labels = {r.point.label() for r in records}
         assert len(labels) == 4
 
-    def test_safe_zone_wins(self, explorer):
-        records = explorer.sweep(
+    def test_safe_zone_wins(self, sweep):
+        records = sweep(
             policies=(3,),
             budget_scales=(1.0,),
             technologies=(MRAM,),
@@ -67,20 +91,8 @@ class TestExplorer:
         by_safe = {r.point.use_safe_zone: r for r in records}
         assert by_safe[True].pdp_js < by_safe[False].pdp_js
 
-    def test_best_selects_min_pdp(self, explorer):
-        records = explorer.sweep(
-            policies=(3,), budget_scales=(0.5, 1.0), technologies=(MRAM,),
-            safe_zones=(True,),
-        )
-        best = explorer.best(records)
-        assert best.pdp_js == min(r.pdp_js for r in records)
-
-    def test_best_requires_records(self, explorer):
-        with pytest.raises(ValueError):
-            explorer.best([])
-
-    def test_technology_axis(self, explorer):
-        records = explorer.sweep(
+    def test_technology_axis(self, sweep):
+        records = sweep(
             policies=(3,), budget_scales=(1.0,),
             technologies=(MRAM, RERAM), safe_zones=(True,),
         )
