@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING
 from repro.circuits.netlist import Netlist
 from repro.core.diac import DiacConfig
 from repro.core.replacement import ReplacementCriteria
-from repro.dse.batch import batch_routing_enabled, evaluate_jobs_batched
 from repro.dse.explorer import (
     DesignPoint,
     ExplorationRecord,
@@ -568,36 +567,6 @@ def _evaluate_batch(
     else:
         cache = SynthesisCache()
     calls_before = cache.synthesize_calls
-    if fault_plan is None and len(jobs) > 1 and batch_routing_enabled():
-        # Vector fast path: synthesis per job through the shared cache,
-        # then one lockstep kernel run over every lane of the batch.
-        # Results are bit-identical to the loop below (the batch module's
-        # differential tests pin this), and per-job failures classify
-        # exactly the same way.  Fault injection needs the per-job loop.
-        keyed, errors = evaluate_jobs_batched(
-            netlist, jobs, base_config=base_config, cache=cache
-        )
-        records = []
-        for key, record in keyed:
-            record.circuit = circuit
-            records.append((key, record))
-        meta = {key: (scenario, point) for key, scenario, point in jobs}
-        failures = []
-        for key, error in errors:
-            scenario, point = meta[key]
-            failures.append(
-                (
-                    key,
-                    SweepFailure(
-                        circuit=circuit,
-                        label=point.label(),
-                        error=describe_error(error),
-                        scenario=scenario.label(),
-                        kind=classify(error),
-                    ),
-                )
-            )
-        return records, cache.synthesize_calls - calls_before, failures
     records = []
     failures = []
     for key, scenario, point in jobs:
@@ -815,21 +784,10 @@ class SweepEngine:
         """
         cfg = self.resilience
         policy = cfg.retry
-        retry_enabled = policy.max_attempts > 1
         for circuit in netlists:
             caches.setdefault(circuit, SynthesisCache())
         before = sum(c.synthesize_calls for c in caches.values())
-        remaining = tasks
-        if (
-            cfg.fault_plan is None
-            and len(tasks) > 1
-            and batch_routing_enabled()
-        ):
-            remaining = self._execute_serial_batched(
-                tasks, netlists, stats, caches, fresh, failures,
-                retry_enabled=retry_enabled,
-            )
-        for key, circuit, scenario, point in remaining:
+        for key, circuit, scenario, point in tasks:
             attempts = 0
             while True:
                 attempts += 1
@@ -845,11 +803,7 @@ class SweepEngine:
                     )
                 except Exception as error:
                     kind = classify(error)
-                    if (
-                        kind == TRANSIENT
-                        and retry_enabled
-                        and attempts < policy.max_attempts
-                    ):
+                    if kind == TRANSIENT and attempts < policy.max_attempts:
                         stats.n_retries += 1
                         time.sleep(policy.delay_s(attempts, key_text(key)))
                         continue
@@ -868,61 +822,6 @@ class SweepEngine:
         stats.synthesize_calls += (
             sum(c.synthesize_calls for c in caches.values()) - before
         )
-
-    def _execute_serial_batched(
-        self,
-        tasks: list[_Task],
-        netlists: dict[str, Netlist],
-        stats: SweepStats,
-        caches: dict[str, SynthesisCache],
-        fresh: dict[_TaskKey, ExplorationRecord],
-        failures: dict[_TaskKey, SweepFailure],
-        retry_enabled: bool,
-    ) -> list[_Task]:
-        """Serial fast path: one vector-kernel run per circuit group.
-
-        Synthesis still happens per point through the shared per-circuit
-        cache; only the executor runs are pooled, so the committed
-        records are bit-identical to the per-task loop's.  Returns the
-        tasks that still need that loop: transient failures when
-        retrying is on (their first, batched attempt counts as a retry).
-        Deterministic failures are recorded here with ``attempts=1``.
-        """
-        by_circuit: dict[str, list[_Task]] = {}
-        for task in tasks:
-            by_circuit.setdefault(task[1], []).append(task)
-        leftovers: list[_Task] = []
-        for circuit, group in by_circuit.items():
-            records, errors = evaluate_jobs_batched(
-                netlists[circuit],
-                [(key, scenario, point) for key, _c, scenario, point in group],
-                base_config=self.base_config,
-                cache=caches[circuit],
-            )
-            for key, record in records:
-                fresh[key] = record
-                self._commit([(key, record)])
-            if not errors:
-                continue
-            meta = {
-                key: (scenario, point) for key, _c, scenario, point in group
-            }
-            for key, error in errors:
-                kind = classify(error)
-                scenario, point = meta[key]
-                if kind == TRANSIENT and retry_enabled:
-                    stats.n_retries += 1
-                    leftovers.append((key, circuit, scenario, point))
-                    continue
-                failures[key] = SweepFailure(
-                    circuit=circuit,
-                    label=point.label(),
-                    error=describe_error(error),
-                    scenario=scenario.label(),
-                    kind=kind,
-                    attempts=1,
-                )
-        return leftovers
 
     @staticmethod
     def _fail_batch(

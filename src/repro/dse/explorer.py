@@ -38,7 +38,7 @@ from repro.core.tree import TaskGraph
 from repro.core.tree_generator import build_task_graph
 from repro.energy.scenarios import ScenarioSpec
 from repro.evaluation import Environment, build_environment, evaluate_design
-from repro.sim.intermittent import ExecutionResult, SchemeProfile
+from repro.sim.intermittent import SchemeProfile
 from repro.tech.nvm import MRAM, NvmTechnology
 from repro.tech.synthesis import SynthesisReport, synthesize
 
@@ -304,14 +304,13 @@ def _point_config(base: DiacConfig, point: DesignPoint) -> DiacConfig:
 class PreparedPoint:
     """The synthesis front half of one point evaluation, ready to run.
 
-    Everything :func:`evaluate_point` computes before dispatching the
+    Everything :func:`evaluate_point` computes before running the
     intermittent executor: the synthesized design, the (possibly
     threshold-scaled) environment, the single scheme profile the record
-    reads, and the macro-task work target.  Splitting here lets
-    :func:`repro.dse.batch.evaluate_jobs_batched` prepare many points,
-    execute all their runs in one vector kernel, and finish each record
-    with :func:`finish_point`.  :func:`repro.analysis.prepare_static`
-    returns the same object with ``design.code`` unset.
+    reads, and the macro-task work target.
+    :func:`repro.analysis.prepare_static` returns the same object with
+    ``design.code`` unset, so the static bounds read exactly the inputs
+    the executor would run on.
     """
 
     point: DesignPoint
@@ -332,10 +331,7 @@ def prepare_point(
     """Run the synthesis front half of :func:`evaluate_point`.
 
     Same contract (side-effect-free, cache-shared, seed-deterministic),
-    stopping just short of executing the macro task.  The returned
-    :class:`PreparedPoint` carries exactly what the executor dispatch
-    needs, so ``finish_point(prepare_point(...), result)`` with the
-    scalar executor's result reproduces :func:`evaluate_point` verbatim.
+    stopping just short of executing the macro task.
     """
     return _prepare(
         netlist, point, base_config, cache, scenario, with_code=True
@@ -425,23 +421,6 @@ def _prepare(
     )
 
 
-def finish_point(
-    prepared: PreparedPoint, result: ExecutionResult
-) -> ExplorationRecord:
-    """Assemble the exploration record from an executed prepared point."""
-    return ExplorationRecord(
-        point=prepared.point,
-        pdp_js=result.pdp_js,
-        energy_j=result.total_energy_j,
-        active_time_s=result.active_time_s,
-        n_backups=result.n_backups,
-        reexec_energy_j=result.reexec_energy_j,
-        n_barriers=prepared.design.plan.n_barriers,
-        circuit=prepared.design.netlist.name,
-        scenario=prepared.scenario,
-    )
-
-
 def evaluate_point(
     netlist: Netlist,
     point: DesignPoint,
@@ -483,8 +462,17 @@ def evaluate_point(
         environment=prepared.environment,
         profiles=[prepared.profile],
     )
-    return finish_point(
-        prepared, evaluation.results[prepared.profile.name]
+    result = evaluation.results[prepared.profile.name]
+    return ExplorationRecord(
+        point=point,
+        pdp_js=result.pdp_js,
+        energy_j=result.total_energy_j,
+        active_time_s=result.active_time_s,
+        n_backups=result.n_backups,
+        reexec_energy_j=result.reexec_energy_j,
+        n_barriers=prepared.design.plan.n_barriers,
+        circuit=netlist.name,
+        scenario=prepared.scenario,
     )
 
 

@@ -164,32 +164,9 @@ def evaluate_design(
         design=design,
         environment=env,
     )
-    profs = list(profiles) if profiles is not None else all_profiles(design)
-    # Multi-scheme comparisons route through the batch executor when the
-    # vector kernel is enabled (bit-identical results either way; a
-    # failing scheme raises exactly like the sequential loop below).
-    from repro.dse.batch import batch_routing_enabled
-
-    if len(profs) > 1 and batch_routing_enabled():
-        from repro.dse.batch import LaneSpec, run_batch
-
-        outcomes = run_batch(
-            [
-                LaneSpec(
-                    profile=profile,
-                    e_max_j=env.e_max_j,
-                    trace=env.trace,
-                    thresholds=env.thresholds,
-                    sleep_drain_w=env.sleep_drain_w,
-                    work_target_j=env.n_passes * profile.pass_energy_j,
-                )
-                for profile in profs
-            ]
-        )
-        for profile, result in zip(profs, outcomes):
-            evaluation.results[profile.name] = result
-        return evaluation
-    for profile in profs:
+    if profiles is None:
+        profiles = all_profiles(design)
+    for profile in profiles:
         executor = IntermittentExecutor(
             profile,
             e_max_j=env.e_max_j,
@@ -219,48 +196,5 @@ def evaluate_suite(
     names: list[str],
     config: DiacConfig | None = None,
 ) -> list[CircuitEvaluation]:
-    """Evaluate a list of roster circuits.
-
-    When the batch kernel is enabled the executor runs of *all* circuits
-    and schemes are pooled into one :func:`repro.dse.batch.run_batch`
-    call (synthesis stays per-circuit); results are bit-identical to the
-    sequential path, and a failing run raises the same error the
-    sequential loop would hit first.
-    """
-    from repro.dse.batch import batch_routing_enabled
-
-    if len(names) <= 1 or not batch_routing_enabled():
-        return [evaluate_circuit(name, config=config) for name in names]
-
-    from repro.dse.batch import LaneSpec, run_batch
-
-    evaluations: list[CircuitEvaluation] = []
-    lanes: list[LaneSpec] = []
-    slots: list[tuple[CircuitEvaluation, str]] = []
-    for circuit_name in names:
-        netlist = load_circuit(circuit_name)
-        design = DiacSynthesizer(config).run(netlist)
-        env = build_environment(design)
-        info = BY_NAME.get(design.netlist.name)
-        evaluation = CircuitEvaluation(
-            name=design.netlist.name,
-            suite=info.suite if info else "custom",
-            design=design,
-            environment=env,
-        )
-        evaluations.append(evaluation)
-        for profile in all_profiles(design):
-            lanes.append(
-                LaneSpec(
-                    profile=profile,
-                    e_max_j=env.e_max_j,
-                    trace=env.trace,
-                    thresholds=env.thresholds,
-                    sleep_drain_w=env.sleep_drain_w,
-                    work_target_j=env.n_passes * profile.pass_energy_j,
-                )
-            )
-            slots.append((evaluation, profile.name))
-    for (evaluation, scheme), result in zip(slots, run_batch(lanes)):
-        evaluation.results[scheme] = result
-    return evaluations
+    """Evaluate a list of roster circuits, one after another."""
+    return [evaluate_circuit(name, config=config) for name in names]

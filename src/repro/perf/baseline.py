@@ -18,8 +18,6 @@ from contextlib import contextmanager
 
 from repro.circuits.netlist import topo_order_cache_disabled
 from repro.core.tree import graph_caches_disabled
-from repro.dse.batch import batch_kernel_disabled
-from repro.sim.bitparallel import bitparallel_disabled
 from repro.tech.synthesis import block_cost_memo_disabled
 
 
@@ -44,20 +42,3 @@ def hot_path_caches_disabled() -> Iterator[None]:
     ):
         yield
 
-
-@contextmanager
-def vectorized_kernels_disabled() -> Iterator[None]:
-    """Disable both PR-8 vector kernels for the block.
-
-    Routes activity estimation through the scalar
-    :class:`~repro.sim.logic_sim.LogicSimulator` (one run per lane) and
-    batched intermittent execution through the scalar
-    :class:`~repro.sim.intermittent.IntermittentExecutor` (one run per
-    lane).  Kept separate from :func:`hot_path_caches_disabled` — the
-    ``logic-sim-bitparallel`` and ``executor-batch`` suites A/B the
-    kernels against today's scalar paths with the PR-5 caches still on,
-    so the recorded ratio isolates the kernels' contribution.  Outputs
-    are bit-identical either way (pinned by the differential tests).
-    """
-    with bitparallel_disabled(), batch_kernel_disabled():
-        yield

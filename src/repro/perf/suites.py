@@ -615,206 +615,11 @@ def _suite_eval_full(repeats: int) -> SuiteResult:
     )
 
 
-# ---------------------------------------------------------------------------
-# logic-sim-bitparallel — packed-word activity estimation vs scalar lanes
-# ---------------------------------------------------------------------------
-
-#: Large roster circuits where word-level packing pays the most: the
-#: scalar baseline simulates every lane separately, so its cost scales
-#: with gates x cycles x lanes while the packed run drops the lane
-#: factor.
-BITPARALLEL_ROSTER = ("s38584", "des", "i10")
-BITPARALLEL_LANES = 64
-BITPARALLEL_CYCLES = 2
-
-
-def _logic_sim_bitparallel(repeats: int) -> SuiteResult:
-    """Activity estimation A/B: bit-parallel kernel vs scalar lanes.
-
-    Times :func:`repro.tech.synthesis.estimate_activity` with the
-    word-level :class:`~repro.sim.bitparallel.BitParallelSimulator`
-    against the identical workload forced onto one scalar
-    :class:`~repro.sim.logic_sim.LogicSimulator` run per lane
-    (interleaved A/B).  Both paths consume the same seeded stimulus and
-    produce bit-identical activities (``tests/test_differential.py``),
-    so the recorded ``speedup_vs_scalar`` measures representation alone.
-    """
-    import random
-
-    from repro.perf.timing import time_paired
-    from repro.sim.bitparallel import (
-        BitParallelSimulator,
-        bitparallel_disabled,
-    )
-    from repro.suite import load_circuit
-    from repro.tech.synthesis import estimate_activity
-
-    netlists = [load_circuit(name) for name in BITPARALLEL_ROSTER]
-    total_gates = sum(len(n.gates) for n in netlists)
-
-    def run_packed():
-        return [
-            estimate_activity(
-                netlist, lanes=BITPARALLEL_LANES,
-                cycles=BITPARALLEL_CYCLES, seed=0,
-            )
-            for netlist in netlists
-        ]
-
-    def run_scalar():
-        with bitparallel_disabled():
-            return run_packed()
-
-    timing, baseline, activities = time_paired(
-        run_packed, run_scalar, repeats=repeats
-    )
-    # Deterministic fingerprint: exact integer toggle totals of the
-    # packed run (equal to the scalar lane sum by construction).
-    toggles = 0
-    for netlist in netlists:
-        rng = random.Random(0)
-        sim = BitParallelSimulator(netlist, lanes=BITPARALLEL_LANES)
-        for _ in range(BITPARALLEL_CYCLES):
-            sim.step({
-                name: rng.getrandbits(BITPARALLEL_LANES)
-                for name in netlist.inputs
-            })
-        toggles += sim.toggles
-    lane_evals = total_gates * BITPARALLEL_CYCLES * BITPARALLEL_LANES
-    return SuiteResult(
-        name="logic-sim-bitparallel",
-        timing=timing,
-        rates={
-            "lane_gate_evals_per_s": lane_evals / timing.wall_s,
-            "scalar_wall_s": baseline.wall_s,
-            "speedup_vs_scalar": baseline.wall_s / timing.wall_s,
-        },
-        counters={
-            "circuits": list(BITPARALLEL_ROSTER),
-            "gates": total_gates,
-            "lanes": BITPARALLEL_LANES,
-            "cycles": BITPARALLEL_CYCLES,
-            "toggles": toggles,
-            "estimates": len(activities),
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# executor-batch — NumPy-lockstep ensemble vs a scalar executor loop
-# ---------------------------------------------------------------------------
-
-#: Small/mid registry circuits of the ensemble (16 x 16 seeds x 4
-#: schemes = 1024 lanes): wide batches are where lockstep wins, and the
-#: Monte-Carlo-over-seeds shape is exactly the DSE's scenario axis.
-BATCH_ROSTER = (
-    "s27", "s298", "s349", "s382", "s420", "s526", "s820", "s838",
-    "s1196", "s1423", "b02", "b09", "b10", "b13", "seq", "b9ctrl",
-)
-BATCH_SEEDS = 16
-BATCH_WORK_MULTIPLIER = 20
-
-
-def _executor_batch(repeats: int) -> SuiteResult:
-    """Batched intermittent execution A/B vs the scalar executor loop.
-
-    Prepares a 1024-lane ensemble (every :data:`BATCH_ROSTER` circuit
-    under :data:`BATCH_SEEDS` rf-markov draws, all four schemes) and
-    times one :func:`repro.dse.batch.run_batch` call against the same
-    lanes run through today's per-lane
-    :class:`~repro.sim.intermittent.IntermittentExecutor` loop,
-    interleaved A/B.  Per-lane results are bit-identical
-    (``tests/test_batch_executor.py``); ``speedup_vs_scalar`` is the
-    batch kernel's acceptance number.
-    """
-    from repro.baselines.schemes import all_profiles
-    from repro.core.diac import DiacSynthesizer
-    from repro.dse.batch import LaneSpec, run_batch
-    from repro.energy.scenarios import ScenarioSpec
-    from repro.evaluation import build_environment
-    from repro.perf.timing import time_paired
-    from repro.sim.intermittent import IntermittentExecutor
-    from repro.suite import load_circuit
-
-    max_cycles = 400.0 * BATCH_WORK_MULTIPLIER
-    specs: list[LaneSpec] = []
-    for name in BATCH_ROSTER:
-        design = DiacSynthesizer().run(load_circuit(name))
-        profiles = all_profiles(design)
-        for seed in range(BATCH_SEEDS):
-            env = build_environment(
-                design, ScenarioSpec(name="rf-markov", seed=seed)
-            )
-            for prof in profiles:
-                specs.append(
-                    LaneSpec(
-                        profile=prof,
-                        e_max_j=env.e_max_j,
-                        trace=env.trace,
-                        thresholds=env.thresholds,
-                        sleep_drain_w=env.sleep_drain_w,
-                        work_target_j=(
-                            BATCH_WORK_MULTIPLIER
-                            * env.n_passes
-                            * prof.pass_energy_j
-                        ),
-                        max_cycles=max_cycles,
-                    )
-                )
-
-    def run_batched():
-        return run_batch(specs)
-
-    def run_scalar():
-        return [
-            IntermittentExecutor(
-                spec.profile,
-                e_max_j=spec.e_max_j,
-                trace=spec.trace,
-                thresholds=spec.thresholds,
-                sleep_drain_w=spec.sleep_drain_w,
-            ).run(
-                work_target_j=spec.work_target_j,
-                max_cycles=spec.max_cycles,
-            )
-            for spec in specs
-        ]
-
-    timing, baseline, results = time_paired(
-        run_batched, run_scalar, repeats=repeats
-    )
-    events = sum(
-        r.n_dips + r.n_backups + r.n_restores + r.n_safe_recoveries
-        for r in results
-    )
-    return SuiteResult(
-        name="executor-batch",
-        timing=timing,
-        rates={
-            "lanes_per_s": len(specs) / timing.wall_s,
-            "scalar_wall_s": baseline.wall_s,
-            "speedup_vs_scalar": baseline.wall_s / timing.wall_s,
-        },
-        counters={
-            "circuits": list(BATCH_ROSTER),
-            "seeds": BATCH_SEEDS,
-            "schemes": 4,
-            "lanes": len(specs),
-            "work_multiplier": BATCH_WORK_MULTIPLIER,
-            "events": events,
-            "backups": sum(r.n_backups for r in results),
-            "restores": sum(r.n_restores for r in results),
-        },
-    )
-
-
 #: Suite registry, in report order.  Quick runs execute the ``in_quick``
 #: subset; full runs execute everything, so a full-run baseline contains
 #: every suite a quick CI run wants to compare against.
 SUITES: tuple[SuiteSpec, ...] = (
     SuiteSpec("executor", _executor_suite),
-    SuiteSpec("logic-sim-bitparallel", _logic_sim_bitparallel),
-    SuiteSpec("executor-batch", _executor_batch),
     SuiteSpec("synthesis-quick", _synthesis_quick),
     SuiteSpec("synthesis-full", _synthesis_full, in_quick=False),
     SuiteSpec("sweep-serial", _sweep_serial),

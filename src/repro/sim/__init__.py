@@ -5,14 +5,6 @@ harness (identical macro task per scheme, backup/restore charged at NVM
 prices); the logic simulator backs functional validation.
 """
 
-from repro.sim.bitparallel import (
-    BitParallelSimulator,
-    bitparallel_disabled,
-    bitparallel_enabled,
-    lane_slice,
-    pack_vectors,
-    unpack_word,
-)
 from repro.sim.intermittent import (
     ExecutionResult,
     IntermittentExecutor,
@@ -23,7 +15,6 @@ from repro.sim.logic_sim import LogicSimulator, SimulationError
 from repro.sim.power_sim import EnergyBreakdown, breakdown
 
 __all__ = [
-    "BitParallelSimulator",
     "EnergyBreakdown",
     "ExecutionResult",
     "IntermittentExecutor",
@@ -31,10 +22,5 @@ __all__ = [
     "SchemeProfile",
     "SimulationError",
     "TraceTooWeakError",
-    "bitparallel_disabled",
-    "bitparallel_enabled",
     "breakdown",
-    "lane_slice",
-    "pack_vectors",
-    "unpack_word",
 ]

@@ -261,69 +261,3 @@ def synthesize(
         library=library,
     )
 
-
-def estimate_activity(
-    netlist: Netlist,
-    lanes: int = 64,
-    cycles: int = 16,
-    seed: int = 0,
-) -> float:
-    """Measure switching activity under seeded random stimulus.
-
-    Simulates ``lanes`` independent random stimulus sequences of
-    ``cycles`` clock cycles each and returns the mean observed toggle
-    rate per net per cycle — a measured replacement for the
-    ``DEFAULT_ACTIVITY`` guess that feeds
-    :class:`SynthesisReport.dynamic_energy_j` (pass the result to
-    :func:`synthesize` as ``activity``; note a pathological circuit that
-    never toggles measures 0.0, which ``synthesize`` rejects).
-
-    Routes through the word-level
-    :class:`~repro.sim.bitparallel.BitParallelSimulator` (one packed run)
-    when the kernel is enabled, and falls back to one scalar
-    :class:`~repro.sim.logic_sim.LogicSimulator` run per lane under
-    :func:`~repro.sim.bitparallel.bitparallel_disabled`.  Both paths
-    consume the same seeded stimulus words and accumulate *integer*
-    toggle totals before the single final division, so the result is
-    bit-identical either way (pinned in ``tests/test_differential.py``).
-
-    Args:
-        netlist: circuit to measure.
-        lanes: independent stimulus sequences (packed word width).
-        cycles: clock cycles per sequence (>= 2 to observe any toggle).
-        seed: stimulus generator seed.
-    """
-    import random
-
-    if lanes < 1:
-        raise ValueError("lanes must be >= 1")
-    if cycles < 2:
-        raise ValueError("cycles must be >= 2 to observe toggles")
-    if not netlist.gates:
-        return 0.0
-    rng = random.Random(seed)
-    input_names = list(netlist.inputs)
-    stimulus = [
-        {name: rng.getrandbits(lanes) for name in input_names}
-        for _ in range(cycles)
-    ]
-
-    from repro.sim.bitparallel import BitParallelSimulator, bitparallel_enabled
-
-    if bitparallel_enabled():
-        sim = BitParallelSimulator(netlist, lanes=lanes)
-        for words in stimulus:
-            sim.step(words)
-        total = sim.toggles
-    else:
-        from repro.sim.logic_sim import LogicSimulator
-
-        total = 0
-        for lane in range(lanes):
-            scalar = LogicSimulator(netlist)
-            for words in stimulus:
-                scalar.step(
-                    {name: (words[name] >> lane) & 1 for name in input_names}
-                )
-            total += scalar.toggles
-    return total / ((cycles - 1) * len(netlist.gates) * lanes)

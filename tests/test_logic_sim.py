@@ -119,42 +119,34 @@ class TestEquivalenceChecker:
 class TestLoadStateUnknownNets:
     """Unknown snapshot nets warn by default and raise under strict.
 
-    Pinned for both the scalar simulator and the bit-parallel one: a
-    backup image holding nets that are not flip-flops of the design is
+    A backup image holding nets that are not flip-flops of the design is
     corrupted or belongs to a different design, so a silent partial
     restore is never acceptable.
     """
 
-    def simulators(self, s27):
-        from repro.sim.bitparallel import BitParallelSimulator
-
-        return [LogicSimulator(s27), BitParallelSimulator(s27, lanes=4)]
-
     def test_unknown_nets_warn_by_default(self, s27):
-        for sim in self.simulators(s27):
-            with pytest.warns(UserWarning, match="not .*flip-flops"):
-                sim.load_state({"G5": 1, "bogus": 1})
-            # The known net is restored despite the warning (for the
-            # packed simulator the word 1 is lane 0 set).
-            assert sim.state["G5"] == 1
+        sim = LogicSimulator(s27)
+        with pytest.warns(UserWarning, match="not .*flip-flops"):
+            sim.load_state({"G5": 1, "bogus": 1})
+        # The known net is restored despite the warning.
+        assert sim.state["G5"] == 1
 
     def test_unknown_nets_raise_when_strict(self, s27):
-        for sim in self.simulators(s27):
-            before = dict(sim.state)
-            with pytest.raises(SimulationError, match="not .*flip-flops"):
-                sim.load_state({"bogus": 1}, strict=True)
-            assert sim.state == before  # nothing restored on raise
+        sim = LogicSimulator(s27)
+        before = dict(sim.state)
+        with pytest.raises(SimulationError, match="not .*flip-flops"):
+            sim.load_state({"bogus": 1}, strict=True)
+        assert sim.state == before  # nothing restored on raise
 
     def test_message_lists_first_five_sorted(self, s27):
         unknown = {f"fake{i}": 0 for i in range(7)}
-        for sim in self.simulators(s27):
-            with pytest.warns(UserWarning) as caught:
-                sim.load_state(unknown)
-            message = str(caught[0].message)
-            assert "7 net(s)" in message
-            assert "fake0, fake1, fake2, fake3, fake4..." in message
+        sim = LogicSimulator(s27)
+        with pytest.warns(UserWarning) as caught:
+            sim.load_state(unknown)
+        message = str(caught[0].message)
+        assert "7 net(s)" in message
+        assert "fake0, fake1, fake2, fake3, fake4..." in message
 
     def test_known_subset_restores_silently(self, s27, recwarn):
-        for sim in self.simulators(s27):
-            sim.load_state({"G5": 1})
-            assert len(recwarn) == 0
+        LogicSimulator(s27).load_state({"G5": 1})
+        assert len(recwarn) == 0

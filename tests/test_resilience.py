@@ -259,9 +259,8 @@ class TestSerialRecovery:
         def explode(*args, **kwargs):
             raise ArithmeticError("synthesizer bug")
 
-        # prepare_point underlies both the per-task path (via
-        # evaluate_point) and the batched vector path, so patching it
-        # breaks point evaluation on whichever route the engine takes.
+        # evaluate_point runs prepare_point first, so patching it breaks
+        # every point evaluation before the executor is reached.
         monkeypatch.setattr("repro.dse.explorer.prepare_point", explode)
         result = engine(1).submit(
             SweepRequest(spec=RES_SPEC),
@@ -272,6 +271,37 @@ class TestSerialRecovery:
         for failure in result.failures:
             assert failure.kind == UNEXPECTED
             assert "ArithmeticError" in failure.error
+
+    def test_transient_tasks_run_exactly_max_attempts(
+        self, netlists, monkeypatch
+    ):
+        # Every transient task gets exactly max_attempts tries, however
+        # many tasks the serial sweep holds.
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(args[1])
+            raise TransientEvalError("flaky")
+
+        monkeypatch.setattr("repro.dse.explorer.prepare_point", flaky)
+        spec = SweepSpec(
+            circuits=("s27",), policies=(3,), budget_scales=(0.5, 1.0),
+            safe_zones=(True, False),
+        )
+        policy = RetryPolicy(max_attempts=3, backoff_base_s=0)
+        result = SweepEngine(
+            workers=1, resilience=ResilienceConfig(retry=policy)
+        ).submit(SweepRequest(spec=spec), netlists=netlists)
+        n_tasks = len(spec)
+        assert n_tasks == 4
+        assert len(calls) == n_tasks * policy.max_attempts
+        for _circuit, _scenario, point in spec.points():
+            assert calls.count(point) == policy.max_attempts
+        assert result.stats.n_retries == n_tasks * (policy.max_attempts - 1)
+        assert result.stats.n_failed == n_tasks
+        for failure in result.failures:
+            assert failure.kind == TRANSIENT
+            assert failure.attempts == policy.max_attempts
 
     def test_single_attempt_policy_never_retries(self, tmp_path, netlists):
         fault_plan = plan(tmp_path, "transientx1")
