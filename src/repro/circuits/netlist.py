@@ -16,11 +16,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 
 from repro.circuits.gates import (
-    COMBINATIONAL_TYPES,
     SEQUENTIAL_TYPES,
     SOURCE_TYPES,
     GateType,
@@ -45,6 +43,12 @@ def topo_order_cache_disabled() -> Iterator[None]:
         _CACHE_TOPO_ORDER = previous
 
 
+#: :data:`SOURCE_TYPES` and :data:`SEQUENTIAL_TYPES` as tuples: ``in`` on a
+#: short tuple compares enum members by identity, with no hashing.
+_SEQUENTIAL_TYPES = tuple(SEQUENTIAL_TYPES)
+_SOURCE_TYPES = tuple(SOURCE_TYPES)
+
+
 class NetlistError(ValueError):
     """Raised for structurally invalid netlists."""
 
@@ -57,35 +61,30 @@ class Gate:
         name: net driven by this gate (unique within the netlist).
         gtype: primitive type of the cell.
         inputs: names of the nets feeding this gate, in order.
+        is_sequential: whether this cell holds state (a flip-flop).
+        is_source: whether this cell has no fan-in (primary input or
+            constant).
+        is_combinational: whether this cell computes a boolean function
+            within a cycle.
     """
 
     name: str
     gtype: GateType
     inputs: tuple[str, ...] = ()
+    is_sequential: bool = field(init=False, repr=False, compare=False)
+    is_source: bool = field(init=False, repr=False, compare=False)
+    is_combinational: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_arity(self.gtype, len(self.inputs))
-
-    # cached_property, not property: these predicates run in every hot
-    # walk of every netlist consumer, and each uncached call re-hashes
-    # the enum member against a frozenset.  Gates are frozen, so the
-    # first answer is the answer (cached_property writes the instance
-    # __dict__ directly, which a frozen dataclass permits).
-
-    @cached_property
-    def is_sequential(self) -> bool:
-        """Whether this cell holds state (a flip-flop)."""
-        return self.gtype in SEQUENTIAL_TYPES
-
-    @cached_property
-    def is_source(self) -> bool:
-        """Whether this cell has no fan-in (primary input or constant)."""
-        return self.gtype in SOURCE_TYPES
-
-    @cached_property
-    def is_combinational(self) -> bool:
-        """Whether this cell computes a boolean function within a cycle."""
-        return self.gtype in COMBINATIONAL_TYPES
+        # Set once with short-tuple tests (identity comparisons, no enum
+        # hashing): hot walks read these millions of times per roster
+        # run, and a ``cached_property`` first access takes a lock.
+        sequential = self.gtype in _SEQUENTIAL_TYPES
+        source = self.gtype in _SOURCE_TYPES
+        object.__setattr__(self, "is_sequential", sequential)
+        object.__setattr__(self, "is_source", source)
+        object.__setattr__(self, "is_combinational", not (sequential or source))
 
 
 @dataclass

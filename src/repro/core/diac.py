@@ -19,6 +19,7 @@ code, and the figures the intermittent executor uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.calibration import BARRIER_BUDGET_FACTOR, DEFAULT_ACTIVITY
@@ -32,7 +33,7 @@ from repro.core.replacement import (
     insert_nvm,
 )
 from repro.core.tree import TaskGraph
-from repro.core.tree_generator import build_task_graph
+from repro.core.tree_generator import GRANULARITIES, build_task_graph
 from repro.tech.cacti import backup_array_for
 from repro.tech.nvm import MRAM, NvmTechnology
 from repro.tech.synthesis import SynthesisReport, synthesize
@@ -73,6 +74,35 @@ class DiacConfig:
     def __post_init__(self) -> None:
         if self.policy not in (1, 2, 3):
             raise ValueError("policy must be 1, 2 or 3")
+        if self.granularity not in GRANULARITIES:
+            raise ValueError(
+                f"granularity must be one of {GRANULARITIES}, "
+                f"got {self.granularity!r}"
+            )
+        if not (math.isfinite(self.activity) and 0.0 < self.activity <= 1.0):
+            raise ValueError(f"activity must be in (0, 1], got {self.activity!r}")
+        if self.budget_j is not None and not (
+            math.isfinite(self.budget_j) and self.budget_j > 0
+        ):
+            raise ValueError(
+                f"budget_j must be None or finite and positive, "
+                f"got {self.budget_j!r}"
+            )
+        if not (math.isfinite(self.split_fraction) and self.split_fraction > 0):
+            raise ValueError(
+                f"split_fraction must be finite and positive, "
+                f"got {self.split_fraction!r}"
+            )
+        if not (math.isfinite(self.merge_fraction) and self.merge_fraction >= 0):
+            raise ValueError(
+                f"merge_fraction must be finite and >= 0, "
+                f"got {self.merge_fraction!r}"
+            )
+        if self.merge_fraction > self.split_fraction:
+            raise ValueError(
+                f"merge_fraction ({self.merge_fraction!r}) must not exceed "
+                f"split_fraction ({self.split_fraction!r})"
+            )
 
 
 @dataclass

@@ -29,6 +29,7 @@ invariants.  Safety arguments, used instead of expensive cycle checks:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.tree import TaskGraph, TaskNode, TreeError
@@ -57,12 +58,33 @@ class PolicyConfig:
     max_passes: int = 50
 
     def __post_init__(self) -> None:
-        if self.split_threshold_j <= 0:
-            raise ValueError("split_threshold_j must be positive")
-        if self.merge_threshold_j < 0:
-            raise ValueError("merge_threshold_j must be >= 0")
+        if not (math.isfinite(self.split_threshold_j) and self.split_threshold_j > 0):
+            raise ValueError(
+                f"split_threshold_j must be finite and positive, "
+                f"got {self.split_threshold_j!r}"
+            )
+        if not (math.isfinite(self.merge_threshold_j) and self.merge_threshold_j >= 0):
+            raise ValueError(
+                f"merge_threshold_j must be finite and >= 0, "
+                f"got {self.merge_threshold_j!r}"
+            )
         if self.merge_threshold_j > self.split_threshold_j:
             raise ValueError("merge threshold must not exceed split threshold")
+        if self.merge_cap_j is not None and not (
+            math.isfinite(self.merge_cap_j) and self.merge_cap_j >= 0
+        ):
+            raise ValueError(
+                f"merge_cap_j must be None or finite and >= 0, "
+                f"got {self.merge_cap_j!r}"
+            )
+        if not 0.0 <= self.min_fraction <= 1.0:
+            raise ValueError(
+                f"min_fraction must be in [0, 1], got {self.min_fraction!r}"
+            )
+        if not isinstance(self.max_passes, int) or self.max_passes < 1:
+            raise ValueError(
+                f"max_passes must be an integer >= 1, got {self.max_passes!r}"
+            )
 
     @property
     def effective_cap_j(self) -> float:
@@ -101,28 +123,25 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     Chunks are contiguous runs of the node's gates in global topological
     order, greedily packed so each chunk stays at or under the threshold
     (single gates above the threshold become singleton chunks — gates are
-    our atomic unit).
+    our atomic unit).  Nodes are emitted in topological order; when
+    nothing is split the result keeps every node's costing and adjacency.
 
     Returns:
         A new checked graph; the input graph is not modified.
     """
-    topo_index = {
-        g.name: i for i, g in enumerate(graph.netlist.topological_order())
-    }
-    per_gate = {
-        g.name: graph.report.block_energy_j([g.name])
-        for g in graph.netlist.logic_gates
-    }
+    report = graph.report
     new_nodes: list[TaskNode] = []
+    split = False
     for node in graph.topological_nodes():
         if node.feature.energy_j <= config.split_threshold_j or len(node.gates) == 1:
             new_nodes.append(TaskNode(node_id=node.node_id, gates=node.gates))
             continue
-        ordered = sorted(node.gates, key=lambda g: topo_index[g])
+        split = True
+        ordered = sorted(node.gates, key=report.topo_index().__getitem__)
         chunks: list[list[str]] = [[]]
         acc = 0.0
         for gate in ordered:
-            cost = per_gate[gate]
+            cost = report.block_energy_j((gate,))
             if chunks[-1] and acc + cost > config.split_threshold_j:
                 chunks.append([])
                 acc = 0.0
@@ -132,10 +151,7 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
             new_nodes.append(
                 TaskNode(node_id=f"{node.node_id}.s{i}", gates=tuple(chunk))
             )
-    result = TaskGraph(graph.netlist, graph.report, new_nodes)
-    result.check()
-    result.recompute_features()
-    return result
+    return graph.derive(new_nodes, absorbed_into=None if split else {})
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +161,13 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
 
 def _chain_merge_pass(
     graph: TaskGraph, threshold_j: float, cap_j: float
-) -> tuple[list[TaskNode], bool]:
-    """One pass of safe edge contractions; returns (nodes, changed)."""
+) -> tuple[list[TaskNode], dict[str, str]]:
+    """One pass of safe edge contractions.
+
+    Returns:
+        The new nodes and the absorbed-node -> host map (empty when
+        nothing merged).
+    """
     merged_into: dict[str, str] = {}
     used: set[str] = set()
     energies = {nid: n.feature.energy_j for nid, n in graph.nodes.items()}
@@ -178,31 +199,29 @@ def _chain_merge_pass(
         used.add(partner)
         merged_into[partner] = nid
     if not merged_into:
-        return list(graph.nodes.values()), False
-    groups: dict[str, list[str]] = {}
-    for nid in graph.nodes:
+        return [], merged_into
+    absorbed_by = {host: absorbed for absorbed, host in merged_into.items()}
+    nodes = []
+    for nid, node in graph.nodes.items():
         if nid in merged_into:
             continue
-        groups[nid] = [nid]
-    for absorbed, host in merged_into.items():
-        groups[host].append(absorbed)
-    nodes = [
-        TaskNode(
-            node_id=host,
-            gates=tuple(
-                g for member in members for g in graph.nodes[member].gates
-            ),
-        )
-        for host, members in groups.items()
-    ]
-    return nodes, True
+        gates = node.gates
+        if nid in absorbed_by:
+            gates = gates + graph.nodes[absorbed_by[nid]].gates
+        nodes.append(TaskNode(node_id=nid, gates=gates))
+    return nodes, merged_into
 
 
 def _level_pack_pass(
     graph: TaskGraph, threshold_j: float, cap_j: float
-) -> tuple[list[TaskNode], bool]:
-    """Bin-pack small same-level nodes together; returns (nodes, changed)."""
-    changed = False
+) -> tuple[list[TaskNode], dict[str, str]]:
+    """Bin-pack small same-level nodes together.
+
+    Returns:
+        The new nodes and the absorbed-node -> host map (empty when
+        nothing merged).
+    """
+    absorbed_into: dict[str, str] = {}
     new_nodes: list[TaskNode] = []
     by_level: dict[int, list[TaskNode]] = {}
     for node in graph.nodes.values():
@@ -217,26 +236,22 @@ def _level_pack_pass(
         small.sort(key=lambda n: n.feature.energy_j, reverse=True)
         bins: list[tuple[list[TaskNode], float]] = []
         for node in small:
-            placed = False
             for i, (members, total) in enumerate(bins):
                 if total + node.feature.energy_j <= cap_j:
                     members.append(node)
                     bins[i] = (members, total + node.feature.energy_j)
-                    placed = True
                     break
-            if not placed:
+            else:
                 bins.append(([node], node.feature.energy_j))
         for members, _total in bins:
-            if len(members) > 1:
-                changed = True
             host = members[0]
-            new_nodes.append(
-                TaskNode(
-                    node_id=host.node_id,
-                    gates=tuple(g for m in members for g in m.gates),
-                )
-            )
-    return new_nodes, changed
+            gates = host.gates
+            if len(members) > 1:
+                for member in members[1:]:
+                    absorbed_into[member.node_id] = host.node_id
+                gates = tuple(g for m in members for g in m.gates)
+            new_nodes.append(TaskNode(node_id=host.node_id, gates=gates))
+    return new_nodes, absorbed_into
 
 
 def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
@@ -244,30 +259,36 @@ def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
 
     Alternates same-level bin-packing with chain contractions until the
     smallest node reaches ``min_fraction`` of the largest, nothing below
-    the merge threshold remains, or no safe merge exists.
+    the merge threshold remains, or no safe merge exists.  Each merged
+    graph is derived from the previous one: unchanged nodes keep their
+    costing and the adjacency is contracted, not rebuilt.
+
+    Returns:
+        A new checked graph; the input graph is not modified.
     """
-    current = graph.clone()
-    current.recompute_features()
-    if not current.nodes:
-        return current
+    current = graph
+    if not graph.features_fresh:
+        current = graph.clone()
+        current.recompute_features()
     cap = config.effective_cap_j
     for _pass in range(config.max_passes):
+        if not current.nodes:
+            break
         energies = [n.feature.energy_j for n in current.nodes.values()]
         floor = max(
             config.merge_threshold_j, config.min_fraction * max(energies)
         )
-        nodes, changed_pack = _level_pack_pass(current, floor, cap)
-        if changed_pack:
-            current = TaskGraph(graph.netlist, graph.report, nodes)
-            current.check()
-            current.recompute_features()
-        nodes, changed_chain = _chain_merge_pass(current, floor, cap)
-        if changed_chain:
-            current = TaskGraph(graph.netlist, graph.report, nodes)
-            current.check()
-            current.recompute_features()
-        if not changed_pack and not changed_chain:
+        nodes, packed = _level_pack_pass(current, floor, cap)
+        if packed:
+            current = current.derive(nodes, packed)
+        nodes, chained = _chain_merge_pass(current, floor, cap)
+        if chained:
+            current = current.derive(nodes, chained)
+        if not packed and not chained:
             break
+    if current is graph:  # nothing merged: return a copy, never the input
+        current = graph.clone()
+        current.recompute_features()
     return current
 
 

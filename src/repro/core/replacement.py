@@ -28,7 +28,8 @@ burst must fit between two commit opportunities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.core.tree import TaskGraph, TaskNode
@@ -149,6 +150,7 @@ class NvmPlan:
         infeasible: nodes whose own energy exceeds the budget (the policy
             stage should have split them; they are reported, not hidden).
         criteria: the criteria weights used.
+        live_cut: the :func:`live_cut_profile` of ``graph``'s schedule.
     """
 
     graph: TaskGraph
@@ -157,6 +159,7 @@ class NvmPlan:
     barriers: tuple[str, ...]
     infeasible: tuple[str, ...]
     criteria: ReplacementCriteria
+    live_cut: Mapping[str, int] = field(compare=False, repr=False)
 
     # -- derived views --------------------------------------------------------
 
@@ -197,7 +200,7 @@ class NvmPlan:
         which a frozen dataclass permits.
         """
         order = schedule_order(self.graph)
-        live = live_cut_profile(self.graph, order)
+        live = self.live_cut
         partitions: list[Partition] = []
         current: list[TaskNode] = []
         energy = 0.0
@@ -273,7 +276,7 @@ def insert_nvm(
     if criteria is None:
         criteria = ReplacementCriteria()
     work = graph.clone()
-    work.recompute_features()
+    work.recompute_features()  # a no-op re-costing when graph is fresh
     order = schedule_order(work)
     live = live_cut_profile(work, order)
     depth = max(work.depth, 1)
@@ -332,4 +335,5 @@ def insert_nvm(
         barriers=tuple(barriers),
         infeasible=tuple(infeasible),
         criteria=criteria,
+        live_cut=live,
     )

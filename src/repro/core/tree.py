@@ -17,36 +17,12 @@ A :class:`TaskGraph` always satisfies two invariants, enforced by
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.core.feature import FeatureDict
 from repro.circuits.netlist import Netlist
 from repro.tech.synthesis import SynthesisReport
-
-#: Graph-topology caching switch.  The policy passes validate a freshly
-#: built graph (``check`` — builds edges, computes a topological order)
-#: and immediately re-derive features over the same topology; caching
-#: the order makes the second walk free.  The perf harness flips this
-#: off to time the uncached baseline; results are identical either way.
-_CACHE_TOPOLOGY = True
-
-
-@contextmanager
-def graph_caches_disabled() -> Iterator[None]:
-    """Temporarily disable :class:`TaskGraph` topology caching.
-
-    Used by ``repro.perf`` to measure the uncached baseline; pinned
-    equivalent by the perf equivalence tests.
-    """
-    global _CACHE_TOPOLOGY
-    previous = _CACHE_TOPOLOGY
-    _CACHE_TOPOLOGY = False
-    try:
-        yield
-    finally:
-        _CACHE_TOPOLOGY = previous
 
 
 class TreeError(ValueError):
@@ -80,6 +56,11 @@ class TaskNode:
 class TaskGraph:
     """A levelized DAG of :class:`TaskNode` over a synthesized netlist.
 
+    A graph tracks whether its feature dictionaries are *fresh* (equal to
+    what a full :meth:`recompute_features` would write).  Graphs derived
+    from a fresh graph (:meth:`derive`) re-cost only the nodes whose gate
+    membership changed.
+
     Args:
         netlist: the underlying circuit.
         report: its synthesis characterization.
@@ -110,9 +91,10 @@ class TaskGraph:
                 self._owner[gate] = node.node_id
         self._edges: dict[str, set[str]] | None = None
         self._redges: dict[str, set[str]] | None = None
-        self._fanout: dict[str, tuple[str, ...]] | None = None
+        self._fanout: Mapping[str, tuple[str, ...]] | None = None
         self._outputs: set[str] | None = None
         self._topo_ids: list[str] | None = None
+        self._fresh = False
 
     # -- construction helpers -------------------------------------------------
 
@@ -130,6 +112,46 @@ class TaskGraph:
                     if src_owner is not None and src_owner != node.node_id:
                         edges[src_owner].add(node.node_id)
                         redges[node.node_id].add(src_owner)
+        self._edges, self._redges = edges, redges
+
+    def _contract_edges(
+        self, parent: "TaskGraph", absorbed_into: Mapping[str, str]
+    ) -> None:
+        """Adjacency as ``parent``'s node edges contracted onto this graph.
+
+        Exact when every node here is a union of ``parent`` nodes: an edge
+        ``H1 -> H2`` exists iff some parent edge ``u -> v`` has ``u``
+        inside ``H1`` and ``v`` inside ``H2`` (``H1 != H2``).  A node that
+        absorbed nothing and has no absorbed neighbour keeps its parent's
+        adjacency sets (cached sets are never mutated in place).
+        """
+        succ, pred = parent.edges, parent._redges
+        assert pred is not None
+        members: dict[str, tuple[str, ...]] = {}
+        for absorbed, host in absorbed_into.items():
+            members[host] = members.get(host, (host,)) + (absorbed,)
+        host_of = absorbed_into.get
+        untouched = absorbed_into.keys().isdisjoint
+
+        def contract(nid: str, adjacency: dict[str, set[str]]) -> set[str]:
+            out: set[str] = set()
+            for member in members.get(nid, (nid,)):
+                for other in adjacency[member]:
+                    host = host_of(other, other)
+                    if host != nid:
+                        out.add(host)
+            return out
+
+        edges: dict[str, set[str]] = {}
+        redges: dict[str, set[str]] = {}
+        for nid in self.nodes:
+            if nid in members:
+                edges[nid] = contract(nid, succ)
+                redges[nid] = contract(nid, pred)
+                continue
+            out, into = succ[nid], pred[nid]
+            edges[nid] = out if untouched(out) else contract(nid, succ)
+            redges[nid] = into if untouched(into) else contract(nid, pred)
         self._edges, self._redges = edges, redges
 
     @property
@@ -152,12 +174,18 @@ class TaskGraph:
         return self._redges[node_id]
 
     def invalidate(self) -> None:
-        """Drop cached adjacency (call after mutating node membership)."""
+        """Drop cached adjacency and features (after mutating membership)."""
         self._edges = None
         self._redges = None
         self._topo_ids = None
+        self._fresh = False
 
-    def _netlist_fanout(self) -> dict[str, tuple[str, ...]]:
+    @property
+    def features_fresh(self) -> bool:
+        """Whether every feature equals what :meth:`recompute_features` writes."""
+        return self._fresh
+
+    def _netlist_fanout(self) -> Mapping[str, tuple[str, ...]]:
         """Cached netlist fanout map (the netlist is never mutated)."""
         if self._fanout is None:
             self._fanout = self.netlist.fanout_map()
@@ -169,6 +197,43 @@ class TaskGraph:
             self._outputs = set(self.netlist.outputs)
         return self._outputs
 
+    def derive(
+        self,
+        nodes: Iterable[TaskNode],
+        absorbed_into: Mapping[str, str] | None = None,
+    ) -> "TaskGraph":
+        """A new checked, costed graph over ``nodes`` that reuses this one.
+
+        A new node with the id and gate tuple of a node here keeps that
+        node's gate-derived features when this graph is fresh; every other
+        node is re-costed.  Levels are always re-derived.
+
+        Args:
+            nodes: the new graph's nodes.
+            absorbed_into: when every new node is a union of nodes here,
+                maps each absorbed node id to the id of the new node that
+                contains it (unmapped ids keep their own node).  The new
+                adjacency is then this graph's contracted through the
+                map; None rebuilds it from gate inputs.
+
+        Raises:
+            TreeError: if the new graph violates an invariant.
+        """
+        graph = TaskGraph(self.netlist, self.report, nodes)
+        graph._fanout, graph._outputs = self._fanout, self._outputs
+        carried: set[str] = set()
+        if self._fresh:
+            for nid, node in graph.nodes.items():
+                old = self.nodes.get(nid)
+                if old is not None and old.gates == node.gates:
+                    node.feature = old.feature
+                    carried.add(nid)
+        if absorbed_into is not None:
+            graph._contract_edges(self, absorbed_into)
+        graph.check()
+        graph._refresh_features(carried)
+        return graph
+
     # -- invariants -----------------------------------------------------------
 
     def check(self) -> None:
@@ -177,23 +242,33 @@ class TaskGraph:
         Raises:
             TreeError: on any violation.
         """
-        comb = {g.name for g in self.netlist.logic_gates}
-        owned = set(self._owner)
-        missing = comb - owned
-        extra = owned - comb
-        if missing:
-            raise TreeError(f"gates not covered by any node: {sorted(missing)[:8]}")
-        if extra:
-            raise TreeError(f"nodes own non-combinational gates: {sorted(extra)[:8]}")
+        if self.report.netlist is self.netlist:
+            comb = self.report.combinational_nets()
+        else:
+            comb = frozenset(g.name for g in self.netlist.logic_gates)
+        owned = self._owner.keys()
+        if owned != comb:
+            missing = comb - owned
+            extra = owned - comb
+            if missing:
+                raise TreeError(
+                    f"gates not covered by any node: {sorted(missing)[:8]}"
+                )
+            raise TreeError(
+                f"nodes own non-combinational gates: {sorted(extra)[:8]}"
+            )
         self.topological_nodes()  # raises on cycles
 
     def topological_nodes(self) -> list[TaskNode]:
         """Nodes in dependency order (cached until :meth:`invalidate`).
 
+        The order depends only on node ids and edges, never on node
+        insertion order.
+
         Raises:
             TreeError: if the node graph is cyclic.
         """
-        if _CACHE_TOPOLOGY and self._topo_ids is not None:
+        if self._topo_ids is not None:
             # Integrity guard: a caller that added/removed/renamed nodes
             # without invalidate() must not get a stale order back.  A
             # count mismatch recomputes; a renamed id fails loudly below
@@ -203,21 +278,24 @@ class TaskGraph:
             if len(self._topo_ids) == len(self.nodes):
                 return [self.nodes[nid] for nid in self._topo_ids]
             self._topo_ids = None
-        indeg = {nid: len(self.predecessors(nid)) for nid in self.nodes}
+        edges = self.edges
+        redges = self._redges
+        assert redges is not None
+        indeg = {nid: len(preds) for nid, preds in redges.items()}
         ready = sorted(nid for nid, d in indeg.items() if d == 0)
         order: list[TaskNode] = []
         while ready:
             nid = ready.pop()
             order.append(self.nodes[nid])
-            for succ in sorted(self.successors(nid)):
+            succs = edges[nid]
+            for succ in sorted(succs) if len(succs) > 1 else succs:
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
                     ready.append(succ)
         if len(order) != len(self.nodes):
             stuck = sorted(nid for nid, d in indeg.items() if d > 0)[:8]
             raise TreeError(f"cycle among task nodes: {stuck}")
-        if _CACHE_TOPOLOGY:
-            self._topo_ids = [node.node_id for node in order]
+        self._topo_ids = [node.node_id for node in order]
         return order
 
     # -- annotations ------------------------------------------------------------
@@ -225,69 +303,73 @@ class TaskGraph:
     def recompute_features(self) -> None:
         """Refresh every node's feature dictionary from the netlist/report.
 
-        Levels follow the node DAG (sources at 1, as in the paper's figures);
-        energy and delay come from the synthesis report's analytic model.
-        Callers that mutate node *membership* must call :meth:`invalidate`
-        first (every in-repo caller operates on a freshly built graph, so
-        the adjacency built by :meth:`check` is reused, not rebuilt).
+        Levels follow the node DAG (sources at 1, as in the paper's
+        figures); energy and delay come from the synthesis report's
+        analytic model.  On a fresh graph only the replacement annotation
+        ``accumulated_j`` is reset.  Callers that mutate node *membership*
+        must call :meth:`invalidate` first.
         """
-        if not _CACHE_TOPOLOGY:
-            self.invalidate()
+        if self._fresh:
+            for node in self.nodes.values():
+                if node.feature.accumulated_j:
+                    node.feature.accumulated_j = 0.0
+            return
+        self._refresh_features(set())
+
+    def _refresh_features(self, carried: set[str]) -> None:
+        """Re-derive every level; re-cost every node not in ``carried``.
+
+        Fan-in, fan-out, energy, delay and gate count depend only on a
+        node's gates, so a ``carried`` node (same id and gates as in the
+        graph it was derived from) keeps them.
+        """
         order = self.topological_nodes()
+        redges = self._redges
+        assert redges is not None
         levels: dict[str, int] = {}
         for node in order:
-            preds = self.predecessors(node.node_id)
-            levels[node.node_id] = (
-                1 if not preds else 1 + max(levels[p] for p in preds)
-            )
+            level = 0
+            for p in redges[node.node_id]:
+                if levels[p] > level:
+                    level = levels[p]
+            levels[node.node_id] = level + 1
         gates_of = self.netlist.gates
         fanout = self._netlist_fanout()
         outputs = self._netlist_outputs()
+        report = self.report
         for node in order:
             nid = node.node_id
-            # One shared membership set per node instead of one per
-            # fan-in/fan-out helper (identical counts, half the set
-            # builds; the uncached baseline keeps the helper path).
-            if _CACHE_TOPOLOGY:
-                inside = set(node.gates)
-                external: set[str] = set()
-                outs = 0
-                for gate in node.gates:
-                    for src in gates_of[gate].inputs:
-                        if src not in inside:
-                            external.add(src)
-                    consumers = fanout.get(gate, ())
-                    if (
-                        any(c not in inside for c in consumers)
-                        or gate in outputs
-                    ):
-                        outs += 1
-                fan_in, fan_out = len(external), outs
-            else:
-                fan_in = self._external_fanin(node)
-                fan_out = self._external_fanout(node)
+            if nid in carried:
+                old = node.feature
+                node.feature = FeatureDict(
+                    fan_in=old.fan_in,
+                    fan_out=old.fan_out,
+                    level=levels[nid],
+                    energy_j=old.energy_j,
+                    delay_s=old.delay_s,
+                    n_gates=old.n_gates,
+                )
+                continue
+            inside = set(node.gates)
+            external: set[str] = set()
+            outs = 0
+            for gate in node.gates:
+                for src in gates_of[gate].inputs:
+                    if src not in inside:
+                        external.add(src)
+                if gate in outputs or any(
+                    c not in inside for c in fanout.get(gate, ())
+                ):
+                    outs += 1
             node.feature = FeatureDict(
-                fan_in=fan_in,
-                fan_out=fan_out,
+                fan_in=len(external),
+                fan_out=outs,
                 level=levels[nid],
-                energy_j=self.report.block_energy_j(node.gates),
-                delay_s=self.report.block_critical_path_s(node.gates),
+                energy_j=report.block_energy_j(node.gates),
+                delay_s=report.block_critical_path_s(node.gates),
                 n_gates=len(node.gates),
             )
-
-    def _external_fanin(self, node: TaskNode) -> int:
-        """Distinct nets entering the node from outside it."""
-        inside = set(node.gates)
-        seen: set[str] = set()
-        for gate in node.gates:
-            for src in self.netlist.gates[gate].inputs:
-                if src not in inside:
-                    seen.add(src)
-        return len(seen)
-
-    def _external_fanout(self, node: TaskNode) -> int:
-        """Distinct nets leaving the node (consumed outside or POs)."""
-        return len(self.output_nets(node))
+        self._fresh = True
 
     def output_nets(self, node: TaskNode) -> set[str]:
         """Nets driven inside ``node`` that are observable outside it.
@@ -335,7 +417,11 @@ class TaskGraph:
         return {nid: n.feature.energy_j for nid, n in self.nodes.items()}
 
     def clone(self) -> "TaskGraph":
-        """Deep copy (nodes are re-created; netlist/report are shared)."""
+        """Deep copy (nodes are re-created; netlist/report are shared).
+
+        Node membership is identical, so the adjacency, order and
+        freshness carry over (cached sets are never mutated in place).
+        """
         nodes = [
             TaskNode(
                 node_id=n.node_id,
@@ -347,15 +433,12 @@ class TaskGraph:
             for n in self.nodes.values()
         ]
         copy = TaskGraph(self.netlist, self.report, nodes)
-        if _CACHE_TOPOLOGY:
-            # Node membership is identical, so the adjacency and order
-            # caches transfer verbatim (they are never mutated, only
-            # dropped by invalidate()).
-            copy._edges = self._edges
-            copy._redges = self._redges
-            copy._topo_ids = self._topo_ids
-            copy._fanout = self._fanout
-            copy._outputs = self._outputs
+        copy._edges = self._edges
+        copy._redges = self._redges
+        copy._topo_ids = self._topo_ids
+        copy._fanout = self._fanout
+        copy._outputs = self._outputs
+        copy._fresh = self._fresh
         return copy
 
     def __len__(self) -> int:

@@ -25,6 +25,9 @@ from repro.core.tree import TaskGraph, TaskNode
 from repro.tech.library import StandardCellLibrary
 from repro.tech.synthesis import SynthesisReport, synthesize
 
+#: Initial node granularities :func:`build_task_graph` accepts.
+GRANULARITIES = ("gate", "level")
+
 
 def build_task_graph(
     netlist: Netlist,
@@ -49,6 +52,8 @@ def build_task_graph(
     Raises:
         ValueError: for an unknown granularity.
     """
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"unknown granularity {granularity!r}")
     if report is None:
         kwargs = {}
         if activity is not None:
@@ -56,10 +61,8 @@ def build_task_graph(
         report = synthesize(netlist, library=library, **kwargs)
     if granularity == "gate":
         nodes = _gate_nodes(netlist)
-    elif granularity == "level":
-        nodes = _level_nodes(netlist)
     else:
-        raise ValueError(f"unknown granularity {granularity!r}")
+        nodes = _level_nodes(netlist)
     graph = TaskGraph(netlist, report, nodes)
     graph.check()
     graph.recompute_features()

@@ -1,10 +1,9 @@
 """The unoptimized-baseline switch for speedup measurement.
 
-The PR-5 hot-path optimizations are pure caches — memoized block
-costing, task-graph topology reuse, netlist topological-order caching —
-each individually toggleable and each pinned bit-identical to its
-uncached path by the equivalence tests.  This module composes the
-toggles so the ``suite-eval`` perf suites can measure the *same code* in
+Two hot-path caches — memoized block costing and netlist
+topological-order caching — are individually toggleable and each pinned
+bit-identical to its uncached path by the equivalence tests.  This
+module composes the toggles so the ``suite-eval`` perf suites can measure the *same code* in
 its cached and uncached configurations back to back in one process,
 which cancels host / load variance out of the recorded
 ``speedup_vs_unmemoized`` ratio (comparing two separate checkouts on a
@@ -17,7 +16,6 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 
 from repro.circuits.netlist import topo_order_cache_disabled
-from repro.core.tree import graph_caches_disabled
 from repro.tech.synthesis import block_cost_memo_disabled
 
 
@@ -25,20 +23,15 @@ from repro.tech.synthesis import block_cost_memo_disabled
 def hot_path_caches_disabled() -> Iterator[None]:
     """Disable every *toggleable* hot-path cache for the block.
 
-    Covers the block-cost memo, the task-graph topology caches and the
-    netlist topological-order/fanout caches.  Three PR-5 optimizations
-    have no off switch (the ``Gate.is_*`` cached properties, the trace
-    fast path, the executor-locals rewrite), so a ratio measured over
-    this baseline *understates* the cache contribution relative to the
-    true pre-PR checkout — the checkout A/B recorded in CHANGES.md
-    bounds the whole PR.  Numbers produced inside the block are
+    Covers the block-cost memo and the netlist topological-order/fanout
+    caches.  The other hot-path optimizations have no off switch
+    (incremental task-graph passes, the ``Gate.is_*`` predicates, the
+    trace fast path, the executor-locals rewrite), so a ratio measured
+    over this baseline *understates* their contribution relative to an
+    older checkout.  Numbers produced inside the block are
     bit-identical to numbers produced outside it; only the wall clock
     differs.
     """
-    with (
-        block_cost_memo_disabled(),
-        graph_caches_disabled(),
-        topo_order_cache_disabled(),
-    ):
+    with block_cost_memo_disabled(), topo_order_cache_disabled():
         yield
 

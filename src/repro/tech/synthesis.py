@@ -68,6 +68,9 @@ class SynthesisReport:
     _topo_index: dict[str, int] | None = field(
         default=None, repr=False, compare=False
     )
+    _comb_nets: frozenset[str] | None = field(
+        default=None, repr=False, compare=False
+    )
     #: Memoized per-block costing results, keyed on (kind, block key).
     #: The timing tables are immutable after synthesis, so a block's cost
     #: never changes; see :func:`block_cost_memo_disabled`.
@@ -82,6 +85,14 @@ class SynthesisReport:
                 g.name: i for i, g in enumerate(self.netlist.topological_order())
             }
         return self._topo_index
+
+    def combinational_nets(self) -> frozenset[str]:
+        """Names of the netlist's combinational gates (cached)."""
+        if self._comb_nets is None:
+            self._comb_nets = frozenset(
+                g.name for g in self.netlist.logic_gates
+            )
+        return self._comb_nets
 
     # -- per-gate views ------------------------------------------------------
 
@@ -106,8 +117,12 @@ class SynthesisReport:
     _COST_CACHE_MAX = 100_000
 
     def _memo(self, key: tuple, compute, block) -> float:
-        """Memoized ``compute(block)``; a plain call when the memo is off."""
-        if not _MEMOIZE_BLOCK_COSTS:
+        """Memoized ``compute(block)``; a plain call when the memo is off.
+
+        Single-gate blocks are never stored: computing one costs less
+        than a memo lookup, and a gate-granularity tree has one per gate.
+        """
+        if not _MEMOIZE_BLOCK_COSTS or len(block) == 1:
             return compute(block)
         value = self._cost_cache.get(key)
         if value is None:

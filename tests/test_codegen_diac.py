@@ -70,6 +70,36 @@ class TestDiacPipeline:
         with pytest.raises(ValueError):
             DiacConfig(policy=5)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"split_fraction": float("nan")}, "split_fraction"),
+            ({"split_fraction": float("inf")}, "split_fraction"),
+            ({"split_fraction": 0.0}, "split_fraction"),
+            ({"split_fraction": -1.0}, "split_fraction"),
+            ({"merge_fraction": float("nan")}, "merge_fraction"),
+            ({"merge_fraction": -0.5}, "merge_fraction"),
+            ({"split_fraction": 1.0, "merge_fraction": 2.0}, "must not exceed"),
+            ({"granularity": "cone"}, "granularity"),
+            ({"activity": 0.0}, "activity"),
+            ({"activity": 1.5}, "activity"),
+            ({"activity": float("nan")}, "activity"),
+            ({"budget_j": 0.0}, "budget_j"),
+            ({"budget_j": -1e-12}, "budget_j"),
+            ({"budget_j": float("nan")}, "budget_j"),
+            ({"budget_j": float("inf")}, "budget_j"),
+        ],
+    )
+    def test_config_rejects_malformed_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DiacConfig(**kwargs)
+
+    def test_config_accepts_boundary_values(self):
+        config = DiacConfig(
+            granularity="level", activity=1.0, merge_fraction=0.0, budget_j=1e-15
+        )
+        assert config.split_fraction > config.merge_fraction
+
     def test_design_summary_fields(self, s27_design):
         summary = s27_design.summary()
         for key in ("nodes", "depth", "state_bits", "pass_energy_pj", "timing_ok"):

@@ -375,20 +375,6 @@ class TestOptimizationEquivalence:
         for scheme, result in cached.results.items():
             assert result == baseline.results[scheme], scheme
 
-    def test_designs_identical_under_graph_cache_toggle(self, s27):
-        """Graph/topology caching changes nothing a design exposes."""
-        from repro.core import DiacSynthesizer
-        from repro.core.tree import graph_caches_disabled
-
-        cached = DiacSynthesizer().run(s27)
-        with graph_caches_disabled():
-            baseline = DiacSynthesizer().run(s27)
-        assert cached.summary() == baseline.summary()
-        assert [n.node_id for n in cached.graph.topological_nodes()] == [
-            n.node_id for n in baseline.graph.topological_nodes()
-        ]
-        assert cached.plan.barriers == baseline.plan.barriers
-
     def test_netlist_topo_cache_tracks_growth(self, tiny_chain):
         """The cached order invalidates when the netlist grows."""
         from repro.circuits import GateType

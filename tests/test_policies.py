@@ -27,6 +27,39 @@ class TestPolicyConfig:
         with pytest.raises(ValueError):
             PolicyConfig(split_threshold_j=1.0, merge_threshold_j=2.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"split_threshold_j": float("nan")}, "split_threshold_j"),
+            ({"split_threshold_j": float("inf")}, "split_threshold_j"),
+            ({"merge_threshold_j": float("nan")}, "merge_threshold_j"),
+            ({"merge_threshold_j": float("-inf")}, "merge_threshold_j"),
+            ({"merge_cap_j": -1.0}, "merge_cap_j"),
+            ({"merge_cap_j": float("nan")}, "merge_cap_j"),
+            ({"merge_cap_j": float("inf")}, "merge_cap_j"),
+            ({"min_fraction": -0.1}, "min_fraction"),
+            ({"min_fraction": 1.5}, "min_fraction"),
+            ({"min_fraction": float("nan")}, "min_fraction"),
+            ({"max_passes": 0}, "max_passes"),
+            ({"max_passes": -3}, "max_passes"),
+            ({"max_passes": 2.5}, "max_passes"),
+        ],
+    )
+    def test_rejects_malformed_field(self, kwargs, message):
+        fields = {"split_threshold_j": 2.0, "merge_threshold_j": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            PolicyConfig(**fields)
+
+    def test_accepts_boundary_values(self):
+        cfg = PolicyConfig(
+            split_threshold_j=1.0,
+            merge_threshold_j=0.0,
+            merge_cap_j=0.0,
+            min_fraction=1.0,
+            max_passes=1,
+        )
+        assert cfg.effective_cap_j == 0.0
+
     def test_effective_cap_defaults_to_split(self):
         cfg = PolicyConfig(split_threshold_j=2.0, merge_threshold_j=1.0)
         assert cfg.effective_cap_j == 2.0
