@@ -45,6 +45,8 @@ class StaticScreener:
         base_config: synthesis defaults shared by every point (must
             match the engine's, or the ranking screens for the wrong
             sweep).
+        caches: circuit name -> synthesis cache; pass the sweep's map
+            so the simulations reuse the stages the screen built.
         keep: fraction of analysable candidates kept after ranking.
         min_keep: never cut the pool below this many candidates (the
             halving strategy needs at least 2).
@@ -55,7 +57,7 @@ class StaticScreener:
     base_config: DiacConfig | None = None
     keep: float = 0.5
     min_keep: int = 2
-    _caches: dict[str, SynthesisCache] = field(
+    caches: dict[str, SynthesisCache] = field(
         default_factory=dict, repr=False
     )
 
@@ -71,7 +73,7 @@ class StaticScreener:
         """Per-(circuit, scenario) bounds; None where analysis fails."""
         rows: list[RunBounds | None] = []
         for circuit, netlist in self.netlists.items():
-            cache = self._caches.setdefault(circuit, SynthesisCache())
+            cache = self.caches.setdefault(circuit, SynthesisCache())
             for scenario in self.scenarios:
                 try:
                     rows.append(

@@ -8,16 +8,18 @@ local process pool.  *What* to evaluate — expansion, resume, pruning,
 dedup, ask/tell and result assembly — is decided by
 :mod:`repro.dse.planner`, which the queue-backed
 :class:`repro.service.SweepCoordinator` shares; this module decides
-*how*:
+*how*, in one stage-batch loop:
 
 * **batching** — evaluation tasks are grouped by synthesis-stage key
   (circuit x policy), so every batch shares one
   characterization/tree/policy run via
   :class:`~repro.dse.explorer.SynthesisCache`;
-* **parallelism** — batches fan out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` with a configurable
-  worker count; point evaluation is pure, so parallel results are
-  identical to the serial path;
+* **one loop, two executors** — with one worker each batch runs inline
+  in this process on the submission's cache map (which the static
+  screen and pruning share); with more, batches fan out over a
+  :class:`concurrent.futures.ProcessPoolExecutor`.  At most ``workers``
+  batches are outstanding either way, and point evaluation is pure, so
+  both give identical records;
 * **streaming** — records stream to any
   :class:`~repro.dse.store.ResultStore` backend (JSONL or SQLite/WAL)
   as batches complete, so a killed run loses at most its in-flight
@@ -25,12 +27,13 @@ dedup, ask/tell and result assembly — is decided by
 * **fault tolerance** — execution runs under
   :class:`~repro.dse.resilience.ResilienceConfig`: transient failures
   (worker crashes, broken pools, injected chaos) retry with seeded
-  backoff, overdue batches resubmit to fresh workers, dead pools are
-  rebuilt, and after ``max_pool_deaths`` consecutive deaths the run
-  degrades to serial in-process execution instead of thrashing.
-  Deterministic evaluation errors fail fast into a single
-  :class:`SweepFailure`; *any* other exception becomes a recorded
-  failure too, never a destroyed sweep (see ``docs/robustness.md``).
+  backoff, overdue pool batches resubmit to fresh workers, dead pools
+  are rebuilt, and after ``max_pool_deaths`` consecutive deaths the
+  loop swaps in the inline executor and carries on, every task keeping
+  its attempt count.  Deterministic evaluation errors fail fast into a
+  single :class:`SweepFailure`; *any* other exception becomes a
+  recorded failure too, never a destroyed sweep (see
+  ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
+from dataclasses import dataclass, field, replace
 from functools import partial
 from numbers import Real
 from typing import TYPE_CHECKING
@@ -318,8 +322,9 @@ class SweepStats:
             scenarios).
         n_batches: synthesis-stage groups fanned out.
         n_generations: strategy generations driven (0 for a grid).
-        synthesize_calls: actual circuit characterizations performed.
-        workers: process count used (1 == serial in-process).
+        synthesize_calls: circuit characterizations the submission
+            performed — static screening and pruning included.
+        workers: process count used (1 == inline, in-process).
         wall_s: wall-clock duration of the run.
         n_pruned: points the static analysis proved infeasible and
             skipped without simulating (``analysis_prune=True`` only;
@@ -331,7 +336,7 @@ class SweepStats:
         n_pool_rebuilds: worker pools rebuilt after a death or
             deadline overrun.
         degraded_to_serial: whether consecutive pool deaths forced the
-            rest of the run onto the serial in-process path.
+            rest of the run onto the inline (in-process) executor.
     """
 
     n_points: int = 0
@@ -524,12 +529,22 @@ class SweepResult:
         return robustness_report(self.records)
 
 
-#: Worker-process-global synthesis caches, keyed like the serial path's
-#: per-circuit caches.  Only used when a generational search keeps its
-#: worker pool alive across generations (``persistent_cache=True``) so
-#: a (circuit, policy) stage synthesized in generation 1 is still warm
-#: in generation N.
+#: Worker-process-global synthesis caches, keyed by the sweep's circuit
+#: name.  Pool workers and service workers (``repro worker``) keep every
+#: stage they synthesized warm for the later batches and leases they
+#: run, so a search's generation N reuses the stages of generation 1.
+#: The pool initializer clears it; the engine's own process never uses
+#: it (its inline batches run on the submission's cache map).
 _PROCESS_CACHES: dict[str, SynthesisCache] = {}
+
+
+def _reset_process_caches() -> None:
+    """Pool initializer: every worker starts with cold caches.
+
+    A forked worker would otherwise inherit whatever its parent left
+    in :data:`_PROCESS_CACHES`.
+    """
+    _PROCESS_CACHES.clear()
 
 
 def _evaluate_batch(
@@ -537,42 +552,45 @@ def _evaluate_batch(
     netlist: Netlist,
     jobs: list[tuple[_TaskKey, ScenarioSpec, DesignPoint]],
     base_config: DiacConfig | None,
-    persistent_cache: bool = False,
     fault_plan: FaultPlan | None = None,
+    caches: dict[str, SynthesisCache] | None = None,
 ) -> tuple[
     list[tuple[_TaskKey, ExplorationRecord]],
     int,
     list[tuple[_TaskKey, SweepFailure]],
 ]:
-    """Evaluate one synthesis-stage group with a batch-local cache.
+    """Evaluate one synthesis-stage group: the engine's only evaluator.
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it; returns
     keyed records, the number of ``synthesize`` calls the batch cost
-    (exactly one when the grouping works — scenarios share the stage,
+    (at most one when the grouping works — scenarios share the stage,
     since the environment never changes the synthesized design), and any
     keyed per-job failures.  ``circuit`` is the sweep's name for the
     netlist, which wins over ``netlist.name`` so resume keys stay stable
-    for file-loaded circuits.  ``persistent_cache`` switches to the
-    process-global cache so repeated batches in one worker (a
-    generational search with a long-lived pool) share stages.
+    for file-loaded circuits.
+
+    ``caches`` is the submission's circuit -> cache map when the batch
+    runs inline in the engine's own process; injected crash faults then
+    raise :class:`~repro.dse.resilience.WorkerCrashError` instead of
+    exiting.  Without it (a pool or service worker) the batch uses
+    :data:`_PROCESS_CACHES`, and a crash fault kills the process.
 
     Every per-job exception — deterministic, transient, or a genuine
     bug — becomes a classified :class:`SweepFailure` so one bad point
-    never destroys its batch; the parent decides which kinds retry.
-    ``fault_plan`` injects deterministic chaos just before each job
-    (crash faults kill this worker process outright).
+    never destroys its batch; the caller decides which kinds retry.
+    ``fault_plan`` injects deterministic chaos just before each job.
     """
-    if persistent_cache:
-        cache = _PROCESS_CACHES.setdefault(circuit, SynthesisCache())
-    else:
-        cache = SynthesisCache()
+    inline = caches is not None
+    cache = (_PROCESS_CACHES if caches is None else caches).setdefault(
+        circuit, SynthesisCache()
+    )
     calls_before = cache.synthesize_calls
     records = []
     failures = []
     for key, scenario, point in jobs:
         try:
             if fault_plan is not None:
-                fault_plan.fire(key_text(key))
+                fault_plan.fire(key_text(key), allow_exit=not inline)
             record = evaluate_point(
                 netlist,
                 point,
@@ -599,13 +617,28 @@ def _evaluate_batch(
     return records, cache.synthesize_calls - calls_before, failures
 
 
+def _submit_inline(fn: Callable, /, *args) -> Future:
+    """The inline executor: run ``fn(*args)`` now, return its future.
+
+    Used with one worker and after degrading, so the stage-batch loop
+    handles an in-process batch exactly like a pool's completed one.
+    """
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as error:
+        future.set_exception(error)
+    return future
+
+
 class SweepEngine:
     """Executes sweeps in-process or across local worker processes.
 
     Args:
-        workers: process count; 1 (default) evaluates in-process with a
-            single shared synthesis cache, >1 fans batches out over a
-            process pool.
+        workers: batches outstanding at once; 1 (default) runs each
+            stage batch inline in this process on the submission's
+            synthesis caches, >1 fans batches out over a process pool
+            of that size.
         base_config: synthesis defaults shared by every point.
         store: optional streaming result store (any
             :class:`~repro.dse.store.ResultStore` backend); when given,
@@ -668,19 +701,13 @@ class SweepEngine:
 
         netlists = load_netlists(request.spec.circuits, dict(netlists or {}))
         stats = SweepStats(workers=self.workers)
-        # One cache map and one pool per submission: a search's later
-        # generations reuse the stages earlier ones synthesized (here,
-        # or in the long-lived workers' process-global caches), and a
-        # pool that died mid-generation is already rebuilt for the next.
-        # A grid is a single generation, so its pool keeps batch-local
-        # caches.
+        # One synthesis-cache map and one pool per submission: the static
+        # screen, pruning and every inline batch share the map, so each
+        # stage is characterized once in this process, and a pool that
+        # died mid-generation is already rebuilt for the next.
         caches: dict[str, SynthesisCache] = {}
-        supervisor = (
-            PoolSupervisor(
-                self.workers, persistent=request.strategy_name != "grid"
-            )
-            if self.workers > 1
-            else None
+        supervisor = PoolSupervisor(
+            self.workers, initializer=_reset_process_caches
         )
         execute = partial(
             self._execute_tasks,
@@ -697,10 +724,10 @@ class SweepEngine:
                 store=self.store,
                 base_config=self.base_config,
                 netlists=netlists,
+                caches=caches,
             )
         finally:
-            if supervisor is not None:
-                supervisor.shutdown()
+            supervisor.shutdown()
 
     def _commit(
         self,
@@ -708,9 +735,9 @@ class SweepEngine:
     ) -> None:
         """Persist one completed batch to the store, if there is one.
 
-        The single exit point for produced records: the serial and the
-        parallel path both hand their completions here as they finish,
-        so a killed run loses at most its in-flight batches.
+        The single exit point for produced records: every batch hands
+        its completions here as it finishes, so a killed run loses at
+        most its in-flight batches.
         """
         if not keyed_records or self.store is None:
             return
@@ -718,110 +745,6 @@ class SweepEngine:
             self.store.append(keyed_records[0][1])
         else:
             self.store.extend([r for _k, r in keyed_records])
-
-    def _execute_tasks(
-        self,
-        tasks: list[_Task],
-        netlists: dict[str, Netlist],
-        stats: SweepStats,
-        caches: dict[str, SynthesisCache],
-        supervisor: PoolSupervisor | None,
-    ) -> tuple[
-        dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]
-    ]:
-        """Evaluate pending tasks, stream to the store, update ``stats``.
-
-        The planner's executor for :meth:`submit`.  Without a
-        ``supervisor`` evaluation runs in-process and reuses the
-        per-circuit ``caches`` (so a search shares synthesis stages
-        across generations); with one, tasks are grouped by (circuit,
-        policy) and the groups fan out over the supervisor's pool.
-        """
-        fresh: dict[_TaskKey, ExplorationRecord] = {}
-        failures: dict[_TaskKey, SweepFailure] = {}
-        if supervisor is None:
-            self._execute_serial(tasks, netlists, stats, caches,
-                                 fresh, failures)
-            # Serial "batches" mirror the parallel grouping for stats.
-            stats.n_batches += len(
-                {(circuit, point.policy) for _k, circuit, _s, point in tasks}
-            )
-        else:
-            # Batch by synthesis-stage group (circuit x policy) so each
-            # batch shares one characterization/tree/policy run;
-            # scenarios ride in the same batch because they never change
-            # the synthesized design.
-            groups: dict[
-                tuple[str, int],
-                list[tuple[_TaskKey, ScenarioSpec, DesignPoint]],
-            ] = {}
-            for key, circuit, scenario, point in tasks:
-                groups.setdefault((circuit, point.policy), []).append(
-                    (key, scenario, point)
-                )
-            stats.n_batches += len(groups)
-            self._execute_parallel(
-                groups, netlists, stats, supervisor, fresh, failures
-            )
-        stats.n_evaluated += len(fresh)
-        stats.n_failed += len(failures)
-        return fresh, failures
-
-    def _execute_serial(
-        self,
-        tasks: list[_Task],
-        netlists: dict[str, Netlist],
-        stats: SweepStats,
-        caches: dict[str, SynthesisCache],
-        fresh: dict[_TaskKey, ExplorationRecord],
-        failures: dict[_TaskKey, SweepFailure],
-    ) -> None:
-        """In-process evaluation with per-task retry on transients.
-
-        Also the drain path after parallel execution degrades: fault
-        plans fire with ``allow_exit=False``, so an injected crash
-        surfaces as a retryable exception instead of killing the sweep.
-        """
-        cfg = self.resilience
-        policy = cfg.retry
-        for circuit in netlists:
-            caches.setdefault(circuit, SynthesisCache())
-        before = sum(c.synthesize_calls for c in caches.values())
-        for key, circuit, scenario, point in tasks:
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    if cfg.fault_plan is not None:
-                        cfg.fault_plan.fire(key_text(key), allow_exit=False)
-                    record = evaluate_point(
-                        netlists[circuit],
-                        point,
-                        base_config=self.base_config,
-                        cache=caches[circuit],
-                        scenario=scenario,
-                    )
-                except Exception as error:
-                    kind = classify(error)
-                    if kind == TRANSIENT and attempts < policy.max_attempts:
-                        stats.n_retries += 1
-                        time.sleep(policy.delay_s(attempts, key_text(key)))
-                        continue
-                    failures[key] = SweepFailure(
-                        circuit=circuit,
-                        label=point.label(),
-                        error=describe_error(error),
-                        scenario=scenario.label(),
-                        kind=kind,
-                        attempts=attempts,
-                    )
-                    break
-                fresh[key] = record
-                self._commit([(key, record)])
-                break
-        stats.synthesize_calls += (
-            sum(c.synthesize_calls for c in caches.values()) - before
-        )
 
     @staticmethod
     def _fail_batch(
@@ -847,55 +770,73 @@ class SweepEngine:
                 attempts=attempts,
             )
 
-    def _execute_parallel(
+    def _execute_tasks(
         self,
-        groups: dict[
-            tuple[str, int],
-            list[tuple[_TaskKey, ScenarioSpec, DesignPoint]],
-        ],
+        tasks: list[_Task],
         netlists: dict[str, Netlist],
         stats: SweepStats,
+        caches: dict[str, SynthesisCache],
         supervisor: PoolSupervisor,
-        fresh: dict[_TaskKey, ExplorationRecord],
-        failures: dict[_TaskKey, SweepFailure],
-    ) -> None:
-        """Fan-out with deadlines, retries, pool rebuilds, degradation.
+    ) -> tuple[
+        dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]
+    ]:
+        """Evaluate pending tasks, stream to the store, update ``stats``.
 
-        The event loop keeps three collections: ``ready`` batches to
-        submit, ``delayed`` single-task retry batches waiting out their
-        backoff, and ``in_flight`` futures with optional deadlines.
+        The planner's executor for :meth:`submit` and the engine's one
+        evaluation loop.  Tasks are grouped by synthesis stage (circuit
+        x policy), so each batch shares one characterization/tree/policy
+        run; scenarios ride in the same batch because they never change
+        the synthesized design.  Batches run inline on ``caches`` with
+        one worker (or after degrading), else on the supervisor's pool;
+        at most ``workers`` are outstanding, so records reach the store
+        batch by batch and a pool batch's deadline starts when a worker
+        is free to take it.
+
+        The loop keeps three collections: ``ready`` batches to dispatch,
+        ``delayed`` single-task retry batches waiting out their backoff,
+        and ``in_flight`` futures with their deadlines.  A batch's
+        attempt number is the attempt of every task in it.
         Worker-reported transient failures reschedule the *task* (with
         backoff); a broken pool or an overdue batch reschedules the
-        *batch* onto a rebuilt pool; ``max_pool_deaths`` consecutive
-        deaths drain everything left through the serial path instead.
+        *batch* onto a rebuilt pool; after ``max_pool_deaths``
+        consecutive deaths the inline executor takes over the rest of
+        the run, attempt counts intact.
         """
         cfg = self.resilience
         policy = cfg.retry
-        # (group key, jobs, batch attempt) triples ready to submit.
-        ready: deque = deque(
-            (gk, jobs, 1) for gk, jobs in groups.items()
-        )
+        groups: dict[
+            tuple[str, int],
+            list[tuple[_TaskKey, ScenarioSpec, DesignPoint]],
+        ] = {}
+        for key, circuit, scenario, point in tasks:
+            groups.setdefault((circuit, point.policy), []).append(
+                (key, scenario, point)
+            )
+        stats.n_batches += len(groups)
+        fresh: dict[_TaskKey, ExplorationRecord] = {}
+        failures: dict[_TaskKey, SweepFailure] = {}
+        # (group key, jobs, attempt) triples ready to dispatch.
+        ready: deque = deque((gk, jobs, 1) for gk, jobs in groups.items())
         # (not-before monotonic time, group key, jobs, attempt).
         delayed: list[tuple[float, tuple[str, int], list, int]] = []
         in_flight: dict = {}
-        task_failures: dict[_TaskKey, int] = {}
 
-        def submit(gk: tuple[str, int], jobs: list, attempt: int) -> None:
+        def dispatch(gk: tuple[str, int], jobs: list, attempt: int) -> None:
             circuit = gk[0]
-            future = supervisor.pool.submit(
-                _evaluate_batch, circuit, netlists[circuit],
-                jobs, self.base_config,
-                supervisor.persistent,
+            args = (
+                circuit, netlists[circuit], jobs, self.base_config,
                 cfg.fault_plan,
             )
-            deadline = (
-                time.monotonic() + cfg.batch_timeout_s
-                if cfg.batch_timeout_s is not None
-                else None
-            )
+            deadline = None
+            if self.workers == 1 or stats.degraded_to_serial:
+                future = _submit_inline(_evaluate_batch, *args, caches)
+            else:
+                future = supervisor.pool.submit(_evaluate_batch, *args)
+                if cfg.batch_timeout_s is not None:
+                    deadline = time.monotonic() + cfg.batch_timeout_s
             in_flight[future] = (gk, jobs, attempt, deadline)
 
-        def handle_success(gk, jobs, batch) -> None:
+        def handle_success(gk, jobs, attempt, batch) -> None:
             records, synth_calls, batch_failures = batch
             stats.synthesize_calls += synth_calls
             for key, record in records:
@@ -903,26 +844,17 @@ class SweepEngine:
             self._commit(records)
             now = time.monotonic()
             for key, failure in batch_failures:
-                seen = task_failures.get(key, 0) + 1
-                task_failures[key] = seen
-                if failure.kind == TRANSIENT and seen < policy.max_attempts:
+                if failure.kind == TRANSIENT and attempt < policy.max_attempts:
                     # Retry just this task, after its seeded backoff,
                     # as a single-job batch in the same stage group.
                     stats.n_retries += 1
                     job = next(j for j in jobs if j[0] == key)
                     delayed.append((
-                        now + policy.delay_s(seen, key_text(key)),
-                        gk, [job], seen + 1,
+                        now + policy.delay_s(attempt, key_text(key)),
+                        gk, [job], attempt + 1,
                     ))
                     continue
-                failures[key] = SweepFailure(
-                    circuit=failure.circuit,
-                    label=failure.label,
-                    error=failure.error,
-                    scenario=failure.scenario,
-                    kind=failure.kind,
-                    attempts=seen,
-                )
+                failures[key] = replace(failure, attempts=attempt)
 
         def requeue_or_fail(gk, jobs, attempt, message) -> None:
             if attempt >= policy.max_attempts:
@@ -941,15 +873,16 @@ class SweepEngine:
                 for _t, gk, jobs, attempt in due:
                     ready.append((gk, jobs, attempt))
             pool_died = False
-            while ready and not pool_died:
+            while ready and len(in_flight) < self.workers:
                 gk, jobs, attempt = ready.popleft()
                 try:
-                    submit(gk, jobs, attempt)
+                    dispatch(gk, jobs, attempt)
                 except BrokenExecutor:
                     # The pool died between batches; put the work back
                     # and fall through to the shared death handling.
                     ready.appendleft((gk, jobs, attempt))
                     pool_died = True
+                    break
             if in_flight and not pool_died:
                 timeout = self._wait_timeout(in_flight, delayed)
                 done, _pending = wait(
@@ -967,15 +900,15 @@ class SweepEngine:
                             "worker process died evaluating this batch",
                         )
                     except Exception as error:
-                        # The batch runner itself blew up (satellite
-                        # bugfix): classify and record, never propagate.
+                        # The batch runner itself blew up: classify and
+                        # record, never propagate.
                         self._fail_batch(
                             gk[0], jobs, failures,
                             error=error, attempts=attempt,
                         )
                     else:
                         supervisor.note_success()
-                        handle_success(gk, jobs, batch)
+                        handle_success(gk, jobs, attempt, batch)
                 # Straggler sweep: any batch past its deadline is
                 # resubmitted to fresh workers (the hung worker still
                 # occupies a slot, so the pool must be rebuilt).
@@ -1008,26 +941,19 @@ class SweepEngine:
                 for gk, jobs, attempt, _deadline in in_flight.values():
                     ready.append((gk, jobs, attempt))
                 in_flight.clear()
+                supervisor.shutdown()
                 if supervisor.should_degrade(cfg.max_pool_deaths):
+                    # The parallel ladder is exhausted: the rest of the
+                    # run goes inline, where crash faults raise instead
+                    # of exiting.
                     stats.degraded_to_serial = True
-                    break
-                supervisor.rebuild()
-                stats.n_pool_rebuilds += 1
+                else:
+                    # The next dispatch builds the fresh pool.
+                    stats.n_pool_rebuilds += 1
 
-        if stats.degraded_to_serial:
-            # The parallel ladder is exhausted; drain the remainder
-            # serially in-process, where injected crash faults raise
-            # instead of exiting.  Batches were already counted.
-            leftovers: list[_Task] = []
-            for gk, jobs, _attempt in list(ready):
-                for key, scenario, point in jobs:
-                    leftovers.append((key, gk[0], scenario, point))
-            for _t, gk, jobs, _attempt in delayed:
-                for key, scenario, point in jobs:
-                    leftovers.append((key, gk[0], scenario, point))
-            self._execute_serial(
-                leftovers, netlists, stats, {}, fresh, failures
-            )
+        stats.n_evaluated += len(fresh)
+        stats.n_failed += len(failures)
+        return fresh, failures
 
     @staticmethod
     def _wait_timeout(in_flight: dict, delayed: list) -> float | None:

@@ -152,9 +152,13 @@ def fetch_records(
 def prune_tasks(
     pending: list[_Task],
     netlists: dict[str, Netlist],
+    caches: dict[str, SynthesisCache],
     base_config: DiacConfig | None = None,
 ) -> tuple[list[_Task], dict[_TaskKey, SweepFailure]]:
     """Split pending tasks into (simulate, provably-infeasible).
+
+    ``caches`` is the submission's circuit -> synthesis-cache map, so
+    the stages the analysis builds are the ones the simulation reuses.
 
     Uses only the ``INFEASIBLE`` verdict — ``DOMINATED`` points can
     still run, and pruning them would break record parity with a clean
@@ -165,7 +169,6 @@ def prune_tasks(
     """
     from repro.analysis.feasibility import Verdict, assess_point
 
-    caches: dict[str, SynthesisCache] = {}
     remaining: list[_Task] = []
     pruned: dict[_TaskKey, SweepFailure] = {}
     for key, circuit, scenario, point in pending:
@@ -208,6 +211,7 @@ def plan_and_run(
     store: ResultStore | None = None,
     base_config: DiacConfig | None = None,
     netlists: dict[str, Netlist] | None = None,
+    caches: dict[str, SynthesisCache] | None = None,
 ) -> SweepResult:
     """Plan ``request`` and evaluate its pending tasks through ``execute``.
 
@@ -217,14 +221,19 @@ def plan_and_run(
             :data:`Execute`).
         stats: the run's statistics; the planner fills ``n_points``,
             ``n_resumed``, ``n_pruned``, ``n_generations`` and
-            ``wall_s``, and ``execute`` the execution counters.
+            ``wall_s`` and counts the ``synthesize_calls`` of its own
+            pruning and screening; ``execute`` fills the execution
+            counters.
         store: result store consulted for resume and stamped with the
             spec fingerprint.
         base_config: synthesis defaults (fingerprinted, and used by
-            static pruning).
+            static pruning and the screener).
         netlists: circuit name -> netlist; roster circuits the planner
             itself needs (static pruning, strategy screeners) are
             loaded into it on demand.
+        caches: circuit name -> synthesis cache that pruning and the
+            screener fill; pass the map ``execute`` evaluates with so
+            every stage is characterized once (default: a fresh map).
 
     Returns:
         The run's :class:`~repro.dse.engine.SweepResult`.
@@ -232,11 +241,16 @@ def plan_and_run(
     start = time.perf_counter()
     spec = request.spec
     netlists = netlists if netlists is not None else {}
+    caches = caches if caches is not None else {}
+
+    def synthesized() -> int:
+        return sum(cache.synthesize_calls for cache in caches.values())
+
     strategy = None
     axes: object = _spec_axes(spec)
     if request.strategy_name != "grid":
         strategy = request.build_strategy(
-            load_netlists(spec.circuits, netlists)
+            load_netlists(spec.circuits, netlists), base_config, caches
         )
         axes = {
             "search": type(strategy).__name__,
@@ -269,9 +283,12 @@ def plan_and_run(
             stats.n_resumed += len(resumed)
         pending = [task for task in new if task[0] not in records]
         if prune and pending:
+            before = synthesized()
             pending, pruned = prune_tasks(
-                pending, load_netlists(spec.circuits, netlists), base_config
+                pending, load_netlists(spec.circuits, netlists), caches,
+                base_config,
             )
+            stats.synthesize_calls += synthesized() - before
             failures.update(pruned)
             stats.n_pruned += len(pruned)
         fresh, failed = execute(pending)
@@ -282,7 +299,9 @@ def plan_and_run(
         run_generation(expand_tasks(spec))
     else:
         for _generation in range(request.effective_max_generations()):
+            before = synthesized()
             proposals = strategy.ask()
+            stats.synthesize_calls += synthesized() - before
             if not proposals:
                 break
             stats.n_generations += 1

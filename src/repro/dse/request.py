@@ -30,6 +30,7 @@ from repro.energy.scenarios import ScenarioSpec, resolve_scenario
 from repro.tech.nvm import get_technology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.diac import DiacConfig
     from repro.dse.strategies import SearchStrategy
 
 from repro.dse.engine import SweepSpec
@@ -157,16 +158,23 @@ class SweepRequest:
             return self.max_generations
         return max(self.max_generations, self.generations)
 
-    def build_strategy(self, netlists: dict | None = None) -> "SearchStrategy":
+    def build_strategy(
+        self,
+        netlists: dict | None = None,
+        base_config: "DiacConfig | None" = None,
+        caches: dict | None = None,
+    ) -> "SearchStrategy":
         """Materialize the request's (non-grid) search strategy.
 
         A named strategy becomes a fresh
         :func:`~repro.dse.strategies.make_strategy` instance over the
         space the spec's axes span — with a
         :class:`~repro.analysis.StaticScreener` round 0 when
-        ``analysis_prune`` rides a halving search (``netlists`` feeds
-        the screener; roster circuits load automatically).  A strategy
-        *instance* is returned as-is.
+        ``analysis_prune`` rides a halving search.  ``netlists`` (roster
+        circuits load automatically), the sweep's ``base_config`` and
+        its circuit -> synthesis-cache map ``caches`` feed the screener,
+        so it ranks the sweep that will run and leaves its stages warm
+        for it.  A strategy *instance* is returned as-is.
 
         Raises:
             ValueError: for ``strategy="grid"`` (the grid walk has no
@@ -193,7 +201,10 @@ class SweepRequest:
                 if name not in netlists:
                     netlists[name] = load_circuit(name)
             screener = StaticScreener(
-                netlists=netlists, scenarios=self.spec.scenarios
+                netlists=netlists,
+                scenarios=self.spec.scenarios,
+                base_config=base_config,
+                caches=caches if caches is not None else {},
             )
         return make_strategy(
             self.strategy,

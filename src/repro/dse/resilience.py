@@ -6,7 +6,7 @@ process level.  A long multi-circuit, multi-scenario sweep must not die
 because one worker was OOM-killed, one batch hung, or one evaluation hit
 a transient hiccup — in the spirit of DiCA-style checkpointing, the
 sweep checkpoints (the JSONL store) and the execution layer restores
-cheaply (retry, pool rebuild, serial degradation).
+cheaply (retry, pool rebuild, inline degradation).
 
 Three pieces live here:
 
@@ -22,7 +22,7 @@ Three pieces live here:
   wait the same milliseconds;
 * :class:`PoolSupervisor` — owns the :class:`ProcessPoolExecutor`,
   rebuilds it after a death (terminating any hung workers), and tracks
-  consecutive deaths so the engine can degrade to serial execution
+  consecutive deaths so the engine can degrade to inline execution
   instead of thrashing a pool that keeps dying.
 
 See ``docs/robustness.md`` for the full degradation ladder and
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+from collections.abc import Callable
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -56,7 +57,7 @@ class WorkerCrashError(TransientEvalError):
     """A (simulated) worker-process death surfaced as an exception.
 
     Raised by the fault harness when a crash fault fires somewhere a
-    real ``os._exit`` would take the whole sweep down (serial,
+    real ``os._exit`` would take the whole sweep down (inline,
     in-process execution); classified transient like the genuine
     :class:`~concurrent.futures.BrokenExecutor` it stands in for.
     """
@@ -167,12 +168,13 @@ class ResilienceConfig:
 
     Attributes:
         retry: retry/backoff policy for transient failures.
-        batch_timeout_s: per-batch deadline; an overdue batch is treated
+        batch_timeout_s: per-batch deadline of pool batches, counted
+            from dispatch to a free worker; an overdue batch is treated
             as a straggler — the pool is rebuilt and the batch resubmits
             to fresh workers.  ``None`` disables deadlines.
         max_pool_deaths: consecutive pool deaths (crash or timeout)
-            tolerated before the engine degrades the rest of the run to
-            serial in-process execution.
+            tolerated before the engine runs the rest of the sweep
+            inline, in-process.
         fault_plan: optional deterministic chaos plan (tests and
             ``sweep --inject-faults``); ``None`` in production.
     """
@@ -199,23 +201,25 @@ class PoolSupervisor:
 
     Args:
         workers: process count per pool incarnation.
-        persistent: whether workers keep process-global synthesis
-            caches across batches (generational searches).  A rebuilt
-            pool starts cold and re-warms.
+        initializer: run once in every new worker process (the engine
+            clears the worker-global synthesis caches with it).
     """
 
-    def __init__(self, workers: int, persistent: bool = False) -> None:
+    def __init__(
+        self, workers: int, initializer: Callable[[], None] | None = None
+    ) -> None:
         self.workers = workers
-        self.persistent = persistent
-        self.rebuilds = 0
+        self.initializer = initializer
         self.consecutive_deaths = 0
         self._pool: ProcessPoolExecutor | None = None
 
     @property
     def pool(self) -> ProcessPoolExecutor:
-        """The live pool, created lazily (and after every rebuild)."""
+        """The live pool, created lazily (and again after a shutdown)."""
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=self.initializer
+            )
         return self._pool
 
     def note_success(self) -> None:
@@ -230,17 +234,12 @@ class PoolSupervisor:
         """Whether rebuilding again would just thrash."""
         return self.consecutive_deaths >= max_pool_deaths
 
-    def rebuild(self) -> None:
-        """Tear the pool down (terminating hung workers) and restart."""
-        self._teardown()
-        self.rebuilds += 1
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-
     def shutdown(self) -> None:
-        """Release the pool at the end of a run."""
-        self._teardown()
+        """Tear the pool down, terminating hung workers.
 
-    def _teardown(self) -> None:
+        Called after a death and at the end of a run; the next
+        :attr:`pool` access builds a fresh pool.
+        """
         pool = self._pool
         self._pool = None
         if pool is None:

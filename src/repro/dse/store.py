@@ -416,9 +416,14 @@ class JsonlResultStore(StoreQueryMixin):
         """Append many records in one write."""
         if not records:
             return
-        self._append_bytes(
-            b"".join(self._encode(r) for r in records), len(records)
-        )
+        chunks = [self._encode(r) for r in records]
+        # A torn record (injected corrupt fault) is sealed like a torn
+        # file tail, so it cannot take the rest of the batch with it.
+        data = b"".join(
+            chunk if chunk.endswith(b"\n") else chunk + b"\n"
+            for chunk in chunks[:-1]
+        ) + chunks[-1]
+        self._append_bytes(data, len(records))
 
     def rewrite(self, records: list[ExplorationRecord]) -> None:
         """Atomically replace the file's contents with ``records``.

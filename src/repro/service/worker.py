@@ -124,12 +124,7 @@ def run_worker(
                 # A crash fault inside the batch exits the process here,
                 # leaving the lease to expire — the real death path.
                 records, _calls, failures = _evaluate_batch(
-                    circuit,
-                    netlists[circuit],
-                    jobs,
-                    base_config,
-                    persistent_cache=True,
-                    fault_plan=fault_plan,
+                    circuit, netlists[circuit], jobs, base_config, fault_plan
                 )
                 # Store first, then resolve: a death in between re-runs
                 # the point, and the store upsert absorbs the duplicate.

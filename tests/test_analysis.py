@@ -40,6 +40,7 @@ from repro.circuits.netlist import Gate, GateType, Netlist
 from repro.circuits.validate import EquivalenceError, check_equivalent
 from repro.cli import main
 from repro.core import DiacSynthesizer
+from repro.core.diac import DiacConfig
 from repro.dse import (
     DesignPoint,
     DesignSpace,
@@ -539,6 +540,37 @@ class TestStaticScreener:
         )
         assert screened.stats.n_evaluated < plain.stats.n_evaluated
         assert screened.records
+
+    @pytest.mark.parametrize(
+        "base_config", [None, DiacConfig(activity=0.3)],
+        ids=["default", "activity-0.3"],
+    )
+    def test_halving_prune_synthesizes_each_stage_once(
+        self, base_config, monkeypatch
+    ):
+        # The screen, the engine and the simulations share one cache
+        # map per submission, under the engine's base_config.
+        stages = []
+        stage_for = SynthesisCache.stage_for
+
+        def counting(cache, netlist, config):
+            if cache.stage_key(netlist, config) not in cache._stages:
+                stages.append((netlist.name, config.policy))
+            return stage_for(cache, netlist, config)
+
+        monkeypatch.setattr(SynthesisCache, "stage_for", counting)
+        request = SweepRequest(
+            spec=SweepSpec(circuits=("s27", "b02")),
+            strategy="halving",
+            samples=6,
+            generations=2,
+            search_seed=1,
+            analysis_prune=True,
+        )
+        result = SweepEngine(base_config=base_config).submit(request)
+        assert result.records
+        assert stages and len(stages) == len(set(stages))
+        assert result.stats.synthesize_calls == len(stages)
 
 
 class TestCliPruneFlag:

@@ -355,6 +355,44 @@ class TestParallelRecovery:
         assert result.stats.n_failed == 0
         assert fingerprints(result) == clean_fingerprints
 
+    def test_deadline_starts_at_dispatch(self, tmp_path):
+        # Nine single-job stage batches, each slowed to 0.25 s by a
+        # hang that never overruns: far inside the 0.7 s deadline, but
+        # five waves on two workers.  A batch waiting for a free worker
+        # must not be charged for the wait.
+        spec = SweepSpec(
+            circuits=("s27", "b02", "s298"),
+            budget_scales=(1.0,),
+            safe_zones=(True,),
+        )
+        result = engine(
+            2, plan(tmp_path, "hang(0.25)x9"), batch_timeout_s=0.7
+        ).submit(SweepRequest(spec=spec))
+        assert result.stats.n_batches == 9
+        assert result.stats.n_timeouts == 0
+        assert result.stats.n_pool_rebuilds == 0
+        assert result.stats.n_failed == 0
+
+    def test_degrading_keeps_retry_budget(self, tmp_path, netlists):
+        # The task crashes its pool worker, the pool is given up at
+        # once, and the inline retries continue the same budget: three
+        # tries in total, each one a tripped crash fault.
+        spec = SweepSpec(
+            circuits=("s27",), policies=(3,), budget_scales=(1.0,),
+            safe_zones=(True,),
+        )
+        result = engine(
+            2,
+            plan(tmp_path, "crashx99"),
+            retry=RetryPolicy(max_attempts=3, backoff_base_s=0),
+            max_pool_deaths=1,
+        ).submit(SweepRequest(spec=spec), netlists=netlists)
+        assert result.stats.degraded_to_serial
+        assert len(list((tmp_path / "faults").glob("fault-0-*"))) == 3
+        [failure] = result.failures
+        assert failure.kind == TRANSIENT
+        assert failure.attempts == 3
+
     def test_run_search_survives_pool_death(self, tmp_path, netlists):
         space = DesignSpace(
             policies=(3,), safe_zones=(True,),
