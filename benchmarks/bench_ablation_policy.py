@@ -38,7 +38,7 @@ def policy_sweep():
             evaluation = evaluate_design(design)
             result = evaluation.results["Optimized DIAC"]
             per_policy[policy] = {
-                "nodes": len(design.graph),
+                "nodes": len(design.plan.graph),
                 "pdp": result.pdp_js,
                 "reexec": result.reexec_energy_j,
                 "window": design.plan.summary()["mean_partition_energy_j"],

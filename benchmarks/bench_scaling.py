@@ -27,7 +27,7 @@ def test_scaling_pipeline(benchmark, name):
         lambda: DiacSynthesizer(config).run(netlist), rounds=1, iterations=1
     )
     assert design.code.timing.passed
-    assert len(design.graph) > 0
+    assert len(design.plan.graph) > 0
 
 
 def test_scaling_largest_circuit_within_budget(benchmark):

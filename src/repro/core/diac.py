@@ -12,9 +12,9 @@ Ties the seven steps together:
 6.  form the NV-enhanced tree,
 7.  generate HDL and validate timing.
 
-The result object, :class:`DiacDesign`, carries everything downstream
-consumers need: the NV-enhanced graph, the commit schedule, the generated
-code, and the figures the intermittent executor uses.
+:class:`DiacSynthesizer` is the one composition of these steps.  Its
+result, :class:`DiacDesign`, carries the plan (NV-enhanced graph and
+commit schedule), the generated code, and the executor's figures.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from repro.calibration import BARRIER_BUDGET_FACTOR, DEFAULT_ACTIVITY
 from repro.circuits.netlist import Netlist
 from repro.core.codegen import GeneratedCode, generate_code
-from repro.core.policies import PolicyConfig, apply_policy, config_for_graph
+from repro.core.policies import apply_policy, config_for_graph
 from repro.core.replacement import (
     REG_FLAG_BITS,
     NvmPlan,
@@ -105,6 +105,17 @@ class DiacConfig:
             )
 
 
+def architectural_state_bits(netlist: Netlist) -> int:
+    """Architectural state: flip-flops + primary outputs + Reg_Flag."""
+    return netlist.num_ffs + len(netlist.outputs) + REG_FLAG_BITS
+
+
+def full_backup_energy_j(netlist: Netlist, technology: NvmTechnology) -> float:
+    """Energy of committing ``netlist``'s full architectural state once."""
+    bits = architectural_state_bits(netlist)
+    return backup_array_for(bits, technology).write_cost(bits).energy_j
+
+
 @dataclass
 class DiacDesign:
     """Output of one DIAC synthesis run.
@@ -112,35 +123,29 @@ class DiacDesign:
     Attributes:
         netlist: the source circuit.
         report: its synthesis characterization.
-        graph: the NV-enhanced task graph (barriers placed).
-        plan: the replacement plan (schedule, commit bits, arrays).
+        plan: the replacement plan: the NV-enhanced task graph
+            (``plan.graph``, barriers placed), schedule, commit bits.
         code: generated HDL + timing report.
         config: the configuration that produced this design.
-        policy_config: the derived split/merge bounds.
     """
 
     netlist: Netlist
     report: SynthesisReport
-    graph: TaskGraph
     plan: NvmPlan
     code: GeneratedCode
     config: DiacConfig
-    policy_config: PolicyConfig
 
     # -- derived figures -------------------------------------------------------
 
     @property
     def state_bits(self) -> int:
         """Architectural state: flip-flops + primary outputs + Reg_Flag."""
-        return (
-            self.netlist.num_ffs + len(self.netlist.outputs) + REG_FLAG_BITS
-        )
+        return architectural_state_bits(self.netlist)
 
     @property
     def full_backup_energy_j(self) -> float:
         """Energy of committing the full architectural state once."""
-        array = backup_array_for(self.state_bits, self.config.technology)
-        return array.write_cost(self.state_bits).energy_j
+        return full_backup_energy_j(self.netlist, self.config.technology)
 
     @property
     def pass_energy_j(self) -> float:
@@ -160,11 +165,12 @@ class DiacDesign:
 
     def summary(self) -> dict[str, float]:
         """Headline numbers for reports."""
+        graph = self.plan.graph
         return {
             **{f"synth_{k}": v for k, v in self.report.summary().items()},
             **{f"plan_{k}": v for k, v in self.plan.summary().items()},
-            "nodes": float(len(self.graph)),
-            "depth": float(self.graph.depth),
+            "nodes": float(len(graph)),
+            "depth": float(graph.depth),
             "state_bits": float(self.state_bits),
             "pass_energy_pj": self.pass_energy_j * 1e12,
             "timing_ok": float(self.code.timing.passed),
@@ -188,10 +194,27 @@ class DiacSynthesizer:
     "This will necessitate an efficient, precise, automated design tool
     that seamlessly converts any combinational and sequential designs into
     intermittent robust architectures without human intervention."
+
+    The only composition of the pipeline: :meth:`run` calls the step
+    methods in order, and :class:`repro.dse.explorer.SynthesisCache`
+    memoizes the same calls for a sweep.
     """
 
     def __init__(self, config: DiacConfig | None = None) -> None:
         self.config = config or DiacConfig()
+
+    def stage(self, netlist: Netlist) -> TaskGraph:
+        """Steps 2–4a: characterize, build the tree, apply the policy.
+
+        The shaped graph carries the netlist and its synthesis report.
+        """
+        cfg = self.config
+        report = synthesize(netlist, activity=cfg.activity)
+        graph = build_task_graph(netlist, report=report, granularity=cfg.granularity)
+        policy_config = config_for_graph(
+            graph, split_fraction=cfg.split_fraction, merge_fraction=cfg.merge_fraction
+        )
+        return apply_policy(graph, cfg.policy, policy_config)
 
     def derive_budget_j(self, netlist: Netlist) -> float:
         """Default barrier-spacing budget for ``netlist``.
@@ -201,9 +224,33 @@ class DiacSynthesizer:
         expected half-partition re-execution loss against the savings from
         narrower commits (see calibration notes).
         """
-        state_bits = netlist.num_ffs + len(netlist.outputs) + REG_FLAG_BITS
-        array = backup_array_for(state_bits, self.config.technology)
-        return BARRIER_BUDGET_FACTOR * array.write_cost(state_bits).energy_j
+        return BARRIER_BUDGET_FACTOR * full_backup_energy_j(netlist, self.config.technology)
+
+    def budget_j(self, netlist: Netlist) -> float:
+        """The barrier budget: ``config.budget_j``, else the derived default."""
+        if self.config.budget_j is not None:
+            return self.config.budget_j
+        return self.derive_budget_j(netlist)
+
+    def plan(self, shaped: TaskGraph, budget_j: float) -> NvmPlan:
+        """Steps 4b–6: insert NVM barriers into the shaped tree."""
+        cfg = self.config
+        return insert_nvm(shaped, budget_j, technology=cfg.technology, criteria=cfg.criteria)
+
+    def code(self, plan: NvmPlan, hdl: str | None = None) -> GeneratedCode:
+        """Step 7: generate HDL (reusing ``hdl`` when given), check timing."""
+        return generate_code(plan, target_period_s=self.config.target_period_s, hdl=hdl)
+
+    def validate(self, code: GeneratedCode) -> bool:
+        """Round-trip check ``code`` if ``config.validate``; True when checked."""
+        if self.config.validate:
+            code.roundtrip_check()
+        return self.config.validate
+
+    def assemble(self, plan: NvmPlan, code: GeneratedCode) -> DiacDesign:
+        """The :class:`DiacDesign` of one plan and its code bundle."""
+        graph = plan.graph
+        return DiacDesign(graph.netlist, graph.report, plan, code, self.config)
 
     def run(self, netlist: Netlist) -> DiacDesign:
         """Run the full pipeline on ``netlist``.
@@ -211,30 +258,7 @@ class DiacSynthesizer:
         Returns:
             The synthesized :class:`DiacDesign`.
         """
-        cfg = self.config
-        report = synthesize(netlist, activity=cfg.activity)
-        graph = build_task_graph(
-            netlist, report=report, granularity=cfg.granularity
-        )
-        policy_config = config_for_graph(
-            graph,
-            split_fraction=cfg.split_fraction,
-            merge_fraction=cfg.merge_fraction,
-        )
-        shaped = apply_policy(graph, cfg.policy, policy_config)
-        budget = cfg.budget_j if cfg.budget_j is not None else self.derive_budget_j(netlist)
-        plan = insert_nvm(
-            shaped, budget, technology=cfg.technology, criteria=cfg.criteria
-        )
-        code = generate_code(plan, target_period_s=cfg.target_period_s)
-        if cfg.validate:
-            code.roundtrip_check()
-        return DiacDesign(
-            netlist=netlist,
-            report=report,
-            graph=plan.graph,
-            plan=plan,
-            code=code,
-            config=cfg,
-            policy_config=policy_config,
-        )
+        plan = self.plan(self.stage(netlist), self.budget_j(netlist))
+        code = self.code(plan)
+        self.validate(code)
+        return self.assemble(plan, code)

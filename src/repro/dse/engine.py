@@ -184,7 +184,9 @@ class SweepSpec:
         circuits: roster names (or keys of the ``netlists`` mapping given
             to :meth:`SweepEngine.submit`) to explore in one run.
         policies: task-granularity policies (1, 2 or 3).
-        budget_scales: barrier-budget multipliers (finite, positive).
+        budget_scales: barrier-budget multipliers (finite, positive) of
+            the base budget: ``base_config.budget_j`` when set, else
+            the derived default (see :class:`~repro.dse.explorer.DesignPoint`).
         technologies: NVM technologies, as objects or names
             :func:`~repro.tech.nvm.get_technology` knows.
         criteria_sets: replacement criteria weightings.

@@ -16,9 +16,10 @@ policy shaping only on ``(netlist, policy, granularity, activity,
 split/merge bounds)``; NVM replacement additionally on budget, technology
 and criteria; code generation additionally on the target clock period.
 None of them depends on the safe zone, the threshold or margin scales or
-the harvest scenario.  :class:`SynthesisCache` memoizes all three levels,
-so a sweep builds each distinct plan and its HDL once instead of once per
-point.
+the harvest scenario.  :class:`SynthesisCache` memoizes the
+:class:`~repro.core.diac.DiacSynthesizer` steps at all three levels, so
+a sweep builds each distinct plan and its HDL once instead of once per
+point, and builds it exactly as ``DiacSynthesizer.run`` would.
 """
 
 from __future__ import annotations
@@ -30,17 +31,14 @@ from typing import TypeVar, cast
 
 from repro.baselines.schemes import profile_diac
 from repro.circuits.netlist import Netlist
-from repro.core.codegen import GeneratedCode, generate_code
+from repro.core.codegen import GeneratedCode
 from repro.core.diac import DiacConfig, DiacDesign, DiacSynthesizer
-from repro.core.policies import PolicyConfig, apply_policy, config_for_graph
-from repro.core.replacement import NvmPlan, ReplacementCriteria, insert_nvm
+from repro.core.replacement import NvmPlan, ReplacementCriteria
 from repro.core.tree import TaskGraph
-from repro.core.tree_generator import build_task_graph
 from repro.energy.scenarios import ScenarioSpec
-from repro.evaluation import Environment, build_environment, evaluate_design
+from repro.evaluation import Environment, build_environment, execute_profile
 from repro.sim.intermittent import SchemeProfile
 from repro.tech.nvm import MRAM, NvmTechnology
-from repro.tech.synthesis import SynthesisReport, synthesize
 
 _T = TypeVar("_T")
 
@@ -51,7 +49,9 @@ class DesignPoint:
 
     Attributes:
         policy: task-granularity policy (1, 2 or 3).
-        budget_scale: barrier budget relative to the derived default.
+        budget_scale: barrier budget relative to the sweep's
+            ``base_config.budget_j``, else to the default derived for the
+            circuit and this point's technology.
         technology: NVM technology of the backup path.
         criteria: replacement criteria weights.
         use_safe_zone: optimized-DIAC runtime when True.
@@ -149,10 +149,6 @@ class ExplorationRecord:
         )
 
 
-#: Cached front half of the pipeline: characterization report, shaped task
-#: graph, derived policy bounds.
-_Stage = tuple[SynthesisReport, TaskGraph, PolicyConfig]
-
 #: Plans (and, separately, code bundles) one cache keeps; beyond this the
 #: least recently used is dropped.  A grid reuses at most policies x
 #: budgets x technologies x criteria plans per circuit, but a search
@@ -173,20 +169,23 @@ def _recall(memo: dict, key: tuple, build: Callable[[], _T]) -> _T:
 
 
 class SynthesisCache:
-    """Memoizes the design-only half of point evaluation, at three levels.
+    """Memoizes :class:`~repro.core.diac.DiacSynthesizer`'s steps, at three levels.
 
-    * **Stage** — characterization report, shaped task graph and policy
-      bounds, keyed by :meth:`stage_key`.
-    * **Plan** — the :class:`~repro.core.replacement.NvmPlan`, keyed by
+    * **Stage** — :meth:`~repro.core.diac.DiacSynthesizer.stage` (the
+      shaped task graph and its report), keyed by :meth:`stage_key`.
+    * **Plan** — :meth:`~repro.core.diac.DiacSynthesizer.plan` at the
+      config's :meth:`~repro.core.diac.DiacSynthesizer.budget_j`, keyed by
       :meth:`plan_key`: the stage key plus budget, NVM technology and
       criteria.
-    * **Code** — the :class:`~repro.core.codegen.GeneratedCode`, keyed by
+    * **Code** — :meth:`~repro.core.diac.DiacSynthesizer.code`, keyed by
       the plan key plus the target clock period.
 
-    A netlist's structural Verilog is emitted once and, when a config
-    asks for validation, round-trip checked once; every code entry only
-    adds its plan's pragma header to it.  The parser skips ``//`` lines,
-    so each bundle parses to the same netlist as the checked one.  Plans
+    The cache composes nothing itself, so its designs equal those
+    :meth:`~repro.core.diac.DiacSynthesizer.run` builds.  A netlist's
+    structural Verilog is emitted once and, when a config asks for
+    validation, round-trip checked once; every code entry only adds its
+    plan's pragma header to it.  The parser skips ``//`` lines, so
+    each bundle parses to the same netlist as the checked one.  Plans
     and code bundles are frozen and nothing after replacement mutates a
     plan's task graph, so one entry is safely shared by every design
     built from it; each memo keeps its :data:`PLAN_MEMO_SIZE` most
@@ -194,7 +193,7 @@ class SynthesisCache:
     """
 
     def __init__(self) -> None:
-        self._stages: dict[tuple, _Stage] = {}
+        self._stages: dict[tuple, TaskGraph] = {}
         self._plans: dict[tuple, NvmPlan] = {}
         self._codes: dict[tuple, GeneratedCode] = {}
         #: Netlist name -> its structural Verilog, emitted once.
@@ -229,40 +228,23 @@ class SynthesisCache:
             config.criteria,
         )
 
-    def stage_for(self, netlist: Netlist, config: DiacConfig) -> _Stage:
+    def stage_for(self, netlist: Netlist, config: DiacConfig) -> TaskGraph:
         """Return the cached front-half stage, computing it on a miss."""
         key = self.stage_key(netlist, config)
         stage = self._stages.get(key)
         if stage is None:
             self.synthesize_calls += 1
-            report = synthesize(netlist, activity=config.activity)
-            graph = build_task_graph(
-                netlist, report=report, granularity=config.granularity
-            )
-            policy_config = config_for_graph(
-                graph,
-                split_fraction=config.split_fraction,
-                merge_fraction=config.merge_fraction,
-            )
-            shaped = apply_policy(graph, config.policy, policy_config)
-            stage = (report, shaped, policy_config)
+            stage = DiacSynthesizer(config).stage(netlist)
             self._stages[key] = stage
         return stage
 
     def plan_for(self, netlist: Netlist, config: DiacConfig) -> NvmPlan:
-        """Return the cached NVM plan; ``config.budget_j`` must be set."""
-        if config.budget_j is None:
-            raise ValueError("plan_for needs a config with budget_j set")
-        budget: float = config.budget_j
+        """Return the cached NVM plan."""
+        synth = DiacSynthesizer(config)
         return _recall(
             self._plans,
             self.plan_key(netlist, config),
-            lambda: insert_nvm(
-                self.stage_for(netlist, config)[1],
-                budget,
-                technology=config.technology,
-                criteria=config.criteria,
-            ),
+            lambda: synth.plan(self.stage_for(netlist, config), synth.budget_j(netlist)),
         )
 
     def code_for(self, netlist: Netlist, config: DiacConfig) -> GeneratedCode:
@@ -273,31 +255,34 @@ class SynthesisCache:
         malformed HDL is never marked checked, so every point of the
         netlist fails the same way.
         """
+        synth = DiacSynthesizer(config)
         code = _recall(
             self._codes,
             (*self.plan_key(netlist, config), config.target_period_s),
-            lambda: generate_code(
-                self.plan_for(netlist, config),
-                target_period_s=config.target_period_s,
-                hdl=self._hdl.get(netlist.name),
-            ),
+            lambda: synth.code(self.plan_for(netlist, config), hdl=self._hdl.get(netlist.name)),
         )
-        if config.validate and netlist.name not in self._checked:
-            code.roundtrip_check()
+        if netlist.name not in self._checked and synth.validate(code):
             self._checked.add(netlist.name)
         self._hdl[netlist.name] = code.hdl
         return code
 
 
-def _point_config(base: DiacConfig, point: DesignPoint) -> DiacConfig:
-    """The synthesis configuration a point resolves to."""
-    return replace(
+def _point_config(base: DiacConfig, point: DesignPoint, netlist: Netlist) -> DiacConfig:
+    """The synthesis configuration a point resolves to.
+
+    Its budget is ``point.budget_scale`` times the base budget:
+    ``base.budget_j`` when set, else the default derived for ``netlist``
+    and the point's technology.
+    """
+    config = replace(
         base,
         policy=point.policy,
         technology=point.technology,
         criteria=point.criteria,
         use_safe_zone=point.use_safe_zone,
     )
+    budget = point.budget_scale * DiacSynthesizer(config).budget_j(netlist)
+    return replace(config, budget_j=budget)
 
 
 @dataclass(frozen=True)
@@ -313,7 +298,6 @@ class PreparedPoint:
     the executor would run on.
     """
 
-    point: DesignPoint
     scenario: ScenarioSpec
     design: DiacDesign
     environment: Environment
@@ -352,31 +336,12 @@ def _prepare(
     ``with_code=False`` (:func:`repro.analysis.prepare_static`) leaves
     ``design.code`` unset: bounds and lint never read generated HDL.
     """
-    base = base_config or DiacConfig()
     scenario = scenario or ScenarioSpec()
-    config = _point_config(base, point)
+    config = _point_config(base_config or DiacConfig(), point, netlist)
     if cache is None:  # NB: an empty cache is falsy (it has __len__).
         cache = SynthesisCache()
-    report, _shaped, policy_config = cache.stage_for(netlist, config)
-
-    budget = point.budget_scale * DiacSynthesizer(config).derive_budget_j(
-        netlist
-    )
-    config = replace(config, budget_j=budget)
-    plan = cache.plan_for(netlist, config)
-    design = DiacDesign(
-        netlist=netlist,
-        report=report,
-        graph=plan.graph,
-        plan=plan,
-        code=(
-            cache.code_for(netlist, config)
-            if with_code
-            else cast(GeneratedCode, None)
-        ),
-        config=config,
-        policy_config=policy_config,
-    )
+    code = cache.code_for(netlist, config) if with_code else cast(GeneratedCode, None)
+    design = DiacSynthesizer(config).assemble(cache.plan_for(netlist, config), code)
 
     env = build_environment(design, scenario=scenario)
     thresholds = env.thresholds
@@ -412,7 +377,6 @@ def _prepare(
     # comparison is the evaluation harness's job, not the sweep's.
     profile = profile_diac(design, optimized=point.use_safe_zone)
     return PreparedPoint(
-        point=point,
         scenario=scenario,
         design=design,
         environment=env,
@@ -457,12 +421,7 @@ def evaluate_point(
         cache=cache,
         scenario=scenario,
     )
-    evaluation = evaluate_design(
-        prepared.design,
-        environment=prepared.environment,
-        profiles=[prepared.profile],
-    )
-    result = evaluation.results[prepared.profile.name]
+    result = execute_profile(prepared.profile, prepared.environment)
     return ExplorationRecord(
         point=point,
         pdp_js=result.pdp_js,

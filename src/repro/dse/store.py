@@ -46,18 +46,19 @@ import json
 import os
 import warnings
 from collections.abc import Callable, Iterable, Iterator
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.diac import DiacConfig
     from repro.dse.faults import FaultPlan
 
+from repro.core.diac import DiacConfig
 from repro.core.replacement import ReplacementCriteria
 from repro.dse.explorer import DesignPoint, ExplorationRecord
 from repro.dse.pareto import record_front
 from repro.energy.scenarios import ScenarioSpec
-from repro.tech.nvm import get_technology
+from repro.tech.nvm import TECHNOLOGIES, get_technology
 
 #: Version of the on-disk record layout, shared by every backend.  Bump
 #: when :func:`record_to_dict` output or the SQLite schema changes shape;
@@ -217,7 +218,7 @@ def value_fingerprint(payload: object) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-def config_fingerprint(config: "DiacConfig | None") -> str:
+def config_fingerprint(config: DiacConfig | None) -> str:
     """Fingerprint of a sweep's base synthesis configuration.
 
     ``None`` (engine default) hashes identically to an explicit default
@@ -227,11 +228,26 @@ def config_fingerprint(config: "DiacConfig | None") -> str:
     silently mixing incomparable records (see
     :func:`repro.dse.planner.sync_store_metadata`).
     """
-    from dataclasses import asdict
-
-    from repro.core.diac import DiacConfig
-
     return value_fingerprint(asdict(config if config is not None else DiacConfig()))
+
+
+def config_to_dict(config: DiacConfig) -> dict:
+    """A JSON-compatible dict of ``config``; the technology travels by name.
+
+    Raises:
+        ValueError: for a technology not registered under its name.
+    """
+    name = config.technology.name
+    if TECHNOLOGIES.get(name.lower()) != config.technology:
+        raise ValueError(f"NVM technology {name!r} is not registered")
+    return {**asdict(config), "technology": name}
+
+
+def config_from_dict(data: dict) -> DiacConfig:
+    """Inverse of :func:`config_to_dict`."""
+    technology = get_technology(data["technology"])
+    criteria = ReplacementCriteria(**data["criteria"])
+    return DiacConfig(**{**data, "technology": technology, "criteria": criteria})
 
 
 @runtime_checkable

@@ -32,7 +32,7 @@ from repro.calibration import (
     MACRO_TASK_ENERGY_RATIO,
 )
 from repro.circuits.netlist import Netlist
-from repro.core.diac import DiacConfig, DiacDesign, DiacSynthesizer
+from repro.core.diac import DiacConfig, DiacDesign, DiacSynthesizer, full_backup_energy_j
 from repro.energy.harvester import HarvestTrace
 from repro.energy.scenarios import ScenarioSpec, build_scenario_trace
 from repro.energy.thresholds import ThresholdSet
@@ -81,13 +81,10 @@ def build_environment(
             ``None`` keeps the paper's Fig. 5 trace.
     """
     from repro.baselines.schemes import profile_diac
-    from repro.tech.cacti import backup_array_for
     from repro.tech.nvm import MRAM
 
     reference = profile_diac(design)
-    ref_array = backup_array_for(design.state_bits, MRAM)
-    ref_backup_j = ref_array.write_cost(design.state_bits).energy_j
-    e_max = FULL_BACKUP_MULTIPLE * ref_backup_j
+    e_max = FULL_BACKUP_MULTIPLE * full_backup_energy_j(design.netlist, MRAM)
     thresholds = ThresholdSet.from_e_max(e_max)
     p_ref = EVAL_HARVEST_FRACTION * reference.active_power_w
     t_ref = EVAL_T_REF_FACTOR * e_max / p_ref
@@ -113,15 +110,11 @@ class CircuitEvaluation:
     Attributes:
         name: circuit name.
         suite: suite name ("custom" for off-roster circuits).
-        design: the DIAC design used for the DIAC/optimized rows.
-        environment: the shared evaluation environment.
         results: scheme name -> execution result.
     """
 
     name: str
     suite: str
-    design: DiacDesign
-    environment: Environment
     results: dict[str, ExecutionResult] = field(default_factory=dict)
 
     def pdp(self, scheme: str) -> float:
@@ -138,45 +131,31 @@ class CircuitEvaluation:
         return 100.0 * (1.0 - self.pdp(scheme) / self.pdp(versus))
 
 
-def evaluate_design(
-    design: DiacDesign,
-    name: str | None = None,
-    suite: str | None = None,
-    profiles: list[SchemeProfile] | None = None,
-    environment: Environment | None = None,
-) -> CircuitEvaluation:
-    """Run the four-scheme comparison for one synthesized design.
-
-    Args:
-        design: the synthesized design under test.
-        name: circuit name override (defaults to the netlist name).
-        suite: suite label override.
-        profiles: scheme profiles to run (all four when omitted).
-        environment: evaluation environment override — the DSE uses this
-            to apply threshold scaling without re-deriving the capacitor.
-    """
-    env = environment or build_environment(design)
-    circuit_name = name or design.netlist.name
-    info = BY_NAME.get(circuit_name)
-    evaluation = CircuitEvaluation(
-        name=circuit_name,
-        suite=suite or (info.suite if info else "custom"),
-        design=design,
-        environment=env,
+def execute_profile(profile: SchemeProfile, environment: Environment) -> ExecutionResult:
+    """Run one scheme's macro task in ``environment``."""
+    executor = IntermittentExecutor(
+        profile,
+        e_max_j=environment.e_max_j,
+        trace=environment.trace,
+        thresholds=environment.thresholds,
+        sleep_drain_w=environment.sleep_drain_w,
     )
-    if profiles is None:
-        profiles = all_profiles(design)
-    for profile in profiles:
-        executor = IntermittentExecutor(
-            profile,
-            e_max_j=env.e_max_j,
-            trace=env.trace,
-            thresholds=env.thresholds,
-            sleep_drain_w=env.sleep_drain_w,
-        )
-        work = env.n_passes * profile.pass_energy_j
-        evaluation.results[profile.name] = executor.run(work_target_j=work)
-    return evaluation
+    work = environment.n_passes * profile.pass_energy_j
+    return executor.run(work_target_j=work)
+
+
+def evaluate_design(design: DiacDesign) -> CircuitEvaluation:
+    """Run the four-scheme comparison for one synthesized design."""
+    env = build_environment(design)
+    info = BY_NAME.get(design.netlist.name)
+    return CircuitEvaluation(
+        name=design.netlist.name,
+        suite=info.suite if info else "custom",
+        results={
+            profile.name: execute_profile(profile, env)
+            for profile in all_profiles(design)
+        },
+    )
 
 
 def evaluate_circuit(

@@ -72,7 +72,8 @@ class SweepCoordinator:
         resilience: retry policy source (``resilience.retry`` is
             persisted into the queue) and fault plan forwarded to
             spawned workers via ``--inject-faults``/``--fault-dir``.
-        base_config: synthesis defaults, identical to the engine's.
+        base_config: synthesis defaults, identical to the engine's;
+            persisted in the queue, which is where workers read it.
         store_backend: forwarded to :func:`~repro.dse.store.open_store`.
         fsync_every: forwarded to :func:`~repro.dse.store.open_store`.
         http_port: when not ``None``, serve the read-only
@@ -253,6 +254,7 @@ class SweepCoordinator:
             queue.configure(
                 retry=self.resilience.retry,
                 lease_timeout_s=self.lease_timeout_s,
+                base_config=self.base_config or DiacConfig(),
             )
             if self.http_port is not None:
                 from repro.service.view import SweepViewServer

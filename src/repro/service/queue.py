@@ -16,10 +16,11 @@ database* — a distributed sweep then needs exactly one shared path:
   repeatedly still exhausts the same budget a retrying error would.
 * ``svc_workers`` — registration + heartbeats, feeding the
   ``/workers`` view and dead-worker detection.
-* ``svc_meta`` — queue schema version, the run's retry policy and
-  lease timeout (persisted by the coordinator so every worker applies
-  identical semantics), and the ``open``/``closed`` queue state that
-  tells idle workers whether more work may still arrive.
+* ``svc_meta`` — queue schema version, the run's retry policy, lease
+  timeout and synthesis base configuration (persisted by the
+  coordinator so every worker applies identical semantics), and the
+  ``open``/``closed`` queue state that tells idle workers whether more
+  work may still arrive.
 
 Claims batch by *stage* (circuit x policy) — the synthesis-sharing
 group of :func:`repro.dse.engine._evaluate_batch` — so a lease is one
@@ -39,11 +40,14 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from repro.core.diac import DiacConfig
 from repro.dse.explorer import DesignPoint
 from repro.dse.faults import key_text
 from repro.dse.resilience import TRANSIENT, RetryPolicy
 from repro.dse.sqlite_store import decode_key, enable_wal, encode_key
 from repro.dse.store import (
+    config_from_dict,
+    config_to_dict,
     point_from_dict,
     point_to_dict,
     scenario_from_dict,
@@ -54,6 +58,10 @@ from repro.energy.scenarios import ScenarioSpec
 #: Queue layout version, independent of the record-store schema; a
 #: newer-versioned queue is refused rather than misread.
 QUEUE_SCHEMA_VERSION = 1
+
+#: The ``WHERE`` clause matching a task still leased to a given worker,
+#: bound to ``(task_key, worker)``.
+_HELD = "task_key = ? AND status = 'leased' AND worker = ?"
 
 #: How many keys one SQL ``IN (...)`` clause carries (SQLite's default
 #: variable limit is 999).
@@ -183,19 +191,23 @@ class LeaseQueue:
         self,
         retry: RetryPolicy | None = None,
         lease_timeout_s: float | None = None,
+        base_config: DiacConfig | None = None,
     ) -> None:
-        """Persist run-wide lease semantics into the queue metadata.
+        """Persist run-wide semantics into the queue metadata.
 
         The coordinator calls this once; every worker that opens the
-        queue afterwards applies the *same* retry budget, backoff seed
-        and lease lifetime, however its own constructor was defaulted —
-        lease semantics are a property of the run, not of whoever
-        happens to claim.
+        queue afterwards applies the *same* retry budget, backoff seed,
+        lease lifetime and synthesis base configuration, however its
+        own constructor was defaulted — they are properties of the run,
+        not of whoever happens to claim.  ``None`` leaves a setting as
+        it is.
         """
         if retry is not None:
             self._meta_set("retry_policy", asdict(retry))
         if lease_timeout_s is not None:
             self._meta_set("lease_timeout_s", lease_timeout_s)
+        if base_config is not None:
+            self._meta_set("base_config", config_to_dict(base_config))
 
     @property
     def retry(self) -> RetryPolicy:
@@ -212,6 +224,12 @@ class LeaseQueue:
         if isinstance(stored, (int, float)):
             return float(stored)
         return self._lease_timeout_s
+
+    @property
+    def base_config(self) -> DiacConfig | None:
+        """The persisted synthesis base configuration (``None``: defaults)."""
+        stored = self._meta_get("base_config")
+        return config_from_dict(stored) if isinstance(stored, dict) else None
 
     def state(self) -> str:
         """``open`` (more work may arrive) or ``closed``."""
@@ -375,36 +393,43 @@ class LeaseQueue:
         worker failing a task that was already reclaimed (or completed)
         is a no-op.
         """
-        encoded = encode_key(key)
+        held = (encode_key(key), worker)
         row = self._conn.execute(
-            "SELECT attempts FROM svc_tasks "
-            "WHERE task_key = ? AND status = 'leased' AND worker = ?",
-            (encoded, worker),
+            f"SELECT attempts FROM svc_tasks WHERE {_HELD}", held
         ).fetchone()
-        if row is None:
-            return
-        attempts = row[0]
-        retry = self.retry
-        if kind == TRANSIENT and attempts < retry.max_attempts:
-            delay = retry.delay_s(attempts, token=key_text(key))
-            self._conn.execute(
-                "UPDATE svc_tasks SET status = 'pending', "
-                "not_before = ?, worker = NULL, lease_deadline = NULL, "
-                "error = ?, kind = ? WHERE task_key = ?",
-                (time.time() + delay, error, kind, encoded),
-            )
-        else:
-            self._conn.execute(
-                "UPDATE svc_tasks SET status = 'failed', "
-                "lease_deadline = NULL, error = ?, kind = ? "
-                "WHERE task_key = ?",
-                (error, kind, encoded),
-            )
+        if row is not None and self._requeue_or_fail(
+            held, row[0], error, kind, time.time(), key_text(key)
+        ):
             self._conn.execute(
                 "UPDATE svc_workers SET n_failed = n_failed + 1 "
                 "WHERE worker = ?",
                 (worker,),
             )
+
+    def _requeue_or_fail(
+        self, held: tuple, attempts: int, error: str, kind: str, now: float, token: str
+    ) -> bool:
+        """Resolve a task still leased as ``held`` (task key, worker).
+
+        A ``transient`` failure inside the retry budget goes back to
+        ``pending`` after its backoff; anything else lands in ``failed``.
+        Both writes re-check the lease, which may have been reclaimed and
+        re-claimed since the caller's read.  Returns True when it failed.
+        """
+        retry = self.retry
+        if kind == TRANSIENT and attempts < retry.max_attempts:
+            delay = retry.delay_s(attempts, token=token)
+            self._conn.execute(
+                "UPDATE svc_tasks SET status = 'pending', not_before = ?, worker = NULL, "
+                f"lease_deadline = NULL, error = ?, kind = ? WHERE {_HELD}",
+                (now + delay, error, kind, *held),
+            )
+            return False
+        return self._conn.execute(
+            "UPDATE svc_tasks SET status = 'failed', "
+            f"lease_deadline = NULL, error = ?, kind = ? WHERE {_HELD}",
+            (error, kind, *held),
+        ).rowcount > 0
 
     def reclaim_expired(self) -> int:
         """Recover leases whose worker died or hung past its deadline.
@@ -418,7 +443,6 @@ class LeaseQueue:
         of leases recovered either way.
         """
         now = time.time()
-        retry = self.retry
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             rows = self._conn.execute(
@@ -429,26 +453,10 @@ class LeaseQueue:
             for encoded, attempts, worker in rows:
                 error = (
                     f"lease expired after {attempts} attempt(s); worker "
-                    f"{worker or '?'} presumed dead"
+                    f"{worker} presumed dead"
                 )
-                if attempts < retry.max_attempts:
-                    delay = retry.delay_s(
-                        attempts, token=key_text(decode_key(encoded))
-                    )
-                    self._conn.execute(
-                        "UPDATE svc_tasks SET status = 'pending', "
-                        "not_before = ?, worker = NULL, "
-                        "lease_deadline = NULL, error = ?, kind = ? "
-                        "WHERE task_key = ?",
-                        (now + delay, error, TRANSIENT, encoded),
-                    )
-                else:
-                    self._conn.execute(
-                        "UPDATE svc_tasks SET status = 'failed', "
-                        "lease_deadline = NULL, error = ?, kind = ? "
-                        "WHERE task_key = ?",
-                        (error, TRANSIENT, encoded),
-                    )
+                token = key_text(decode_key(encoded))
+                self._requeue_or_fail((encoded, worker), attempts, error, TRANSIENT, now, token)
             self._conn.execute(
                 "UPDATE svc_workers SET status = 'dead' "
                 "WHERE status = 'active' AND last_seen < ?",

@@ -3,7 +3,8 @@
 A worker is a plain process pointed at two paths — the lease queue and
 the SQLite result store (often the same file).  It claims one
 stage-batch lease at a time, evaluates it through *exactly* the
-engine's batch path (:func:`repro.dse.engine._evaluate_batch`, with the
+engine's batch path (:func:`repro.dse.engine._evaluate_batch`, under the
+base configuration the coordinator persisted in the queue, with the
 process-global synthesis cache so repeated leases of one stage stay
 warm), upserts the records into the store, and only then resolves the
 lease — so a crash between the store write and the completion mark
@@ -25,7 +26,6 @@ import time
 from pathlib import Path
 
 from repro.circuits.netlist import Netlist
-from repro.core.diac import DiacConfig
 from repro.dse.engine import _evaluate_batch
 from repro.dse.faults import FaultPlan
 from repro.dse.sqlite_store import SqliteResultStore
@@ -60,7 +60,6 @@ def run_worker(
     poll_s: float = 0.2,
     drain: bool = False,
     idle_timeout_s: float | None = None,
-    base_config: DiacConfig | None = None,
     fault_plan: FaultPlan | None = None,
     store_backend: str = "auto",
     fsync_every: int = 0,
@@ -78,7 +77,6 @@ def run_worker(
             the queue is still ``open`` (one-shot helpers and tests).
         idle_timeout_s: give up after this much continuous idleness
             (``None`` = wait for the queue to close).
-        base_config: synthesis defaults, identical to the engine's.
         fault_plan: deterministic chaos (``repro worker
             --inject-faults``); crash faults kill this process outright,
             exercising the lease-expiry path for real.
@@ -124,7 +122,7 @@ def run_worker(
                 # A crash fault inside the batch exits the process here,
                 # leaving the lease to expire — the real death path.
                 records, _calls, failures = _evaluate_batch(
-                    circuit, netlists[circuit], jobs, base_config, fault_plan
+                    circuit, netlists[circuit], jobs, queue.base_config, fault_plan
                 )
                 # Store first, then resolve: a death in between re-runs
                 # the point, and the store upsert absorbs the duplicate.

@@ -128,7 +128,7 @@ class TestDiacPipeline:
     @pytest.mark.parametrize("policy", [1, 2, 3])
     def test_all_policies_run(self, s27, policy):
         design = DiacSynthesizer(DiacConfig(policy=policy)).run(s27)
-        design.graph.check()
+        design.plan.graph.check()
 
     def test_technology_flows_through(self, s27):
         design = DiacSynthesizer(DiacConfig(technology=RERAM)).run(s27)

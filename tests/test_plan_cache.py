@@ -15,6 +15,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 import repro.core.codegen as codegen
+import repro.core.diac as diac
 import repro.dse.explorer as explorer
 from repro.circuits import VerilogError
 from repro.core import DiacConfig, DiacSynthesizer, ReplacementCriteria
@@ -55,12 +56,10 @@ def calls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        explorer, "insert_nvm", counted("insert_nvm", explorer.insert_nvm)
+        diac, "insert_nvm", counted("insert_nvm", diac.insert_nvm)
     )
     monkeypatch.setattr(
-        explorer,
-        "generate_code",
-        counted("generate_code", explorer.generate_code),
+        diac, "generate_code", counted("generate_code", diac.generate_code)
     )
     monkeypatch.setattr(
         codegen,

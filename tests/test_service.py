@@ -19,6 +19,7 @@ import urllib.request
 
 import pytest
 
+from repro.core import DiacConfig
 from repro.dse import (
     SweepEngine,
     SweepRequest,
@@ -42,6 +43,7 @@ from repro.dse.resilience import (
 from repro.dse.strategies import RandomStrategy
 from repro.service import LeaseQueue, SweepCoordinator, run_worker
 from repro.service.view import SweepViewServer
+from repro.tech import RERAM
 
 SPEC = SweepSpec(
     circuits=("s27",),
@@ -53,6 +55,27 @@ SPEC = SweepSpec(
 FAST_RETRY = RetryPolicy(
     max_attempts=2, backoff_base_s=0.01, backoff_max_s=0.02
 )
+
+
+class _AfterRead:
+    """A connection proxy that runs ``hook`` once, right after the first
+    ``SELECT attempts`` it executes — between a read and the write that
+    depends on it."""
+
+    def __init__(self, conn, hook):
+        self._conn = conn
+        self._hook = hook
+        self.fired = False
+
+    def execute(self, sql, *args):
+        cursor = self._conn.execute(sql, *args)
+        if not self.fired and sql.startswith("SELECT attempts"):
+            self.fired = True
+            self._hook()
+        return cursor
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
 
 
 def fingerprints(records):
@@ -212,6 +235,36 @@ class TestLeaseQueue:
         assert retried.attempts == 2
         queue.close()
 
+    @pytest.mark.parametrize("kind", [TRANSIENT, TERMINAL])
+    def test_stale_fail_leaves_a_reclaimed_lease_alone(self, tmp_path, kind):
+        """A reclaim and re-claim between ``fail``'s read and write wins."""
+        queue = self.make_queue(tmp_path)
+        queue.enqueue(expand_tasks(SPEC)[:1])
+        for worker in ("stale", "fresh"):
+            queue.register_worker(worker, 0)
+        task = queue.claim("stale", limit=1)[0]
+        other = self.make_queue(tmp_path)
+
+        def reclaim_and_claim():
+            other._conn.execute("UPDATE svc_tasks SET lease_deadline = 0")
+            assert other.reclaim_expired() == 1
+            other._conn.execute("UPDATE svc_tasks SET not_before = 0")
+            assert other.claim("fresh", limit=1)[0].key == task.key
+
+        queue._conn = _AfterRead(queue._conn, reclaim_and_claim)
+        queue.fail("stale", task.key, "late report", kind)
+        assert queue._conn.fired
+        row = other._conn.execute(
+            "SELECT status, worker, attempts FROM svc_tasks"
+        ).fetchone()
+        assert row == ("leased", "fresh", 2)
+        assert {w["worker"]: w["n_failed"] for w in other.workers()} == {
+            "stale": 0,
+            "fresh": 0,
+        }
+        other.close()
+        queue.close()
+
     def test_configure_persists_run_semantics(self, tmp_path):
         queue = self.make_queue(tmp_path)
         queue.configure(retry=FAST_RETRY, lease_timeout_s=7.5)
@@ -222,6 +275,16 @@ class TestLeaseQueue:
         assert reopened.state() == "open"
         reopened.set_state("closed")
         assert reopened.state() == "closed"
+        reopened.close()
+
+    def test_configure_persists_base_config(self, tmp_path):
+        queue = self.make_queue(tmp_path)
+        assert queue.base_config is None
+        base = DiacConfig(activity=0.3, technology=RERAM)
+        queue.configure(base_config=base)
+        queue.close()
+        reopened = LeaseQueue(tmp_path / "queue.sqlite")
+        assert reopened.base_config == base
         reopened.close()
 
     def test_newer_schema_version_refused(self, tmp_path):
@@ -363,6 +426,22 @@ class TestCoordinator:
         assert again.stats.n_resumed == 6
         assert again.stats.n_evaluated == 0
         assert fingerprints(again.records) == fingerprints(
+            reference.records
+        )
+
+    def test_base_config_reaches_the_workers(self, tmp_path, reference):
+        base = DiacConfig(activity=0.3)
+        result = self.run_with_thread_worker(
+            self.coordinator(tmp_path, base_config=base),
+            SweepRequest(spec=SPEC),
+            tmp_path / "svc.sqlite",
+        )
+        expected = SweepEngine(workers=1, base_config=base).submit(
+            SweepRequest(spec=SPEC)
+        )
+        assert not result.failures
+        assert fingerprints(result.records) == fingerprints(expected.records)
+        assert fingerprints(expected.records) != fingerprints(
             reference.records
         )
 
