@@ -14,7 +14,6 @@ as sources and whose inputs act as sinks for combinational analysis.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -24,24 +23,6 @@ from repro.circuits.gates import (
     GateType,
     check_arity,
 )
-
-#: Topological-order caching switch (see
-#: :meth:`Netlist.topological_order`).  The perf harness flips this off
-#: to time the uncached baseline; the order is identical either way.
-_CACHE_TOPO_ORDER = True
-
-
-@contextmanager
-def topo_order_cache_disabled() -> Iterator[None]:
-    """Temporarily disable :meth:`Netlist.topological_order` caching."""
-    global _CACHE_TOPO_ORDER
-    previous = _CACHE_TOPO_ORDER
-    _CACHE_TOPO_ORDER = False
-    try:
-        yield
-    finally:
-        _CACHE_TOPO_ORDER = previous
-
 
 #: :data:`SOURCE_TYPES` and :data:`SEQUENTIAL_TYPES` as tuples: ``in`` on a
 #: short tuple compares enum members by identity, with no hashing.
@@ -196,8 +177,7 @@ class Netlist:
         """
         cached = self.__dict__.get("_fanout_cache")
         if (
-            _CACHE_TOPO_ORDER
-            and cached is not None
+            cached is not None
             and cached[0] is self.gates
             and cached[1] == len(self.gates)
         ):
@@ -210,10 +190,7 @@ class Netlist:
         fanout = MappingProxyType(
             {net: tuple(names) for net, names in building.items()}
         )
-        if _CACHE_TOPO_ORDER:
-            self.__dict__["_fanout_cache"] = (
-                self.gates, len(self.gates), fanout
-            )
+        self.__dict__["_fanout_cache"] = (self.gates, len(self.gates), fanout)
         return fanout
 
     def fanout_count(self, net: str) -> int:
@@ -263,8 +240,7 @@ class Netlist:
         """
         cached = self.__dict__.get("_topo_cache")
         if (
-            _CACHE_TOPO_ORDER
-            and cached is not None
+            cached is not None
             and cached[0] is self.gates
             and cached[1] == len(self.gates)
         ):
@@ -298,10 +274,7 @@ class Netlist:
             )
         # Stable presentation: sources, then logic in dependency order, then
         # re-emit DFFs at the end (they were emitted as sources already).
-        if _CACHE_TOPO_ORDER:
-            self.__dict__["_topo_cache"] = (
-                self.gates, len(self.gates), order
-            )
+        self.__dict__["_topo_cache"] = (self.gates, len(self.gates), order)
         return list(order)
 
     # -- transforms ---------------------------------------------------------

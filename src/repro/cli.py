@@ -34,10 +34,6 @@ Usage (after ``pip install -e .``)::
     python -m repro scenarios show rf-markov --seed 7
     python -m repro scenarios plot office-solar    # ASCII power profile
     python -m repro fig4                           # the Fig. 4 timeline
-    python -m repro perf run --quick               # time the hot paths
-    python -m repro perf compare BENCH_4.json BENCH_5.json \
-        --max-regression 0.2                       # regression gate
-    python -m repro perf history                   # BENCH_*.json trend
 
 Netlist arguments accept roster names, ``.bench`` files, or ``.blif``
 files.  Scenario arguments accept registry names (``scenarios list``),
@@ -251,7 +247,7 @@ def _resilience_config(max_attempts: int, batch_timeout, fault_plan):
             batch_timeout_s=batch_timeout,
             fault_plan=fault_plan,
         )
-    except ValueError as error:
+    except (TypeError, ValueError) as error:
         raise SystemExit(f"error: {error}") from None
 
 
@@ -285,6 +281,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         name: _resolve_netlist(name) for name in request.spec.circuits
     }
     fault_plan = _parse_fault_plan(args)
+    resilience = _resilience_config(
+        execution["max_attempts"], execution["batch_timeout"], fault_plan
+    )
     store = (
         open_store(
             store_cfg["results"],
@@ -295,15 +294,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if store_cfg["results"]
         else None
     )
-    engine = SweepEngine(
-        workers=execution["workers"],
-        store=store,
-        resilience=_resilience_config(
-            execution["max_attempts"],
-            execution["batch_timeout"],
-            fault_plan,
-        ),
-    )
+    try:
+        engine = SweepEngine(
+            workers=execution["workers"], store=store, resilience=resilience
+        )
+    except (TypeError, ValueError) as error:
+        raise SystemExit(f"error: {error}") from None
     try:
         result = engine.submit(request, netlists=netlists)
     except ValueError as error:
@@ -469,23 +465,25 @@ def cmd_coordinator(args: argparse.Namespace) -> int:
         if name not in BY_NAME
     }
     fault_plan = _parse_fault_plan(args)
-    coordinator = SweepCoordinator(
-        store_cfg["results"],
-        queue_path=args.queue,
-        workers=args.spawn_workers,
-        lease_size=args.lease_size,
-        lease_timeout_s=args.lease_timeout,
-        poll_s=args.poll,
-        max_respawns=args.max_respawns,
-        resilience=_resilience_config(
-            execution["max_attempts"],
-            execution["batch_timeout"],
-            fault_plan,
-        ),
-        store_backend=store_cfg["backend"],
-        fsync_every=store_cfg["fsync_every"],
-        http_port=args.http,
+    resilience = _resilience_config(
+        execution["max_attempts"], execution["batch_timeout"], fault_plan
     )
+    try:
+        coordinator = SweepCoordinator(
+            store_cfg["results"],
+            queue_path=args.queue,
+            workers=args.spawn_workers,
+            lease_size=args.lease_size,
+            lease_timeout_s=args.lease_timeout,
+            poll_s=args.poll,
+            max_respawns=args.max_respawns,
+            resilience=resilience,
+            store_backend=store_cfg["backend"],
+            fsync_every=store_cfg["fsync_every"],
+            http_port=args.http,
+        )
+    except (TypeError, ValueError) as error:
+        raise SystemExit(f"error: {error}") from None
     try:
         result = coordinator.submit(
             request, netlists=netlists, sources=sources
@@ -1154,10 +1152,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     from repro.dse.store_cli import register_store_parser
-    from repro.perf.cli import register_perf_parser
 
     register_store_parser(sub)
-    register_perf_parser(sub)
     return parser
 
 

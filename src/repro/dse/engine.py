@@ -64,6 +64,7 @@ from repro.dse.resilience import (
     TRANSIENT,
     PoolSupervisor,
     ResilienceConfig,
+    check_count,
     classify,
     describe_error,
 )
@@ -660,8 +661,7 @@ class SweepEngine:
         store: ResultStore | None = None,
         resilience: ResilienceConfig | None = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_count("workers", workers, 1)
         self.workers = workers
         self.base_config = base_config
         self.store = store

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 from collections.abc import Callable
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -111,6 +112,34 @@ def describe_error(error: BaseException) -> str:
     return text
 
 
+def check_count(name: str, value: object, minimum: int) -> None:
+    """Reject a count that is a bool, not an ``int``, or below ``minimum``.
+
+    Raises:
+        TypeError: for a bool or a non-``int`` (``2.5``, ``"2"``).
+        ValueError: for an ``int`` below ``minimum``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def check_duration(name: str, value: float, allow_zero: bool = False) -> None:
+    """Reject a NaN, infinite, negative or (unless allowed) zero duration.
+
+    A NaN deadline never fires and SQLite stores it as ``NULL``, so
+    non-finite durations are refused where they enter, not where they
+    stop supervision from working.
+
+    Raises:
+        ValueError: on any of the above.
+    """
+    bound = "must be finite and " + (">= 0" if allow_zero else "positive")
+    if not (math.isfinite(value) and (value > 0 or allow_zero and value == 0)):
+        raise ValueError(f"{name} {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retries with deterministic exponential backoff.
@@ -136,12 +165,11 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff durations must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        check_count("max_attempts", self.max_attempts, 1)
+        check_duration("backoff_base_s", self.backoff_base_s, allow_zero=True)
+        check_duration("backoff_max_s", self.backoff_max_s, allow_zero=True)
+        if not (math.isfinite(self.backoff_factor) and self.backoff_factor >= 1):
+            raise ValueError("backoff_factor must be finite and >= 1")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
 
@@ -185,10 +213,9 @@ class ResilienceConfig:
     fault_plan: "FaultPlan | None" = None
 
     def __post_init__(self) -> None:
-        if self.batch_timeout_s is not None and self.batch_timeout_s <= 0:
-            raise ValueError("batch_timeout_s must be positive or None")
-        if self.max_pool_deaths < 1:
-            raise ValueError("max_pool_deaths must be >= 1")
+        if self.batch_timeout_s is not None:
+            check_duration("batch_timeout_s", self.batch_timeout_s)
+        check_count("max_pool_deaths", self.max_pool_deaths, 1)
 
 
 class PoolSupervisor:

@@ -4,8 +4,8 @@ Operational tooling for result stores that outgrow "just cat the
 JSONL": inspect a store's backend/schema/groups without loading it into
 a sweep, reclaim space after crash-heals, and move records between the
 JSONL and SQLite backends (both directions) without losing the spec
-fingerprint.  Registered onto the main parser like
-:func:`repro.perf.cli.register_perf_parser`.
+fingerprint.  :func:`register_store_parser` adds them to the main
+parser.
 """
 
 from __future__ import annotations

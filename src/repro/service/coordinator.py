@@ -43,7 +43,7 @@ from repro.dse.engine import (
 from repro.dse.explorer import ExplorationRecord
 from repro.dse.planner import fetch_records, plan_and_run
 from repro.dse.request import SweepRequest
-from repro.dse.resilience import ResilienceConfig
+from repro.dse.resilience import ResilienceConfig, check_count, check_duration
 from repro.dse.sqlite_store import SqliteResultStore
 from repro.dse.store import open_store
 from repro.service.queue import LeaseQueue
@@ -96,12 +96,11 @@ class SweepCoordinator:
         fsync_every: int = 0,
         http_port: int | None = None,
     ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        if lease_size < 1:
-            raise ValueError("lease_size must be >= 1")
-        if lease_timeout_s <= 0:
-            raise ValueError("lease_timeout_s must be positive")
+        check_count("workers", workers, 0)
+        check_count("lease_size", lease_size, 1)
+        check_count("max_respawns", max_respawns, 0)
+        check_duration("lease_timeout_s", lease_timeout_s)
+        check_duration("poll_s", poll_s)
         self.store_path = Path(store_path)
         self.queue_path = (
             Path(queue_path) if queue_path is not None else self.store_path

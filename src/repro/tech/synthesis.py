@@ -15,39 +15,13 @@ energy model:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.calibration import DEFAULT_ACTIVITY
 from repro.circuits.levelize import critical_path_delay
 from repro.circuits.netlist import Netlist
 from repro.tech.library import DEFAULT_LIBRARY, CellTiming, StandardCellLibrary
-
-#: Block-costing memoization switch.  The granularity policies re-cost the
-#: same blocks (node gate tuples) across every merge/split pass, so the
-#: report memoizes per-block results.  The perf harness flips this off to
-#: measure the unmemoized baseline, and the equivalence tests pin that
-#: both modes produce bit-identical numbers.
-_MEMOIZE_BLOCK_COSTS = True
-
-
-@contextmanager
-def block_cost_memo_disabled() -> Iterator[None]:
-    """Temporarily disable :class:`SynthesisReport` block-cost memoization.
-
-    Used by ``repro.perf`` to time the unmemoized costing path and by the
-    equivalence tests; results are identical either way — the memo caches
-    the exact value the uncached computation produces for the same block.
-    """
-    global _MEMOIZE_BLOCK_COSTS
-    previous = _MEMOIZE_BLOCK_COSTS
-    _MEMOIZE_BLOCK_COSTS = False
-    try:
-        yield
-    finally:
-        _MEMOIZE_BLOCK_COSTS = previous
-
 
 @dataclass
 class SynthesisReport:
@@ -72,8 +46,9 @@ class SynthesisReport:
         default=None, repr=False, compare=False
     )
     #: Memoized per-block costing results, keyed on (kind, block key).
-    #: The timing tables are immutable after synthesis, so a block's cost
-    #: never changes; see :func:`block_cost_memo_disabled`.
+    #: The granularity policies re-cost the same blocks across every
+    #: merge/split pass; the timing tables are immutable after synthesis,
+    #: so a block's cost never changes.
     _cost_cache: dict[tuple, float] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -117,12 +92,12 @@ class SynthesisReport:
     _COST_CACHE_MAX = 100_000
 
     def _memo(self, key: tuple, compute, block) -> float:
-        """Memoized ``compute(block)``; a plain call when the memo is off.
+        """Memoized ``compute(block)``.
 
         Single-gate blocks are never stored: computing one costs less
         than a memo lookup, and a gate-granularity tree has one per gate.
         """
-        if not _MEMOIZE_BLOCK_COSTS or len(block) == 1:
+        if len(block) == 1:
             return compute(block)
         value = self._cost_cache.get(key)
         if value is None:

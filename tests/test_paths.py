@@ -12,9 +12,13 @@ records, planner stats, failures and aggregates exactly.
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +159,60 @@ def test_path_is_invisible(name, path, state, tmp_path, reference, half_filled):
     # The matrix exercises what it claims: records, failures, resume.
     assert result.records and result.failures
     assert (result.stats.n_resumed > 0) == (state == "resume")
+
+
+#: One job, digested: a grid at 1 and at 2 workers and a suite
+#: evaluation.  Printed as JSON {job: [records, sha256]}.
+HASHSEED_JOB = """
+import hashlib, json
+from dataclasses import asdict
+from repro.dse import SweepEngine, SweepRequest, SweepSpec, record_to_dict
+from repro.energy.scenarios import ScenarioSpec
+from repro.evaluation import evaluate_suite
+
+def digest(rows):
+    lines = sorted(json.dumps(row, sort_keys=True) for row in rows)
+    return [len(lines), hashlib.sha256("\\n".join(lines).encode()).hexdigest()]
+
+spec = SweepSpec(
+    circuits=("s27", "b02"),
+    scenarios=(ScenarioSpec(), ScenarioSpec.parse("rf-markov@7")),
+)
+out = {}
+for workers in (1, 2):
+    result = SweepEngine(workers=workers).submit(SweepRequest(spec=spec))
+    out[f"grid-{workers}"] = digest(record_to_dict(r) for r in result.records)
+out["suite"] = digest(
+    {"circuit": e.name, "scheme": scheme, **asdict(result)}
+    for e in evaluate_suite(["s27", "s298"])
+    for scheme, result in e.results.items()
+)
+print(json.dumps(out))
+"""
+
+
+def test_records_independent_of_hash_seed():
+    """Set and dict iteration order never reaches a record.
+
+    The same job runs in fresh interpreters under three
+    ``PYTHONHASHSEED`` values; grid records at 1 and 2 workers and the
+    suite evaluation must digest identically in all of them.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", HASHSEED_JOB],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("0", "1", "777")
+    ]
+    outputs = []
+    for proc in procs:
+        stdout, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0
+        outputs.append(json.loads(stdout.splitlines()[-1]))
+    assert outputs[0]["grid-1"] == outputs[0]["grid-2"]
+    assert outputs[0]["grid-1"][0] > 0 and outputs[0]["suite"][0] > 0
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

@@ -132,6 +132,27 @@ class TestRetryPolicy:
             RetryPolicy(jitter=1.0)
         with pytest.raises(ValueError, match="attempt"):
             RetryPolicy().delay_s(0)
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(ValueError, match="backoff_factor"):
+            RetryPolicy(backoff_factor=nan)
+        with pytest.raises(ValueError, match="backoff_base_s"):
+            RetryPolicy(backoff_base_s=nan)
+        with pytest.raises(ValueError, match="backoff_max_s"):
+            RetryPolicy(backoff_max_s=inf)
+        for bad in (2.5, True, "2"):
+            with pytest.raises(TypeError, match="max_attempts"):
+                RetryPolicy(max_attempts=bad)
+        # A NaN deadline never fires and made the pool loop busy-wait.
+        for bad in (nan, inf, -inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="batch_timeout_s"):
+                ResilienceConfig(batch_timeout_s=bad)
+        with pytest.raises(ValueError, match="max_pool_deaths"):
+            ResilienceConfig(max_pool_deaths=0)
+        for bad in (1.5, True):
+            with pytest.raises(TypeError, match="max_pool_deaths"):
+                ResilienceConfig(max_pool_deaths=bad)
+        assert ResilienceConfig(batch_timeout_s=30.0).batch_timeout_s == 30.0
+        assert RetryPolicy(backoff_base_s=0.0).delay_s(1) == 0.0
 
     def test_delay_is_deterministic_and_seeded(self):
         policy = RetryPolicy(seed=7)
@@ -156,6 +177,38 @@ class TestRetryPolicy:
         for token in ("a", "b", "c", "d"):
             delay = policy.delay_s(1, token)
             assert 0.075 <= delay <= 0.125
+
+
+#: (constructor, keyword, bad value, expected error).  A NaN lease
+#: deadline binds as SQLite NULL and could never be reclaimed.
+BAD_KNOBS = [
+    ("engine", "workers", 2.5, TypeError),
+    ("engine", "workers", True, TypeError),
+    ("coordinator", "workers", 1.0, TypeError),
+    ("coordinator", "lease_size", 2.5, TypeError),
+    ("coordinator", "lease_size", False, TypeError),
+    ("coordinator", "max_respawns", 1.5, TypeError),
+    ("coordinator", "max_respawns", -1, ValueError),
+    ("coordinator", "lease_timeout_s", float("nan"), ValueError),
+    ("coordinator", "lease_timeout_s", float("inf"), ValueError),
+    ("coordinator", "poll_s", float("nan"), ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "target, key, value, error",
+    BAD_KNOBS,
+    ids=[f"{t}-{k}={v!r}" for t, k, v, _e in BAD_KNOBS],
+)
+def test_engine_and_coordinator_reject_bad_knobs(target, key, value, error):
+    from repro.service import SweepCoordinator
+
+    kwargs = {key: value}
+    with pytest.raises(error, match=key):
+        if target == "engine":
+            SweepEngine(**kwargs)
+        else:
+            SweepCoordinator("unused.sqlite", **{"workers": 0, **kwargs})
 
 
 class TestFaultSpecParse:
@@ -558,3 +611,7 @@ class TestCli:
             main(["sweep", "s27", "--max-attempts", "0"])
         with pytest.raises(SystemExit, match="fsync-every"):
             main(["sweep", "s27", "--fsync-every", "-1"])
+
+    def test_nan_batch_timeout_rejected(self):
+        with pytest.raises(SystemExit, match="^error: batch_timeout_s"):
+            main(["sweep", "s27", "--batch-timeout", "nan"])
