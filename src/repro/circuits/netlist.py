@@ -34,7 +34,7 @@ class NetlistError(ValueError):
     """Raised for structurally invalid netlists."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """A single cell instance.
 

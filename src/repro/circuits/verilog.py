@@ -32,9 +32,12 @@ class VerilogError(ValueError):
     """Raised for emission or parsing failures."""
 
 
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+
+
 def _escape(net: str) -> str:
     """Escape a net name into a legal Verilog identifier."""
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$]*", net):
+    if _IDENT_RE.fullmatch(net):
         return net
     return "\\" + net + " "
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class FeatureDict:
     """Per-node feature dictionary (paper Fig. 1, step 3).
 

@@ -125,6 +125,9 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     (single gates above the threshold become singleton chunks — gates are
     our atomic unit).  Nodes are emitted in topological order; when
     nothing is split the result keeps every node's costing and adjacency.
+    Like the merge passes, it hands each new node its source node's
+    feature record, which :meth:`~repro.core.tree.TaskGraph.derive`
+    always replaces, instead of building a placeholder.
 
     Returns:
         A new checked graph; the input graph is not modified.
@@ -134,7 +137,7 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     split = False
     for node in graph.topological_nodes():
         if node.feature.energy_j <= config.split_threshold_j or len(node.gates) == 1:
-            new_nodes.append(TaskNode(node_id=node.node_id, gates=node.gates))
+            new_nodes.append(TaskNode(node.node_id, node.gates, node.feature))
             continue
         split = True
         ordered = sorted(node.gates, key=report.topo_index().__getitem__)
@@ -149,7 +152,7 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
             acc += cost
         for i, chunk in enumerate(chunks):
             new_nodes.append(
-                TaskNode(node_id=f"{node.node_id}.s{i}", gates=tuple(chunk))
+                TaskNode(f"{node.node_id}.s{i}", tuple(chunk), node.feature)
             )
     return graph.derive(new_nodes, absorbed_into=None if split else {})
 
@@ -208,14 +211,61 @@ def _chain_merge_pass(
         gates = node.gates
         if nid in absorbed_by:
             gates = gates + graph.nodes[absorbed_by[nid]].gates
-        nodes.append(TaskNode(node_id=nid, gates=gates))
+        nodes.append(TaskNode(nid, gates, node.feature))
     return nodes, merged_into
+
+
+def _first_fit(sizes: list[float], cap_j: float) -> list[list[int]]:
+    """First-fit bin packing of ``sizes``, in order, under ``cap_j``.
+
+    Each size goes to the earliest-opened bin whose total ``t`` satisfies
+    ``t + size <= cap_j``, else it opens a new bin; a bin's total grows as
+    ``t + size``.  A min-tree over the bin totals finds that bin in
+    O(log n) instead of scanning every open bin, and picks exactly the bin
+    the scan would: round-to-nearest addition is monotone
+    (``x <= y`` implies ``fl(x + e) <= fl(y + e)``), so
+    ``min_total + size <= cap_j`` holds iff some bin in the subtree fits.
+
+    Returns:
+        The bins, in opening order, as lists of indices into ``sizes``.
+    """
+    bins: list[list[int]] = []
+    width = 1
+    while width < len(sizes):
+        width *= 2
+    # Leaves width.. hold bin totals (inf = not yet opened); node k holds
+    # the minimum of nodes 2k and 2k+1.
+    tree = [math.inf] * (2 * width)
+    for i, size in enumerate(sizes):
+        k = 1
+        if tree[1] + size <= cap_j:
+            while k < width:
+                k *= 2
+                if not tree[k] + size <= cap_j:
+                    k += 1
+        if 0 <= k - width < len(bins):
+            bins[k - width].append(i)
+            total = tree[k] + size
+        else:
+            k = width + len(bins)
+            bins.append([i])
+            total = size
+        tree[k] = total
+        k //= 2
+        while k:
+            left, right = tree[2 * k], tree[2 * k + 1]
+            low = left if left <= right else right
+            if tree[k] == low:
+                break
+            tree[k] = low
+            k //= 2
+    return bins
 
 
 def _level_pack_pass(
     graph: TaskGraph, threshold_j: float, cap_j: float
 ) -> tuple[list[TaskNode], dict[str, str]]:
-    """Bin-pack small same-level nodes together.
+    """Bin-pack small same-level nodes together (first fit decreasing).
 
     Returns:
         The new nodes and the absorbed-node -> host map (empty when
@@ -231,26 +281,21 @@ def _level_pack_pass(
             by_level.get(level, ()), key=lambda n: n.node_id
         )
         small = [n for n in members if n.feature.energy_j < threshold_j]
-        big = [n for n in members if n.feature.energy_j >= threshold_j]
-        new_nodes.extend(TaskNode(node_id=n.node_id, gates=n.gates) for n in big)
+        new_nodes.extend(
+            TaskNode(n.node_id, n.gates, n.feature)
+            for n in members
+            if n.feature.energy_j >= threshold_j
+        )
         small.sort(key=lambda n: n.feature.energy_j, reverse=True)
-        bins: list[tuple[list[TaskNode], float]] = []
-        for node in small:
-            for i, (members, total) in enumerate(bins):
-                if total + node.feature.energy_j <= cap_j:
-                    members.append(node)
-                    bins[i] = (members, total + node.feature.energy_j)
-                    break
-            else:
-                bins.append(([node], node.feature.energy_j))
-        for members, _total in bins:
-            host = members[0]
+        sizes = [n.feature.energy_j for n in small]
+        for packed in _first_fit(sizes, cap_j):
+            host = small[packed[0]]
             gates = host.gates
-            if len(members) > 1:
-                for member in members[1:]:
-                    absorbed_into[member.node_id] = host.node_id
-                gates = tuple(g for m in members for g in m.gates)
-            new_nodes.append(TaskNode(node_id=host.node_id, gates=gates))
+            if len(packed) > 1:
+                for i in packed[1:]:
+                    absorbed_into[small[i].node_id] = host.node_id
+                gates = tuple(g for i in packed for g in small[i].gates)
+            new_nodes.append(TaskNode(host.node_id, gates, host.feature))
     return new_nodes, absorbed_into
 
 

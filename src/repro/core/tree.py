@@ -29,7 +29,7 @@ class TreeError(ValueError):
     """Raised when a task graph violates its invariants."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskNode:
     """One function node: an atomic unit of forward progress.
 
@@ -206,7 +206,10 @@ class TaskGraph:
 
         A new node with the id and gate tuple of a node here keeps that
         node's gate-derived features when this graph is fresh; every other
-        node is re-costed.  Levels are always re-derived.
+        node is re-costed.  Levels are always re-derived.  Every node of
+        the new graph gets a new feature record: a record the caller put
+        on a node is never kept, so a pass may hand over its source
+        node's record instead of building a placeholder.
 
         Args:
             nodes: the new graph's nodes.
@@ -422,16 +425,27 @@ class TaskGraph:
         Node membership is identical, so the adjacency, order and
         freshness carry over (cached sets are never mutated in place).
         """
-        nodes = [
-            TaskNode(
-                node_id=n.node_id,
-                gates=n.gates,
-                feature=FeatureDict(**vars(n.feature)),
-                nvm_barrier=n.nvm_barrier,
-                barrier_bits=n.barrier_bits,
+        nodes = []
+        for n in self.nodes.values():
+            f = n.feature
+            feature = FeatureDict(
+                fan_in=f.fan_in,
+                fan_out=f.fan_out,
+                level=f.level,
+                energy_j=f.energy_j,
+                delay_s=f.delay_s,
+                n_gates=f.n_gates,
+                accumulated_j=f.accumulated_j,
             )
-            for n in self.nodes.values()
-        ]
+            nodes.append(
+                TaskNode(
+                    node_id=n.node_id,
+                    gates=n.gates,
+                    feature=feature,
+                    nvm_barrier=n.nvm_barrier,
+                    barrier_bits=n.barrier_bits,
+                )
+            )
         copy = TaskGraph(self.netlist, self.report, nodes)
         copy._edges = self._edges
         copy._redges = self._redges

@@ -28,6 +28,7 @@ from pathlib import Path
 from repro.circuits.netlist import Netlist
 from repro.dse.engine import _evaluate_batch
 from repro.dse.faults import FaultPlan
+from repro.dse.resilience import check_count, check_duration
 from repro.dse.sqlite_store import SqliteResultStore
 from repro.dse.store import open_store
 from repro.service.queue import LeaseQueue
@@ -87,8 +88,15 @@ def run_worker(
         ``{"worker", "n_done", "n_failed", "n_leases"}`` totals.
 
     Raises:
-        ValueError: when ``store_path`` does not resolve to SQLite.
+        TypeError: when ``lease_size`` is not an ``int``.
+        ValueError: when ``store_path`` does not resolve to SQLite, or
+            ``lease_size``, ``poll_s`` or ``idle_timeout_s`` is out of
+            range (checked before the store or queue is touched).
     """
+    check_count("lease_size", lease_size, 1)
+    check_duration("poll_s", poll_s)
+    if idle_timeout_s is not None:
+        check_duration("idle_timeout_s", idle_timeout_s, allow_zero=True)
     store = open_store(
         store_path, backend=store_backend, fsync_every=fsync_every
     )

@@ -18,7 +18,7 @@ from repro.circuits.gates import GateType
 from repro.circuits.netlist import Gate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellTiming:
     """Characterized figures for one cell instance.
 

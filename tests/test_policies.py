@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import balanced_tree_circuit
 from repro.core import (
@@ -14,6 +16,7 @@ from repro.core import (
     build_task_graph,
     config_for_graph,
 )
+from repro.core.policies import _first_fit
 
 
 def gates_of(graph) -> set[str]:
@@ -176,3 +179,66 @@ class TestPolicy3Hybrid:
         cfg = config_for_graph(graph, split_fraction=5.0, merge_fraction=2.0)
         apply_policy3(graph, cfg)
         assert {n: graph.nodes[n].gates for n in graph.nodes} == before
+
+
+# ---------------------------------------------------------------------------
+# First-fit packing: the min-tree must pick exactly the linear scan's bins.
+# ---------------------------------------------------------------------------
+
+SUBNORMAL = 5e-324
+
+
+def linear_first_fit(sizes, cap_j):
+    """Scan every open bin in opening order (the reference first fit)."""
+    bins = []
+    for i, size in enumerate(sizes):
+        for b, (members, total) in enumerate(bins):
+            if total + size <= cap_j:
+                members.append(i)
+                bins[b] = (members, total + size)
+                break
+        else:
+            bins.append(([i], size))
+    return [members for members, _total in bins]
+
+
+# Few distinct values (duplicates, zeros), dyadic eighths (sums exact, so
+# totals land on the cap), subnormals, and arbitrary floats.
+energies = st.one_of(
+    st.sampled_from([0.0, SUBNORMAL, 2 * SUBNORMAL, 0.25, 1.0]),
+    st.integers(0, 24).map(lambda k: k / 8),
+    st.floats(0.0, 4.0, allow_subnormal=True),
+)
+
+
+class TestFirstFit:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        sizes=st.lists(energies, max_size=70),
+        decreasing=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_linear_scan(self, sizes, decreasing, data):
+        if decreasing:  # the order the level pass packs in
+            sizes.sort(reverse=True)
+        # The cap is a drawn value or the float sum of a prefix of sizes,
+        # so some bin totals reach it exactly.
+        prefix = data.draw(st.integers(0, len(sizes)))
+        candidates = [sum(sizes[:prefix]), 0.0, SUBNORMAL, 1.0, 2.0]
+        cap = data.draw(
+            st.one_of(st.sampled_from(candidates), st.floats(0.0, 8.0))
+        )
+        assert _first_fit(sizes, cap) == linear_first_fit(sizes, cap)
+
+    @pytest.mark.parametrize(
+        "sizes, cap, bins",
+        [
+            ([], 1.0, []),
+            ([0.5, 0.25, 0.25, 0.5], 1.0, [[0, 1, 2], [3]]),
+            ([3.0, 0.5, 2.0, 0.5], 1.0, [[0], [1, 3], [2]]),
+            ([0.0, 0.0, 0.0], 0.0, [[0, 1, 2]]),
+            ([SUBNORMAL, SUBNORMAL, SUBNORMAL], SUBNORMAL, [[0], [1], [2]]),
+        ],
+    )
+    def test_examples(self, sizes, cap, bins):
+        assert _first_fit(sizes, cap) == bins == linear_first_fit(sizes, cap)

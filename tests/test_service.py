@@ -363,6 +363,43 @@ class TestWorkerParity:
                 drain=True,
             )
 
+    @pytest.mark.parametrize(
+        "knobs, error, match",
+        [
+            ({"idle_timeout_s": float("nan")}, ValueError, "idle_timeout_s"),
+            ({"idle_timeout_s": -1.0}, ValueError, "idle_timeout_s"),
+            ({"poll_s": float("nan")}, ValueError, "poll_s"),
+            ({"poll_s": 0.0}, ValueError, "poll_s"),
+            ({"lease_size": 2.5}, TypeError, "lease_size"),
+            ({"lease_size": True}, TypeError, "lease_size"),
+            ({"lease_size": 0}, ValueError, "lease_size"),
+        ],
+    )
+    def test_worker_rejects_malformed_knobs_before_opening(
+        self, tmp_path, knobs, error, match
+    ):
+        path = tmp_path / "svc.sqlite"
+        with pytest.raises(error, match=match):
+            run_worker(path, path, drain=True, **knobs)
+        assert not path.exists()  # neither store nor queue was opened
+
+    def test_worker_accepts_zero_idle_timeout(self, tmp_path):
+        path = tmp_path / "svc.sqlite"
+        LeaseQueue(path).close()
+        summary = run_worker(path, path, idle_timeout_s=0.0, poll_s=0.01)
+        assert summary["n_leases"] == 0
+
+    @pytest.mark.parametrize("flag", ["--idle-timeout", "--poll"])
+    def test_worker_cli_rejects_nan_duration(self, tmp_path, flag):
+        from repro.cli import main
+
+        path = str(tmp_path / "svc.sqlite")
+        with pytest.raises(SystemExit, match=r"^error: .*must be finite"):
+            main([
+                "worker", "--queue", path, "--results", path,
+                "--store-backend", "sqlite", "--drain", flag, "nan",
+            ])
+
 
 class TestCoordinator:
     def coordinator(self, tmp_path, workers=0, **kwargs):
