@@ -68,7 +68,6 @@ from repro.dse.resilience import (
     classify,
     describe_error,
 )
-from repro.dse.aggregate import SweepAggregator
 from repro.dse.store import ResultStore
 from repro.energy.scenarios import ScenarioSpec
 from repro.tech.nvm import MRAM, NvmTechnology, get_technology
@@ -391,35 +390,16 @@ class SweepResult:
     the configuration, or a scenario that no longer resolves — e.g. a
     moved power-log file) so one bad point never aborts the sweep.
 
-    ``aggregate`` carries the per-(scenario, circuit) aggregates of
-    ``records``.  A result can
-    also be a pure **store-backed view** (:meth:`from_store`): no
-    ``records`` at all, every aggregate answered from the streamed
-    accumulators — the memory-light way to inspect a store far larger
-    than the process should hold.
+    Every aggregate below is computed from ``records``; to inspect a
+    store far larger than the process should hold, stream it through
+    :meth:`~repro.dse.aggregate.SweepAggregator.from_store` instead.
     """
 
     records: list[ExplorationRecord] = field(default_factory=list)
     stats: SweepStats = field(default_factory=SweepStats)
     failures: list[SweepFailure] = field(default_factory=list)
-    aggregate: SweepAggregator | None = None
 
-    @classmethod
-    def from_store(cls, store: ResultStore) -> "SweepResult":
-        """A store-backed view: aggregates without the record list.
-
-        ``best``/``front``/``fronts_by_scenario``/``best_by_scenario``/
-        ``robustness`` all work; :meth:`by_scenario` (which by
-        definition returns every record) stays empty.
-        """
-        return cls(aggregate=SweepAggregator.from_store(store))
-
-    def _require_single_scenario(
-        self,
-        what: str,
-        instead: str,
-        groups: set[tuple[str, str]] | None = None,
-    ) -> None:
+    def _require_single_scenario(self, what: str, instead: str) -> None:
         """Guard the cross-record aggregates against mixed groups.
 
         PDP values are only comparable inside one (scenario, circuit)
@@ -428,8 +408,7 @@ class SweepResult:
         mix scenarios *or* circuits would crown whichever record ran
         under the most generous scenario on the smallest circuit.
         """
-        if groups is None:
-            groups = {(r.scenario.label(), r.circuit) for r in self.records}
+        groups = {(r.scenario.label(), r.circuit) for r in self.records}
         if len(groups) > 1:
             names = ", ".join(
                 f"{scenario}/{circuit}"
@@ -450,14 +429,6 @@ class SweepResult:
                 :meth:`best_by_scenario` /
                 :func:`repro.metrics.robustness_report` instead).
         """
-        if not self.records and self.aggregate is not None:
-            candidates = self.aggregate.best()
-            if not candidates:
-                raise ValueError("no records to choose from")
-            self._require_single_scenario(
-                "best", "best_by_scenario", set(candidates)
-            )
-            return next(iter(candidates.values()))
         if not self.records:
             raise ValueError("no records to choose from")
         self._require_single_scenario("best", "best_by_scenario")
@@ -470,12 +441,6 @@ class SweepResult:
             ValueError: on records from more than one (scenario,
                 circuit) group (use :meth:`fronts_by_scenario` instead).
         """
-        if not self.records and self.aggregate is not None:
-            fronts = self.aggregate.fronts()
-            self._require_single_scenario(
-                "front", "fronts_by_scenario", set(fronts)
-            )
-            return next(iter(fronts.values()), [])
         self._require_single_scenario("front", "fronts_by_scenario")
         return record_front(self.records)
 
@@ -497,14 +462,7 @@ class SweepResult:
     def fronts_by_scenario(
         self,
     ) -> dict[tuple[str, str], list[ExplorationRecord]]:
-        """Per-(scenario, circuit) efficiency/resiliency Pareto fronts.
-
-        Computed from ``records`` (deterministic spec order) when they
-        are present; a store-backed view answers from the streamed
-        aggregates instead — same membership, aggregation order.
-        """
-        if not self.records and self.aggregate is not None:
-            return self.aggregate.fronts()
+        """Per-(scenario, circuit) efficiency/resiliency Pareto fronts."""
         return {
             key: record_front(records)
             for key, records in self.by_scenario().items()
@@ -512,8 +470,6 @@ class SweepResult:
 
     def best_by_scenario(self) -> dict[tuple[str, str], ExplorationRecord]:
         """The PDP-optimal record of each (scenario, circuit) group."""
-        if not self.records and self.aggregate is not None:
-            return self.aggregate.best()
         return {
             key: min(records, key=lambda r: r.pdp_js)
             for key, records in self.by_scenario().items()
@@ -523,10 +479,8 @@ class SweepResult:
         """Cross-scenario robustness entries, most robust first.
 
         :func:`repro.metrics.robustness.robustness_report` over the
-        records, or the streamed equivalent for a store-backed view.
+        records.
         """
-        if not self.records and self.aggregate is not None:
-            return self.aggregate.robustness()
         from repro.metrics.robustness import robustness_report
 
         return robustness_report(self.records)
@@ -692,7 +646,7 @@ class SweepEngine:
 
         Returns:
             A :class:`SweepResult`: the full-fidelity records in planned
-            order, their failures, the run's stats and aggregate.
+            order, their failures and the run's stats.
 
         Raises:
             KeyError: for a circuit neither in ``netlists`` nor on the
@@ -846,17 +800,15 @@ class SweepEngine:
             self._commit(records)
             now = time.monotonic()
             for key, failure in batch_failures:
-                if failure.kind == TRANSIENT and attempt < policy.max_attempts:
-                    # Retry just this task, after its seeded backoff,
-                    # as a single-job batch in the same stage group.
-                    stats.n_retries += 1
-                    job = next(j for j in jobs if j[0] == key)
-                    delayed.append((
-                        now + policy.delay_s(attempt, key_text(key)),
-                        gk, [job], attempt + 1,
-                    ))
+                delay = policy.retry_delay_s(failure.kind, attempt, key_text(key))
+                if delay is None:
+                    failures[key] = replace(failure, attempts=attempt)
                     continue
-                failures[key] = replace(failure, attempts=attempt)
+                # Retry just this task, after its seeded backoff, as a
+                # single-job batch in the same stage group.
+                stats.n_retries += 1
+                job = next(j for j in jobs if j[0] == key)
+                delayed.append((now + delay, gk, [job], attempt + 1))
 
         def requeue_or_fail(gk, jobs, attempt, message) -> None:
             if attempt >= policy.max_attempts:

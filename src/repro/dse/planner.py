@@ -20,11 +20,9 @@ or on the lease queue (:meth:`repro.service.SweepCoordinator.submit`):
   again, so a strategy re-proposing a point costs nothing;
 * **full fidelity** — only keys under a requested scenario reach the
   result; screening evaluations are told to the strategy and streamed
-  to the store, but stay out of ``records``, ``failures`` and the
-  aggregate;
+  to the store, but stay out of ``records`` and ``failures``;
 * **result** — records and failures in planned order (spec order for a
-  grid, first-proposal order for a search), with the aggregate filled
-  once from the ordered records.
+  grid, first-proposal order for a search).
 
 A front end supplies only an :data:`Execute` callable that evaluates
 pending tasks, and keeps the execution counters it owns
@@ -41,7 +39,6 @@ from typing import TYPE_CHECKING
 
 from repro.circuits.netlist import Netlist
 from repro.core.diac import DiacConfig
-from repro.dse.aggregate import SweepAggregator
 from repro.dse.engine import (
     PRUNED,
     SweepFailure,
@@ -331,12 +328,9 @@ def plan_and_run(
         if scenario.identity() in requested
     ]
     ordered = [records[key] for key in full if key in records]
-    aggregate = SweepAggregator()
-    aggregate.add_many(ordered)
     stats.wall_s = time.perf_counter() - start
     return SweepResult(
         records=ordered,
         stats=stats,
         failures=[failures[key] for key in full if key in failures],
-        aggregate=aggregate,
     )

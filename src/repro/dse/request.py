@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dse.strategies import SearchStrategy
 
 from repro.dse.engine import SweepSpec
+from repro.dse.resilience import check_count
 from repro.dse.strategies import STRATEGIES
 
 #: Strategies that accept ``analysis_prune``: the grid sweep prunes in
@@ -105,6 +106,12 @@ class SweepRequest:
         resume: skip points the result store already holds.
         analysis_prune: static interval analysis before simulating
             (grid: engine pruning; halving: static round 0).
+
+    Raises:
+        TypeError: for a non-``int`` (or ``bool``) count or seed, or a
+            non-``bool`` ``resume``/``analysis_prune``.
+        ValueError: for an unknown strategy name, a count below 1, or
+            ``analysis_prune`` on a strategy that cannot prune.
     """
 
     spec: SweepSpec = field(default_factory=SweepSpec)
@@ -124,12 +131,16 @@ class SweepRequest:
                 f"unknown strategy {self.strategy!r}; expected one of "
                 f"{', '.join(STRATEGIES)} or a SearchStrategy instance"
             )
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
+        for name in ("samples", "generations", "max_generations"):
+            check_count(name, getattr(self, name), 1)
+        # Any int seeds a strategy, negative ones included.
+        seed = self.search_seed
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise TypeError(f"search_seed must be an int, got {seed!r}")
+        for name in ("resume", "analysis_prune"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise TypeError(f"{name} must be a bool, got {flag!r}")
         if self.analysis_prune and (
             self.strategy_name not in PRUNABLE_STRATEGIES
         ):

@@ -189,6 +189,20 @@ class RetryPolicy:
         unit = int.from_bytes(digest[:8], "big") / 2**64  # [0, 1)
         return base * (1.0 + self.jitter * (2.0 * unit - 1.0))
 
+    def retry_delay_s(
+        self, kind: str, attempt: int, token: str = ""
+    ) -> float | None:
+        """Backoff before retrying a ``kind`` failure of try ``attempt``.
+
+        ``None`` means the failure is final: it is not ``transient``, or
+        ``attempt`` already spent the ``max_attempts`` budget.  The one
+        retry decision of the engine's stage-batch loop and the lease
+        queue.
+        """
+        if kind != TRANSIENT or attempt >= self.max_attempts:
+            return None
+        return self.delay_s(attempt, token)
+
 
 @dataclass(frozen=True)
 class ResilienceConfig:

@@ -291,19 +291,22 @@ class SweepCoordinator:
             queue.close()
             store.close()
 
-    def _await_queue(self, queue: LeaseQueue, keys: list[tuple]) -> None:
-        """Poll until every given key is resolved (or nobody can).
+    def _await_queue(self, queue: LeaseQueue) -> None:
+        """Poll until every queued task is resolved (or nobody can).
+
+        Waiting on :meth:`~repro.service.queue.LeaseQueue.unfinished`
+        is exact because the queue holds only the current generation's
+        tasks and their resolved predecessors: ``submit`` clears it
+        first, and every earlier generation was fully resolved before
+        the next one was enqueued.
 
         The supervision loop: reclaim expired leases, respawn dead
         workers within budget, and — when the fleet is gone for good —
         fail the stragglers rather than wait forever.
         """
-        while keys:
+        while True:
             queue.reclaim_expired()
-            statuses = queue.statuses(keys)
-            if all(
-                statuses.get(key) in ("done", "failed") for key in keys
-            ):
+            if queue.unfinished() == 0:
                 return
             if not self._tend_workers(queue):
                 queue.reclaim_expired()
@@ -335,7 +338,7 @@ class SweepCoordinator:
             return {}, {}
         keys = [key for key, *_rest in tasks]
         queue.enqueue(tasks, sources=sources)
-        self._await_queue(queue, keys)
+        self._await_queue(queue)
         counts = queue.counts_for(keys)
         stats.n_evaluated += counts["n_done"]
         stats.n_failed += counts["n_failed"]

@@ -9,10 +9,10 @@ database* — a distributed sweep then needs exactly one shared path:
   worker, deadline attached) -> ``done`` | ``failed``, with two ways
   back to ``pending``: a *transient* failure inside its retry budget
   (rescheduled after the deterministic
-  :meth:`~repro.dse.resilience.RetryPolicy.delay_s` backoff) and a
-  *lease expiry* (the worker died or hung past its deadline —
-  :meth:`LeaseQueue.reclaim_expired` hands the task to the next
-  claimer).  ``attempts`` counts claims, so a task crashing its worker
+  :meth:`~repro.dse.resilience.RetryPolicy.retry_delay_s` backoff) and
+  a *lease expiry* (the worker died or hung past its deadline — the
+  next :meth:`LeaseQueue.claim` reclaims it and hands the task on).
+  ``attempts`` counts claims, so a task crashing its worker
   repeatedly still exhausts the same budget a retrying error would.
 * ``svc_workers`` — registration + heartbeats, feeding the
   ``/workers`` view and dead-worker detection.
@@ -24,10 +24,12 @@ database* — a distributed sweep then needs exactly one shared path:
 
 Claims batch by *stage* (circuit x policy) — the synthesis-sharing
 group of :func:`repro.dse.engine._evaluate_batch` — so a lease is one
-warm-cache batch, not a grab-bag of unrelated synthesis runs.
+warm-cache batch, not a grab-bag of unrelated synthesis runs.  The
+lease is also the unit of commit: :meth:`LeaseQueue.claim` (reclaim
+included) and :meth:`LeaseQueue.resolve` are one transaction each.
 
 Completion is idempotent by construction: the result store upserts on
-the same key, and :meth:`LeaseQueue.complete` marks ``done`` whatever
+the same key, and :meth:`LeaseQueue.resolve` marks ``done`` whatever
 state the row is in — a reclaimed task finished twice lands on one
 record and one ``done`` row.
 """
@@ -37,6 +39,8 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -172,6 +176,17 @@ class LeaseQueue:
         """Close the underlying connection (idempotent)."""
         self._conn.close()
 
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """One ``BEGIN IMMEDIATE`` transaction: commit, or roll back on error."""
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
+        self._conn.execute("COMMIT")
+
     # -- metadata -------------------------------------------------------
 
     def _meta_get(self, key: str) -> object:
@@ -284,8 +299,7 @@ class LeaseQueue:
                     json.dumps(payload, sort_keys=True),
                 )
             )
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction():
             self._conn.executemany(
                 "INSERT INTO svc_tasks (task_key, stage, payload) "
                 "VALUES (?, ?, ?) "
@@ -296,10 +310,6 @@ class LeaseQueue:
                 "error = NULL, kind = NULL",
                 rows,
             )
-            self._conn.execute("COMMIT")
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
         return len(rows)
 
     # -- claiming and resolving -----------------------------------------
@@ -319,17 +329,18 @@ class LeaseQueue:
     def claim(self, worker: str, limit: int = 8) -> list[LeaseTask]:
         """Lease up to ``limit`` tasks of one stage to ``worker``.
 
-        One ``BEGIN IMMEDIATE`` transaction picks the oldest eligible
-        stage and leases its oldest eligible tasks together, so a lease
-        shares one synthesis run exactly like an engine batch.  Eligible
-        means ``pending`` with its backoff (``not_before``) elapsed.
-        Returns ``[]`` when nothing is claimable right now.
+        One ``BEGIN IMMEDIATE`` transaction first reclaims expired
+        leases (see :meth:`reclaim_expired`), then picks the oldest
+        eligible stage and leases its oldest eligible tasks together, so
+        a lease shares one synthesis run exactly like an engine batch.
+        Eligible means ``pending`` with its backoff (``not_before``)
+        elapsed.  Returns ``[]`` when nothing is claimable right now.
         """
         if limit < 1:
             raise ValueError("limit must be >= 1")
         now = time.time()
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction():
+            self._reclaim(now)
             row = self._conn.execute(
                 "SELECT stage FROM svc_tasks "
                 "WHERE status = 'pending' AND not_before <= ? "
@@ -337,14 +348,12 @@ class LeaseQueue:
                 (now,),
             ).fetchone()
             if row is None:
-                self._conn.execute("COMMIT")
                 return []
-            stage = row[0]
             rows = self._conn.execute(
                 "SELECT task_key, payload, attempts FROM svc_tasks "
                 "WHERE status = 'pending' AND not_before <= ? "
                 "AND stage = ? ORDER BY rowid LIMIT ?",
-                (now, stage, limit),
+                (now, row[0], limit),
             ).fetchall()
             deadline = now + self.lease_timeout_s
             self._conn.executemany(
@@ -353,61 +362,59 @@ class LeaseQueue:
                 "WHERE task_key = ?",
                 [(worker, deadline, key) for key, _p, _a in rows],
             )
-            self._conn.execute("COMMIT")
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
         return [
             self._decode_task(key, payload, attempts + 1)
             for key, payload, attempts in rows
         ]
 
-    def complete(self, worker: str, key: tuple) -> None:
-        """Mark one task ``done`` — idempotently, whoever holds it now.
+    def resolve(
+        self,
+        worker: str,
+        done: Iterable[tuple],
+        failed: Iterable[tuple[tuple, str, str]] = (),
+    ) -> None:
+        """Resolve one lease's outcomes in one transaction.
 
-        The record already landed in the result store (an upsert on the
-        same key), so a double completion after a lease reclaim is
-        harmless: last writer wins on an identical record, and the task
-        row converges on ``done``.
+        ``done`` keys are marked ``done`` idempotently, whoever holds
+        them now: each record already landed in the result store (an
+        upsert on the same key), so a double completion after a lease
+        reclaim is harmless.  ``failed`` holds ``(key, error, kind)``
+        entries: ``transient`` failures inside the retry budget go back
+        to ``pending`` with the deterministic backoff delay; everything
+        else lands in ``failed``.  Only the lease holder's failure
+        report counts — failing a task that was already reclaimed (or
+        completed) is a no-op.  The worker's ``n_done``/``n_failed``
+        counters and ``last_seen`` move in the same transaction.
         """
-        cursor = self._conn.execute(
-            "UPDATE svc_tasks SET status = 'done', worker = ?, "
-            "lease_deadline = NULL, error = NULL, kind = NULL "
-            "WHERE task_key = ? AND status != 'done'",
-            (worker, encode_key(key)),
-        )
-        if cursor.rowcount:
-            self._conn.execute(
-                "UPDATE svc_workers SET n_done = n_done + 1 "
-                "WHERE worker = ?",
-                (worker,),
+        now = time.time()
+        with self._transaction():
+            n_done = sum(
+                self._conn.execute(
+                    "UPDATE svc_tasks SET status = 'done', worker = ?, "
+                    "lease_deadline = NULL, error = NULL, kind = NULL "
+                    "WHERE task_key = ? AND status != 'done'",
+                    (worker, encode_key(key)),
+                ).rowcount
+                for key in done
             )
-
-    def fail(self, worker: str, key: tuple, error: str, kind: str) -> None:
-        """Resolve one *leased* task as failed, honoring the taxonomy.
-
-        ``transient`` failures inside the retry budget go back to
-        ``pending`` with the deterministic backoff delay; everything
-        else (terminal, unexpected, or an exhausted budget) lands in
-        ``failed``.  Only the lease holder's report counts: a stale
-        worker failing a task that was already reclaimed (or completed)
-        is a no-op.
-        """
-        held = (encode_key(key), worker)
-        row = self._conn.execute(
-            f"SELECT attempts FROM svc_tasks WHERE {_HELD}", held
-        ).fetchone()
-        if row is not None and self._requeue_or_fail(
-            held, row[0], error, kind, time.time(), key_text(key)
-        ):
+            n_failed = 0
+            retry = self.retry
+            for key, error, kind in failed:
+                held = (encode_key(key), worker)
+                row = self._conn.execute(
+                    f"SELECT attempts FROM svc_tasks WHERE {_HELD}", held
+                ).fetchone()
+                if row is not None:
+                    n_failed += self._requeue_or_fail(retry, held, row[0], error, kind, now)
             self._conn.execute(
-                "UPDATE svc_workers SET n_failed = n_failed + 1 "
+                "UPDATE svc_workers SET n_done = n_done + ?, "
+                "n_failed = n_failed + ?, last_seen = ?, status = 'active' "
                 "WHERE worker = ?",
-                (worker,),
+                (n_done, n_failed, now, worker),
             )
 
     def _requeue_or_fail(
-        self, held: tuple, attempts: int, error: str, kind: str, now: float, token: str
+        self, retry: RetryPolicy, held: tuple, attempts: int, error: str, kind: str, now: float
     ) -> bool:
         """Resolve a task still leased as ``held`` (task key, worker).
 
@@ -416,9 +423,8 @@ class LeaseQueue:
         Both writes re-check the lease, which may have been reclaimed and
         re-claimed since the caller's read.  Returns True when it failed.
         """
-        retry = self.retry
-        if kind == TRANSIENT and attempts < retry.max_attempts:
-            delay = retry.delay_s(attempts, token=token)
+        delay = retry.retry_delay_s(kind, attempts, key_text(decode_key(held[0])))
+        if delay is not None:
             self._conn.execute(
                 "UPDATE svc_tasks SET status = 'pending', not_before = ?, worker = NULL, "
                 f"lease_deadline = NULL, error = ?, kind = ? WHERE {_HELD}",
@@ -440,32 +446,31 @@ class LeaseQueue:
         exhausted ones land in ``failed`` so a task that kills every
         worker it touches cannot loop forever.  Workers whose
         heartbeat went stale are marked ``dead``.  Returns the number
-        of leases recovered either way.
+        of leases recovered either way.  :meth:`claim` runs the same
+        reclaim inside its own transaction.
         """
-        now = time.time()
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            rows = self._conn.execute(
-                "SELECT task_key, attempts, worker FROM svc_tasks "
-                "WHERE status = 'leased' AND lease_deadline < ?",
-                (now,),
-            ).fetchall()
-            for encoded, attempts, worker in rows:
-                error = (
-                    f"lease expired after {attempts} attempt(s); worker "
-                    f"{worker} presumed dead"
-                )
-                token = key_text(decode_key(encoded))
-                self._requeue_or_fail((encoded, worker), attempts, error, TRANSIENT, now, token)
-            self._conn.execute(
-                "UPDATE svc_workers SET status = 'dead' "
-                "WHERE status = 'active' AND last_seen < ?",
-                (now - self.lease_timeout_s,),
+        with self._transaction():
+            return self._reclaim(time.time())
+
+    def _reclaim(self, now: float) -> int:
+        """:meth:`reclaim_expired`'s body, inside the caller's transaction."""
+        rows = self._conn.execute(
+            "SELECT task_key, attempts, worker FROM svc_tasks "
+            "WHERE status = 'leased' AND lease_deadline < ?",
+            (now,),
+        ).fetchall()
+        retry = self.retry
+        for encoded, attempts, worker in rows:
+            error = (
+                f"lease expired after {attempts} attempt(s); worker "
+                f"{worker} presumed dead"
             )
-            self._conn.execute("COMMIT")
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
+            self._requeue_or_fail(retry, (encoded, worker), attempts, error, TRANSIENT, now)
+        self._conn.execute(
+            "UPDATE svc_workers SET status = 'dead' "
+            "WHERE status = 'active' AND last_seen < ?",
+            (now - self.lease_timeout_s,),
+        )
         return len(rows)
 
     # -- workers --------------------------------------------------------
@@ -484,9 +489,11 @@ class LeaseQueue:
     def heartbeat(self, worker: str) -> None:
         """Refresh ``worker``'s liveness and extend its lease deadlines.
 
-        Workers heartbeat between leases, so ``lease_timeout_s`` must
-        cover the worst-case wall time of one lease — the deadline is
-        the detector for a worker that died *inside* a batch.
+        Idle workers heartbeat between empty claims, and a busy worker's
+        :meth:`resolve` refreshes ``last_seen`` after each lease, so
+        ``lease_timeout_s`` must cover the worst-case wall time of one
+        lease — the deadline is the detector for a worker that died
+        *inside* a batch.
         """
         now = time.time()
         self._conn.execute(
@@ -538,21 +545,6 @@ class LeaseQueue:
             "SELECT COUNT(*) FROM svc_tasks "
             "WHERE status IN ('pending', 'leased')"
         ).fetchone()[0]
-
-    def statuses(self, keys: list[tuple]) -> dict[tuple, str]:
-        """Current status of each given key (missing keys omitted)."""
-        out: dict[tuple, str] = {}
-        encoded = [encode_key(key) for key in keys]
-        for start in range(0, len(encoded), _CHUNK):
-            chunk = encoded[start:start + _CHUNK]
-            marks = ",".join("?" * len(chunk))
-            for key_text, status in self._conn.execute(
-                f"SELECT task_key, status FROM svc_tasks "
-                f"WHERE task_key IN ({marks})",
-                chunk,
-            ):
-                out[decode_key(key_text)] = status
-        return out
 
     def counts_for(self, keys: list[tuple]) -> dict[str, int]:
         """Aggregate outcome counters over the given keys.

@@ -12,10 +12,12 @@ costs a redundant re-evaluation, never a lost or duplicated record.
 
 Failure semantics are the queue's (see :mod:`repro.service.queue`):
 per-job exceptions arrive pre-classified by the engine's taxonomy and
-are reported via :meth:`~repro.service.queue.LeaseQueue.fail`; a
-worker death mid-lease is caught by lease expiry instead.  An idle
-worker heartbeats and exits once the queue is drained *and* closed
-(or after ``idle_timeout_s``, or immediately in ``drain`` mode).
+are reported with the lease's records in one
+:meth:`~repro.service.queue.LeaseQueue.resolve`; a worker death
+mid-lease is caught by lease expiry instead (the next claim reclaims
+it).  An idle worker heartbeats and exits once the queue is drained
+*and* closed (or after ``idle_timeout_s``, or immediately in ``drain``
+mode).
 """
 
 from __future__ import annotations
@@ -113,7 +115,6 @@ def run_worker(
     idle_since: float | None = None
     try:
         while True:
-            queue.reclaim_expired()
             lease = queue.claim(worker, limit=lease_size)
             if lease:
                 idle_since = None
@@ -135,13 +136,13 @@ def run_worker(
                 # Store first, then resolve: a death in between re-runs
                 # the point, and the store upsert absorbs the duplicate.
                 store.extend([record for _key, record in records])
-                for key, _record in records:
-                    queue.complete(worker, key)
-                for key, failure in failures:
-                    queue.fail(worker, key, failure.error, failure.kind)
+                queue.resolve(
+                    worker,
+                    [key for key, _record in records],
+                    [(key, f.error, f.kind) for key, f in failures],
+                )
                 n_done += len(records)
                 n_failed += len(failures)
-                queue.heartbeat(worker)
                 continue
             queue.heartbeat(worker)
             # Drain mode still waits out backoff delays and foreign

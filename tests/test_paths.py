@@ -141,11 +141,11 @@ def summary(result):
         ],
         "best": {
             group: record_to_dict(record)
-            for group, record in result.aggregate.best().items()
+            for group, record in result.best_by_scenario().items()
         },
         "fronts": {
             group: [record_to_dict(record) for record in front]
-            for group, front in result.aggregate.fronts().items()
+            for group, front in result.fronts_by_scenario().items()
         },
     }
 

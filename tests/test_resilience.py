@@ -178,6 +178,21 @@ class TestRetryPolicy:
             delay = policy.delay_s(1, token)
             assert 0.075 <= delay <= 0.125
 
+    @pytest.mark.parametrize(
+        "kind, attempt, retries",
+        [
+            (TERMINAL, 1, False),
+            ("unexpected", 1, False),
+            (TRANSIENT, 3, False),
+            (TRANSIENT, 1, True),
+            (TRANSIENT, 2, True),
+        ],
+    )
+    def test_retry_delay_is_the_one_retry_decision(self, kind, attempt, retries):
+        policy = RetryPolicy(max_attempts=3, seed=5)
+        expected = policy.delay_s(attempt, "task") if retries else None
+        assert policy.retry_delay_s(kind, attempt, "task") == expected
+
 
 #: (constructor, keyword, bad value, expected error).  A NaN lease
 #: deadline binds as SQLite NULL and could never be reclaimed.

@@ -94,6 +94,23 @@ def reference():
 # SweepRequest: the one submission API.
 # ---------------------------------------------------------------------------
 
+#: (keyword, bad value, expected error).  Each was accepted once and
+#: either failed deep inside a strategy or silently changed the run
+#: (``resume="no"`` is truthy).
+BAD_REQUEST_KNOBS = [
+    ("samples", 0, ValueError),
+    ("generations", 0, ValueError),
+    ("samples", 2.5, TypeError),
+    ("samples", True, TypeError),
+    ("generations", 2.0, TypeError),
+    ("max_generations", float("nan"), TypeError),
+    ("search_seed", 1.5, TypeError),
+    ("search_seed", True, TypeError),
+    ("resume", "no", TypeError),
+    ("resume", 1, TypeError),
+    ("analysis_prune", 1, TypeError),
+]
+
 
 class TestSweepRequest:
     def test_defaults_are_grid(self):
@@ -105,11 +122,14 @@ class TestSweepRequest:
         with pytest.raises(ValueError, match="unknown strategy"):
             SweepRequest(strategy="annealing")
 
-    def test_bad_knobs_rejected(self):
-        with pytest.raises(ValueError, match="samples"):
-            SweepRequest(samples=0)
-        with pytest.raises(ValueError, match="generations"):
-            SweepRequest(generations=0)
+    @pytest.mark.parametrize(
+        "key, value, error",
+        BAD_REQUEST_KNOBS,
+        ids=[f"{k}={v!r}" for k, v, _e in BAD_REQUEST_KNOBS],
+    )
+    def test_bad_knobs_rejected(self, key, value, error):
+        with pytest.raises(error, match=key):
+            SweepRequest(**{key: value})
 
     def test_analysis_prune_gated_to_prunable_strategies(self):
         SweepRequest(strategy="halving", analysis_prune=True)
@@ -192,8 +212,8 @@ class TestLeaseQueue:
         queue = self.make_queue(tmp_path)
         queue.enqueue(expand_tasks(SPEC))
         task = queue.claim("w1", limit=1)[0]
-        queue.complete("w1", task.key)
-        queue.complete("w1", task.key)  # reclaimed-then-finished twice
+        queue.resolve("w1", [task.key])
+        queue.resolve("w1", [task.key])  # reclaimed-then-finished twice
         assert queue.stats()["done"] == 1
         assert queue.counts_for([task.key])["n_done"] == 1
         queue.close()
@@ -202,12 +222,12 @@ class TestLeaseQueue:
         queue = self.make_queue(tmp_path)
         queue.enqueue(expand_tasks(SPEC)[:1])
         task = queue.claim("w1", limit=1)[0]
-        queue.fail("w1", task.key, "flaky", TRANSIENT)
+        queue.resolve("w1", [], [(task.key, "flaky", TRANSIENT)])
         assert queue.stats()["pending"] == 1  # rescheduled with backoff
         time.sleep(0.05)
         retried = queue.claim("w1", limit=1)[0]
         assert retried.attempts == 2
-        queue.fail("w1", retried.key, "flaky", TRANSIENT)
+        queue.resolve("w1", [], [(retried.key, "flaky", TRANSIENT)])
         assert queue.stats()["failed"] == 1  # budget (2 attempts) spent
         assert queue.counts_for([task.key])["n_retries"] == 1
         queue.close()
@@ -216,7 +236,7 @@ class TestLeaseQueue:
         queue = self.make_queue(tmp_path)
         queue.enqueue(expand_tasks(SPEC)[:1])
         task = queue.claim("w1", limit=1)[0]
-        queue.fail("w1", task.key, "infeasible margin", TERMINAL)
+        queue.resolve("w1", [], [(task.key, "infeasible margin", TERMINAL)])
         (entry,) = queue.failures()
         assert entry["kind"] == TERMINAL
         assert entry["circuit"] == "s27"
@@ -235,33 +255,84 @@ class TestLeaseQueue:
         assert retried.attempts == 2
         queue.close()
 
+    def test_claim_reclaims_expired_leases_itself(self, tmp_path):
+        """No separate ``reclaim_expired`` call: the claim recovers it."""
+        queue = self.make_queue(
+            tmp_path,
+            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
+            lease_timeout_s=0.05,
+        )
+        queue.enqueue(expand_tasks(SPEC)[:1])
+        task = queue.claim("dying-worker", limit=1)[0]
+        time.sleep(0.1)
+        retried = queue.claim("w2", limit=1)[0]
+        assert retried.key == task.key
+        assert retried.attempts == 2
+        assert queue.reclaim_expired() == 0
+        queue.close()
+
+    def test_resolve_moves_worker_counters_and_last_seen(self, tmp_path):
+        queue = self.make_queue(tmp_path)
+        spec = SweepSpec(circuits=("s27",), policies=(1,), safe_zones=(True,))
+        queue.enqueue(expand_tasks(spec))
+        queue.register_worker("w1", 0)
+        (before,) = queue.workers()
+        first, second, third = queue.claim("w1", limit=8)
+        time.sleep(0.01)
+        queue.resolve(
+            "w1", [first.key, second.key], [(third.key, "boom", TERMINAL)]
+        )
+        (after,) = queue.workers()
+        assert (after["n_done"], after["n_failed"]) == (2, 1)
+        assert after["last_seen"] > before["last_seen"]
+        assert queue.stats()["done"] == 2
+        assert queue.stats()["failed"] == 1
+        queue.close()
+
     @pytest.mark.parametrize("kind", [TRANSIENT, TERMINAL])
     def test_stale_fail_leaves_a_reclaimed_lease_alone(self, tmp_path, kind):
-        """A reclaim and re-claim between ``fail``'s read and write wins."""
+        """A failure reported after a reclaim and re-claim is a no-op."""
         queue = self.make_queue(tmp_path)
         queue.enqueue(expand_tasks(SPEC)[:1])
         for worker in ("stale", "fresh"):
             queue.register_worker(worker, 0)
         task = queue.claim("stale", limit=1)[0]
-        other = self.make_queue(tmp_path)
-
-        def reclaim_and_claim():
-            other._conn.execute("UPDATE svc_tasks SET lease_deadline = 0")
-            assert other.reclaim_expired() == 1
-            other._conn.execute("UPDATE svc_tasks SET not_before = 0")
-            assert other.claim("fresh", limit=1)[0].key == task.key
-
-        queue._conn = _AfterRead(queue._conn, reclaim_and_claim)
-        queue.fail("stale", task.key, "late report", kind)
-        assert queue._conn.fired
-        row = other._conn.execute(
+        queue._conn.execute("UPDATE svc_tasks SET lease_deadline = 0")
+        assert queue.reclaim_expired() == 1
+        queue._conn.execute("UPDATE svc_tasks SET not_before = 0")
+        assert queue.claim("fresh", limit=1)[0].key == task.key
+        queue.resolve("stale", [], [(task.key, "late report", kind)])
+        row = queue._conn.execute(
             "SELECT status, worker, attempts FROM svc_tasks"
         ).fetchone()
         assert row == ("leased", "fresh", 2)
-        assert {w["worker"]: w["n_failed"] for w in other.workers()} == {
+        assert {w["worker"]: w["n_failed"] for w in queue.workers()} == {
             "stale": 0,
             "fresh": 0,
         }
+        queue.close()
+
+    @pytest.mark.parametrize("kind", [TRANSIENT, TERMINAL])
+    def test_resolve_leaves_no_window_between_read_and_write(
+        self, tmp_path, kind
+    ):
+        """No other writer gets in between ``resolve``'s read and write."""
+        import sqlite3
+
+        queue = self.make_queue(tmp_path)
+        queue.enqueue(expand_tasks(SPEC)[:1])
+        task = queue.claim("w1", limit=1)[0]
+        other = self.make_queue(tmp_path, busy_timeout_s=0.05)
+
+        def try_to_reclaim():
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                other.reclaim_expired()
+
+        queue._conn = _AfterRead(queue._conn, try_to_reclaim)
+        queue.resolve("w1", [], [(task.key, "report", kind)])
+        assert queue._conn.fired
+        status = "pending" if kind == TRANSIENT else "failed"
+        assert queue.stats()[status] == 1
         other.close()
         queue.close()
 
@@ -562,7 +633,7 @@ class TestSweepView:
         queue.enqueue(expand_tasks(SPEC)[:2])
         queue.register_worker("w1", 4242)
         task = queue.claim("w1", limit=1)[0]
-        queue.fail("w1", task.key, "boom", TERMINAL)
+        queue.resolve("w1", [], [(task.key, "boom", TERMINAL)])
         queue.close()
         server = SweepViewServer(store_path, queue_path=queue_path)
         server.start_background()

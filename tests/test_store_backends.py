@@ -28,7 +28,6 @@ from repro.dse import (
     ResultStore,
     SweepEngine,
     SweepRequest,
-    SweepResult,
     SweepSpec,
 )
 from repro.dse.aggregate import SweepAggregator
@@ -426,12 +425,16 @@ class TestAggregation:
             SweepRequest(spec=SMALL_SPEC),
             netlists=netlists
         )
-        view = SweepResult.from_store(make_store(tmp_path, backend))
-        assert not view.records
-        assert view.best().key() == live.best().key()
-        assert [r.key() for r in view.front()] == [
-            r.key() for r in live.front()
-        ]
+        view = SweepAggregator.from_store(make_store(tmp_path, backend))
+        assert {g: r.key() for g, r in view.best().items()} == {
+            g: r.key() for g, r in live.best_by_scenario().items()
+        }
+        assert {
+            g: [r.key() for r in front] for g, front in view.fronts().items()
+        } == {
+            g: [r.key() for r in front]
+            for g, front in live.fronts_by_scenario().items()
+        }
 
 
 class TestCliParity:
