@@ -120,7 +120,7 @@ def generate_code(
         nets = tuple(sorted(graph.output_nets(node)))
         pragmas[barrier_id] = nets
         lines.append(
-            f"// DIAC pragma barrier {barrier_id} bits={node.barrier_bits} "
+            f"// DIAC pragma barrier {barrier_id} bits={plan.commit_bits(barrier_id)} "
             f"nets={','.join(nets)}"
         )
 

@@ -13,8 +13,9 @@ Ties the seven steps together:
 7.  generate HDL and validate timing.
 
 :class:`DiacSynthesizer` is the one composition of these steps.  Its
-result, :class:`DiacDesign`, carries the plan (NV-enhanced graph and
-commit schedule), the generated code, and the executor's figures.
+result, :class:`DiacDesign`, carries the plan (barriers over the shaped
+graph, and the commit schedule), the generated code, and the executor's
+figures.
 """
 
 from __future__ import annotations
@@ -123,8 +124,9 @@ class DiacDesign:
     Attributes:
         netlist: the source circuit.
         report: its synthesis characterization.
-        plan: the replacement plan: the NV-enhanced task graph
-            (``plan.graph``, barriers placed), schedule, commit bits.
+        plan: the replacement plan: barriers, commit schedule and
+            commit bits overlaid on the shaped stage graph
+            (``plan.graph``, shared with every plan over that stage).
         code: generated HDL + timing report.
         config: the configuration that produced this design.
     """
@@ -233,7 +235,11 @@ class DiacSynthesizer:
         return self.derive_budget_j(netlist)
 
     def plan(self, shaped: TaskGraph, budget_j: float) -> NvmPlan:
-        """Steps 4b–6: insert NVM barriers into the shaped tree."""
+        """Steps 4b–6: place NVM barriers over the shaped tree.
+
+        The plan's ``graph`` is ``shaped`` itself; only the barrier
+        overlay depends on ``budget_j``.
+        """
         cfg = self.config
         return insert_nvm(shaped, budget_j, technology=cfg.technology, criteria=cfg.criteria)
 

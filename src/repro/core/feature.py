@@ -15,7 +15,7 @@ comparisons) and the average power over the node's delay (``power_w``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
@@ -30,8 +30,6 @@ class FeatureDict:
             "power consumption" — its worked example is in mJ per operand).
         delay_s: critical-path delay through the node, seconds.
         n_gates: number of primitive gates inside the node.
-        accumulated_j: energy accumulated since the last NVM barrier below
-            this node (maintained by the replacement procedure).
     """
 
     fan_in: int = 0
@@ -40,7 +38,6 @@ class FeatureDict:
     energy_j: float = 0.0
     delay_s: float = 0.0
     n_gates: int = 0
-    accumulated_j: float = field(default=0.0, compare=False)
 
     @property
     def power_w(self) -> float:

@@ -299,6 +299,13 @@ def _level_pack_pass(
     return new_nodes, absorbed_into
 
 
+def _rederived(graph: TaskGraph) -> TaskGraph:
+    """A fresh, costed graph over the same nodes (its own node records)."""
+    return graph.derive(
+        [TaskNode(n.node_id, n.gates, n.feature) for n in graph.nodes.values()], {}
+    )
+
+
 def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     """Merge small nodes into larger ones (paper Policy 2).
 
@@ -311,10 +318,7 @@ def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     Returns:
         A new checked graph; the input graph is not modified.
     """
-    current = graph
-    if not graph.features_fresh:
-        current = graph.clone()
-        current.recompute_features()
+    current = graph if graph.features_fresh else _rederived(graph)
     cap = config.effective_cap_j
     for _pass in range(config.max_passes):
         if not current.nodes:
@@ -332,8 +336,7 @@ def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
         if not packed and not chained:
             break
     if current is graph:  # nothing merged: return a copy, never the input
-        current = graph.clone()
-        current.recompute_features()
+        current = _rederived(graph)
     return current
 
 

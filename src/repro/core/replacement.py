@@ -29,7 +29,7 @@ burst must fit between two commit opportunities.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.core.tree import TaskGraph, TaskNode
@@ -135,22 +135,42 @@ def live_cut_profile(
     return profile
 
 
+def stage_schedule(graph: TaskGraph) -> tuple[tuple[TaskNode, ...], Mapping[str, int]]:
+    """``graph``'s :func:`schedule_order` and :func:`live_cut_profile`, once.
+
+    Neither depends on the budget, so every plan over one stage graph
+    shares them.  Costs the graph first if its features are stale; the
+    memo lives on the graph and :meth:`TaskGraph.invalidate` drops it.
+    Two threads racing on a cold memo both store equal values.
+    """
+    if graph._schedule is None:
+        graph.recompute_features()
+        order = schedule_order(graph)
+        graph._schedule = (tuple(order), live_cut_profile(graph, order))
+    return graph._schedule
+
+
 @dataclass(frozen=True)
 class NvmPlan:
-    """Result of the replacement procedure.
+    """Result of the replacement procedure: barriers over a stage graph.
 
-    Frozen because one plan is shared by every design point that differs
-    only in runtime knobs (see :class:`repro.dse.explorer.SynthesisCache`).
+    A plan is an overlay: ``graph`` is the shaped stage itself, shared by
+    every plan over it and never mutated; the plan owns the barrier
+    placement.  Frozen because one plan is shared by every design point
+    that differs only in runtime knobs (see
+    :class:`repro.dse.explorer.SynthesisCache`).
 
     Attributes:
-        graph: the NV-enhanced task graph (barrier flags set).
+        graph: the stage task graph the barriers are placed on.
         budget_j: the per-burst energy budget used.
         technology: NVM technology of the backup arrays.
         barriers: barrier node ids in schedule order.
         infeasible: nodes whose own energy exceeds the budget (the policy
             stage should have split them; they are reported, not hidden).
         criteria: the criteria weights used.
-        live_cut: the :func:`live_cut_profile` of ``graph``'s schedule.
+        accumulated_j: per barrier (parallel to ``barriers``), the energy
+            accumulated since the previous barrier up to and including
+            it — the paper's "Dict. updated with P_total + P_n".
     """
 
     graph: TaskGraph
@@ -159,9 +179,18 @@ class NvmPlan:
     barriers: tuple[str, ...]
     infeasible: tuple[str, ...]
     criteria: ReplacementCriteria
-    live_cut: Mapping[str, int] = field(compare=False, repr=False)
+    accumulated_j: tuple[float, ...]
 
     # -- derived views --------------------------------------------------------
+
+    @property
+    def live_cut(self) -> Mapping[str, int]:
+        """The :func:`live_cut_profile` of ``graph``'s schedule."""
+        return stage_schedule(self.graph)[1]
+
+    def commit_bits(self, node_id: str) -> int:
+        """Bits a commit after ``node_id`` writes: its live cut + Reg_Flag."""
+        return self.live_cut[node_id] + REG_FLAG_BITS
 
     @property
     def n_barriers(self) -> int:
@@ -171,7 +200,7 @@ class NvmPlan:
     @property
     def total_barrier_bits(self) -> int:
         """Total bits across all barrier commits (one pass writes this)."""
-        return sum(self.graph.nodes[b].barrier_bits for b in self.barriers)
+        return sum(self.commit_bits(b) for b in self.barriers)
 
     @property
     def max_commit_bits(self) -> int:
@@ -199,8 +228,8 @@ class NvmPlan:
         ``cached_property`` stores into the instance ``__dict__`` directly,
         which a frozen dataclass permits.
         """
-        order = schedule_order(self.graph)
-        live = self.live_cut
+        order = stage_schedule(self.graph)[0]
+        barriers = set(self.barriers)
         partitions: list[Partition] = []
         current: list[TaskNode] = []
         energy = 0.0
@@ -209,24 +238,25 @@ class NvmPlan:
             current.append(node)
             energy += node.feature.energy_j
             delay += node.feature.delay_s
-            if node.nvm_barrier:
+            if node.node_id in barriers:
                 partitions.append(
                     Partition(
                         node_ids=tuple(n.node_id for n in current),
                         energy_j=energy,
                         delay_s=delay,
-                        commit_bits=live[node.node_id] + REG_FLAG_BITS,
+                        commit_bits=self.commit_bits(node.node_id),
                     )
                 )
                 current, energy, delay = [], 0.0, 0.0
         if current or not partitions:
-            final_live = live[order[-1].node_id] if order else 0
             partitions.append(
                 Partition(
                     node_ids=tuple(n.node_id for n in current),
                     energy_j=energy,
                     delay_s=delay,
-                    commit_bits=final_live + REG_FLAG_BITS,
+                    commit_bits=(
+                        self.commit_bits(order[-1].node_id) if order else REG_FLAG_BITS
+                    ),
                 )
             )
         return tuple(partitions)
@@ -257,16 +287,20 @@ def insert_nvm(
     Walks the levelized schedule accumulating energy; whenever the open
     window exceeds ``budget_j``, a barrier is placed at the window node
     that maximizes the criteria score, and accumulation restarts after it.
+    Only the placement depends on the budget: the schedule order and live
+    cut come from :func:`stage_schedule`, computed once per graph.
 
     Args:
-        graph: task graph after policy application (a clone is modified).
+        graph: task graph after policy application.  It becomes the
+            plan's ``graph`` and is not modified (stale features are
+            re-costed first).
         budget_j: per-burst energy budget — the work that must fit
             between two consecutive commit opportunities.
         technology: NVM technology for the backup arrays.
         criteria: criteria weights (defaults to all three enabled).
 
     Returns:
-        An :class:`NvmPlan` over an NV-enhanced clone of ``graph``.
+        An :class:`NvmPlan` whose barriers overlay ``graph``.
 
     Raises:
         ValueError: if the budget is not positive.
@@ -275,12 +309,10 @@ def insert_nvm(
         raise ValueError("budget_j must be positive")
     if criteria is None:
         criteria = ReplacementCriteria()
-    work = graph.clone()
-    work.recompute_features()  # a no-op re-costing when graph is fresh
-    order = schedule_order(work)
-    live = live_cut_profile(work, order)
-    depth = max(work.depth, 1)
+    order, live = stage_schedule(graph)
+    depth = max(graph.depth, 1)
     barriers: list[str] = []
+    accumulated: list[float] = []
     infeasible: list[str] = []
 
     window: list[TaskNode] = []
@@ -307,12 +339,10 @@ def insert_nvm(
             if score > best_score:
                 best, best_score, cum_at_best = node, score, cum_so_far
         assert best is not None
-        best.nvm_barrier = True
-        best.barrier_bits = live[best.node_id] + REG_FLAG_BITS
+        barriers.append(best.node_id)
         # Paper: "the node's Dict. is updated with the new power
         # consumption = Ptotal + Pn".
-        best.feature.accumulated_j = cum_at_best
-        barriers.append(best.node_id)
+        accumulated.append(cum_at_best)
         # Nodes after the barrier open the next window.
         idx = window.index(best)
         window = window[idx + 1 :]
@@ -329,11 +359,11 @@ def insert_nvm(
             # A single node exceeds the budget: commit right at it.
             place_barrier()
     return NvmPlan(
-        graph=work,
+        graph=graph,
         budget_j=budget_j,
         technology=technology,
         barriers=tuple(barriers),
         infeasible=tuple(infeasible),
         criteria=criteria,
-        live_cut=live,
+        accumulated_j=tuple(accumulated),
     )

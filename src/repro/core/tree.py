@@ -37,16 +37,11 @@ class TaskNode:
         node_id: unique identifier within the graph.
         gates: names of the combinational gates folded into this node.
         feature: the node's feature dictionary.
-        nvm_barrier: whether the replacement step placed an NVM commit
-            point at this node's outputs.
-        barrier_bits: state bits a commit at this node must write.
     """
 
     node_id: str
     gates: tuple[str, ...]
     feature: FeatureDict = field(default_factory=FeatureDict)
-    nvm_barrier: bool = False
-    barrier_bits: int = 0
 
     def __post_init__(self) -> None:
         if not self.gates:
@@ -94,6 +89,9 @@ class TaskGraph:
         self._fanout: Mapping[str, tuple[str, ...]] | None = None
         self._outputs: set[str] | None = None
         self._topo_ids: list[str] | None = None
+        #: The replacement procedure's schedule order and live cut,
+        #: memoized by :func:`repro.core.replacement.stage_schedule`.
+        self._schedule: tuple | None = None
         self._fresh = False
 
     # -- construction helpers -------------------------------------------------
@@ -178,6 +176,7 @@ class TaskGraph:
         self._edges = None
         self._redges = None
         self._topo_ids = None
+        self._schedule = None
         self._fresh = False
 
     @property
@@ -308,16 +307,11 @@ class TaskGraph:
 
         Levels follow the node DAG (sources at 1, as in the paper's
         figures); energy and delay come from the synthesis report's
-        analytic model.  On a fresh graph only the replacement annotation
-        ``accumulated_j`` is reset.  Callers that mutate node *membership*
-        must call :meth:`invalidate` first.
+        analytic model.  A no-op on a fresh graph.  Callers that mutate
+        node *membership* must call :meth:`invalidate` first.
         """
-        if self._fresh:
-            for node in self.nodes.values():
-                if node.feature.accumulated_j:
-                    node.feature.accumulated_j = 0.0
-            return
-        self._refresh_features(set())
+        if not self._fresh:
+            self._refresh_features(set())
 
     def _refresh_features(self, carried: set[str]) -> None:
         """Re-derive every level; re-cost every node not in ``carried``.
@@ -410,50 +404,9 @@ class TaskGraph:
         """Sum of node energies per full evaluation pass."""
         return sum(n.feature.energy_j for n in self.nodes.values())
 
-    @property
-    def barriers(self) -> list[TaskNode]:
-        """Nodes carrying an NVM barrier, in topological order."""
-        return [n for n in self.topological_nodes() if n.nvm_barrier]
-
     def energy_histogram(self) -> dict[str, float]:
         """Node-id -> energy map (for reports and plots)."""
         return {nid: n.feature.energy_j for nid, n in self.nodes.items()}
-
-    def clone(self) -> "TaskGraph":
-        """Deep copy (nodes are re-created; netlist/report are shared).
-
-        Node membership is identical, so the adjacency, order and
-        freshness carry over (cached sets are never mutated in place).
-        """
-        nodes = []
-        for n in self.nodes.values():
-            f = n.feature
-            feature = FeatureDict(
-                fan_in=f.fan_in,
-                fan_out=f.fan_out,
-                level=f.level,
-                energy_j=f.energy_j,
-                delay_s=f.delay_s,
-                n_gates=f.n_gates,
-                accumulated_j=f.accumulated_j,
-            )
-            nodes.append(
-                TaskNode(
-                    node_id=n.node_id,
-                    gates=n.gates,
-                    feature=feature,
-                    nvm_barrier=n.nvm_barrier,
-                    barrier_bits=n.barrier_bits,
-                )
-            )
-        copy = TaskGraph(self.netlist, self.report, nodes)
-        copy._edges = self._edges
-        copy._redges = self._redges
-        copy._topo_ids = self._topo_ids
-        copy._fanout = self._fanout
-        copy._outputs = self._outputs
-        copy._fresh = self._fresh
-        return copy
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -461,5 +414,5 @@ class TaskGraph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"TaskGraph({self.netlist.name!r}, nodes={len(self.nodes)}, "
-            f"depth={self.depth}, barriers={sum(n.nvm_barrier for n in self.nodes.values())})"
+            f"depth={self.depth})"
         )

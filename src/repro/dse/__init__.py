@@ -64,11 +64,6 @@ from repro.dse.strategies import (
     SuccessiveHalvingStrategy,
     make_strategy,
 )
-from repro.dse.threshold_opt import (
-    MarginOutcome,
-    best_margin,
-    sweep_safe_margin,
-)
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
@@ -82,7 +77,6 @@ __all__ = [
     "GridStrategy",
     "GroupAggregate",
     "JsonlResultStore",
-    "MarginOutcome",
     "ParetoEvolutionStrategy",
     "PoolSupervisor",
     "Proposal",
@@ -104,7 +98,6 @@ __all__ = [
     "SynthesisCache",
     "TransientEvalError",
     "WorkerCrashError",
-    "best_margin",
     "best_pdp_by_group",
     "detect_backend",
     "dump_config",
@@ -124,5 +117,4 @@ __all__ = [
     "record_to_dict",
     "request_from_config",
     "request_to_config",
-    "sweep_safe_margin",
 ]

@@ -152,8 +152,9 @@ class ExplorationRecord:
 #: Plans (and, separately, code bundles) one cache keeps; beyond this the
 #: least recently used is dropped.  A grid reuses at most policies x
 #: budgets x technologies x criteria plans per circuit, but a search
-#: over continuous budgets proposes a new plan per point, and each holds
-#: its own NV-enhanced task graph (about 1.3 MB on b14).
+#: over continuous budgets proposes a new plan per point.  A plan shares
+#: its stage's task graph, so a plan entry holds only its barrier overlay
+#: and partitions; a code entry holds its HDL text.
 PLAN_MEMO_SIZE = 64
 
 
@@ -176,7 +177,8 @@ class SynthesisCache:
     * **Plan** — :meth:`~repro.core.diac.DiacSynthesizer.plan` at the
       config's :meth:`~repro.core.diac.DiacSynthesizer.budget_j`, keyed by
       :meth:`plan_key`: the stage key plus budget, NVM technology and
-      criteria.
+      criteria.  A plan is a barrier overlay whose ``graph`` is the
+      cached stage itself, not a copy.
     * **Code** — :meth:`~repro.core.diac.DiacSynthesizer.code`, keyed by
       the plan key plus the target clock period.
 
@@ -186,8 +188,8 @@ class SynthesisCache:
     validation, round-trip checked once; every code entry only adds its
     plan's pragma header to it.  The parser skips ``//`` lines, so
     each bundle parses to the same netlist as the checked one.  Plans
-    and code bundles are frozen and nothing after replacement mutates a
-    plan's task graph, so one entry is safely shared by every design
+    and code bundles are frozen and nothing after the policy stage
+    mutates a stage graph, so one entry is safely shared by every design
     built from it; each memo keeps its :data:`PLAN_MEMO_SIZE` most
     recently used entries.
     """

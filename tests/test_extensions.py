@@ -1,12 +1,11 @@
 """Tests for endurance analysis, adaptive scheduling, power accounting,
-threshold optimization, and the CLI."""
+and the CLI."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.dse import best_margin, sweep_safe_margin
-from repro.energy import fig4_trace, steady_trace
+from repro.energy import steady_trace
 from repro.fsm import (
     AdaptiveScheduler,
     ChargingRateEstimator,
@@ -174,32 +173,6 @@ class TestPowerBreakdown:
         rows = breakdown(fsm_result).as_table_rows()
         assert len(rows) == 6
         assert all(len(r) == 3 for r in rows)
-
-
-class TestThresholdOptimizer:
-    @pytest.fixture(scope="class")
-    def outcomes(self):
-        return sweep_safe_margin(
-            fig4_trace(), margins_j=[0.5e-3, 2.0e-3, 3.0e-3]
-        )
-
-    def test_sweep_shape(self, outcomes):
-        assert [o.margin_j for o in outcomes] == [0.5e-3, 2.0e-3, 3.0e-3]
-        for outcome in outcomes:
-            assert outcome.computes > 0
-
-    def test_wider_margin_never_more_writes(self, outcomes):
-        assert outcomes[-1].nvm_bits_written <= outcomes[0].nvm_bits_written
-
-    def test_best_margin_minimizes_score(self, outcomes):
-        chosen = best_margin(outcomes)
-        assert chosen.score == min(o.score for o in outcomes)
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_safe_margin(fig4_trace(), margins_j=[])
-        with pytest.raises(ValueError):
-            best_margin([])
 
 
 class TestCli:

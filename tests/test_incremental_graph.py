@@ -93,7 +93,7 @@ def test_passes_equal_full_rebuild(netlists, derived, circuit, policy, granulari
         barriers=plan.barriers,
         infeasible=plan.infeasible,
         criteria=plan.criteria,
-        live_cut=live_cut_profile(plan.graph, schedule_order(plan.graph)),
+        accumulated_j=plan.accumulated_j,
     ).schedule()
 
 
@@ -135,11 +135,14 @@ def test_derive_checks_acyclicity(tiny_chain):
         graph.derive(nodes, absorbed_into={"c": "a"})
 
 
-def test_clone_and_invalidate_track_freshness(netlists):
+def test_derive_and_invalidate_track_freshness(netlists):
     graph = build_task_graph(netlists["s298"])
     assert graph.features_fresh
-    copy = graph.clone()
+    copy = graph.derive(
+        [TaskNode(n.node_id, n.gates, n.feature) for n in graph.nodes.values()], {}
+    )
     assert copy.features_fresh
+    assert_matches_rebuild(copy)
     copy.invalidate()
     assert not copy.features_fresh
     copy.recompute_features()

@@ -54,4 +54,3 @@ def test_task_node_round_trips_through_pickle(graph, protocol):
         assert copy == node
         assert copy.gates == node.gates
         assert copy.feature == node.feature
-        assert copy.feature.accumulated_j == node.feature.accumulated_j

@@ -88,16 +88,25 @@ class TestInsertNvm:
         for partition in plan.schedule():
             assert partition.commit_bits >= REG_FLAG_BITS
 
-    def test_barrier_flags_set_on_graph(self, small_logic):
+    def test_barriers_close_partitions(self, small_logic):
+        """The plan owns the barriers: each closes one partition."""
         graph = build_task_graph(small_logic)
         plan = insert_nvm(graph, graph.total_energy_j / 5.0)
-        flagged = {n.node_id for n in plan.graph.nodes.values() if n.nvm_barrier}
-        assert flagged == set(plan.barriers)
+        closed = plan.schedule()[: plan.n_barriers]
+        assert tuple(p.node_ids[-1] for p in closed) == plan.barriers
+        assert [p.commit_bits for p in closed] == [
+            plan.live_cut[b] + REG_FLAG_BITS for b in plan.barriers
+        ]
+        assert plan.total_barrier_bits == sum(p.commit_bits for p in closed)
 
     def test_original_graph_untouched(self, small_logic):
+        """The stage is the plan's graph, shared and not modified."""
         graph = build_task_graph(small_logic)
-        insert_nvm(graph, graph.total_energy_j / 5.0)
-        assert not any(n.nvm_barrier for n in graph.nodes.values())
+        before = {nid: (n.gates, n.feature) for nid, n in graph.nodes.items()}
+        plan = insert_nvm(graph, graph.total_energy_j / 5.0)
+        assert plan.graph is graph
+        assert plan.n_barriers > 0
+        assert {nid: (n.gates, n.feature) for nid, n in graph.nodes.items()} == before
 
     def test_infeasible_nodes_reported(self, small_logic):
         graph = build_task_graph(small_logic)
@@ -112,8 +121,9 @@ class TestInsertNvm:
         """Paper: the barrier node's Dict. gains P_total + P_n."""
         graph = build_task_graph(small_logic)
         plan = insert_nvm(graph, graph.total_energy_j / 6.0)
-        for barrier in plan.barriers:
-            assert plan.graph.nodes[barrier].feature.accumulated_j > 0
+        assert plan.n_barriers > 0
+        assert len(plan.accumulated_j) == plan.n_barriers
+        assert all(energy > 0 for energy in plan.accumulated_j)
 
     def test_technology_recorded(self, s27):
         graph = build_task_graph(s27)

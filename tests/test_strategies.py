@@ -23,6 +23,7 @@ from repro.dse import (
     SweepEngine,
     SweepRequest,
     SweepSpec,
+    hypervolume_2d,
 )
 from repro.dse.strategies import _score_outcomes
 from repro.energy.scenarios import ScenarioSpec
@@ -626,6 +627,69 @@ class TestRunSearch:
                     strategy=RandomStrategy(TINY_SPACE, samples=1)
                 )
             )
+
+
+class TestHalvingFindsTheFront:
+    """Successive halving keeps the grid's front, with or without the screen.
+
+    The request is the ``search-halving`` benchmark shape: s838 and b05
+    under three harvest scenarios with threshold and margin scales.  Per
+    (circuit, scenario) group, the hypervolume of the halving records on
+    (PDP, re-executed energy) must reach 95% of the full grid's, against
+    a reference point at 1.1x the grid's maximum in each objective.
+    """
+
+    @staticmethod
+    def spec(seed: int) -> SweepSpec:
+        names = ("paper-fig5", f"rf-markov@{seed}", "office-solar")
+        return SweepSpec(
+            circuits=("s838", "b05"),
+            scenarios=tuple(ScenarioSpec.parse(n) for n in names),
+            threshold_scales=(0.8, 1.0, 1.25),
+            safe_margin_scales=(0.5, 1.0, 2.0),
+        )
+
+    @staticmethod
+    def objectives_by_group(records) -> dict:
+        groups: dict = {}
+        for r in records:
+            groups.setdefault((r.circuit, r.scenario.label()), []).append(
+                (r.pdp_js, r.reexec_energy_j)
+            )
+        return groups
+
+    @pytest.fixture(scope="class")
+    def grids(self) -> dict:
+        return {
+            seed: self.objectives_by_group(
+                SweepEngine().submit(SweepRequest(spec=self.spec(seed))).records
+            )
+            for seed in (1, 2)
+        }
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_hypervolume_ratio(self, grids, seed, prune):
+        result = SweepEngine().submit(
+            SweepRequest(
+                spec=self.spec(seed),
+                strategy="halving",
+                search_seed=seed,
+                analysis_prune=prune,
+            )
+        )
+        found = self.objectives_by_group(result.records)
+        grid = grids[seed]
+        assert len(grid) == 6
+        for group, points in grid.items():
+            reference = (
+                1.1 * max(p[0] for p in points),
+                1.1 * max(p[1] for p in points),
+            )
+            full = hypervolume_2d(points, reference)
+            assert full > 0, group
+            ratio = hypervolume_2d(found.get(group, []), reference) / full
+            assert ratio >= 0.95, (group, ratio)
 
 
 class TestSearchCli:

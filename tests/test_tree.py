@@ -97,12 +97,6 @@ class TestLevelsAndFeatures:
         graph = build_task_graph(small_fsm)
         assert graph.total_energy_j > 0
 
-    def test_clone_independent(self, s27):
-        graph = build_task_graph(s27)
-        clone = graph.clone()
-        clone.nodes["G17"].nvm_barrier = True
-        assert not graph.nodes["G17"].nvm_barrier
-
     def test_level_nodes_sorted(self, small_logic):
         graph = build_task_graph(small_logic)
         for level in range(1, graph.depth + 1):
