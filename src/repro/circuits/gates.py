@@ -30,6 +30,11 @@ class GateType(enum.Enum):
     CONST0 = "CONST0"
     CONST1 = "CONST1"
 
+    #: Members are singletons, so dicts and sets keyed on gate types
+    #: (arity checks, cell characterization) hash them by identity in C
+    #: instead of through ``Enum.__hash__``'s Python-level name hash.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

@@ -13,9 +13,10 @@ as sources and whose inputs act as sinks for combinational analysis.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import TypeVar
 
 from repro.circuits.gates import (
     SEQUENTIAL_TYPES,
@@ -28,6 +29,11 @@ from repro.circuits.gates import (
 #: short tuple compares enum members by identity, with no hashing.
 _SEQUENTIAL_TYPES = tuple(SEQUENTIAL_TYPES)
 _SOURCE_TYPES = tuple(SOURCE_TYPES)
+
+#: The derived views :class:`Netlist` caches in its ``__dict__``.
+_CACHE_SLOTS = ("_topo_cache", "_fanout_cache", "_ff_cache", "_valid_stamp")
+
+_T = TypeVar("_T")
 
 
 class NetlistError(ValueError):
@@ -115,8 +121,11 @@ class Netlist:
 
     @property
     def flip_flops(self) -> list[Gate]:
-        """All sequential cells, in insertion order."""
-        return [g for g in self.gates.values() if g.is_sequential]
+        """All sequential cells, in insertion order (a fresh list)."""
+        return list(self._cached("_ff_cache", self._build_flip_flops))
+
+    def _build_flip_flops(self) -> tuple[Gate, ...]:
+        return tuple(g for g in self.gates.values() if g.is_sequential)
 
     @property
     def logic_gates(self) -> list[Gate]:
@@ -131,7 +140,7 @@ class Netlist:
     @property
     def num_ffs(self) -> int:
         """Number of flip-flops."""
-        return len(self.flip_flops)
+        return len(self._cached("_ff_cache", self._build_flip_flops))
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -139,14 +148,42 @@ class Netlist:
     def __getstate__(self) -> dict[str, object]:
         """Pickle without the derived caches.
 
-        The fanout cache holds a (non-picklable) mapping proxy, and
-        neither cache is worth shipping to sweep worker processes —
-        each side rebuilds on first use.
+        The fanout cache holds a (non-picklable) mapping proxy, and no
+        cache is worth shipping to sweep worker processes — each side
+        rebuilds on first use.
         """
         state = self.__dict__.copy()
-        state.pop("_topo_cache", None)
-        state.pop("_fanout_cache", None)
+        for slot in _CACHE_SLOTS:
+            state.pop(slot, None)
         return state
+
+    def _cached(
+        self, slot: str, build: Callable[[], _T], watch_outputs: bool = False
+    ) -> _T:
+        """``build()``, cached in ``slot`` while the netlist is unchanged.
+
+        Invalidation is growth-aware: replacing the ``gates`` mapping or
+        changing its length (``add_gate``) rebuilds the value, and so
+        does the same for the ``outputs`` list (``add_output``) when
+        ``watch_outputs`` is set.  Nothing in the repo mutates an
+        existing entry in place — transforms build fresh netlists.  A
+        ``build`` that raises caches nothing.
+        """
+        gates = self.gates
+        outputs = self.outputs if watch_outputs else None
+        n_outputs = len(self.outputs) if watch_outputs else 0
+        cached = self.__dict__.get(slot)
+        if (
+            cached is not None
+            and cached[0] is gates
+            and cached[1] == len(gates)
+            and cached[2] is outputs
+            and cached[3] == n_outputs
+        ):
+            return cached[4]
+        value = build()
+        self.__dict__[slot] = (gates, len(gates), outputs, n_outputs, value)
+        return value
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates.values())
@@ -172,26 +209,20 @@ class Netlist:
         The map is cached and shared between callers, so it is returned
         read-only (a mapping proxy over tuples) — an accidental
         ``append`` or key assignment fails loudly instead of silently
-        poisoning every later reader.  Invalidation is growth-aware, as
-        in :meth:`topological_order`.
+        poisoning every later reader.  Invalidation is growth-aware (see
+        :meth:`_cached`).
         """
-        cached = self.__dict__.get("_fanout_cache")
-        if (
-            cached is not None
-            and cached[0] is self.gates
-            and cached[1] == len(self.gates)
-        ):
-            return cached[2]
+        return self._cached("_fanout_cache", self._build_fanout_map)
+
+    def _build_fanout_map(self) -> Mapping[str, tuple[str, ...]]:
         building: dict[str, list[str]] = {net: [] for net in self.gates}
         for gate in self.gates.values():
             for src in gate.inputs:
                 if src in building:
                     building[src].append(gate.name)
-        fanout = MappingProxyType(
+        return MappingProxyType(
             {net: tuple(names) for net, names in building.items()}
         )
-        self.__dict__["_fanout_cache"] = (self.gates, len(self.gates), fanout)
-        return fanout
 
     def fanout_count(self, net: str) -> int:
         """Number of gate inputs plus primary outputs fed by ``net``."""
@@ -206,11 +237,15 @@ class Netlist:
 
         Ensures every referenced net has a driver, every output is driven,
         and the combinational core is acyclic (cycles must pass through a
-        DFF).
+        DFF).  A passing check is cached until the netlist changes (see
+        :meth:`_cached`), so validating an unchanged netlist again is free.
 
         Raises:
             NetlistError: on the first violation found.
         """
+        self._cached("_valid_stamp", self._validate, watch_outputs=True)
+
+    def _validate(self) -> bool:
         for gate in self.gates.values():
             for src in gate.inputs:
                 if src not in self.gates:
@@ -221,16 +256,15 @@ class Netlist:
             if out not in self.gates:
                 raise NetlistError(f"primary output {out!r} is undriven")
         self.topological_order()  # raises on combinational cycles
+        return True
 
     def topological_order(self) -> list[Gate]:
         """Topologically sort the combinational core.
 
         Sources (primary inputs, constants, and DFF outputs) come first;
         DFF *inputs* are treated as sinks so sequential loops are legal.
-        The order is cached; growing the netlist (``add_gate``) or
-        replacing the ``gates`` mapping invalidates the cache
-        automatically (nothing in the repo mutates an existing entry in
-        place — transforms build fresh netlists).
+        The order is cached until the netlist changes (see
+        :meth:`_cached`); callers get their own copy of the list.
 
         Returns:
             Gates in evaluation order (sources included, DFFs last).
@@ -238,13 +272,9 @@ class Netlist:
         Raises:
             NetlistError: if a purely combinational cycle exists.
         """
-        cached = self.__dict__.get("_topo_cache")
-        if (
-            cached is not None
-            and cached[0] is self.gates
-            and cached[1] == len(self.gates)
-        ):
-            return list(cached[2])
+        return list(self._cached("_topo_cache", self._build_topological_order))
+
+    def _build_topological_order(self) -> list[Gate]:
         order: list[Gate] = []
         # Combinational in-degree: a DFF contributes no combinational edge
         # from its input; its *output* is a source.
@@ -274,8 +304,7 @@ class Netlist:
             )
         # Stable presentation: sources, then logic in dependency order, then
         # re-emit DFFs at the end (they were emitted as sources already).
-        self.__dict__["_topo_cache"] = (self.gates, len(self.gates), order)
-        return list(order)
+        return order
 
     # -- transforms ---------------------------------------------------------
 

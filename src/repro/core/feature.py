@@ -18,9 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class FeatureDict:
     """Per-node feature dictionary (paper Fig. 1, step 3).
+
+    Immutable, so task graphs derived from one another share the records
+    of nodes that did not change.
 
     Attributes:
         fan_in: number of inputs arriving from lower levels.

@@ -124,10 +124,10 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     order, greedily packed so each chunk stays at or under the threshold
     (single gates above the threshold become singleton chunks — gates are
     our atomic unit).  Nodes are emitted in topological order; when
-    nothing is split the result keeps every node's costing and adjacency.
-    Like the merge passes, it hands each new node its source node's
-    feature record, which :meth:`~repro.core.tree.TaskGraph.derive`
-    always replaces, instead of building a placeholder.
+    nothing is split the result shares every node and its adjacency.
+    Unsplit nodes are handed over as they are; each chunk gets its source
+    node's feature record as a placeholder, which
+    :meth:`~repro.core.tree.TaskGraph.derive` replaces.
 
     Returns:
         A new checked graph; the input graph is not modified.
@@ -137,14 +137,14 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     split = False
     for node in graph.topological_nodes():
         if node.feature.energy_j <= config.split_threshold_j or len(node.gates) == 1:
-            new_nodes.append(TaskNode(node.node_id, node.gates, node.feature))
+            new_nodes.append(node)
             continue
         split = True
         ordered = sorted(node.gates, key=report.topo_index().__getitem__)
         chunks: list[list[str]] = [[]]
         acc = 0.0
         for gate in ordered:
-            cost = report.block_energy_j((gate,))
+            cost = report.gate_cost(gate)[0]
             if chunks[-1] and acc + cost > config.split_threshold_j:
                 chunks.append([])
                 acc = 0.0
@@ -208,10 +208,10 @@ def _chain_merge_pass(
     for nid, node in graph.nodes.items():
         if nid in merged_into:
             continue
-        gates = node.gates
         if nid in absorbed_by:
-            gates = gates + graph.nodes[absorbed_by[nid]].gates
-        nodes.append(TaskNode(nid, gates, node.feature))
+            gates = node.gates + graph.nodes[absorbed_by[nid]].gates
+            node = TaskNode(nid, gates, node.feature)
+        nodes.append(node)
     return nodes, merged_into
 
 
@@ -281,29 +281,23 @@ def _level_pack_pass(
             by_level.get(level, ()), key=lambda n: n.node_id
         )
         small = [n for n in members if n.feature.energy_j < threshold_j]
-        new_nodes.extend(
-            TaskNode(n.node_id, n.gates, n.feature)
-            for n in members
-            if n.feature.energy_j >= threshold_j
-        )
+        new_nodes.extend(n for n in members if n.feature.energy_j >= threshold_j)
         small.sort(key=lambda n: n.feature.energy_j, reverse=True)
         sizes = [n.feature.energy_j for n in small]
         for packed in _first_fit(sizes, cap_j):
             host = small[packed[0]]
-            gates = host.gates
             if len(packed) > 1:
                 for i in packed[1:]:
                     absorbed_into[small[i].node_id] = host.node_id
                 gates = tuple(g for i in packed for g in small[i].gates)
-            new_nodes.append(TaskNode(host.node_id, gates, host.feature))
+                host = TaskNode(host.node_id, gates, host.feature)
+            new_nodes.append(host)
     return new_nodes, absorbed_into
 
 
 def _rederived(graph: TaskGraph) -> TaskGraph:
-    """A fresh, costed graph over the same nodes (its own node records)."""
-    return graph.derive(
-        [TaskNode(n.node_id, n.gates, n.feature) for n in graph.nodes.values()], {}
-    )
+    """A fresh, costed graph over the same nodes."""
+    return graph.derive(list(graph.nodes.values()), {})
 
 
 def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
@@ -312,8 +306,8 @@ def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     Alternates same-level bin-packing with chain contractions until the
     smallest node reaches ``min_fraction`` of the largest, nothing below
     the merge threshold remains, or no safe merge exists.  Each merged
-    graph is derived from the previous one: unchanged nodes keep their
-    costing and the adjacency is contracted, not rebuilt.
+    graph is derived from the previous one: it shares the unchanged
+    nodes and contracts the adjacency instead of rebuilding it.
 
     Returns:
         A new checked graph; the input graph is not modified.

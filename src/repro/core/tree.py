@@ -18,7 +18,7 @@ A :class:`TaskGraph` always satisfies two invariants, enforced by
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.feature import FeatureDict
 from repro.circuits.netlist import Netlist
@@ -29,9 +29,16 @@ class TreeError(ValueError):
     """Raised when a task graph violates its invariants."""
 
 
-@dataclass(slots=True)
+#: The record of a node no graph has costed yet.
+_UNCOSTED = FeatureDict()
+
+
+@dataclass(frozen=True, slots=True)
 class TaskNode:
     """One function node: an atomic unit of forward progress.
+
+    Immutable, so a graph derived from another shares every node whose
+    gates and level did not change.
 
     Attributes:
         node_id: unique identifier within the graph.
@@ -41,7 +48,7 @@ class TaskNode:
 
     node_id: str
     gates: tuple[str, ...]
-    feature: FeatureDict = field(default_factory=FeatureDict)
+    feature: FeatureDict = _UNCOSTED
 
     def __post_init__(self) -> None:
         if not self.gates:
@@ -119,9 +126,10 @@ class TaskGraph:
 
         Exact when every node here is a union of ``parent`` nodes: an edge
         ``H1 -> H2`` exists iff some parent edge ``u -> v`` has ``u``
-        inside ``H1`` and ``v`` inside ``H2`` (``H1 != H2``).  A node that
-        absorbed nothing and has no absorbed neighbour keeps its parent's
-        adjacency sets (cached sets are never mutated in place).
+        inside ``H1`` and ``v`` inside ``H2`` (``H1 != H2``).  Only hosts
+        and the neighbours of absorbed nodes are re-contracted; every
+        other node keeps its parent's adjacency sets (cached sets are never
+        mutated in place).
         """
         succ, pred = parent.edges, parent._redges
         assert pred is not None
@@ -129,7 +137,6 @@ class TaskGraph:
         for absorbed, host in absorbed_into.items():
             members[host] = members.get(host, (host,)) + (absorbed,)
         host_of = absorbed_into.get
-        untouched = absorbed_into.keys().isdisjoint
 
         def contract(nid: str, adjacency: dict[str, set[str]]) -> set[str]:
             out: set[str] = set()
@@ -140,16 +147,14 @@ class TaskGraph:
                         out.add(host)
             return out
 
-        edges: dict[str, set[str]] = {}
-        redges: dict[str, set[str]] = {}
-        for nid in self.nodes:
-            if nid in members:
-                edges[nid] = contract(nid, succ)
-                redges[nid] = contract(nid, pred)
-                continue
-            out, into = succ[nid], pred[nid]
-            edges[nid] = out if untouched(out) else contract(nid, succ)
-            redges[nid] = into if untouched(into) else contract(nid, pred)
+        edges, redges = dict(succ), dict(pred)
+        touched = set(members)
+        for absorbed in absorbed_into:
+            touched.update(edges.pop(absorbed), redges.pop(absorbed))
+        touched.difference_update(absorbed_into)
+        for nid in touched:
+            edges[nid] = contract(nid, succ)
+            redges[nid] = contract(nid, pred)
         self._edges, self._redges = edges, redges
 
     @property
@@ -203,12 +208,12 @@ class TaskGraph:
     ) -> "TaskGraph":
         """A new checked, costed graph over ``nodes`` that reuses this one.
 
-        A new node with the id and gate tuple of a node here keeps that
-        node's gate-derived features when this graph is fresh; every other
-        node is re-costed.  Levels are always re-derived.  Every node of
-        the new graph gets a new feature record: a record the caller put
-        on a node is never kept, so a pass may hand over its source
-        node's record instead of building a placeholder.
+        When this graph is fresh, a new node with the id and gate tuple of
+        a node here keeps that node's gate-derived features, and when its
+        re-derived level is unchanged too, the new graph holds this
+        graph's node object itself.  Every other node is re-costed.  The
+        feature record a caller puts on a new node is never kept, so a
+        pass may hand over its source node's record as a placeholder.
 
         Args:
             nodes: the new graph's nodes.
@@ -223,17 +228,13 @@ class TaskGraph:
         """
         graph = TaskGraph(self.netlist, self.report, nodes)
         graph._fanout, graph._outputs = self._fanout, self._outputs
-        carried: set[str] = set()
-        if self._fresh:
-            for nid, node in graph.nodes.items():
-                old = self.nodes.get(nid)
-                if old is not None and old.gates == node.gates:
-                    node.feature = old.feature
-                    carried.add(nid)
         if absorbed_into is not None:
             graph._contract_edges(self, absorbed_into)
+            if not absorbed_into and graph.nodes.keys() == self.nodes.keys():
+                # Same ids and edges: the topological order is this one's.
+                graph._topo_ids = self._topo_ids
         graph.check()
-        graph._refresh_features(carried)
+        graph._refresh_features(self.nodes if self._fresh else {})
         return graph
 
     # -- invariants -----------------------------------------------------------
@@ -311,61 +312,74 @@ class TaskGraph:
         node *membership* must call :meth:`invalidate` first.
         """
         if not self._fresh:
-            self._refresh_features(set())
+            self._refresh_features({})
 
-    def _refresh_features(self, carried: set[str]) -> None:
-        """Re-derive every level; re-cost every node not in ``carried``.
+    def _refresh_features(self, previous: Mapping[str, TaskNode]) -> None:
+        """Re-derive every level; re-cost every node not carried over.
 
         Fan-in, fan-out, energy, delay and gate count depend only on a
-        node's gates, so a ``carried`` node (same id and gates as in the
-        graph it was derived from) keeps them.
+        node's gates, so a node with the id and gates of a node in
+        ``previous`` (a fresh graph's nodes) keeps that node's costs, and
+        is that very node when its level is unchanged too.  Nodes are
+        never mutated: new ones replace old ones in :attr:`nodes`, which
+        keeps their order.
         """
+        nodes = self.nodes
         order = self.topological_nodes()
         redges = self._redges
         assert redges is not None
-        levels: dict[str, int] = {}
-        for node in order:
-            level = 0
-            for p in redges[node.node_id]:
-                if levels[p] > level:
-                    level = levels[p]
-            levels[node.node_id] = level + 1
         gates_of = self.netlist.gates
         fanout = self._netlist_fanout()
         outputs = self._netlist_outputs()
         report = self.report
+        levels: dict[str, int] = {}
         for node in order:
             nid = node.node_id
-            if nid in carried:
-                old = node.feature
-                node.feature = FeatureDict(
-                    fan_in=old.fan_in,
-                    fan_out=old.fan_out,
-                    level=levels[nid],
-                    energy_j=old.energy_j,
-                    delay_s=old.delay_s,
-                    n_gates=old.n_gates,
-                )
+            level = 0
+            for p in redges[nid]:
+                if levels[p] > level:
+                    level = levels[p]
+            level += 1
+            levels[nid] = level
+            old = previous.get(nid)
+            if old is not None and (old is node or old.gates == node.gates):
+                feature = old.feature
+                if feature.level != level:
+                    feature = FeatureDict(
+                        feature.fan_in, feature.fan_out, level,
+                        feature.energy_j, feature.delay_s, feature.n_gates,
+                    )
+                    old = TaskNode(nid, old.gates, feature)
+                if old is not node:
+                    nodes[nid] = old
                 continue
-            inside = set(node.gates)
-            external: set[str] = set()
-            outs = 0
-            for gate in node.gates:
-                for src in gates_of[gate].inputs:
-                    if src not in inside:
-                        external.add(src)
-                if gate in outputs or any(
-                    c not in inside for c in fanout.get(gate, ())
-                ):
-                    outs += 1
-            node.feature = FeatureDict(
-                fan_in=len(external),
-                fan_out=outs,
-                level=levels[nid],
-                energy_j=report.block_energy_j(node.gates),
-                delay_s=report.block_critical_path_s(node.gates),
-                n_gates=len(node.gates),
-            )
+            gates = node.gates
+            if len(gates) == 1:
+                (gate,) = gates
+                inputs = gates_of[gate].inputs
+                fan_in = len(set(inputs)) - (gate in inputs)
+                consumers = fanout.get(gate, ())
+                outs = int(
+                    gate in outputs or consumers.count(gate) != len(consumers)
+                )
+                energy, delay = report.gate_cost(gate)
+            else:
+                inside = set(gates)
+                external: set[str] = set()
+                outs = 0
+                for gate in gates:
+                    for src in gates_of[gate].inputs:
+                        if src not in inside:
+                            external.add(src)
+                    if gate in outputs or any(
+                        c not in inside for c in fanout.get(gate, ())
+                    ):
+                        outs += 1
+                fan_in = len(external)
+                energy = report.block_energy_j(gates)
+                delay = report.block_critical_path_s(gates)
+            feature = FeatureDict(fan_in, outs, level, energy, delay, len(gates))
+            nodes[nid] = TaskNode(nid, gates, feature)
         self._fresh = True
 
     def output_nets(self, node: TaskNode) -> set[str]:

@@ -124,6 +124,7 @@ class SynthesisReport:
         return self._memo(("dyn", block), self._dynamic_energy_j, block)
 
     def _dynamic_energy_j(self, block: tuple[str, ...]) -> float:
+        # gate_cost repeats this (and _block_leakage_w) for one gate.
         total = 0.0
         for net in block:
             cell = self.timing[net]
@@ -187,6 +188,21 @@ class SynthesisReport:
         """Total (dynamic + static) energy of one evaluation of a block."""
         nets = tuple(nets)
         return self.dynamic_energy_j(nets) + self.static_energy_j(nets)
+
+    def gate_cost(self, net: str) -> tuple[float, float]:
+        """``(block_energy_j((net,)), block_critical_path_s((net,)))``.
+
+        The one-gate block's energy and critical path in one step, with
+        the same float expressions as the block methods: a one-gate
+        block's path is the gate's delay, and its leakage term excludes
+        the gate itself as the active one.
+        """
+        cell = self.timing[net]
+        delay = cell.delay_s
+        leak = cell.static_power_w
+        leak -= max(0.0, leak)
+        dynamic = 2.0 * delay * cell.dynamic_power_w * self.activity
+        return dynamic + delay * leak, delay
 
     # -- whole-circuit figures ------------------------------------------------
 

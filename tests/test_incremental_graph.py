@@ -8,6 +8,8 @@ node list with ``check()`` and a full ``recompute_features()``.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.core import build_task_graph, config_for_graph, insert_nvm
@@ -15,6 +17,7 @@ from repro.core.policies import apply_policy
 from repro.core.replacement import live_cut_profile, schedule_order
 from repro.core.tree import TaskGraph, TaskNode, TreeError
 from repro.suite.registry import load_circuit
+from repro.tech.synthesis import synthesize
 
 CIRCUITS = ("s298", "b05", "des")
 FIELDS = ("fan_in", "fan_out", "level", "energy_j", "delay_s", "n_gates")
@@ -113,7 +116,52 @@ def test_unsplit_policy1_keeps_costing(netlists, derived):
     assert result is shaped
     for nid, node in shaped.nodes.items():
         assert node.feature == graph.nodes[nid].feature
-        assert node.feature is not graph.nodes[nid].feature
+        assert node.feature is graph.nodes[nid].feature
+
+
+@pytest.mark.parametrize("granularity", ["gate", "level"])
+@pytest.mark.parametrize("policy", [1, 2, 3])
+@pytest.mark.parametrize("circuit", ["s298", "s838", "b05"])
+def test_derive_shares_unchanged_nodes(derived, circuit, policy, granularity):
+    """Unchanged nodes are the parent's objects; moved ones keep its costs.
+
+    Only s838 at level granularity under policies 2 and 3 moves the
+    level of a node whose gates are unchanged.
+    """
+    graph = build_task_graph(load_circuit(circuit), granularity=granularity)
+    apply_policy(graph, policy, config_for_graph(graph))
+    parent = graph
+    shared = 0
+    for child in derived:
+        for nid, node in child.nodes.items():
+            old = parent.nodes.get(nid)
+            if old is None or old.gates != node.gates:
+                continue
+            if old.feature.level == node.feature.level:
+                assert node is old, nid
+                shared += 1
+            else:
+                assert replace(old.feature, level=node.feature.level) == (
+                    node.feature
+                ), nid
+        assert_matches_rebuild(child)
+        parent = child
+    assert shared > 0
+    node = next(iter(parent.nodes.values()))
+    with pytest.raises(FrozenInstanceError):
+        node.gates = ()
+    with pytest.raises(FrozenInstanceError):
+        node.feature.level = 0
+
+
+@pytest.mark.parametrize("circuit", ["s838", "b05", "des"])
+def test_gate_cost_equals_one_gate_block(circuit):
+    report = synthesize(load_circuit(circuit))
+    for gate in report.netlist.logic_gates:
+        block = (gate.name,)
+        energy, delay = report.gate_cost(gate.name)
+        assert repr(energy) == repr(report.block_energy_j(block)), gate.name
+        assert repr(delay) == repr(report.block_critical_path_s(block)), gate.name
 
 
 def test_derive_checks_partition(netlists):

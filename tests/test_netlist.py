@@ -82,6 +82,38 @@ class TestValidation:
         netlist.add_output("q")
         netlist.validate()  # must not raise
 
+    def test_growth_after_passing_validate_is_checked(self):
+        netlist = build_half_adder()
+        netlist.validate()
+        netlist.validate()  # cached: the netlist did not change
+        netlist.add_gate("g", GateType.NOT, ["missing"])
+        with pytest.raises(NetlistError, match="undriven net"):
+            netlist.validate()
+
+    def test_new_output_after_passing_validate_is_checked(self):
+        netlist = build_half_adder()
+        netlist.validate()
+        netlist.add_output("ghost")
+        with pytest.raises(NetlistError, match="undriven"):
+            netlist.validate()
+
+    def test_replaced_outputs_after_passing_validate_are_checked(self):
+        netlist = build_half_adder()
+        netlist.validate()
+        netlist.outputs = ["sum", "ghost"]
+        with pytest.raises(NetlistError, match="undriven"):
+            netlist.validate()
+
+    def test_pickle_drops_the_validation_stamp(self):
+        import pickle
+
+        netlist = build_half_adder()
+        netlist.validate()
+        assert netlist.num_ffs == 0
+        state = netlist.__getstate__()
+        assert set(state) == {"name", "gates", "outputs"}
+        pickle.loads(pickle.dumps(netlist)).validate()
+
 
 class TestTopologicalOrder:
     def test_order_respects_dependencies(self, s27):
@@ -136,3 +168,13 @@ class TestViewsAndTransforms:
 
     def test_flip_flops_view(self, s27):
         assert {g.name for g in s27.flip_flops} == {"G5", "G6", "G7"}
+
+    def test_flip_flops_cache_tracks_growth_and_is_not_shared(self, s27):
+        netlist = s27.copy()
+        first = netlist.flip_flops
+        first.clear()
+        assert [g.name for g in netlist.flip_flops] == ["G5", "G6", "G7"]
+        assert netlist.flip_flops is not netlist.flip_flops
+        netlist.add_gate("G99", GateType.DFF, ["G5"])
+        assert netlist.num_ffs == 4
+        assert netlist.flip_flops[-1].name == "G99"

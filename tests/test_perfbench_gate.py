@@ -1,7 +1,8 @@
 """Tests for ``tools/perfbench_gate.py``, the CI benchmark regression gate.
 
 The gate runs as CI does, as a subprocess over fabricated perfbench
-output: a ``host`` line, a metric line and the JSON verdict last.
+output: a ``host`` line, a records-digest line, a metric line and the
+JSON verdict last.
 """
 
 from __future__ import annotations
@@ -19,8 +20,13 @@ BASELINE = json.loads((ROOT / "tools" / "perfbench_baseline.json").read_text())
 WORKLOAD = "sweep-scenarios"
 
 
-def fake_run(tmp_path, wall_s, correct=True, last_line=None):
-    """A perfbench output file whose verdict carries ``wall_s``."""
+def fake_run(tmp_path, wall_s, correct=True, last_line=None, digest=None):
+    """A perfbench output file whose verdict carries ``wall_s``.
+
+    ``digest`` defaults to the baseline's; ``""`` leaves the line out.
+    """
+    if digest is None:
+        digest = BASELINE["digest"][WORKLOAD]
     verdict = {
         "correct": correct,
         "attempted": 216,
@@ -32,6 +38,7 @@ def fake_run(tmp_path, wall_s, correct=True, last_line=None):
     }
     lines = [
         'host {"cpu_count": 2, "nproc": 2}',
+        *([f"records digest sha256:{digest}"] if digest else []),
         f"metric wall_s {wall_s:.6g} s (median of 3)",
         last_line if last_line is not None else json.dumps(verdict),
         "",
@@ -51,6 +58,11 @@ def gate(workload, path):
 def test_baseline_covers_every_benchmark_workload():
     workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert sorted(BASELINE["wall_s"]) == sorted(w["name"] for w in workloads)
+    assert sorted(BASELINE["digest"]) == sorted(BASELINE["wall_s"])
+    assert all(
+        len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+        for digest in BASELINE["digest"].values()
+    )
     assert {"commit", "command", "host"} <= set(BASELINE)
 
 
@@ -74,6 +86,20 @@ def test_incorrect_run_fails_even_when_fast(tmp_path):
     completed = gate(WORKLOAD, fake_run(tmp_path, wall_s, correct=False))
     assert completed.returncode == 1
     assert "correct: False" in completed.stderr
+
+
+def test_digest_mismatch_fails_even_when_fast(tmp_path):
+    wall_s = BASELINE["wall_s"][WORKLOAD] * 0.5
+    other = "0" * 64
+    completed = gate(WORKLOAD, fake_run(tmp_path, wall_s, digest=other))
+    assert completed.returncode == 1
+    assert f"FAIL {WORKLOAD} records digest {other}" in completed.stderr
+
+
+def test_missing_digest_line_fails(tmp_path):
+    completed = gate(WORKLOAD, fake_run(tmp_path, 0.1, digest=""))
+    assert completed.returncode == 2
+    assert "records digest" in completed.stderr
 
 
 def test_workload_without_baseline_fails(tmp_path):
