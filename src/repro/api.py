@@ -44,12 +44,8 @@ from repro.dse.store import (
 )
 from repro.energy.scenarios import ScenarioSpec, resolve_scenario
 from repro.evaluation import evaluate_design
-from repro.service import (
-    LeaseQueue,
-    SweepCoordinator,
-    SweepViewServer,
-    run_worker,
-)
+from repro.service import LeaseQueue, SweepCoordinator, run_worker
+from repro.service.view import SweepViewServer
 from repro.suite import load_circuit
 
 __all__ = [

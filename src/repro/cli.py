@@ -252,10 +252,12 @@ def _resilience_config(max_attempts: int, batch_timeout, fault_plan):
 
 
 def _validate_sweep_config(merged: dict) -> None:
-    """Residual checks whose messages name the flags users typed."""
-    execution, store_cfg = merged["execution"], merged["store"]
-    if execution["workers"] < 1:
-        raise SystemExit("error: --workers must be >= 1")
+    """Residual checks whose messages name the flags users typed.
+
+    Shared by ``sweep`` and ``coordinator``, and run before the request
+    is built so these messages win over the request's own.
+    """
+    store_cfg = merged["store"]
     if store_cfg["resume"] and not store_cfg["results"]:
         raise SystemExit("error: --resume requires --results")
     if merged["search"]["samples"] < 1:
@@ -274,9 +276,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.dump_config:
         print(dump_config(merged), end="")
         return 0
+    execution, store_cfg = merged["execution"], merged["store"]
+    if execution["workers"] < 1:
+        raise SystemExit("error: --workers must be >= 1")
     _validate_sweep_config(merged)
     request = _request_from_merged(merged)
-    execution, store_cfg = merged["execution"], merged["store"]
     netlists = {
         name: _resolve_netlist(name) for name in request.spec.circuits
     }
@@ -304,11 +308,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         result = engine.submit(request, netlists=netlists)
     except ValueError as error:
         raise SystemExit(f"error: {error}") from None
-    return _report_sweep(result, request, args.robustness_top)
+    return _report_sweep(
+        result, request, args.robustness_top,
+        in_process=execution["workers"] == 1,
+    )
 
 
-def _report_sweep(result, request, robustness_top: int) -> int:
-    """Render one sweep result; shared by ``sweep`` and ``coordinator``."""
+def _report_sweep(
+    result, request, robustness_top: int, in_process: bool
+) -> int:
+    """Render one sweep result; shared by ``sweep`` and ``coordinator``.
+
+    ``in_process`` says every batch ran in this process, so the
+    synthesis count covers all of them; otherwise worker processes
+    synthesized stages this process never sees, and only the batch
+    count is reported.
+    """
     from repro.metrics import format_robustness
 
     spec = request.spec
@@ -387,22 +402,21 @@ def _report_sweep(result, request, robustness_top: int) -> int:
         else ""
     )
     pruned = f"{stats.n_pruned} pruned, " if stats.n_pruned else ""
+    synthesis = (
+        f"{stats.synthesize_calls} synthesis runs over " if in_process
+        else ""
+    )
     print(
         f"{search}{stats.n_points} points ({stats.n_resumed} resumed, "
         f"{pruned}{stats.n_failed} failed) in "
         f"{stats.wall_s:.2f} s with {stats.workers} worker(s); "
-        f"{stats.synthesize_calls} synthesis runs over "
-        f"{stats.n_batches} batches"
+        f"{synthesis}{stats.n_batches} batches"
     )
     recovery = []
     if stats.n_retries:
         recovery.append(f"{stats.n_retries} retries")
     if stats.n_timeouts:
-        recovery.append(f"{stats.n_timeouts} batch timeouts")
-    if stats.n_pool_rebuilds:
-        recovery.append(f"{stats.n_pool_rebuilds} pool rebuilds")
-    if stats.degraded_to_serial:
-        recovery.append("degraded to serial")
+        recovery.append(f"{stats.n_timeouts} lease timeouts")
     if recovery:
         print(f"recovery: {', '.join(recovery)}")
     return 1 if result.failures and not result.records else 0
@@ -444,19 +458,19 @@ def cmd_coordinator(args: argparse.Namespace) -> int:
     if args.dump_config:
         print(dump_config(merged), end="")
         return 0
-    request = _request_from_merged(merged)
     store_cfg, execution = merged["store"], merged["execution"]
+    if execution["batch_timeout"] is not None:
+        raise SystemExit(
+            "error: execution.batch_timeout applies to 'sweep' only; the "
+            "coordinator's lease deadline is --lease-timeout"
+        )
+    _validate_sweep_config(merged)
     if not store_cfg["results"]:
         raise SystemExit(
             "error: the coordinator requires --results (a SQLite store "
             "shared with the workers)"
         )
-    if merged["search"]["samples"] < 1:
-        raise SystemExit("error: --samples must be >= 1")
-    if merged["search"]["generations"] < 1:
-        raise SystemExit("error: --generations must be >= 1")
-    if store_cfg["fsync_every"] < 0:
-        raise SystemExit("error: --fsync-every must be >= 0")
+    request = _request_from_merged(merged)
     circuits = request.spec.circuits
     netlists = {name: _resolve_netlist(name) for name in circuits}
     sources = {
@@ -466,7 +480,7 @@ def cmd_coordinator(args: argparse.Namespace) -> int:
     }
     fault_plan = _parse_fault_plan(args)
     resilience = _resilience_config(
-        execution["max_attempts"], execution["batch_timeout"], fault_plan
+        execution["max_attempts"], None, fault_plan
     )
     try:
         coordinator = SweepCoordinator(
@@ -490,13 +504,15 @@ def cmd_coordinator(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise SystemExit(f"error: {error}") from None
-    return _report_sweep(result, request, args.robustness_top)
+    return _report_sweep(
+        result, request, args.robustness_top, in_process=False
+    )
 
 
 def cmd_view(args: argparse.Namespace) -> int:
     import sqlite3
 
-    from repro.service import SweepViewServer
+    from repro.service.view import SweepViewServer
 
     queue_path = args.queue
     if queue_path is None and Path(args.store).exists():
@@ -875,15 +891,16 @@ def _add_sweep_config_args(
             "--workers", type=int, default=None,
             help="worker processes (default: 1 = serial)",
         )
+        execution.add_argument(
+            "--batch-timeout", type=float, default=None, metavar="SECONDS",
+            help="with --workers > 1, the deadline of each stage lease: a "
+            "worker still holding it is killed and replaced, and the "
+            "lease retried (default: no deadline)",
+        )
     execution.add_argument(
         "--max-attempts", type=int, default=None, metavar="N",
         help="evaluation attempts per task before a transient failure "
         "becomes permanent (1 disables retries; default: 3)",
-    )
-    execution.add_argument(
-        "--batch-timeout", type=float, default=None, metavar="SECONDS",
-        help="deadline per parallel batch; overdue batches are "
-        "resubmitted to a rebuilt worker pool (default: no deadline)",
     )
     store = p.add_argument_group("result store", "persistence and resume")
     store.add_argument(
@@ -979,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--spawn-workers", type=int, default=2, metavar="N",
-        help="worker processes to spawn (0 = rely on external "
+        help="local worker processes to fork (0 = rely on external "
         "'repro worker' processes pointed at the same queue)",
     )
     service.add_argument(
@@ -988,8 +1005,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--lease-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="lease lifetime before a silent worker is presumed dead; "
-        "must exceed the worst-case wall time of one lease",
+        help="lease lifetime before a silent worker is presumed dead "
+        "(a local one still running is killed); must exceed the "
+        "worst-case wall time of one lease",
     )
     service.add_argument(
         "--poll", type=float, default=0.2, metavar="SECONDS",
@@ -997,7 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--max-respawns", type=int, default=4, metavar="N",
-        help="replacement workers allowed after crashes",
+        help="replacement local workers allowed after crashes and "
+        "lease-deadline kills",
     )
     service.add_argument(
         "--http", type=int, default=None, metavar="PORT",

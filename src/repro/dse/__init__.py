@@ -32,7 +32,6 @@ from repro.dse.request import (
     request_to_config,
 )
 from repro.dse.resilience import (
-    PoolSupervisor,
     ResilienceConfig,
     RetryPolicy,
     TransientEvalError,
@@ -78,7 +77,6 @@ __all__ = [
     "GroupAggregate",
     "JsonlResultStore",
     "ParetoEvolutionStrategy",
-    "PoolSupervisor",
     "Proposal",
     "RandomStrategy",
     "Range",

@@ -3,49 +3,50 @@
 The paper frames DIAC as a design-exploration methodology whose space
 "exponentially expands" with designs, policies and power-failure
 scenarios.  :meth:`SweepEngine.submit` runs one
-:class:`~repro.dse.request.SweepRequest` in this process or over a
-local process pool.  *What* to evaluate — expansion, resume, pruning,
+:class:`~repro.dse.request.SweepRequest` in this process or on local
+worker processes.  *What* to evaluate — expansion, resume, pruning,
 dedup, ask/tell and result assembly — is decided by
 :mod:`repro.dse.planner`, which the queue-backed
 :class:`repro.service.SweepCoordinator` shares; this module decides
-*how*, in one stage-batch loop:
+*how*:
 
 * **batching** — evaluation tasks are grouped by synthesis-stage key
   (circuit x policy), so every batch shares one
   characterization/tree/policy run via
   :class:`~repro.dse.explorer.SynthesisCache`;
-* **one loop, two executors** — with one worker each batch runs inline
-  in this process on the submission's cache map (which the static
-  screen and pruning share); with more, batches fan out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  At most ``workers``
-  batches are outstanding either way, and point evaluation is pure, so
-  both give identical records;
+* **one parallel path** — with one worker each batch runs inline in
+  this process on the submission's cache map (which the static screen
+  and pruning share); with more, the engine runs the coordinator's
+  executor (:meth:`repro.service.SweepCoordinator.session`) on a
+  private queue file, whose forked workers take one whole stage per
+  lease.  Point evaluation is pure, so both give identical records;
 * **streaming** — records stream to any
   :class:`~repro.dse.store.ResultStore` backend (JSONL or SQLite/WAL)
   as batches complete, so a killed run loses at most its in-flight
   batches and resumes from the store;
 * **fault tolerance** — execution runs under
   :class:`~repro.dse.resilience.ResilienceConfig`: transient failures
-  (worker crashes, broken pools, injected chaos) retry with seeded
-  backoff, overdue pool batches resubmit to fresh workers, dead pools
-  are rebuilt, and after ``max_pool_deaths`` consecutive deaths the
-  loop swaps in the inline executor and carries on, every task keeping
-  its attempt count.  Deterministic evaluation errors fail fast into a
-  single :class:`SweepFailure`; *any* other exception becomes a
-  recorded failure too, never a destroyed sweep (see
+  (worker crashes, injected chaos) retry with seeded backoff; on the
+  parallel path a dead worker's lease is released at once, a worker
+  past ``batch_timeout_s`` is killed, both are replaced within a
+  budget, and once none is left this process drains the rest, every
+  task keeping its attempt count.  Deterministic evaluation errors fail
+  fast into a single :class:`SweepFailure`; *any* other exception
+  becomes a recorded failure too, never a destroyed sweep (see
   ``docs/robustness.md``).
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
 import time
-from collections import deque
-from collections.abc import Callable
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
+from collections.abc import Iterator
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from numbers import Real
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.circuits.netlist import Netlist
@@ -61,8 +62,6 @@ from repro.dse.explorer import (
 from repro.dse.faults import FaultPlan, key_text
 from repro.dse.pareto import record_front
 from repro.dse.resilience import (
-    TRANSIENT,
-    PoolSupervisor,
     ResilienceConfig,
     check_count,
     classify,
@@ -73,6 +72,7 @@ from repro.energy.scenarios import ScenarioSpec
 from repro.tech.nvm import MRAM, NvmTechnology, get_technology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dse.planner import Execute
     from repro.dse.request import SweepRequest
 
 #: A task key: ``(circuit, *scenario.identity(), *point.identity())`` —
@@ -322,10 +322,12 @@ class SweepStats:
             (searches count screening-fidelity evaluations too; the
             result's ``failures`` list covers only requested
             scenarios).
-        n_batches: synthesis-stage groups fanned out.
+        n_batches: synthesis-stage groups evaluated (enqueued, on the
+            parallel path).
         n_generations: strategy generations driven (0 for a grid).
-        synthesize_calls: circuit characterizations the submission
-            performed — static screening and pruning included.
+        synthesize_calls: circuit characterizations performed in this
+            process — static screening and pruning included; stages
+            that worker processes synthesized are not counted.
         workers: process count used (1 == inline, in-process).
         wall_s: wall-clock duration of the run.
         n_pruned: points the static analysis proved infeasible and
@@ -333,12 +335,8 @@ class SweepStats:
             each appears in ``failures`` with ``kind="pruned"``).
         n_retries: task re-evaluations scheduled after transient
             failures (each retry of one task counts once).
-        n_timeouts: batches that overran their deadline and were
-            resubmitted to fresh workers.
-        n_pool_rebuilds: worker pools rebuilt after a death or
-            deadline overrun.
-        degraded_to_serial: whether consecutive pool deaths forced the
-            rest of the run onto the inline (in-process) executor.
+        n_timeouts: workers killed for holding a lease past its
+            deadline (the lease went back to the queue).
     """
 
     n_points: int = 0
@@ -353,8 +351,6 @@ class SweepStats:
     wall_s: float = 0.0
     n_retries: int = 0
     n_timeouts: int = 0
-    n_pool_rebuilds: int = 0
-    degraded_to_serial: bool = False
 
     @property
     def cache_hit_ratio(self) -> float:
@@ -364,7 +360,8 @@ class SweepStats:
         characterization when cold; every one the caches absorbed beyond
         the actual ``synthesize_calls`` was a hit.  0.0 on a fully cold
         run, approaching 1.0 when a long-lived cache (generational search,
-        warm explorer) serves every stage.
+        warm explorer) serves every stage.  Only meaningful when the
+        batches ran in this process.
         """
         if self.n_batches <= 0:
             return 0.0
@@ -487,21 +484,12 @@ class SweepResult:
 
 
 #: Worker-process-global synthesis caches, keyed by the sweep's circuit
-#: name.  Pool workers and service workers (``repro worker``) keep every
-#: stage they synthesized warm for the later batches and leases they
-#: run, so a search's generation N reuses the stages of generation 1.
-#: The pool initializer clears it; the engine's own process never uses
-#: it (its inline batches run on the submission's cache map).
+#: name.  Service workers (forked or ``repro worker``) keep every stage
+#: they synthesized warm for the later leases they run, so a search's
+#: generation N reuses the stages of generation 1.  A forked worker
+#: clears it first; the engine's own process never uses it (its inline
+#: batches run on the submission's cache map).
 _PROCESS_CACHES: dict[str, SynthesisCache] = {}
-
-
-def _reset_process_caches() -> None:
-    """Pool initializer: every worker starts with cold caches.
-
-    A forked worker would otherwise inherit whatever its parent left
-    in :data:`_PROCESS_CACHES`.
-    """
-    _PROCESS_CACHES.clear()
 
 
 def _evaluate_batch(
@@ -516,9 +504,9 @@ def _evaluate_batch(
     int,
     list[tuple[_TaskKey, SweepFailure]],
 ]:
-    """Evaluate one synthesis-stage group: the engine's only evaluator.
+    """Evaluate one synthesis-stage group: the only evaluator.
 
-    Module-level so :class:`ProcessPoolExecutor` can pickle it; returns
+    Shared by the inline engine and every service worker; returns
     keyed records, the number of ``synthesize`` calls the batch cost
     (at most one when the grouping works — scenarios share the stage,
     since the environment never changes the synthesized design), and any
@@ -526,11 +514,12 @@ def _evaluate_batch(
     netlist, which wins over ``netlist.name`` so resume keys stay stable
     for file-loaded circuits.
 
-    ``caches`` is the submission's circuit -> cache map when the batch
-    runs inline in the engine's own process; injected crash faults then
-    raise :class:`~repro.dse.resilience.WorkerCrashError` instead of
-    exiting.  Without it (a pool or service worker) the batch uses
-    :data:`_PROCESS_CACHES`, and a crash fault kills the process.
+    ``caches`` is the submitter's circuit -> cache map when the batch
+    runs in the submitting process (the inline engine, or a drain once
+    every worker is gone); injected crash faults then raise
+    :class:`~repro.dse.resilience.WorkerCrashError` instead of exiting.
+    Without it (a service worker) the batch uses :data:`_PROCESS_CACHES`,
+    and a crash fault kills the process.
 
     Every per-job exception — deterministic, transient, or a genuine
     bug — becomes a classified :class:`SweepFailure` so one bad point
@@ -574,28 +563,26 @@ def _evaluate_batch(
     return records, cache.synthesize_calls - calls_before, failures
 
 
-def _submit_inline(fn: Callable, /, *args) -> Future:
-    """The inline executor: run ``fn(*args)`` now, return its future.
+#: Supervision poll of the engine's parallel path.
+_FLEET_POLL_S = 0.01
 
-    Used with one worker and after degrading, so the stage-batch loop
-    handles an in-process batch exactly like a pool's completed one.
-    """
-    future: Future = Future()
-    try:
-        future.set_result(fn(*args))
-    except Exception as error:
-        future.set_exception(error)
-    return future
+#: A lease size no stage reaches: every lease is one whole stage, so one
+#: lease is one synthesis run.
+_WHOLE_STAGE = 1 << 30
+
+#: The lease lifetime standing in for "no deadline" (one year).
+_NO_DEADLINE_S = 365 * 86400.0
 
 
 class SweepEngine:
-    """Executes sweeps in-process or across local worker processes.
+    """Executes sweeps in-process or on local worker processes.
 
     Args:
-        workers: batches outstanding at once; 1 (default) runs each
-            stage batch inline in this process on the submission's
-            synthesis caches, >1 fans batches out over a process pool
-            of that size.
+        workers: 1 (default) runs each stage batch inline in this
+            process on the submission's synthesis caches; more runs
+            :meth:`repro.service.SweepCoordinator.session` with that
+            many forked workers on a private temporary queue file, one
+            whole stage per lease.
         base_config: synthesis defaults shared by every point.
         store: optional streaming result store (any
             :class:`~repro.dse.store.ResultStore` backend); when given,
@@ -603,9 +590,10 @@ class SweepEngine:
             ``resume=True`` request skips points the store already
             holds — via the store's indexed ``keys()``, never a full
             ``load()``.
-        resilience: retry/timeout/pool-rebuild configuration (default:
-            the default :class:`~repro.dse.resilience.RetryPolicy`, no
-            batch deadlines).
+        resilience: retry/deadline configuration (default: the default
+            :class:`~repro.dse.resilience.RetryPolicy`, no deadlines);
+            ``batch_timeout_s`` is the lease deadline of the parallel
+            path.
     """
 
     def __init__(
@@ -657,22 +645,23 @@ class SweepEngine:
 
         netlists = load_netlists(request.spec.circuits, dict(netlists or {}))
         stats = SweepStats(workers=self.workers)
-        # One synthesis-cache map and one pool per submission: the static
-        # screen, pruning and every inline batch share the map, so each
-        # stage is characterized once in this process, and a pool that
-        # died mid-generation is already rebuilt for the next.
+        # One synthesis-cache map per submission: the static screen,
+        # pruning and every in-process batch share it, so each stage is
+        # characterized once in this process.
         caches: dict[str, SynthesisCache] = {}
-        supervisor = PoolSupervisor(
-            self.workers, initializer=_reset_process_caches
-        )
-        execute = partial(
-            self._execute_tasks,
-            netlists=netlists,
-            stats=stats,
-            caches=caches,
-            supervisor=supervisor,
-        )
-        try:
+        session: AbstractContextManager[Execute]
+        if self.workers == 1:
+            session = nullcontext(
+                partial(
+                    self._execute_tasks,
+                    netlists=netlists,
+                    stats=stats,
+                    caches=caches,
+                )
+            )
+        else:
+            session = self._fleet(stats, netlists, caches)
+        with session as execute:
             return plan_and_run(
                 request,
                 execute,
@@ -682,18 +671,56 @@ class SweepEngine:
                 netlists=netlists,
                 caches=caches,
             )
-        finally:
-            supervisor.shutdown()
+
+    @contextmanager
+    def _fleet(
+        self,
+        stats: SweepStats,
+        netlists: dict[str, Netlist],
+        caches: dict[str, SynthesisCache],
+    ) -> Iterator[Execute]:
+        """The parallel executor: a coordinator session on a private file.
+
+        Planning stays here, so strategy instances and in-memory
+        netlists work unchanged: the workers are forked and inherit
+        them.  Each poll commits the records finished since the last
+        one to :attr:`store`, whatever its backend.
+        """
+        from repro.dse.sqlite_store import SqliteResultStore
+        from repro.service.coordinator import SweepCoordinator
+
+        cfg = self.resilience
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
+            path = Path(tmp) / "fleet.sqlite"
+            coordinator = SweepCoordinator(
+                path,
+                workers=self.workers,
+                lease_size=_WHOLE_STAGE,
+                lease_timeout_s=cfg.batch_timeout_s or _NO_DEADLINE_S,
+                poll_s=_FLEET_POLL_S,
+                resilience=cfg,
+                base_config=self.base_config,
+                store_backend="sqlite",
+            )
+            store = SqliteResultStore(path)
+            try:
+                with coordinator.session(
+                    stats, store, netlists=netlists, caches=caches,
+                    commit=self._commit,
+                ) as execute:
+                    yield execute
+            finally:
+                store.close()
 
     def _commit(
         self,
         keyed_records: list[tuple[_TaskKey, ExplorationRecord]],
     ) -> None:
-        """Persist one completed batch to the store, if there is one.
+        """Persist finished records to the store, if there is one.
 
-        The single exit point for produced records: every batch hands
-        its completions here as it finishes, so a killed run loses at
-        most its in-flight batches.
+        The single exit point for produced records: every batch (or
+        poll of the parallel path) hands its completions here as it
+        finishes, so a killed run loses at most its in-flight batches.
         """
         if not keyed_records or self.store is None:
             return
@@ -702,64 +729,28 @@ class SweepEngine:
         else:
             self.store.extend([r for _k, r in keyed_records])
 
-    @staticmethod
-    def _fail_batch(
-        circuit: str,
-        jobs: list[tuple[_TaskKey, ScenarioSpec, DesignPoint]],
-        failures: dict[_TaskKey, SweepFailure],
-        error: BaseException | None = None,
-        message: str | None = None,
-        kind: str | None = None,
-        attempts: int = 1,
-    ) -> None:
-        """Record one failure per job of a batch that died as a whole."""
-        if error is not None:
-            message = describe_error(error)
-            kind = classify(error)
-        for key, scenario, point in jobs:
-            failures[key] = SweepFailure(
-                circuit=circuit,
-                label=point.label(),
-                error=message or "batch failed",
-                scenario=scenario.label(),
-                kind=kind or TRANSIENT,
-                attempts=attempts,
-            )
-
     def _execute_tasks(
         self,
         tasks: list[_Task],
         netlists: dict[str, Netlist],
         stats: SweepStats,
         caches: dict[str, SynthesisCache],
-        supervisor: PoolSupervisor,
     ) -> tuple[
         dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]
     ]:
-        """Evaluate pending tasks, stream to the store, update ``stats``.
+        """Evaluate pending tasks inline, commit them, update ``stats``.
 
-        The planner's executor for :meth:`submit` and the engine's one
-        evaluation loop.  Tasks are grouped by synthesis stage (circuit
-        x policy), so each batch shares one characterization/tree/policy
-        run; scenarios ride in the same batch because they never change
-        the synthesized design.  Batches run inline on ``caches`` with
-        one worker (or after degrading), else on the supervisor's pool;
-        at most ``workers`` are outstanding, so records reach the store
-        batch by batch and a pool batch's deadline starts when a worker
-        is free to take it.
-
-        The loop keeps three collections: ``ready`` batches to dispatch,
-        ``delayed`` single-task retry batches waiting out their backoff,
-        and ``in_flight`` futures with their deadlines.  A batch's
-        attempt number is the attempt of every task in it.
-        Worker-reported transient failures reschedule the *task* (with
-        backoff); a broken pool or an overdue batch reschedules the
-        *batch* onto a rebuilt pool; after ``max_pool_deaths``
-        consecutive deaths the inline executor takes over the rest of
-        the run, attempt counts intact.
+        The planner's executor for a one-worker :meth:`submit`.  Tasks
+        are grouped by synthesis stage (circuit x policy), so each batch
+        shares one characterization/tree/policy run on ``caches``;
+        scenarios ride in the same batch because they never change the
+        synthesized design.  Each batch is evaluated and committed in
+        turn.  A transient failure is retried as a single-job batch once
+        its seeded backoff has passed, the batches still waiting running
+        first; a batch's attempt number is the attempt of every task in
+        it.
         """
-        cfg = self.resilience
-        policy = cfg.retry
+        policy = self.resilience.retry
         groups: dict[
             tuple[str, int],
             list[tuple[_TaskKey, ScenarioSpec, DesignPoint]],
@@ -771,159 +762,34 @@ class SweepEngine:
         stats.n_batches += len(groups)
         fresh: dict[_TaskKey, ExplorationRecord] = {}
         failures: dict[_TaskKey, SweepFailure] = {}
-        # (group key, jobs, attempt) triples ready to dispatch.
-        ready: deque = deque((gk, jobs, 1) for gk, jobs in groups.items())
-        # (not-before monotonic time, group key, jobs, attempt).
-        delayed: list[tuple[float, tuple[str, int], list, int]] = []
-        in_flight: dict = {}
-
-        def dispatch(gk: tuple[str, int], jobs: list, attempt: int) -> None:
-            circuit = gk[0]
-            args = (
+        # (not-before monotonic time, circuit, jobs, attempt).
+        batches = [
+            (0.0, circuit, jobs, 1) for (circuit, _p), jobs in groups.items()
+        ]
+        while batches:
+            # The earliest due batch; first attempts (due at 0) in order.
+            index = min(range(len(batches)), key=lambda i: batches[i][0])
+            not_before, circuit, jobs, attempt = batches.pop(index)
+            wait = not_before - time.monotonic()
+            if wait > 0:
+                time.sleep(wait)
+            records, synth_calls, batch_failures = _evaluate_batch(
                 circuit, netlists[circuit], jobs, self.base_config,
-                cfg.fault_plan,
+                self.resilience.fault_plan, caches,
             )
-            deadline = None
-            if self.workers == 1 or stats.degraded_to_serial:
-                future = _submit_inline(_evaluate_batch, *args, caches)
-            else:
-                future = supervisor.pool.submit(_evaluate_batch, *args)
-                if cfg.batch_timeout_s is not None:
-                    deadline = time.monotonic() + cfg.batch_timeout_s
-            in_flight[future] = (gk, jobs, attempt, deadline)
-
-        def handle_success(gk, jobs, attempt, batch) -> None:
-            records, synth_calls, batch_failures = batch
             stats.synthesize_calls += synth_calls
-            for key, record in records:
-                fresh[key] = record
+            fresh.update(records)
             self._commit(records)
-            now = time.monotonic()
             for key, failure in batch_failures:
                 delay = policy.retry_delay_s(failure.kind, attempt, key_text(key))
                 if delay is None:
                     failures[key] = replace(failure, attempts=attempt)
                     continue
-                # Retry just this task, after its seeded backoff, as a
-                # single-job batch in the same stage group.
                 stats.n_retries += 1
                 job = next(j for j in jobs if j[0] == key)
-                delayed.append((now + delay, gk, [job], attempt + 1))
-
-        def requeue_or_fail(gk, jobs, attempt, message) -> None:
-            if attempt >= policy.max_attempts:
-                self._fail_batch(
-                    gk[0], jobs, failures,
-                    message=message, kind=TRANSIENT, attempts=attempt,
+                batches.append(
+                    (time.monotonic() + delay, circuit, [job], attempt + 1)
                 )
-            else:
-                ready.append((gk, jobs, attempt + 1))
-
-        while ready or delayed or in_flight:
-            now = time.monotonic()
-            if delayed:
-                due = [item for item in delayed if item[0] <= now]
-                delayed = [item for item in delayed if item[0] > now]
-                for _t, gk, jobs, attempt in due:
-                    ready.append((gk, jobs, attempt))
-            pool_died = False
-            while ready and len(in_flight) < self.workers:
-                gk, jobs, attempt = ready.popleft()
-                try:
-                    dispatch(gk, jobs, attempt)
-                except BrokenExecutor:
-                    # The pool died between batches; put the work back
-                    # and fall through to the shared death handling.
-                    ready.appendleft((gk, jobs, attempt))
-                    pool_died = True
-                    break
-            if in_flight and not pool_died:
-                timeout = self._wait_timeout(in_flight, delayed)
-                done, _pending = wait(
-                    set(in_flight), timeout=timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    gk, jobs, attempt, _deadline = in_flight.pop(future)
-                    try:
-                        batch = future.result()
-                    except BrokenExecutor:
-                        pool_died = True
-                        requeue_or_fail(
-                            gk, jobs, attempt,
-                            "worker process died evaluating this batch",
-                        )
-                    except Exception as error:
-                        # The batch runner itself blew up: classify and
-                        # record, never propagate.
-                        self._fail_batch(
-                            gk[0], jobs, failures,
-                            error=error, attempts=attempt,
-                        )
-                    else:
-                        supervisor.note_success()
-                        handle_success(gk, jobs, attempt, batch)
-                # Straggler sweep: any batch past its deadline is
-                # resubmitted to fresh workers (the hung worker still
-                # occupies a slot, so the pool must be rebuilt).
-                now = time.monotonic()
-                overdue = [
-                    future
-                    for future, (_gk, _j, _a, deadline) in in_flight.items()
-                    if deadline is not None and deadline <= now
-                ]
-                for future in overdue:
-                    gk, jobs, attempt, _deadline = in_flight.pop(future)
-                    stats.n_timeouts += 1
-                    pool_died = True
-                    requeue_or_fail(
-                        gk, jobs, attempt,
-                        f"batch exceeded its {cfg.batch_timeout_s:g}s "
-                        "deadline",
-                    )
-            elif not in_flight and delayed:
-                # Nothing running, nothing ready: sleep out the nearest
-                # backoff window.
-                time.sleep(
-                    max(0.0, min(t for t, *_rest in delayed) - now)
-                )
-            if pool_died:
-                supervisor.note_death()
-                # Whatever else was in flight rode the same pool;
-                # requeue it at the same attempt (it did not fail on
-                # its own merits).
-                for gk, jobs, attempt, _deadline in in_flight.values():
-                    ready.append((gk, jobs, attempt))
-                in_flight.clear()
-                supervisor.shutdown()
-                if supervisor.should_degrade(cfg.max_pool_deaths):
-                    # The parallel ladder is exhausted: the rest of the
-                    # run goes inline, where crash faults raise instead
-                    # of exiting.
-                    stats.degraded_to_serial = True
-                else:
-                    # The next dispatch builds the fresh pool.
-                    stats.n_pool_rebuilds += 1
-
         stats.n_evaluated += len(fresh)
         stats.n_failed += len(failures)
         return fresh, failures
-
-    @staticmethod
-    def _wait_timeout(in_flight: dict, delayed: list) -> float | None:
-        """How long the event loop may block in ``wait``.
-
-        Bounded by the nearest batch deadline and the nearest retry
-        wake-up; ``None`` (block until a batch finishes) when neither
-        exists.
-        """
-        now = time.monotonic()
-        bounds = [
-            deadline - now
-            for _gk, _jobs, _attempt, deadline in in_flight.values()
-            if deadline is not None
-        ]
-        bounds.extend(t - now for t, *_rest in delayed)
-        if not bounds:
-            return None
-        return max(0.0, min(bounds))

@@ -1,12 +1,12 @@
-"""Fault-tolerant sweep execution: taxonomy, retries, pool supervision.
+"""Fault-tolerant sweep execution: taxonomy, retries, configuration.
 
 The paper's whole premise is computation that survives arbitrary power
 failures; this module gives the sweep engine the same property at the
 process level.  A long multi-circuit, multi-scenario sweep must not die
 because one worker was OOM-killed, one batch hung, or one evaluation hit
 a transient hiccup — in the spirit of DiCA-style checkpointing, the
-sweep checkpoints (the JSONL store) and the execution layer restores
-cheaply (retry, pool rebuild, inline degradation).
+sweep checkpoints (the result store) and the execution layer restores
+cheaply (retry, lease release and respawn, in-process drain).
 
 Three pieces live here:
 
@@ -14,28 +14,24 @@ Three pieces live here:
   classified as *terminal* (deterministic evaluation errors: an
   infeasible margin, a trace too weak for the configuration — retrying
   cannot help, fail fast exactly once), *transient* (worker crashes,
-  broken pools, injected chaos — retrying usually helps), or
-  *unexpected* (anything else — recorded, never retried, never allowed
-  to destroy the sweep's in-memory results);
+  injected chaos — retrying usually helps), or *unexpected* (anything
+  else — recorded, never retried, never allowed to destroy the sweep's
+  in-memory results);
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   *deterministic seeded jitter*, so two runs of the same seeded plan
   wait the same milliseconds;
-* :class:`PoolSupervisor` — owns the :class:`ProcessPoolExecutor`,
-  rebuilds it after a death (terminating any hung workers), and tracks
-  consecutive deaths so the engine can degrade to inline execution
-  instead of thrashing a pool that keeps dying.
+* :class:`ResilienceConfig` — the retry policy, the lease deadline of
+  the engine's parallel path and the chaos plan of one run.
 
-See ``docs/robustness.md`` for the full degradation ladder and
-semantics.
+The worker fleet that applies them lives in
+:mod:`repro.service.coordinator`.  See ``docs/robustness.md`` for the
+full recovery ladder and semantics.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
-from collections.abc import Callable
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -59,8 +55,8 @@ class WorkerCrashError(TransientEvalError):
 
     Raised by the fault harness when a crash fault fires somewhere a
     real ``os._exit`` would take the whole sweep down (inline,
-    in-process execution); classified transient like the genuine
-    :class:`~concurrent.futures.BrokenExecutor` it stands in for.
+    in-process execution); classified transient like the worker death
+    it stands in for.
     """
 
 
@@ -72,11 +68,10 @@ TERMINAL_ERRORS: tuple[type[BaseException], ...] = (
     TraceTooWeakError,
 )
 
-#: Errors worth retrying: injected/derived transients, worker and pool
-#: deaths, OOM kills and pickling/IPC hiccups.
+#: Errors worth retrying: injected/derived transients, simulated worker
+#: deaths, OOM kills and IPC hiccups.
 TRANSIENT_ERRORS: tuple[type[BaseException], ...] = (
     TransientEvalError,
-    BrokenExecutor,
     MemoryError,
     ConnectionError,
     EOFError,
@@ -87,8 +82,8 @@ def classify(error: BaseException) -> str:
     """Map an exception to its failure kind.
 
     Transient wins over terminal (``TransientEvalError`` subclasses
-    ``RuntimeError``, and a broken pool must never be mistaken for a bad
-    design point); anything matching neither tuple is ``unexpected``.
+    ``RuntimeError``, and a worker death must never be mistaken for a
+    bad design point); anything matching neither tuple is ``unexpected``.
     """
     if isinstance(error, TRANSIENT_ERRORS):
         return TRANSIENT
@@ -145,8 +140,8 @@ class RetryPolicy:
     """Bounded retries with deterministic exponential backoff.
 
     Attributes:
-        max_attempts: total tries per task (1 == never retry).  Batch
-            resubmissions after a pool death share the same bound.
+        max_attempts: total tries per task (1 == never retry).  Leases
+            lost to a worker death or deadline share the same bound.
         backoff_base_s: wait before the second attempt.
         backoff_factor: multiplier per further attempt.
         backoff_max_s: backoff ceiling.
@@ -210,87 +205,19 @@ class ResilienceConfig:
 
     Attributes:
         retry: retry/backoff policy for transient failures.
-        batch_timeout_s: per-batch deadline of pool batches, counted
-            from dispatch to a free worker; an overdue batch is treated
-            as a straggler — the pool is rebuilt and the batch resubmits
-            to fresh workers.  ``None`` disables deadlines.
-        max_pool_deaths: consecutive pool deaths (crash or timeout)
-            tolerated before the engine runs the rest of the sweep
-            inline, in-process.
+        batch_timeout_s: lease deadline of the engine's parallel path,
+            counted from the claim: a worker still holding a lease past
+            it is a straggler — it is killed, the lease goes back to the
+            queue and a fresh worker replaces it.  ``None`` (default)
+            sets no deadline; inline batches never have one.
         fault_plan: optional deterministic chaos plan (tests and
             ``sweep --inject-faults``); ``None`` in production.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     batch_timeout_s: float | None = None
-    max_pool_deaths: int = 2
     fault_plan: "FaultPlan | None" = None
 
     def __post_init__(self) -> None:
         if self.batch_timeout_s is not None:
             check_duration("batch_timeout_s", self.batch_timeout_s)
-        check_count("max_pool_deaths", self.max_pool_deaths, 1)
-
-
-class PoolSupervisor:
-    """Owns a worker pool across deaths and rebuilds.
-
-    The engine never touches a raw :class:`ProcessPoolExecutor`: it
-    asks the supervisor for ``pool``, reports
-    deaths/successes, and the supervisor decides whether the next
-    incarnation exists at all (see :meth:`should_degrade`).
-
-    Args:
-        workers: process count per pool incarnation.
-        initializer: run once in every new worker process (the engine
-            clears the worker-global synthesis caches with it).
-    """
-
-    def __init__(
-        self, workers: int, initializer: Callable[[], None] | None = None
-    ) -> None:
-        self.workers = workers
-        self.initializer = initializer
-        self.consecutive_deaths = 0
-        self._pool: ProcessPoolExecutor | None = None
-
-    @property
-    def pool(self) -> ProcessPoolExecutor:
-        """The live pool, created lazily (and again after a shutdown)."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=self.initializer
-            )
-        return self._pool
-
-    def note_success(self) -> None:
-        """A batch completed: the current pool is evidently healthy."""
-        self.consecutive_deaths = 0
-
-    def note_death(self) -> None:
-        """A crash or deadline overrun killed trust in the pool."""
-        self.consecutive_deaths += 1
-
-    def should_degrade(self, max_pool_deaths: int) -> bool:
-        """Whether rebuilding again would just thrash."""
-        return self.consecutive_deaths >= max_pool_deaths
-
-    def shutdown(self) -> None:
-        """Tear the pool down, terminating hung workers.
-
-        Called after a death and at the end of a run; the next
-        :attr:`pool` access builds a fresh pool.
-        """
-        pool = self._pool
-        self._pool = None
-        if pool is None:
-            return
-        # A hung worker ignores shutdown(); terminate it so a straggler
-        # cannot hold a process slot (or the test suite) hostage.  The
-        # _processes mapping is stdlib-internal, hence the defensive
-        # getattr — losing the terminate only leaks a sleeping process.
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            with contextlib.suppress(Exception):  # pragma: no cover
-                process.terminate()
-        pool.shutdown(wait=False, cancel_futures=True)

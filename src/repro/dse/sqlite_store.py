@@ -275,6 +275,22 @@ class SqliteResultStore(StoreQueryMixin):
         ).fetchone()
         return None if row is None else record_from_dict(json.loads(row[0]))
 
+    def records_after(self, rowid: int) -> tuple[list[ExplorationRecord], int]:
+        """Records first inserted after row ``rowid``, and the new cursor.
+
+        An append cursor for a reader following writers in other
+        processes: an upsert keeps its key's row, so each key is
+        returned once however often it is rewritten.
+        """
+        rows = self._conn.execute(
+            "SELECT rowid, data FROM records WHERE rowid > ? ORDER BY rowid",
+            (rowid,),
+        ).fetchall()
+        if not rows:
+            return [], rowid
+        records = [record_from_dict(json.loads(data)) for _id, data in rows]
+        return records, rows[-1][0]
+
     def iter_records(
         self, scenario: str | None = None, circuit: str | None = None
     ) -> Iterator[ExplorationRecord]:

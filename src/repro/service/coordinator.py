@@ -7,46 +7,158 @@
 :func:`repro.dse.planner.plan_and_run`.  Only the evaluation differs.
 The planner hands the coordinator each generation's pending tasks (a
 grid is one generation), which it enqueues on a
-:class:`~repro.service.queue.LeaseQueue`; plain worker processes
-(``repro worker``) claim stage-batch leases and upsert into the shared
-SQLite store, and the coordinator polls the queue down to zero and
-reads the records back.  Workers — and their process-global synthesis
-caches — stay alive across a search's generations.
+:class:`~repro.service.queue.LeaseQueue`; workers claim stage-batch
+leases and upsert into the shared SQLite store, and the coordinator
+polls the queue down to zero and reads the records back.  Workers — and
+their process-global synthesis caches — stay alive across a search's
+generations.
 
-The coordinator also tends its fleet: expired leases are reclaimed, dead
-worker processes are respawned up to a budget, and when no worker is
-left the remaining tasks are failed instead of polling forever.
-Determinism carries through: point evaluation is pure, stores upsert
-on the engine's resume keys, and lease retries reuse the engine's
-taxonomy/backoff — so the final record set is bit-identical to a
-single-process run of the same request, however leases interleave or
+:meth:`SweepCoordinator.session` is that executor on its own, and the
+only parallel path there is: ``SweepEngine(workers>1)`` runs it on a
+private queue file.  Local workers are forked from the submitting
+process (:func:`~repro.service.worker.run_worker` with the submitter's
+netlists and fault plan as objects); ``repro worker`` processes on
+other hosts join the same queue by path.
+
+Every poll also tends the local fleet: a worker that exited non-zero
+has its leases released at once, a live worker holding an expired lease
+is a straggler and is killed, both are replaced up to a respawn budget,
+and once no local worker is left the submitter drains the rest in its
+own process.  Determinism carries through: point evaluation is pure,
+stores upsert on the engine's resume keys, and lease retries reuse the
+engine's taxonomy/backoff — so the final record set is bit-identical to
+a single-process run of the same request, however leases interleave or
 workers die (``tests/test_paths.py`` pins this).
 """
 
 from __future__ import annotations
 
-import subprocess
-import sys
+import itertools
+import multiprocessing
+import os
+import socket
 import time
-from functools import partial
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.circuits.netlist import Netlist
 from repro.core.diac import DiacConfig
 from repro.dse.engine import (
+    _PROCESS_CACHES,
     SweepFailure,
     SweepResult,
     SweepStats,
     _Task,
     _TaskKey,
 )
-from repro.dse.explorer import ExplorationRecord
-from repro.dse.planner import fetch_records, plan_and_run
+from repro.dse.explorer import ExplorationRecord, SynthesisCache
+from repro.dse.planner import Execute, fetch_records, plan_and_run
 from repro.dse.request import SweepRequest
 from repro.dse.resilience import ResilienceConfig, check_count, check_duration
 from repro.dse.sqlite_store import SqliteResultStore
 from repro.dse.store import open_store
 from repro.service.queue import LeaseQueue
+from repro.service.worker import run_lease, run_worker
+
+#: Numbers the local workers this process forks: ``host-pid-wN``.
+_WORKER_NUMBERS = itertools.count()
+
+#: Receives each poll's newly stored records, keyed (see ``session``).
+Commit = Callable[[list[tuple[_TaskKey, ExplorationRecord]]], None]
+
+
+def _forked_worker(**kwargs) -> None:
+    """A local worker's entry point: cold synthesis caches, then the loop.
+
+    A fork inherits whatever its parent left in the process-global
+    caches; a worker starts cold, like one started on another host.
+    """
+    _PROCESS_CACHES.clear()
+    run_worker(**kwargs)
+
+
+class _Fleet:
+    """One session's local worker processes, forked from the submitter.
+
+    Forks happen on the submitting thread only, between queue
+    transactions: at session start, and when :meth:`reap` replaces a
+    dead worker.
+    """
+
+    def __init__(
+        self, size: int, respawns: int, queue: LeaseQueue, **worker_kwargs
+    ) -> None:
+        self.queue = queue
+        self.respawns_left = respawns
+        self.worker_kwargs = worker_kwargs
+        self.procs: dict[str, multiprocessing.process.BaseProcess] = {}
+        for _ in range(size):
+            self.fork()
+
+    def fork(self) -> None:
+        number = next(_WORKER_NUMBERS)
+        worker = f"{socket.gethostname()}-{os.getpid()}-w{number}"
+        proc = multiprocessing.get_context("fork").Process(
+            target=_forked_worker,
+            kwargs={**self.worker_kwargs, "worker_id": worker},
+            daemon=True,
+        )
+        proc.start()
+        # Registered here as well, so the next poll already knows it.
+        self.queue.register_worker(worker, proc.pid)
+        self.procs[worker] = proc
+
+    def reap(self) -> list[str]:
+        """Forget exited workers and replace the dead within budget.
+
+        Returns the workers that exited non-zero (crashed, or killed as
+        stragglers), whose leases the caller releases.  A clean exit
+        only follows a closed queue and is not replaced.
+        """
+        dead = []
+        for worker, proc in list(self.procs.items()):
+            if proc.exitcode is None:
+                continue
+            del self.procs[worker]
+            if proc.exitcode != 0:
+                dead.append(worker)
+                if self.respawns_left > 0:
+                    self.respawns_left -= 1
+                    self.fork()
+        return dead
+
+    def kill_stragglers(self) -> int:
+        """Kill live workers the queue presumed dead; return how many.
+
+        The queue presumes a worker dead when a lease it holds expires
+        (or its heartbeat goes stale), so a live one is hung or too
+        slow: its lease is already back in the queue.
+        """
+        presumed = {
+            entry["worker"]
+            for entry in self.queue.workers()
+            if entry["status"] == "dead"
+        }
+        stragglers = [
+            proc
+            for worker, proc in self.procs.items()
+            if worker in presumed and proc.exitcode is None
+        ]
+        for proc in stragglers:
+            proc.kill()
+            proc.join()
+        return len(stragglers)
+
+    def shutdown(self, timeout_s: float = 30.0) -> None:
+        """Wait for the workers to see the closed queue; kill holdouts."""
+        deadline = time.monotonic() + timeout_s
+        for proc in self.procs.values():
+            proc.join(max(0.1, deadline - time.monotonic()))
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+        self.procs = {}
 
 
 class SweepCoordinator:
@@ -59,19 +171,22 @@ class SweepCoordinator:
             ``store_path`` — the queue tables are ``svc_``-prefixed, so
             store and queue colocate in one file and a whole
             distributed sweep shares a single path.
-        workers: worker processes to spawn (``repro worker``
-            subprocesses).  0 spawns none — external workers pointed at
-            the same queue/store do the evaluating (multi-host mode,
-            and what the in-process service tests use).
+        workers: local worker processes to fork per session.  0 forks
+            none — external workers (``repro worker``) pointed at the
+            same queue/store do the evaluating (multi-host mode, and
+            what the in-process service tests use).
         lease_size: max tasks per worker claim.
         lease_timeout_s: lease lifetime; must exceed the worst-case
             wall time of one lease, since workers heartbeat *between*
-            leases (see docs/service.md).
-        poll_s: coordinator supervision interval.
-        max_respawns: replacement workers allowed after deaths.
+            leases (see docs/service.md).  A local worker still
+            holding an expired lease is killed.
+        poll_s: supervision interval (and the local workers' idle
+            poll).
+        max_respawns: replacement local workers allowed per session
+            after deaths and straggler kills.
         resilience: retry policy source (``resilience.retry`` is
-            persisted into the queue) and fault plan forwarded to
-            spawned workers via ``--inject-faults``/``--fault-dir``.
+            persisted into the queue) and fault plan handed to the
+            forked workers.
         base_config: synthesis defaults, identical to the engine's;
             persisted in the queue, which is where workers read it.
         store_backend: forwarded to :func:`~repro.dse.store.open_store`.
@@ -117,81 +232,6 @@ class SweepCoordinator:
         self.store_backend = store_backend
         self.fsync_every = fsync_every
         self.http_port = http_port
-        self._procs: list[subprocess.Popen] = []
-        self._respawns_left = max_respawns
-
-    # -- worker process management --------------------------------------
-
-    def _worker_argv(self) -> list[str]:
-        argv = [
-            sys.executable, "-m", "repro", "worker",
-            "--queue", str(self.queue_path),
-            "--results", str(self.store_path),
-            "--store-backend", self.store_backend,
-            "--lease-size", str(self.lease_size),
-            "--poll", str(self.poll_s),
-            "--fsync-every", str(self.fsync_every),
-        ]
-        plan = self.resilience.fault_plan
-        if plan is not None:
-            # describe() round-trips through FaultPlan.parse, and the
-            # shared state dir keeps trip markers global to the fleet —
-            # a crash fault fires once per run, not once per worker.
-            argv += [
-                "--inject-faults", plan.describe(),
-                "--fault-dir", str(plan.state_dir),
-            ]
-        return argv
-
-    def _spawn_worker(self) -> None:
-        import os
-
-        import repro
-
-        env = dict(os.environ)
-        src_root = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        self._procs.append(
-            subprocess.Popen(self._worker_argv(), env=env)
-        )
-
-    def _tend_workers(self, queue: LeaseQueue) -> bool:
-        """Reap dead workers, respawn within budget; False = none left.
-
-        A worker that exited *cleanly* (code 0) is not replaced — clean
-        exits only happen when the queue told it to stop.  Spawning no
-        workers at all (``workers=0``) always returns True: liveness is
-        someone else's job then.
-        """
-        if self.workers == 0:
-            return True
-        for proc in list(self._procs):
-            code = proc.poll()
-            if code is not None and code != 0 and self._respawns_left > 0:
-                self._respawns_left -= 1
-                queue.reclaim_expired()
-                self._spawn_worker()
-        self._procs = [p for p in self._procs if p.poll() is None]
-        return bool(self._procs)
-
-    def _shutdown_workers(self, timeout_s: float = 30.0) -> None:
-        deadline = time.time() + timeout_s
-        for proc in self._procs:
-            remaining = max(0.1, deadline - time.time())
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-        self._procs = []
-
-    # -- submission -----------------------------------------------------
 
     def submit(
         self,
@@ -210,14 +250,15 @@ class SweepCoordinator:
 
         Args:
             request: what to explore and how.  Strategy *instances* are
-                rejected — only named strategies describe work that can
-                cross a process boundary.
+                rejected — only named strategies describe work a
+                ``repro worker`` on another host could join.
             netlists: circuit name -> netlist mapping used by the
-                coordinator itself (static pruning, search screeners);
-                workers load their own copies.
+                coordinator itself (static pruning, search screeners)
+                and handed to its forked workers.
             sources: circuit name -> netlist file path for non-roster
                 circuits, forwarded through the queue payloads so
-                workers can load them (roster names need no entry).
+                external workers can load them (roster names need no
+                entry).
 
         Returns:
             A :class:`~repro.dse.engine.SweepResult` over the shared
@@ -242,19 +283,165 @@ class SweepCoordinator:
                 f"the sweep service requires the SQLite store backend; "
                 f"{self.store_path} resolved to {type(store).__name__}"
             )
+        stats = SweepStats(workers=self.workers)
+        netlists = dict(netlists or {})
+        caches: dict[str, SynthesisCache] = {}
+        try:
+            with self.session(
+                stats, store, netlists=netlists, sources=sources,
+                caches=caches,
+            ) as execute:
+                return plan_and_run(
+                    request,
+                    execute,
+                    stats,
+                    store=store,
+                    base_config=self.base_config,
+                    netlists=netlists,
+                    caches=caches,
+                )
+        finally:
+            store.close()
+
+    @contextmanager
+    def session(
+        self,
+        stats: SweepStats,
+        store: SqliteResultStore,
+        netlists: dict[str, Netlist] | None = None,
+        sources: dict[str, str] | None = None,
+        caches: dict[str, SynthesisCache] | None = None,
+        commit: Commit | None = None,
+    ) -> Iterator[Execute]:
+        """Open the queue, fork the local fleet, yield the executor.
+
+        The yielded :data:`~repro.dse.planner.Execute` enqueues one
+        generation's tasks, polls the queue down to zero while tending
+        the fleet, and returns that generation's records and failures.
+        When the session ends the queue closes and the fleet winds down.
+
+        Args:
+            stats: receives the execution counters — ``n_batches``
+                (stage groups enqueued), ``n_evaluated``, ``n_failed``,
+                ``n_retries``, ``n_timeouts`` (stragglers killed) and
+                the ``synthesize_calls`` of leases drained in this
+                process.
+            store: the SQLite store at ``store_path``, which the
+                workers write.
+            netlists: circuit name -> netlist, handed to the forked
+                workers and to an in-process drain.
+            sources: circuit name -> netlist file path for non-roster
+                circuits, carried in the queue payloads.
+            caches: the synthesis-cache map of an in-process drain.
+            commit: called on every poll with the records stored since
+                the last one, so the caller can stream them on; the
+                executor then returns those records instead of reading
+                each generation back from ``store``.
+        """
         queue = LeaseQueue(
             self.queue_path,
             retry=self.resilience.retry,
             lease_timeout_s=self.lease_timeout_s,
         )
+        netlists = netlists if netlists is not None else {}
+        caches = caches if caches is not None else {}
+        inline = f"{socket.gethostname()}-{os.getpid()}-inline"
+        fleet: _Fleet | None = None
         view = None
-        stats = SweepStats(workers=self.workers)
+        cursor = 0
+
+        def execute(tasks: list[_Task]) -> tuple[
+            dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]
+        ]:
+            """Enqueue, poll the queue down to zero, collect.
+
+            Waiting on :meth:`~repro.service.queue.LeaseQueue.unfinished`
+            is exact because the queue holds only this generation's
+            tasks and resolved ones: the session cleared it, and every
+            earlier generation was resolved before this one came.  Each
+            poll reaps dead local workers (releasing their leases,
+            replacing them within budget), reclaims expired leases,
+            kills stragglers and streams new records; once the fleet is
+            gone for good, this process runs one lease per poll itself.
+            Only tasks that did not fail are returned, so a stale
+            on-disk record never stands in for a point this run failed.
+            """
+            nonlocal cursor
+            if not tasks:
+                return {}, {}
+            keys = [key for key, *_rest in tasks]
+            stats.n_batches += len(
+                {(circuit, point.policy) for _k, circuit, _s, point in tasks}
+            )
+            queue.enqueue(tasks, sources=sources)
+            streamed: dict[_TaskKey, ExplorationRecord] = {}
+            while True:
+                queue.reclaim_expired(dead=fleet.reap() if fleet else ())
+                if fleet is not None:
+                    # Killed here, reaped (and replaced) next poll; the
+                    # queue marked it before its lease could be re-run.
+                    stats.n_timeouts += fleet.kill_stragglers()
+                # Workers store before they resolve, so the records read
+                # once the queue is seen drained are complete.
+                drained = queue.unfinished() == 0
+                if commit is not None:
+                    records, cursor = store.records_after(cursor)
+                    keyed = [(record.key(), record) for record in records]
+                    commit(keyed)
+                    streamed.update(keyed)
+                if drained:
+                    break
+                if fleet is not None and not fleet.procs:
+                    ran = run_lease(
+                        queue, store, inline, self.lease_size, netlists,
+                        self.resilience.fault_plan, caches,
+                    )
+                    if ran is not None:
+                        stats.synthesize_calls += ran[2]
+                        continue
+                time.sleep(self.poll_s)
+            counts = queue.counts_for(keys)
+            stats.n_evaluated += counts["n_done"]
+            stats.n_failed += counts["n_failed"]
+            stats.n_retries += counts["n_retries"]  # claims beyond the first
+            wanted = set(keys)
+            failures = {
+                tuple(entry["key"]): SweepFailure(
+                    circuit=entry["circuit"],
+                    label=entry["label"],
+                    error=entry["error"],
+                    scenario=entry["scenario"],
+                    kind=entry["kind"],
+                    attempts=entry["attempts"],
+                )
+                for entry in queue.failures()
+                if tuple(entry["key"]) in wanted
+            }
+            done = [task for task in tasks if task[0] not in failures]
+            if commit is None:
+                return fetch_records(store, done), failures
+            return {key: streamed[key] for key, *_rest in done}, failures
+
         try:
             queue.configure(
                 retry=self.resilience.retry,
                 lease_timeout_s=self.lease_timeout_s,
                 base_config=self.base_config or DiacConfig(),
             )
+            queue.clear_tasks()
+            queue.set_state("open")
+            if self.workers:
+                fleet = _Fleet(
+                    self.workers, self.max_respawns, queue,
+                    queue_path=self.queue_path,
+                    store_path=self.store_path,
+                    lease_size=self.lease_size,
+                    poll_s=self.poll_s,
+                    fault_plan=self.resilience.fault_plan,
+                    store_backend=self.store_backend,
+                    fsync_every=self.fsync_every,
+                    netlists=netlists,
+                )
             if self.http_port is not None:
                 from repro.service.view import SweepViewServer
 
@@ -264,97 +451,11 @@ class SweepCoordinator:
                     port=self.http_port,
                 )
                 view.start_background()
-            queue.clear_tasks()
-            queue.set_state("open")
-            for _ in range(self.workers):
-                self._spawn_worker()
-            execute = partial(
-                self._execute,
-                queue=queue,
-                store=store,
-                stats=stats,
-                sources=sources,
-            )
-            return plan_and_run(
-                request,
-                execute,
-                stats,
-                store=store,
-                base_config=self.base_config,
-                netlists=dict(netlists or {}),
-            )
+            yield execute
         finally:
             if view is not None:
                 view.shutdown()
             queue.set_state("closed")
-            self._shutdown_workers()
+            if fleet is not None:
+                fleet.shutdown()
             queue.close()
-            store.close()
-
-    def _await_queue(self, queue: LeaseQueue) -> None:
-        """Poll until every queued task is resolved (or nobody can).
-
-        Waiting on :meth:`~repro.service.queue.LeaseQueue.unfinished`
-        is exact because the queue holds only the current generation's
-        tasks and their resolved predecessors: ``submit`` clears it
-        first, and every earlier generation was fully resolved before
-        the next one was enqueued.
-
-        The supervision loop: reclaim expired leases, respawn dead
-        workers within budget, and — when the fleet is gone for good —
-        fail the stragglers rather than wait forever.
-        """
-        while True:
-            queue.reclaim_expired()
-            if queue.unfinished() == 0:
-                return
-            if not self._tend_workers(queue):
-                queue.reclaim_expired()
-                queue.fail_unfinished(
-                    "no live workers remain and the respawn budget "
-                    f"({self.max_respawns}) is spent"
-                )
-                return
-            time.sleep(self.poll_s)
-
-    def _execute(
-        self,
-        tasks: list[_Task],
-        queue: LeaseQueue,
-        store: SqliteResultStore,
-        stats: SweepStats,
-        sources: dict[str, str] | None,
-    ) -> tuple[
-        dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]
-    ]:
-        """The planner's executor: enqueue, await the queue, read back.
-
-        The queue's counters feed the execution stats (claims beyond a
-        task's first count as retries).  Only tasks that did not fail
-        are read back from the shared store, so a stale on-disk record
-        from an earlier run never stands in for a point this run failed.
-        """
-        if not tasks:
-            return {}, {}
-        keys = [key for key, *_rest in tasks]
-        queue.enqueue(tasks, sources=sources)
-        self._await_queue(queue)
-        counts = queue.counts_for(keys)
-        stats.n_evaluated += counts["n_done"]
-        stats.n_failed += counts["n_failed"]
-        stats.n_retries += counts["n_retries"]
-        wanted = set(keys)
-        failures = {
-            tuple(entry["key"]): SweepFailure(
-                circuit=entry["circuit"],
-                label=entry["label"],
-                error=entry["error"],
-                scenario=entry["scenario"],
-                kind=entry["kind"],
-                attempts=entry["attempts"],
-            )
-            for entry in queue.failures()
-            if tuple(entry["key"]) in wanted
-        }
-        done = [task for task in tasks if task[0] not in failures]
-        return fetch_records(store, done), failures

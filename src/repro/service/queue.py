@@ -11,7 +11,9 @@ database* — a distributed sweep then needs exactly one shared path:
   (rescheduled after the deterministic
   :meth:`~repro.dse.resilience.RetryPolicy.retry_delay_s` backoff) and
   a *lease expiry* (the worker died or hung past its deadline — the
-  next :meth:`LeaseQueue.claim` reclaims it and hands the task on).
+  next :meth:`LeaseQueue.claim` reclaims it and hands the task on; a
+  coordinator that sees its own worker process exit releases the
+  lease at once with :meth:`LeaseQueue.reclaim_expired`).
   ``attempts`` counts claims, so a task crashing its worker
   repeatedly still exhausts the same budget a retrying error would.
 * ``svc_workers`` — registration + heartbeats, feeding the
@@ -437,35 +439,49 @@ class LeaseQueue:
             (error, kind, *held),
         ).rowcount > 0
 
-    def reclaim_expired(self) -> int:
+    def reclaim_expired(self, dead: Iterable[str] = ()) -> int:
         """Recover leases whose worker died or hung past its deadline.
 
         Expired leases inside the retry budget return to ``pending``
         (with the same deterministic backoff a transient error gets —
         a crash IS a transient failure in the taxonomy); budget-
         exhausted ones land in ``failed`` so a task that kills every
-        worker it touches cannot loop forever.  Workers whose
-        heartbeat went stale are marked ``dead``.  Returns the number
-        of leases recovered either way.  :meth:`claim` runs the same
-        reclaim inside its own transaction.
+        worker it touches cannot loop forever.  ``dead`` names workers
+        known to have exited mid-lease (a coordinator reaping its own
+        processes): their leases are released the same way at once,
+        without waiting for the deadline — the claim already counted
+        the attempt.  Holders of expired leases, the ``dead`` workers
+        and workers whose heartbeat went stale are marked ``dead``.
+        Returns the number of leases recovered either way.
+        :meth:`claim` runs the same reclaim inside its own transaction.
         """
         with self._transaction():
-            return self._reclaim(time.time())
+            return self._reclaim(time.time(), tuple(dead))
 
-    def _reclaim(self, now: float) -> int:
+    def _reclaim(self, now: float, dead: tuple[str, ...] = ()) -> int:
         """:meth:`reclaim_expired`'s body, inside the caller's transaction."""
-        rows = self._conn.execute(
+        query = (
             "SELECT task_key, attempts, worker FROM svc_tasks "
-            "WHERE status = 'leased' AND lease_deadline < ?",
-            (now,),
-        ).fetchall()
+            "WHERE status = 'leased' AND (lease_deadline < ?"
+        )
+        if dead:
+            query += f" OR worker IN ({','.join('?' * len(dead))})"
+        rows = self._conn.execute(query + ")", (now, *dead)).fetchall()
         retry = self.retry
         for encoded, attempts, worker in rows:
-            error = (
-                f"lease expired after {attempts} attempt(s); worker "
-                f"{worker} presumed dead"
-            )
+            if worker in dead:
+                error = f"worker {worker} exited mid-lease"
+            else:
+                error = (
+                    f"lease expired after {attempts} attempt(s); worker "
+                    f"{worker} presumed dead"
+                )
             self._requeue_or_fail(retry, (encoded, worker), attempts, error, TRANSIENT, now)
+        if rows or dead:
+            self._conn.executemany(
+                "UPDATE svc_workers SET status = 'dead' WHERE worker = ?",
+                [(worker,) for worker in {*dead, *(row[2] for row in rows)}],
+            )
         self._conn.execute(
             "UPDATE svc_workers SET status = 'dead' "
             "WHERE status = 'active' AND last_seen < ?",
@@ -601,18 +617,3 @@ class LeaseQueue:
                 }
             )
         return out
-
-    def fail_unfinished(self, error: str, kind: str = "unexpected") -> int:
-        """Force every unresolved task to ``failed`` (coordinator bailout).
-
-        The last resort when no worker is left to run them and the
-        respawn budget is spent — the alternative is a coordinator that
-        polls forever.  Returns the number of tasks failed.
-        """
-        cursor = self._conn.execute(
-            "UPDATE svc_tasks SET status = 'failed', "
-            "lease_deadline = NULL, error = ?, kind = ? "
-            "WHERE status IN ('pending', 'leased')",
-            (error, kind),
-        )
-        return cursor.rowcount

@@ -9,15 +9,17 @@ process-global synthesis cache so repeated leases of one stage stay
 warm), upserts the records into the store, and only then resolves the
 lease — so a crash between the store write and the completion mark
 costs a redundant re-evaluation, never a lost or duplicated record.
+:func:`run_lease` is that one step; a coordinator whose local workers
+are all gone runs it in its own process to drain the rest.
 
 Failure semantics are the queue's (see :mod:`repro.service.queue`):
 per-job exceptions arrive pre-classified by the engine's taxonomy and
 are reported with the lease's records in one
 :meth:`~repro.service.queue.LeaseQueue.resolve`; a worker death
-mid-lease is caught by lease expiry instead (the next claim reclaims
-it).  An idle worker heartbeats and exits once the queue is drained
-*and* closed (or after ``idle_timeout_s``, or immediately in ``drain``
-mode).
+mid-lease is caught by its coordinator reaping the process, or by lease
+expiry (the next claim reclaims it).  An idle worker heartbeats and
+exits once the queue is drained *and* closed (or after
+``idle_timeout_s``, or immediately in ``drain`` mode).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from pathlib import Path
 
 from repro.circuits.netlist import Netlist
 from repro.dse.engine import _evaluate_batch
+from repro.dse.explorer import SynthesisCache
 from repro.dse.faults import FaultPlan
 from repro.dse.resilience import check_count, check_duration
 from repro.dse.sqlite_store import SqliteResultStore
@@ -55,6 +58,48 @@ def _load_netlist(circuit: str, source: str | None) -> Netlist:
     return load_circuit(circuit)
 
 
+def run_lease(
+    queue: LeaseQueue,
+    store: SqliteResultStore,
+    worker: str,
+    lease_size: int,
+    netlists: dict[str, Netlist],
+    fault_plan: FaultPlan | None = None,
+    caches: dict[str, SynthesisCache] | None = None,
+) -> tuple[int, int, int] | None:
+    """Claim one lease and run it: evaluate, store, then resolve.
+
+    ``netlists`` is filled in place with every circuit a lease loads.
+    ``caches`` selects :func:`~repro.dse.engine._evaluate_batch`'s
+    inline path (crash faults raise instead of exiting), for a
+    coordinator draining its queue in its own process.  Returns
+    ``(n_done, n_failed, synthesize_calls)``, or ``None`` when nothing
+    was claimable.
+    """
+    lease = queue.claim(worker, limit=lease_size)
+    if not lease:
+        return None
+    circuit = lease[0].circuit
+    if circuit not in netlists:
+        netlists[circuit] = _load_netlist(circuit, lease[0].source)
+    jobs = [(task.key, task.scenario, task.point) for task in lease]
+    # Without caches a crash fault exits the process here, leaving the
+    # lease to its coordinator or its deadline — the real death path.
+    records, calls, failures = _evaluate_batch(
+        circuit, netlists[circuit], jobs, queue.base_config, fault_plan,
+        caches,
+    )
+    # Store first, then resolve: a death in between re-runs the point,
+    # and the store upsert absorbs the duplicate.
+    store.extend([record for _key, record in records])
+    queue.resolve(
+        worker,
+        [key for key, _record in records],
+        [(key, f.error, f.kind) for key, f in failures],
+    )
+    return len(records), len(failures), calls
+
+
 def run_worker(
     queue_path: str | Path,
     store_path: str | Path,
@@ -66,6 +111,7 @@ def run_worker(
     fault_plan: FaultPlan | None = None,
     store_backend: str = "auto",
     fsync_every: int = 0,
+    netlists: dict[str, Netlist] | None = None,
 ) -> dict:
     """Claim, evaluate and resolve leases until the queue winds down.
 
@@ -82,9 +128,13 @@ def run_worker(
             (``None`` = wait for the queue to close).
         fault_plan: deterministic chaos (``repro worker
             --inject-faults``); crash faults kill this process outright,
-            exercising the lease-expiry path for real.
+            exercising the dead-worker path for real.
         store_backend: forwarded to :func:`~repro.dse.store.open_store`.
         fsync_every: forwarded to :func:`~repro.dse.store.open_store`.
+        netlists: circuit name -> netlist used instead of loading by
+            name (a coordinator's forked workers inherit its in-memory
+            netlists this way); other circuits load from the lease's
+            source path or the roster.
 
     Returns:
         ``{"worker", "n_done", "n_failed", "n_leases"}`` totals.
@@ -110,39 +160,19 @@ def run_worker(
     queue = LeaseQueue(queue_path)
     worker = worker_id or f"{socket.gethostname()}-{os.getpid()}"
     queue.register_worker(worker, os.getpid())
-    netlists: dict[str, Netlist] = {}
+    netlists = dict(netlists or {})
     n_done = n_failed = n_leases = 0
     idle_since: float | None = None
     try:
         while True:
-            lease = queue.claim(worker, limit=lease_size)
-            if lease:
+            ran = run_lease(
+                queue, store, worker, lease_size, netlists, fault_plan
+            )
+            if ran is not None:
                 idle_since = None
                 n_leases += 1
-                circuit = lease[0].circuit
-                if circuit not in netlists:
-                    netlists[circuit] = _load_netlist(
-                        circuit, lease[0].source
-                    )
-                jobs = [
-                    (task.key, task.scenario, task.point)
-                    for task in lease
-                ]
-                # A crash fault inside the batch exits the process here,
-                # leaving the lease to expire — the real death path.
-                records, _calls, failures = _evaluate_batch(
-                    circuit, netlists[circuit], jobs, queue.base_config, fault_plan
-                )
-                # Store first, then resolve: a death in between re-runs
-                # the point, and the store upsert absorbs the duplicate.
-                store.extend([record for _key, record in records])
-                queue.resolve(
-                    worker,
-                    [key for key, _record in records],
-                    [(key, f.error, f.kind) for key, f in failures],
-                )
-                n_done += len(records)
-                n_failed += len(failures)
+                n_done += ran[0]
+                n_failed += ran[1]
                 continue
             queue.heartbeat(worker)
             # Drain mode still waits out backoff delays and foreign

@@ -1,12 +1,13 @@
 """Path equivalence: where a sweep runs never changes what it returns.
 
 Every front end plans through :mod:`repro.dse.planner` and differs only
-in how pending tasks are evaluated — in-process, over a local process
-pool, or by a worker pulling leases from the queue.  Each cell of
-{grid, random, halving + analysis_prune} x {engine with 1 worker,
-engine with 2 workers, coordinator + thread worker} x {fresh store,
-half-filled store resumed} must return the serial engine's ordered
-records, planner stats, failures and aggregates exactly.
+in how pending tasks are evaluated — in-process, or by workers pulling
+leases from the queue.  Each cell of {grid, random, halving +
+analysis_prune} x {engine with 1 worker, engine with 2 forked workers,
+the same with one worker killed mid-lease, coordinator + thread worker}
+x {fresh store, half-filled store resumed} must return the serial
+engine's ordered records, planner stats, failures and aggregates
+exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from pathlib import Path
 import pytest
 
 from repro.dse import (
+    FaultPlan,
+    ResilienceConfig,
     SweepEngine,
     SweepRequest,
     SweepSpec,
@@ -52,7 +55,7 @@ REQUESTS = {
         search_seed=2, analysis_prune=True,
     ),
 }
-PATHS = ("engine-1", "engine-2", "coordinator")
+PATHS = ("engine-1", "engine-2", "engine-2-crash", "coordinator")
 STATES = ("fresh", "resume")
 
 
@@ -74,10 +77,17 @@ def run_path(path, request, store_path):
             worker.join(timeout=30)
         assert not worker.is_alive()
         return result
+    resilience = None
+    if path.endswith("-crash"):
+        # The first task a forked worker evaluates kills it.
+        plan = FaultPlan.parse("crash", Path(store_path).parent / "faults")
+        resilience = ResilienceConfig(fault_plan=plan)
     store = open_store(store_path, backend="sqlite")
     try:
-        workers = int(path.removeprefix("engine-"))
-        return SweepEngine(workers=workers, store=store).submit(request)
+        workers = int(path.split("-")[1])
+        return SweepEngine(
+            workers=workers, store=store, resilience=resilience
+        ).submit(request)
     finally:
         store.close()
 
@@ -159,6 +169,8 @@ def test_path_is_invisible(name, path, state, tmp_path, reference, half_filled):
     # The matrix exercises what it claims: records, failures, resume.
     assert result.records and result.failures
     assert (result.stats.n_resumed > 0) == (state == "resume")
+    if path.endswith("-crash"):
+        assert result.stats.n_retries >= 1  # the killed worker's lease
 
 
 #: One job, digested: a grid at 1 and at 2 workers and a suite

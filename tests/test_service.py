@@ -271,6 +271,26 @@ class TestLeaseQueue:
         assert queue.reclaim_expired() == 0
         queue.close()
 
+    def test_dead_worker_leases_released_at_once(self, tmp_path):
+        """A reaped worker's lease goes back without waiting out expiry."""
+        queue = self.make_queue(
+            tmp_path,
+            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
+            lease_timeout_s=60.0,
+        )
+        queue.enqueue(expand_tasks(SPEC)[:2])
+        queue.register_worker("crashed", 1)
+        crashed = queue.claim("crashed", limit=1)[0]
+        kept = queue.claim("alive", limit=1)[0]
+        assert queue.reclaim_expired(dead=["crashed"]) == 1
+        retried = queue.claim("w2", limit=1)[0]
+        assert retried.key == crashed.key != kept.key
+        assert retried.attempts == 2  # the dead claim counted
+        assert {w["worker"]: w["status"] for w in queue.workers()} == {
+            "crashed": "dead"
+        }
+        queue.close()
+
     def test_resolve_moves_worker_counters_and_last_seen(self, tmp_path):
         queue = self.make_queue(tmp_path)
         spec = SweepSpec(circuits=("s27",), policies=(1,), safe_zones=(True,))
@@ -504,16 +524,22 @@ class TestCoordinator:
         )
 
     def test_worker_killed_mid_lease_is_reclaimed(self, tmp_path, reference):
-        """A crash fault exits a worker with the lease unresolved."""
+        """A crash fault exits a worker with the lease unresolved.
+
+        The coordinator reaps its own worker and releases the lease at
+        once: a long lease timeout costs nothing.
+        """
         plan = FaultPlan.parse("crash", tmp_path / "faults")
         coordinator = self.coordinator(
             tmp_path,
             workers=2,
             lease_size=1,
-            lease_timeout_s=2.0,
+            lease_timeout_s=30.0,
             resilience=ResilienceConfig(retry=FAST_RETRY, fault_plan=plan),
         )
+        start = time.monotonic()
         result = coordinator.submit(SweepRequest(spec=SPEC))
+        assert time.monotonic() - start < 5.0
         assert not result.failures
         assert result.stats.n_retries >= 1  # the reclaimed lease
         assert fingerprints(result.records) == fingerprints(
@@ -565,6 +591,45 @@ class TestCoordinator:
         coordinator = SweepCoordinator(tmp_path / "svc.jsonl", workers=0)
         with pytest.raises(ValueError, match="SQLite"):
             coordinator.submit(SweepRequest(spec=SPEC))
+
+
+class TestCoordinatorCli:
+    def test_batch_timeout_is_engine_only(self, tmp_path):
+        from repro.cli import main
+
+        results = str(tmp_path / "svc.sqlite")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["coordinator", "s27", "--results", results,
+                  "--batch-timeout", "3"])
+        assert exit_info.value.code == 2  # argparse: unknown option
+        config = tmp_path / "sweep.toml"
+        config.write_text("[execution]\nbatch_timeout = 3.0\n")
+        with pytest.raises(SystemExit, match="--lease-timeout"):
+            main(["coordinator", "s27", "--results", results,
+                  "--config", str(config)])
+        assert not (tmp_path / "svc.sqlite").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "coordinator"])
+    @pytest.mark.parametrize("flag", ["--samples", "--generations"])
+    def test_search_budgets_checked_before_the_request(self, command, flag):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match=f"^error: {flag} must be >= 1"):
+            main([command, "s27", "--strategy", "random", flag, "0"])
+
+    def test_stats_line_counts_batches_not_remote_synthesis(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        assert main([
+            "coordinator", "s27", "--policies", "3", "--results",
+            str(tmp_path / "svc.sqlite"), "--spawn-workers", "2",
+            "--poll", "0.02",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "with 2 worker(s); 1 batches" in out
+        assert "synthesis runs" not in out
 
 
 # ---------------------------------------------------------------------------

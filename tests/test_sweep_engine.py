@@ -19,6 +19,7 @@ from repro.dse import (
     SynthesisCache,
 )
 from repro.energy.scenarios import ScenarioSpec
+from repro.service.queue import LeaseQueue
 from repro.suite import load_circuit
 from repro.tech import MRAM, RERAM
 
@@ -172,16 +173,38 @@ class TestParallelParity:
         ] == expected
 
     def test_synthesis_cache_one_call_per_group(
-        self, multi_circuit_spec, serial_result
+        self, multi_circuit_spec, serial_result, tmp_path, monkeypatch
     ):
         # 2 circuits x 3 policies = 6 synthesis-stage groups for 36 points.
         assert serial_result.stats.n_points == 36
         assert serial_result.stats.synthesize_calls == 6
+        # Workers are forked, so they inherit this patch; each appends
+        # the stage and size of every lease it claims to one log file.
+        log = tmp_path / "leases.log"
+        claim = LeaseQueue.claim
+
+        def logged_claim(queue, worker, limit=8):
+            lease = claim(queue, worker, limit)
+            if lease:
+                with log.open("a") as handle:
+                    handle.write(
+                        f"{lease[0].circuit}|{lease[0].point.policy} "
+                        f"{len(lease)}\n"
+                    )
+            return lease
+
+        monkeypatch.setattr(LeaseQueue, "claim", logged_claim)
         parallel = SweepEngine(workers=4).submit(
             SweepRequest(spec=multi_circuit_spec)
         )
-        assert parallel.stats.synthesize_calls == 6
         assert parallel.stats.n_batches == 6
+        # Each stage is one whole lease, so one synthesis run; none ran
+        # in this process.
+        assert sorted(log.read_text().splitlines()) == [
+            f"{circuit}|{policy} 6"
+            for circuit in ("b02", "s27") for policy in (1, 2, 3)
+        ]
+        assert parallel.stats.synthesize_calls == 0
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
