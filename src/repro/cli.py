@@ -464,6 +464,11 @@ def cmd_coordinator(args: argparse.Namespace) -> int:
             "error: execution.batch_timeout applies to 'sweep' only; the "
             "coordinator's lease deadline is --lease-timeout"
         )
+    if execution["workers"] != 1:
+        raise SystemExit(
+            "error: execution.workers applies to 'sweep' only; the "
+            "coordinator's local worker count is --spawn-workers"
+        )
     _validate_sweep_config(merged)
     if not store_cfg["results"]:
         raise SystemExit(

@@ -295,11 +295,6 @@ def _level_pack_pass(
     return new_nodes, absorbed_into
 
 
-def _rederived(graph: TaskGraph) -> TaskGraph:
-    """A fresh, costed graph over the same nodes."""
-    return graph.derive(list(graph.nodes.values()), {})
-
-
 def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     """Merge small nodes into larger ones (paper Policy 2).
 
@@ -312,7 +307,7 @@ def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     Returns:
         A new checked graph; the input graph is not modified.
     """
-    current = graph if graph.features_fresh else _rederived(graph)
+    current = graph
     cap = config.effective_cap_j
     for _pass in range(config.max_passes):
         if not current.nodes:
@@ -330,7 +325,7 @@ def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
         if not packed and not chained:
             break
     if current is graph:  # nothing merged: return a copy, never the input
-        current = _rederived(graph)
+        current = graph.derive(list(graph.nodes.values()), {})
     return current
 
 

@@ -88,8 +88,7 @@ def schedule_order(graph: TaskGraph) -> list[TaskNode]:
     """Deterministic execution order: by (level, node id).
 
     Sorting by level is a valid topological order because every edge
-    strictly increases the level.  Requires fresh features
-    (``graph.recompute_features()``).
+    strictly increases the level.
     """
     return sorted(
         graph.nodes.values(), key=lambda n: (n.feature.level, n.node_id)
@@ -139,12 +138,11 @@ def stage_schedule(graph: TaskGraph) -> tuple[tuple[TaskNode, ...], Mapping[str,
     """``graph``'s :func:`schedule_order` and :func:`live_cut_profile`, once.
 
     Neither depends on the budget, so every plan over one stage graph
-    shares them.  Costs the graph first if its features are stale; the
-    memo lives on the graph and :meth:`TaskGraph.invalidate` drops it.
-    Two threads racing on a cold memo both store equal values.
+    shares them.  The memo lives on the graph, which never changes after
+    it is built.  Two threads racing on a cold memo both store equal
+    values.
     """
     if graph._schedule is None:
-        graph.recompute_features()
         order = schedule_order(graph)
         graph._schedule = (tuple(order), live_cut_profile(graph, order))
     return graph._schedule

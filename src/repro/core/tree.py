@@ -6,8 +6,8 @@ gates) annotated with power, edges are dataflow.  Despite the paper's
 "tree" vocabulary the structure is a DAG — reconvergent fanout is normal
 in netlists — and this module implements it as such.
 
-A :class:`TaskGraph` always satisfies two invariants, enforced by
-:meth:`TaskGraph.check`:
+A :class:`TaskGraph` always satisfies two invariants, enforced when it
+is built (and re-verified by :meth:`TaskGraph.check`):
 
 * **partition** — every combinational gate of the underlying netlist
   belongs to exactly one node;
@@ -58,15 +58,18 @@ class TaskNode:
 class TaskGraph:
     """A levelized DAG of :class:`TaskNode` over a synthesized netlist.
 
-    A graph tracks whether its feature dictionaries are *fresh* (equal to
-    what a full :meth:`recompute_features` would write).  Graphs derived
-    from a fresh graph (:meth:`derive`) re-cost only the nodes whose gate
-    membership changed.
+    A graph is checked and costed when it is built: construction raises
+    :class:`TreeError` on a broken invariant and replaces every node with
+    one carrying its feature dictionary.  :meth:`derive` builds a graph
+    from another and re-costs only the nodes whose gates changed.
 
     Args:
         netlist: the underlying circuit.
         report: its synthesis characterization.
         nodes: the function nodes (a partition of the combinational gates).
+
+    Raises:
+        TreeError: if ``nodes`` violate an invariant.
     """
 
     def __init__(
@@ -75,6 +78,23 @@ class TaskGraph:
         report: SynthesisReport,
         nodes: Iterable[TaskNode],
     ) -> None:
+        self._build(netlist, report, nodes, None, None)
+
+    def _build(
+        self,
+        netlist: Netlist,
+        report: SynthesisReport,
+        nodes: Iterable[TaskNode],
+        parent: "TaskGraph | None",
+        absorbed_into: Mapping[str, str] | None,
+    ) -> None:
+        """Index, connect, check and cost ``nodes``.
+
+        With a ``parent``, the netlist views are shared, a node with the
+        id and gates of a parent node keeps its costs, and a non-None
+        ``absorbed_into`` contracts the parent's adjacency (see
+        :meth:`derive`) instead of rebuilding it from gate inputs.
+        """
         self.netlist = netlist
         self.report = report
         self.nodes: dict[str, TaskNode] = {}
@@ -91,23 +111,32 @@ class TaskGraph:
                         f"and {node.node_id!r}"
                     )
                 self._owner[gate] = node.node_id
-        self._edges: dict[str, set[str]] | None = None
-        self._redges: dict[str, set[str]] | None = None
-        self._fanout: Mapping[str, tuple[str, ...]] | None = None
-        self._outputs: set[str] | None = None
-        self._topo_ids: list[str] | None = None
+        self._check_partition()
         #: The replacement procedure's schedule order and live cut,
         #: memoized by :func:`repro.core.replacement.stage_schedule`.
         self._schedule: tuple | None = None
-        self._fresh = False
+        if parent is None:
+            self._fanout = netlist.fanout_map()
+            self._outputs = set(netlist.outputs)
+        else:
+            self._fanout, self._outputs = parent._fanout, parent._outputs
+        self._edges: dict[str, set[str]]
+        self._redges: dict[str, set[str]]
+        topo_ids: list[str] | None = None
+        if parent is None or absorbed_into is None:
+            self._edges, self._redges = self._gate_edges()
+        else:
+            self._edges, self._redges = self._contract_edges(
+                parent, absorbed_into
+            )
+            if not absorbed_into and self.nodes.keys() == parent.nodes.keys():
+                # Same ids and edges: the topological order is the parent's.
+                topo_ids = parent._topo_ids
+        self._topo_ids = topo_ids or self._sorted_ids()
+        self._cost(parent.nodes if parent is not None else {})
 
-    # -- construction helpers -------------------------------------------------
-
-    def owner_of(self, gate: str) -> str | None:
-        """Node id owning ``gate``, or None for sources/FFs outside nodes."""
-        return self._owner.get(gate)
-
-    def _build_edges(self) -> None:
+    def _gate_edges(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+        """Successor and predecessor maps built from gate inputs."""
         edges: dict[str, set[str]] = {nid: set() for nid in self.nodes}
         redges: dict[str, set[str]] = {nid: set() for nid in self.nodes}
         for node in self.nodes.values():
@@ -117,11 +146,11 @@ class TaskGraph:
                     if src_owner is not None and src_owner != node.node_id:
                         edges[src_owner].add(node.node_id)
                         redges[node.node_id].add(src_owner)
-        self._edges, self._redges = edges, redges
+        return edges, redges
 
     def _contract_edges(
         self, parent: "TaskGraph", absorbed_into: Mapping[str, str]
-    ) -> None:
+    ) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
         """Adjacency as ``parent``'s node edges contracted onto this graph.
 
         Exact when every node here is a union of ``parent`` nodes: an edge
@@ -131,8 +160,7 @@ class TaskGraph:
         other node keeps its parent's adjacency sets (cached sets are never
         mutated in place).
         """
-        succ, pred = parent.edges, parent._redges
-        assert pred is not None
+        succ, pred = parent._edges, parent._redges
         members: dict[str, tuple[str, ...]] = {}
         for absorbed, host in absorbed_into.items():
             members[host] = members.get(host, (host,)) + (absorbed,)
@@ -155,51 +183,20 @@ class TaskGraph:
         for nid in touched:
             edges[nid] = contract(nid, succ)
             redges[nid] = contract(nid, pred)
-        self._edges, self._redges = edges, redges
+        return edges, redges
 
     @property
     def edges(self) -> dict[str, set[str]]:
         """Adjacency map: node id -> successor node ids."""
-        if self._edges is None:
-            self._build_edges()
-        assert self._edges is not None
         return self._edges
 
     def successors(self, node_id: str) -> set[str]:
         """Successor node ids of ``node_id``."""
-        return self.edges[node_id]
+        return self._edges[node_id]
 
     def predecessors(self, node_id: str) -> set[str]:
         """Predecessor node ids of ``node_id``."""
-        if self._redges is None:
-            self._build_edges()
-        assert self._redges is not None
         return self._redges[node_id]
-
-    def invalidate(self) -> None:
-        """Drop cached adjacency and features (after mutating membership)."""
-        self._edges = None
-        self._redges = None
-        self._topo_ids = None
-        self._schedule = None
-        self._fresh = False
-
-    @property
-    def features_fresh(self) -> bool:
-        """Whether every feature equals what :meth:`recompute_features` writes."""
-        return self._fresh
-
-    def _netlist_fanout(self) -> Mapping[str, tuple[str, ...]]:
-        """Cached netlist fanout map (the netlist is never mutated)."""
-        if self._fanout is None:
-            self._fanout = self.netlist.fanout_map()
-        return self._fanout
-
-    def _netlist_outputs(self) -> set[str]:
-        """Cached primary-output set (the netlist is never mutated)."""
-        if self._outputs is None:
-            self._outputs = set(self.netlist.outputs)
-        return self._outputs
 
     def derive(
         self,
@@ -208,12 +205,12 @@ class TaskGraph:
     ) -> "TaskGraph":
         """A new checked, costed graph over ``nodes`` that reuses this one.
 
-        When this graph is fresh, a new node with the id and gate tuple of
-        a node here keeps that node's gate-derived features, and when its
-        re-derived level is unchanged too, the new graph holds this
-        graph's node object itself.  Every other node is re-costed.  The
-        feature record a caller puts on a new node is never kept, so a
-        pass may hand over its source node's record as a placeholder.
+        A new node with the id and gate tuple of a node here keeps that
+        node's gate-derived features, and when its re-derived level is
+        unchanged too, the new graph holds this graph's node object
+        itself.  Every other node is re-costed.  The feature record a
+        caller puts on a new node is never kept, so a pass may hand over
+        its source node's record as a placeholder.
 
         Args:
             nodes: the new graph's nodes.
@@ -226,15 +223,8 @@ class TaskGraph:
         Raises:
             TreeError: if the new graph violates an invariant.
         """
-        graph = TaskGraph(self.netlist, self.report, nodes)
-        graph._fanout, graph._outputs = self._fanout, self._outputs
-        if absorbed_into is not None:
-            graph._contract_edges(self, absorbed_into)
-            if not absorbed_into and graph.nodes.keys() == self.nodes.keys():
-                # Same ids and edges: the topological order is this one's.
-                graph._topo_ids = self._topo_ids
-        graph.check()
-        graph._refresh_features(self.nodes if self._fresh else {})
+        graph = TaskGraph.__new__(TaskGraph)
+        graph._build(self.netlist, self.report, nodes, self, absorbed_into)
         return graph
 
     # -- invariants -----------------------------------------------------------
@@ -245,6 +235,11 @@ class TaskGraph:
         Raises:
             TreeError: on any violation.
         """
+        self._check_partition()
+        self._sorted_ids()
+
+    def _check_partition(self) -> None:
+        """Raise :class:`TreeError` unless nodes own exactly the logic gates."""
         if self.report.netlist is self.netlist:
             comb = self.report.combinational_nets()
         else:
@@ -260,36 +255,20 @@ class TaskGraph:
             raise TreeError(
                 f"nodes own non-combinational gates: {sorted(extra)[:8]}"
             )
-        self.topological_nodes()  # raises on cycles
 
-    def topological_nodes(self) -> list[TaskNode]:
-        """Nodes in dependency order (cached until :meth:`invalidate`).
-
-        The order depends only on node ids and edges, never on node
-        insertion order.
+    def _sorted_ids(self) -> list[str]:
+        """Node ids in dependency order, ties broken by id.
 
         Raises:
             TreeError: if the node graph is cyclic.
         """
-        if self._topo_ids is not None:
-            # Integrity guard: a caller that added/removed/renamed nodes
-            # without invalidate() must not get a stale order back.  A
-            # count mismatch recomputes; a renamed id fails loudly below
-            # (KeyError on the lookup).  Swapping a node's *gates* under
-            # an unchanged id is undetectable here — that is the
-            # documented invalidate() contract.
-            if len(self._topo_ids) == len(self.nodes):
-                return [self.nodes[nid] for nid in self._topo_ids]
-            self._topo_ids = None
-        edges = self.edges
-        redges = self._redges
-        assert redges is not None
-        indeg = {nid: len(preds) for nid, preds in redges.items()}
+        edges = self._edges
+        indeg = {nid: len(preds) for nid, preds in self._redges.items()}
         ready = sorted(nid for nid, d in indeg.items() if d == 0)
-        order: list[TaskNode] = []
+        order: list[str] = []
         while ready:
             nid = ready.pop()
-            order.append(self.nodes[nid])
+            order.append(nid)
             succs = edges[nid]
             for succ in sorted(succs) if len(succs) > 1 else succs:
                 indeg[succ] -= 1
@@ -298,42 +277,39 @@ class TaskGraph:
         if len(order) != len(self.nodes):
             stuck = sorted(nid for nid, d in indeg.items() if d > 0)[:8]
             raise TreeError(f"cycle among task nodes: {stuck}")
-        self._topo_ids = [node.node_id for node in order]
         return order
+
+    def topological_nodes(self) -> list[TaskNode]:
+        """Nodes in dependency order.
+
+        The order depends only on node ids and edges, never on node
+        insertion order.
+        """
+        nodes = self.nodes
+        return [nodes[nid] for nid in self._topo_ids]
 
     # -- annotations ------------------------------------------------------------
 
-    def recompute_features(self) -> None:
-        """Refresh every node's feature dictionary from the netlist/report.
+    def _cost(self, previous: Mapping[str, TaskNode]) -> None:
+        """Derive every level; cost every node not carried over.
 
         Levels follow the node DAG (sources at 1, as in the paper's
         figures); energy and delay come from the synthesis report's
-        analytic model.  A no-op on a fresh graph.  Callers that mutate
-        node *membership* must call :meth:`invalidate` first.
-        """
-        if not self._fresh:
-            self._refresh_features({})
-
-    def _refresh_features(self, previous: Mapping[str, TaskNode]) -> None:
-        """Re-derive every level; re-cost every node not carried over.
-
-        Fan-in, fan-out, energy, delay and gate count depend only on a
-        node's gates, so a node with the id and gates of a node in
-        ``previous`` (a fresh graph's nodes) keeps that node's costs, and
-        is that very node when its level is unchanged too.  Nodes are
-        never mutated: new ones replace old ones in :attr:`nodes`, which
-        keeps their order.
+        analytic model.  Fan-in, fan-out, energy, delay and gate count
+        depend only on a node's gates, so a node with the id and gates of
+        a node in ``previous`` (a parent graph's nodes) keeps that node's
+        costs, and is that very node when its level is unchanged too.
+        Nodes are never mutated: new ones replace old ones in
+        :attr:`nodes`, which keeps their order.
         """
         nodes = self.nodes
-        order = self.topological_nodes()
         redges = self._redges
-        assert redges is not None
         gates_of = self.netlist.gates
-        fanout = self._netlist_fanout()
-        outputs = self._netlist_outputs()
+        fanout = self._fanout
+        outputs = self._outputs
         report = self.report
         levels: dict[str, int] = {}
-        for node in order:
+        for node in self.topological_nodes():
             nid = node.node_id
             level = 0
             for p in redges[nid]:
@@ -380,7 +356,6 @@ class TaskGraph:
                 delay = report.block_critical_path_s(gates)
             feature = FeatureDict(fan_in, outs, level, energy, delay, len(gates))
             nodes[nid] = TaskNode(nid, gates, feature)
-        self._fresh = True
 
     def output_nets(self, node: TaskNode) -> set[str]:
         """Nets driven inside ``node`` that are observable outside it.
@@ -388,9 +363,9 @@ class TaskGraph:
         These are the bits an NVM barrier at this node has to commit.
         """
         inside = set(node.gates)
-        fanout = self._netlist_fanout()
+        fanout = self._fanout
         outs: set[str] = set()
-        outputs = self._netlist_outputs()
+        outputs = self._outputs
         for gate in node.gates:
             consumers = fanout.get(gate, [])
             if any(c not in inside for c in consumers):
@@ -406,21 +381,10 @@ class TaskGraph:
         """Maximum node level."""
         return max((n.feature.level for n in self.nodes.values()), default=0)
 
-    def level_nodes(self, level: int) -> list[TaskNode]:
-        """Nodes at ``level``, sorted by id for determinism."""
-        return sorted(
-            (n for n in self.nodes.values() if n.feature.level == level),
-            key=lambda n: n.node_id,
-        )
-
     @property
     def total_energy_j(self) -> float:
         """Sum of node energies per full evaluation pass."""
         return sum(n.feature.energy_j for n in self.nodes.values())
-
-    def energy_histogram(self) -> dict[str, float]:
-        """Node-id -> energy map (for reports and plots)."""
-        return {nid: n.feature.energy_j for nid, n in self.nodes.items()}
 
     def __len__(self) -> int:
         return len(self.nodes)

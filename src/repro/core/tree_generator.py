@@ -47,7 +47,7 @@ def build_task_graph(
         activity: switching activity used if ``report`` is None.
 
     Returns:
-        A checked :class:`TaskGraph` with fresh feature dictionaries.
+        A checked, costed :class:`TaskGraph`.
 
     Raises:
         ValueError: for an unknown granularity.
@@ -63,10 +63,7 @@ def build_task_graph(
         nodes = _gate_nodes(netlist)
     else:
         nodes = _level_nodes(netlist)
-    graph = TaskGraph(netlist, report, nodes)
-    graph.check()
-    graph.recompute_features()
-    return graph
+    return TaskGraph(netlist, report, nodes)
 
 
 def _gate_nodes(netlist: Netlist) -> list[TaskNode]:

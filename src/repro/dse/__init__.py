@@ -54,7 +54,6 @@ from repro.dse.strategies import (
     STRATEGIES,
     DesignSpace,
     EvalOutcome,
-    GridStrategy,
     ParetoEvolutionStrategy,
     Proposal,
     RandomStrategy,
@@ -73,7 +72,6 @@ __all__ = [
     "ExplorationRecord",
     "FaultPlan",
     "FaultSpec",
-    "GridStrategy",
     "GroupAggregate",
     "JsonlResultStore",
     "ParetoEvolutionStrategy",

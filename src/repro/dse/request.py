@@ -188,18 +188,13 @@ class SweepRequest:
         for it.  A strategy *instance* is returned as-is.
 
         Raises:
-            ValueError: for ``strategy="grid"`` (the grid walk has no
-                ask/tell form; :meth:`SweepEngine.submit` routes it to
-                the dedicated spec-order path) or a halving request
-                whose ``generations`` the strategy rejects.
+            ValueError: from :func:`~repro.dse.strategies.make_strategy`,
+                for ``strategy="grid"`` (:meth:`SweepEngine.submit`
+                routes the grid to the dedicated spec-order path) or a
+                halving request whose ``generations`` it rejects.
         """
         if not isinstance(self.strategy, str):
             return self.strategy
-        if self.strategy == "grid":
-            raise ValueError(
-                "the grid strategy is the full-factorial spec walk; "
-                "submit() executes it directly"
-            )
         from repro.dse.strategies import DesignSpace, make_strategy
 
         screener = None

@@ -11,7 +11,7 @@ tool the moment the space grows a few axes, so this module turns the
 * :class:`DesignSpace` — the space being searched: discrete choices
   (policy, technology, criteria, safe-zone) plus continuous
   :class:`Range` knobs (``budget_scale``, ``threshold_scale``,
-  ``safe_margin_scale``) with sampling, grid, mutation and crossover
+  ``safe_margin_scale``) with sampling, mutation and crossover
   operators;
 * :class:`SearchStrategy` — an ask/tell protocol: a strategy proposes a
   batch of :class:`Proposal` s, the sweep planner
@@ -19,13 +19,13 @@ tool the moment the space grows a few axes, so this module turns the
   :meth:`repro.dse.engine.SweepEngine.submit`) evaluates them through
   the synthesis-cache/process-pool/result-store machinery, and the
   outcomes flow back via :meth:`~SearchStrategy.tell`;
-* four implementations — :class:`GridStrategy` (the classic
-  full-factorial walk, demoted to one strategy among peers),
-  :class:`RandomStrategy` (seed-deterministic uniform or
-  latin-hypercube sampling), :class:`SuccessiveHalvingStrategy`
-  (ETAP-style cheap screening before full evaluation) and
-  :class:`ParetoEvolutionStrategy` (mutation/crossover around the
-  current per-(scenario, circuit) Pareto front).
+* three implementations — :class:`RandomStrategy`
+  (seed-deterministic uniform or latin-hypercube sampling),
+  :class:`SuccessiveHalvingStrategy` (ETAP-style cheap screening
+  before full evaluation) and :class:`ParetoEvolutionStrategy`
+  (mutation/crossover around the current per-(scenario, circuit)
+  Pareto front).  The full-factorial grid is no strategy: the sweep
+  planner walks the :class:`~repro.dse.engine.SweepSpec` itself.
 
 Every strategy is a pure function of its seed: two runs with the same
 space, seed and outcomes propose identical points, which is what lets
@@ -76,15 +76,6 @@ class Range:
     def clip(self, value: float) -> float:
         """``value`` clamped into the interval."""
         return min(max(value, self.lo), self.hi)
-
-    def grid(self, resolution: int) -> tuple[float, ...]:
-        """``resolution`` evenly spaced values spanning the interval."""
-        if resolution < 1:
-            raise ValueError("grid resolution must be >= 1")
-        if self.hi == self.lo or resolution == 1:
-            return (self.lo,)
-        step = (self.hi - self.lo) / (resolution - 1)
-        return tuple(self.lo + i * step for i in range(resolution))
 
     def stratum(self, index: int, n: int, rng: random.Random) -> float:
         """A latin-hypercube draw from stratum ``index`` of ``n``."""
@@ -172,32 +163,6 @@ class DesignSpace:
                 else None
             ),
         )
-
-    def grid(self, resolution: int = 3) -> list[DesignPoint]:
-        """The full-factorial point set at ``resolution`` per knob."""
-        margin_values: tuple[float | None, ...] = (
-            self.safe_margin_scale.grid(resolution)
-            if self.safe_margin_scale is not None
-            else (None,)
-        )
-        return [
-            DesignPoint(
-                policy=policy,
-                budget_scale=budget,
-                technology=tech,
-                criteria=criteria,
-                use_safe_zone=safe,
-                threshold_scale=threshold,
-                safe_margin_scale=margin,
-            )
-            for policy in self.policies
-            for budget in self.budget_scale.grid(resolution)
-            for tech in self.technologies
-            for criteria in self.criteria_sets
-            for safe in self.safe_zones
-            for threshold in self.threshold_scale.grid(resolution)
-            for margin in margin_values
-        ]
 
     def mutate(
         self,
@@ -366,30 +331,6 @@ def _score_outcomes(outcomes: list[EvalOutcome]) -> list[float]:
         mean = sum(ratios) / len(ratios)
         scores.append(mean + 0.5 * len(outcome.failures))
     return scores
-
-
-class GridStrategy:
-    """The classic full-factorial walk, as one strategy among peers.
-
-    Proposes the whole grid in a single generation — what a ``grid``
-    :class:`~repro.dse.request.SweepRequest` plans for a
-    :class:`~repro.dse.engine.SweepSpec`, expressed through the ask/tell
-    protocol so grids and adaptive searches run through one loop.
-    """
-
-    def __init__(self, space: DesignSpace, resolution: int = 3) -> None:
-        self.space = space
-        self.resolution = resolution
-        self._asked = False
-
-    def ask(self) -> list[Proposal]:
-        if self._asked:
-            return []
-        self._asked = True
-        return [Proposal(point) for point in self.space.grid(self.resolution)]
-
-    def tell(self, outcomes: list[EvalOutcome]) -> None:
-        """Grids adapt to nothing; outcomes are accepted and ignored."""
 
 
 class RandomStrategy:
@@ -661,7 +602,8 @@ class ParetoEvolutionStrategy:
             self._archive.extend(outcome.records)
 
 
-#: CLI/name → constructor table for :func:`make_strategy`.
+#: The strategy names a request accepts: ``grid`` is the spec walk, the
+#: rest are built by :func:`make_strategy`.
 STRATEGIES = ("grid", "random", "lhs", "halving", "evolution")
 
 
@@ -678,18 +620,23 @@ def make_strategy(
     ``samples`` is the per-generation candidate budget (random sample
     count, halving pool, evolution population); ``generations`` the
     number of adaptive rounds (halving rounds, evolution generations —
-    ignored by grid/random, which are single-generation).
+    ignored by random, which is single-generation).
     ``screener`` (the static round 0) is only meaningful for
     ``halving`` and is ignored by the other strategies.
 
     Raises:
-        ValueError: for an unknown strategy name, or knob values the
-            named strategy rejects (e.g. ``halving`` needs
+        ValueError: for ``grid`` (the full-factorial spec walk has no
+            ask/tell form; :meth:`~repro.dse.engine.SweepEngine.submit`
+            runs it directly), an unknown strategy name, or knob values
+            the named strategy rejects (e.g. ``halving`` needs
             ``generations >= 2`` — one screen round plus the
             full-fidelity final).
     """
     if name == "grid":
-        return GridStrategy(space)
+        raise ValueError(
+            "the grid strategy is the full-factorial spec walk; "
+            "submit() executes it directly"
+        )
     if name == "random":
         return RandomStrategy(space, samples=samples, seed=seed)
     if name == "lhs":

@@ -98,10 +98,6 @@ class EnergyStorage:
         self.total_consumed_j += taken
         return taken
 
-    def can_afford(self, amount_j: float) -> bool:
-        """Whether ``amount_j`` can be withdrawn right now."""
-        return self.energy_j >= amount_j
-
     def ledger_residual_j(self) -> float:
         """Conservation check: harvested - consumed - clipped - stored.
 

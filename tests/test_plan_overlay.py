@@ -163,14 +163,3 @@ def test_cached_plans_share_the_cached_stage(netlists):
     assert low.barriers != high.barriers
     assert low.graph is high.graph is stage
     assert low.live_cut is high.live_cut
-
-
-def test_invalidate_drops_the_schedule_memo(netlists):
-    synth = DiacSynthesizer()
-    stage = synth.stage(netlists["s298"])
-    budget = stage.total_energy_j / 8.0
-    live = synth.plan(stage, budget).live_cut
-    stage.invalidate()
-    fresh = synth.plan(stage, budget).live_cut
-    assert fresh is not live
-    assert fresh == live

@@ -609,6 +609,35 @@ class TestCoordinatorCli:
                   "--config", str(config)])
         assert not (tmp_path / "svc.sqlite").exists()
 
+    def test_config_workers_is_engine_only(self, tmp_path):
+        from repro.cli import main
+
+        results = str(tmp_path / "svc.sqlite")
+        config = tmp_path / "sweep.toml"
+        config.write_text("[execution]\nworkers = 4\n")
+        with pytest.raises(SystemExit, match="--spawn-workers"):
+            main(["coordinator", "s27", "--results", results,
+                  "--config", str(config), "--spawn-workers", "1"])
+        assert not (tmp_path / "svc.sqlite").exists()
+
+    def test_dumped_config_runs_under_the_coordinator(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        assert main(["sweep", "s27", "--policies", "3", "--budget-scales",
+                     "1.0", "--dump-config"]) == 0
+        dumped = capsys.readouterr().out
+        assert "workers = 1" in dumped
+        config = tmp_path / "sweep.toml"
+        config.write_text(dumped)
+        assert main([
+            "coordinator", "--config", str(config), "s27", "--results",
+            str(tmp_path / "svc.sqlite"), "--store-backend", "sqlite",
+            "--spawn-workers", "1", "--poll", "0.02",
+        ]) == 0
+        assert "with 1 worker(s)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["sweep", "coordinator"])
     @pytest.mark.parametrize("flag", ["--samples", "--generations"])
     def test_search_budgets_checked_before_the_request(self, command, flag):

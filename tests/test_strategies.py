@@ -12,7 +12,6 @@ from repro.dse import (
     DesignSpace,
     EvalOutcome,
     ExplorationRecord,
-    GridStrategy,
     JsonlResultStore,
     make_strategy,
     ParetoEvolutionStrategy,
@@ -70,14 +69,6 @@ class TestRange:
         pinned = Range(1.0, 1.0)
         rng = random.Random(0)
         assert pinned.sample(rng) == 1.0
-        assert pinned.grid(5) == (1.0,)
-
-    def test_grid_spans_the_interval(self):
-        values = Range(1.0, 3.0).grid(5)
-        assert values[0] == 1.0
-        assert values[-1] == 3.0
-        assert len(values) == 5
-        assert values == tuple(sorted(values))
 
     def test_clip(self):
         knob = Range(0.5, 2.0)
@@ -96,13 +87,6 @@ class TestDesignSpace:
             assert 0.5 <= point.budget_scale <= 2.0
             assert 0.9 <= point.threshold_scale <= 1.1
             assert point.safe_margin_scale is None
-
-    def test_grid_is_full_factorial(self):
-        points = SPACE.grid(resolution=3)
-        # 3 policies x 2 techs x 1 criteria x 2 safe x 3 budgets x 3
-        # thresholds x 1 margin.
-        assert len(points) == 3 * 2 * 2 * 3 * 3
-        assert len({p.identity() for p in points}) == len(points)
 
     def test_margin_range_sampled_when_present(self):
         space = DesignSpace(safe_margin_scale=Range(0.5, 2.0))
@@ -222,16 +206,6 @@ class TestScoring:
         scores = _score_outcomes(outcomes)
         assert scores[0] == 1.0
         assert scores[1] == float("inf")
-
-
-class TestGridStrategy:
-    def test_single_generation(self):
-        strategy = GridStrategy(SPACE, resolution=2)
-        first = strategy.ask()
-        assert len(first) == 3 * 2 * 2 * 2 * 2
-        assert all(p.scenario_scale == 1.0 for p in first)
-        strategy.tell([])
-        assert strategy.ask() == []
 
 
 class TestRandomStrategy:
@@ -386,7 +360,13 @@ class TestMakeStrategy:
         assert _STRATEGY_CHOICES == STRATEGIES
 
     def test_known_names(self):
-        assert isinstance(make_strategy("grid", SPACE), GridStrategy)
+        # "grid" is a known name but the spec walk, not an ask/tell
+        # strategy: neither make_strategy nor a request builds one.
+        with pytest.raises(ValueError, match="full-factorial spec walk"):
+            make_strategy("grid", SPACE)
+        request = SweepRequest(spec=SweepSpec(circuits=("s27",)))
+        with pytest.raises(ValueError, match="full-factorial spec walk"):
+            request.build_strategy()
         assert isinstance(make_strategy("random", SPACE), RandomStrategy)
         assert isinstance(make_strategy("lhs", SPACE), RandomStrategy)
         assert isinstance(

@@ -45,9 +45,8 @@ class TestTaskGraphInvariants:
     def test_missing_gate_detected(self, s27):
         report = synthesize(s27)
         nodes = [TaskNode("n1", ("G14",))]
-        graph = TaskGraph(s27, report, nodes)
         with pytest.raises(TreeError, match="not covered"):
-            graph.check()
+            TaskGraph(s27, report, nodes)
 
     def test_empty_node_rejected(self):
         with pytest.raises(TreeError, match="no gates"):
@@ -96,12 +95,6 @@ class TestLevelsAndFeatures:
     def test_total_energy_positive(self, small_fsm):
         graph = build_task_graph(small_fsm)
         assert graph.total_energy_j > 0
-
-    def test_level_nodes_sorted(self, small_logic):
-        graph = build_task_graph(small_logic)
-        for level in range(1, graph.depth + 1):
-            names = [n.node_id for n in graph.level_nodes(level)]
-            assert names == sorted(names)
 
 
 class TestGranularities:
