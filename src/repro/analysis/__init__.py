@@ -35,7 +35,6 @@ from repro.analysis.intervals import (
     RunBounds,
     bounds_for_point,
     bounds_for_run,
-    prepare_static,
 )
 from repro.analysis.lint import (
     LINT_RULES,
@@ -63,5 +62,4 @@ __all__ = [
     "lint_netlist",
     "lint_plan",
     "lint_thresholds",
-    "prepare_static",
 ]

@@ -44,12 +44,7 @@ from repro.calibration import (
 )
 from repro.circuits.netlist import Netlist
 from repro.core.diac import DiacConfig
-from repro.dse.explorer import (
-    DesignPoint,
-    PreparedPoint,
-    SynthesisCache,
-    _prepare,
-)
+from repro.dse.explorer import DesignPoint, SynthesisCache, prepare_point
 from repro.energy.harvester import HarvestTrace
 from repro.energy.scenarios import ScenarioSpec
 from repro.energy.thresholds import ThresholdSet
@@ -255,32 +250,6 @@ def bounds_for_run(
     )
 
 
-def prepare_static(
-    netlist: Netlist,
-    point: DesignPoint,
-    base_config: DiacConfig | None = None,
-    cache: SynthesisCache | None = None,
-    scenario: ScenarioSpec | None = None,
-) -> PreparedPoint:
-    """Derive a point's profile/environment without generating code.
-
-    Runs the same front half as :func:`repro.dse.explorer.prepare_point`
-    — the cached synthesis stage and plan, the budget derivation, the
-    threshold knobs and the ``ValueError`` when Th_Cp exceeds the
-    capacitor — minus HDL generation and its round-trip check, which
-    only the simulation path needs; ``design.code`` is left unset.  The
-    returned profile, environment and work target are therefore
-    *identical* to the ones the simulator would run.
-
-    Raises:
-        ValueError: for the same threshold/criteria rejections
-            :func:`~repro.dse.explorer.prepare_point` raises.
-    """
-    return _prepare(
-        netlist, point, base_config, cache, scenario, with_code=False
-    )
-
-
 def bounds_for_point(
     netlist: Netlist,
     point: DesignPoint,
@@ -289,7 +258,7 @@ def bounds_for_point(
     scenario: ScenarioSpec | None = None,
 ) -> RunBounds:
     """Bound the run :func:`~repro.dse.explorer.evaluate_point` would make."""
-    prepared = prepare_static(
+    prepared = prepare_point(
         netlist,
         point,
         base_config=base_config,

@@ -99,19 +99,32 @@ def write_verilog(netlist: Netlist, module_name: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-_MODULE_RE = re.compile(r"module\s+(\w+)\s*\((.*?)\)\s*;", re.DOTALL)
-_PORT_DIR_RE = re.compile(r"^(input|output)\s+(\S+);$")
-_PRIM_RE = re.compile(r"^(\w+)\s+g\d+\((.*)\);$")
-_ASSIGN_CONST_RE = re.compile(r"^assign\s+(\S+)\s*=\s*1'b([01]);$")
-_ASSIGN_MUX_RE = re.compile(r"^assign\s+(\S+)\s*=\s*(\S+)\s*\?\s*(\S+)\s*:\s*(\S+);$")
-_ALWAYS_RE = re.compile(r"^always\s+@\(posedge clk\)\s+(\S+)\s*<=\s*(\S+);$")
+#: One net: an escaped identifier (a backslash, then everything up to the
+#: next whitespace, as :func:`_escape` writes it) or a plain one.
+_NET = r"(\\\S+\s|[A-Za-z_][A-Za-z0-9_$]*)"
+_NETS = rf"{_NET}(?:\s*,\s*{_NET})*"
+_NET_RE = re.compile(_NET)
+_MODULE_RE = re.compile(rf"module\s+(\w+)\s*\(\s*(?:{_NETS})?\s*\)\s*;")
+_PORT_DIR_RE = re.compile(rf"^(input|output)\s+{_NET}\s*;$")
+_PRIM_RE = re.compile(rf"^(\w+)\s+g\d+\(\s*({_NETS})\s*\);$")
+_ASSIGN_CONST_RE = re.compile(rf"^assign\s+{_NET}\s*=\s*1'b([01]);$")
+_ASSIGN_MUX_RE = re.compile(
+    rf"^assign\s+{_NET}\s*=\s*{_NET}\s*\?\s*{_NET}\s*:\s*{_NET}\s*;$"
+)
+_ALWAYS_RE = re.compile(rf"^always\s+@\(posedge clk\)\s+{_NET}\s*<=\s*{_NET}\s*;$")
+
+
+def _unescape(token: str) -> str:
+    """The net name a :data:`_NET` token spells."""
+    return token[1:-1] if token.startswith("\\") else token
 
 
 def parse_verilog(text: str) -> Netlist:
     """Parse the structural Verilog subset produced by :func:`write_verilog`.
 
     This is intentionally *not* a general Verilog front end — it accepts
-    exactly the emitter's output so the codegen round trip can be verified.
+    exactly the emitter's output, escaped identifiers included, so the
+    codegen round trip can be verified.
 
     Raises:
         VerilogError: on any construct outside the emitted subset.
@@ -128,7 +141,7 @@ def parse_verilog(text: str) -> Netlist:
             continue
         m = _PORT_DIR_RE.match(line_stripped)
         if m:
-            direction, net = m.groups()
+            direction, net = m.group(1), _unescape(m.group(2))
             if net == "clk":
                 continue
             if direction == "input":
@@ -140,26 +153,26 @@ def parse_verilog(text: str) -> Netlist:
             continue
         m = _ASSIGN_CONST_RE.match(line)
         if m:
-            net, bit = m.groups()
+            net, bit = _unescape(m.group(1)), m.group(2)
             gtype = GateType.CONST1 if bit == "1" else GateType.CONST0
             netlist.add_gate(net, gtype)
             continue
         m = _ASSIGN_MUX_RE.match(line)
         if m:
-            net, sel, b, a = m.groups()
+            net, sel, b, a = map(_unescape, m.groups())
             netlist.add_gate(net, GateType.MUX, [sel, a, b])
             continue
         m = _ALWAYS_RE.match(line)
         if m:
-            net, src = m.groups()
+            net, src = map(_unescape, m.groups())
             netlist.add_gate(net, GateType.DFF, [src])
             continue
         m = _PRIM_RE.match(line)
         if m:
-            prim, arg_text = m.groups()
+            prim, arg_text = m.group(1), m.group(2)
             if prim not in _TYPE_OF:
                 raise VerilogError(f"unknown primitive {prim!r}")
-            args = [a.strip() for a in arg_text.split(",")]
+            args = [_unescape(a) for a in _NET_RE.findall(arg_text)]
             netlist.add_gate(args[0], _TYPE_OF[prim], args[1:])
             continue
         raise VerilogError(f"unsupported construct: {line!r}")

@@ -82,7 +82,6 @@ def _config_from_args(args: argparse.Namespace) -> DiacConfig:
         policy=args.policy,
         technology=get_technology(args.nvm),
         use_safe_zone=not args.no_safe_zone,
-        validate=not args.no_validate,
     )
 
 
@@ -607,14 +606,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
         if args.deep and not any(
             f.severity == ERROR for f in netlist_findings
         ):
-            from repro.analysis import prepare_static
-            from repro.dse.explorer import DesignPoint
+            from repro.dse.explorer import DesignPoint, prepare_point
 
             point = DesignPoint(
                 policy=args.policy, budget_scale=args.budget_scale
             )
             try:
-                prepared = prepare_static(netlist, point)
+                prepared = prepare_point(netlist, point)
             except Exception as error:
                 print(
                     f"{spec}: deep lint skipped ({error})", file=sys.stderr
@@ -964,7 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--policy", type=int, default=3, choices=(1, 2, 3))
         p.add_argument("--nvm", default="mram", help="mram|reram|feram|pcm")
         p.add_argument("--no-safe-zone", action="store_true")
-        p.add_argument("--no-validate", action="store_true")
 
     p_synth = sub.add_parser("synth", help="run the DIAC pipeline")
     add_design_args(p_synth)

@@ -10,18 +10,22 @@ design, annotates every NVM barrier with a ``DIAC`` pragma comment listing
 the nets its array latches, and performs the timing validation: the
 achievable clock period is the registered critical path (stretched by the
 scheme's flip-flop penalty, if any) and a violation is reported whenever a
-target period cannot be met.  The emitted HDL round-trips through the
-structural Verilog parser, which the pipeline uses as its "commercial tool
-accepted the netlist" check.
+target period cannot be met.  The HDL is emitted on first read and
+checked right there: it must parse back, through the structural Verilog
+parser, to the source netlist's gates and ports — our surrogate for "the
+commercial tool accepted the netlist".  Nothing that does not read HDL
+pays for it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
-from repro.circuits.verilog import parse_verilog, write_verilog
+from repro.circuits.netlist import Netlist
+from repro.circuits.verilog import VerilogError, parse_verilog, write_verilog
 from repro.core.replacement import NvmPlan
 
 
@@ -54,42 +58,68 @@ class GeneratedCode:
 
     Attributes:
         header: the ``//`` pragma header describing this plan's barriers.
-        hdl: the netlist's structural Verilog (shared by every plan of
-            the netlist; :attr:`verilog` is ``header + hdl``).
         barrier_pragmas: barrier node id -> nets committed by its array
             (read-only).
         timing: the step-7 timing validation report.
+        netlist: the source netlist :attr:`hdl` is emitted from.
     """
 
     header: str
-    hdl: str
     barrier_pragmas: Mapping[str, tuple[str, ...]]
     timing: TimingReport
+    netlist: Netlist = field(repr=False, compare=False)
+
+    @cached_property
+    def hdl(self) -> str:
+        """The netlist's structural Verilog, emitted and checked on first read.
+
+        Raises:
+            VerilogError: if the text does not round-trip to the netlist.
+        """
+        text = write_verilog(self.netlist)
+        self.roundtrip_check(text)
+        return text
 
     @property
     def verilog(self) -> str:
         """Structural Verilog of the NV-enhanced design."""
         return self.header + self.hdl
 
-    def roundtrip_check(self) -> None:
-        """Re-parse the emitted Verilog and verify it is well formed.
+    def roundtrip_check(self, hdl: str) -> None:
+        """Check that ``hdl`` parses back to exactly the source netlist.
 
-        The parser skips the ``//`` header, so this checks :attr:`hdl`,
-        and one passing bundle vouches for every bundle sharing its HDL.
+        The parsed gates (type and ordered fanin), inputs and outputs
+        (in order) must equal :attr:`netlist`'s.
 
         Raises:
-            VerilogError / NetlistError: if the emitted HDL is malformed.
+            VerilogError: naming the first net that differs.
         """
-        parse_verilog(self.verilog).validate()
+        parsed = parse_verilog(hdl)
+        source = self.netlist
+        views: tuple[tuple[str, Mapping[str, object], Mapping[str, object]], ...] = (
+            ("input", _positions(parsed.inputs), _positions(source.inputs)),
+            ("output", _positions(parsed.outputs), _positions(source.outputs)),
+            ("gate", parsed.gates, source.gates),
+        )
+        for label, got, want in views:
+            if got != want:
+                net = next(n for n in {**want, **got} if got.get(n) != want.get(n))
+                raise VerilogError(
+                    f"HDL round trip: {label} {net!r} differs from {source.name!r}"
+                )
+
+
+def _positions(nets: list[str]) -> dict[str, int]:
+    """Net -> its index in ``nets`` (port lists hold each net once)."""
+    return {net: i for i, net in enumerate(nets)}
 
 
 def generate_code(
     plan: NvmPlan,
     target_period_s: float | None = None,
     ff_delay_overhead: float = 0.0,
-    hdl: str | None = None,
 ) -> GeneratedCode:
-    """Emit HDL for an NV-enhanced plan and validate timing.
+    """Build an NV-enhanced plan's code bundle and validate timing.
 
     Args:
         plan: the replacement procedure's output.
@@ -97,18 +127,13 @@ def generate_code(
         ff_delay_overhead: relative registered-path penalty of the state
             elements (0.0 for DIAC's plain CMOS flip-flops; the NV-FF and
             LE-FF baselines pass their penalties here).
-        hdl: the netlist's structural Verilog when the caller already
-            holds it, e.g. another plan's :attr:`GeneratedCode.hdl`
-            (emitted with :func:`write_verilog` otherwise).
 
     Returns:
-        A :class:`GeneratedCode` with the Verilog text, barrier pragma
-        table, and timing report.
+        A :class:`GeneratedCode` with the pragma header, barrier pragma
+        table, and timing report; its Verilog is emitted on first read.
     """
     graph = plan.graph
     netlist = graph.netlist
-    if hdl is None:
-        hdl = write_verilog(netlist)
 
     pragmas: dict[str, tuple[str, ...]] = {}
     lines = ["// Generated by the DIAC reproduction code generator."]
@@ -146,7 +171,7 @@ def generate_code(
     )
     return GeneratedCode(
         header="\n".join(lines) + "\n",
-        hdl=hdl,
         barrier_pragmas=MappingProxyType(pragmas),
         timing=timing,
+        netlist=netlist,
     )

@@ -57,7 +57,6 @@ class DiacConfig:
         use_safe_zone: whether the runtime FSM uses Th_SafeZone
             ("optimized DIAC" when True, plain "DIAC" when False).
         target_period_s: optional clock constraint for timing validation.
-        validate: run the codegen round-trip check.
     """
 
     policy: int = 3
@@ -70,7 +69,6 @@ class DiacConfig:
     merge_fraction: float = 1.0
     use_safe_zone: bool = True
     target_period_s: float | None = None
-    validate: bool = True
 
     def __post_init__(self) -> None:
         if self.policy not in (1, 2, 3):
@@ -243,15 +241,9 @@ class DiacSynthesizer:
         cfg = self.config
         return insert_nvm(shaped, budget_j, technology=cfg.technology, criteria=cfg.criteria)
 
-    def code(self, plan: NvmPlan, hdl: str | None = None) -> GeneratedCode:
-        """Step 7: generate HDL (reusing ``hdl`` when given), check timing."""
-        return generate_code(plan, target_period_s=self.config.target_period_s, hdl=hdl)
-
-    def validate(self, code: GeneratedCode) -> bool:
-        """Round-trip check ``code`` if ``config.validate``; True when checked."""
-        if self.config.validate:
-            code.roundtrip_check()
-        return self.config.validate
+    def code(self, plan: NvmPlan) -> GeneratedCode:
+        """Step 7: check timing; the HDL is emitted and checked on first read."""
+        return generate_code(plan, target_period_s=self.config.target_period_s)
 
     def assemble(self, plan: NvmPlan, code: GeneratedCode) -> DiacDesign:
         """The :class:`DiacDesign` of one plan and its code bundle."""
@@ -265,6 +257,4 @@ class DiacSynthesizer:
             The synthesized :class:`DiacDesign`.
         """
         plan = self.plan(self.stage(netlist), self.budget_j(netlist))
-        code = self.code(plan)
-        self.validate(code)
-        return self.assemble(plan, code)
+        return self.assemble(plan, self.code(plan))

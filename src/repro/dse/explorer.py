@@ -18,8 +18,9 @@ and criteria; code generation additionally on the target clock period.
 None of them depends on the safe zone, the threshold or margin scales or
 the harvest scenario.  :class:`SynthesisCache` memoizes the
 :class:`~repro.core.diac.DiacSynthesizer` steps at all three levels, so
-a sweep builds each distinct plan and its HDL once instead of once per
-point, and builds it exactly as ``DiacSynthesizer.run`` would.
+a sweep builds each distinct plan and its code bundle once instead of
+once per point, and builds it exactly as ``DiacSynthesizer.run`` would.
+No evaluation reads HDL, so a sweep never emits any.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from typing import TypeVar, cast
+from typing import TypeVar
 
 from repro.baselines.schemes import profile_diac
 from repro.circuits.netlist import Netlist
@@ -154,7 +155,8 @@ class ExplorationRecord:
 #: budgets x technologies x criteria plans per circuit, but a search
 #: over continuous budgets proposes a new plan per point.  A plan shares
 #: its stage's task graph, so a plan entry holds only its barrier overlay
-#: and partitions; a code entry holds its HDL text.
+#: and partitions; a code entry holds its pragma header and timing
+#: report (and its HDL text only once something has read it).
 PLAN_MEMO_SIZE = 64
 
 
@@ -183,25 +185,18 @@ class SynthesisCache:
       the plan key plus the target clock period.
 
     The cache composes nothing itself, so its designs equal those
-    :meth:`~repro.core.diac.DiacSynthesizer.run` builds.  A netlist's
-    structural Verilog is emitted once and, when a config asks for
-    validation, round-trip checked once; every code entry only adds its
-    plan's pragma header to it.  The parser skips ``//`` lines, so
-    each bundle parses to the same netlist as the checked one.  Plans
-    and code bundles are frozen and nothing after the policy stage
-    mutates a stage graph, so one entry is safely shared by every design
-    built from it; each memo keeps its :data:`PLAN_MEMO_SIZE` most
-    recently used entries.
+    :meth:`~repro.core.diac.DiacSynthesizer.run` builds.  A code bundle
+    emits and checks its structural Verilog only when its HDL is read,
+    which no evaluation does.  Plans and code bundles are frozen and
+    nothing after the policy stage mutates a stage graph, so one entry
+    is safely shared by every design built from it; each memo keeps its
+    :data:`PLAN_MEMO_SIZE` most recently used entries.
     """
 
     def __init__(self) -> None:
         self._stages: dict[tuple, TaskGraph] = {}
         self._plans: dict[tuple, NvmPlan] = {}
         self._codes: dict[tuple, GeneratedCode] = {}
-        #: Netlist name -> its structural Verilog, emitted once.
-        self._hdl: dict[str, str] = {}
-        #: Netlists whose Verilog passed the round-trip check.
-        self._checked: set[str] = set()
         #: Number of cache misses == actual ``synthesize`` invocations.
         self.synthesize_calls = 0
 
@@ -250,23 +245,12 @@ class SynthesisCache:
         )
 
     def code_for(self, netlist: Netlist, config: DiacConfig) -> GeneratedCode:
-        """Return the cached code bundle of :meth:`plan_for`'s plan.
-
-        With ``config.validate`` set, bundles are round-trip checked until
-        one of the netlist passes; every later bundle shares its HDL.  A
-        malformed HDL is never marked checked, so every point of the
-        netlist fails the same way.
-        """
-        synth = DiacSynthesizer(config)
-        code = _recall(
+        """Return the cached code bundle of :meth:`plan_for`'s plan."""
+        return _recall(
             self._codes,
             (*self.plan_key(netlist, config), config.target_period_s),
-            lambda: synth.code(self.plan_for(netlist, config), hdl=self._hdl.get(netlist.name)),
+            lambda: DiacSynthesizer(config).code(self.plan_for(netlist, config)),
         )
-        if netlist.name not in self._checked and synth.validate(code):
-            self._checked.add(netlist.name)
-        self._hdl[netlist.name] = code.hdl
-        return code
 
 
 def _point_config(base: DiacConfig, point: DesignPoint, netlist: Netlist) -> DiacConfig:
@@ -294,10 +278,10 @@ class PreparedPoint:
     Everything :func:`evaluate_point` computes before running the
     intermittent executor: the synthesized design, the (possibly
     threshold-scaled) environment, the single scheme profile the record
-    reads, and the macro-task work target.
-    :func:`repro.analysis.prepare_static` returns the same object with
-    ``design.code`` unset, so the static bounds read exactly the inputs
-    the executor would run on.
+    reads, and the macro-task work target.  The static bounds of
+    :mod:`repro.analysis` read the same object, so they bound exactly
+    the inputs the executor would run on; ``design.code`` costs no HDL
+    unless its text is read.
     """
 
     scenario: ScenarioSpec
@@ -319,31 +303,13 @@ def prepare_point(
     Same contract (side-effect-free, cache-shared, seed-deterministic),
     stopping just short of executing the macro task.
     """
-    return _prepare(
-        netlist, point, base_config, cache, scenario, with_code=True
-    )
-
-
-def _prepare(
-    netlist: Netlist,
-    point: DesignPoint,
-    base_config: DiacConfig | None,
-    cache: SynthesisCache | None,
-    scenario: ScenarioSpec | None,
-    *,
-    with_code: bool,
-) -> PreparedPoint:
-    """The front half shared by :func:`prepare_point` and the static path.
-
-    ``with_code=False`` (:func:`repro.analysis.prepare_static`) leaves
-    ``design.code`` unset: bounds and lint never read generated HDL.
-    """
     scenario = scenario or ScenarioSpec()
     config = _point_config(base_config or DiacConfig(), point, netlist)
     if cache is None:  # NB: an empty cache is falsy (it has __len__).
         cache = SynthesisCache()
-    code = cache.code_for(netlist, config) if with_code else cast(GeneratedCode, None)
-    design = DiacSynthesizer(config).assemble(cache.plan_for(netlist, config), code)
+    design = DiacSynthesizer(config).assemble(
+        cache.plan_for(netlist, config), cache.code_for(netlist, config)
+    )
 
     env = build_environment(design, scenario=scenario)
     thresholds = env.thresholds

@@ -46,7 +46,7 @@ import json
 import os
 import warnings
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -244,7 +244,18 @@ def config_to_dict(config: DiacConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> DiacConfig:
-    """Inverse of :func:`config_to_dict`."""
+    """Inverse of :func:`config_to_dict`.
+
+    Raises:
+        ValueError: for keys that are not :class:`DiacConfig` fields,
+            e.g. a config stored by a version with other knobs.
+    """
+    unknown = sorted(set(data) - {f.name for f in fields(DiacConfig)})
+    if unknown:
+        raise ValueError(
+            f"stored DiacConfig has unknown keys {unknown}; it was written "
+            "by an incompatible version, so start a new queue or store"
+        )
     technology = get_technology(data["technology"])
     criteria = ReplacementCriteria(**data["criteria"])
     return DiacConfig(**{**data, "technology": technology, "criteria": criteria})

@@ -31,7 +31,6 @@ from repro.analysis import (
     lint_netlist,
     lint_plan,
     lint_thresholds,
-    prepare_static,
 )
 from repro.analysis.lint import classify_netlist_error
 from repro.baselines.schemes import all_profiles
@@ -49,7 +48,7 @@ from repro.dse import (
     SweepSpec,
 )
 from repro.dse.engine import PRUNED
-from repro.dse.explorer import SynthesisCache, evaluate_point
+from repro.dse.explorer import SynthesisCache, evaluate_point, prepare_point
 from repro.dse.strategies import SuccessiveHalvingStrategy
 from repro.energy.scenarios import ScenarioSpec
 from repro.evaluation import build_environment
@@ -142,7 +141,7 @@ class TestInfeasibleSoundness:
             verdicts.append(report.verdict)
             if report.verdict is Verdict.INFEASIBLE:
                 assert report.reason
-                prepared = prepare_static(
+                prepared = prepare_point(
                     s27, point, cache=cache, scenario=scenario
                 )
                 env = prepared.environment
@@ -378,7 +377,7 @@ class TestLintRules:
         assert all(f.severity == "warning" for f in findings)
 
     def test_lint_plan_real_design(self, s27):
-        prepared = prepare_static(s27, DesignPoint())
+        prepared = prepare_point(s27, DesignPoint())
         findings = lint_plan(
             prepared.design.plan,
             thresholds=prepared.environment.thresholds,
@@ -404,7 +403,7 @@ class TestLintRules:
         assert all(f.source == "bad.json" for f in findings)
 
     def test_lint_thresholds_accepts_threshold_set(self, s27):
-        prepared = prepare_static(s27, DesignPoint())
+        prepared = prepare_point(s27, DesignPoint())
         findings = lint_thresholds(prepared.environment.thresholds)
         assert [f for f in findings if f.severity == "error"] == []
 

@@ -147,6 +147,6 @@ class TestDiacPipeline:
 
     def test_validation_roundtrip_enabled_by_default(self, s27):
         design = DiacSynthesizer().run(s27)
-        # roundtrip_check raises inside run() on malformed output; reaching
-        # here with a parseable artifact is the assertion.
+        # Reading the HDL emits and round-trip checks it; a malformed or
+        # unfaithful artifact raises right here.
         parse_verilog(design.code.verilog)

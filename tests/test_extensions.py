@@ -197,6 +197,23 @@ class TestCli:
         assert main(["synth", "s27", "--emit-verilog", str(target)]) == 0
         assert "module s27" in target.read_text()
 
+    def test_synth_emit_verilog_numbered_nets(self, tmp_path, capsys):
+        from pathlib import Path
+
+        from repro.circuits import load_bench, parse_verilog
+        from repro.cli import main
+
+        bench = Path(__file__).parents[1] / "examples" / "c17.bench"
+        target = tmp_path / "c17.v"
+        argv = ["synth", str(bench), "--emit-verilog", str(target)]
+        assert main(argv) == 0
+        source = load_bench(bench)
+        parsed = parse_verilog(target.read_text())
+        assert parsed.gates == source.gates
+        assert (parsed.inputs, parsed.outputs) == (source.inputs, source.outputs)
+        assert (len(source.inputs), len(source.outputs)) == (5, 2)
+        assert source.num_gates == 6
+
     def test_synth_bench_file(self, tmp_path, capsys):
         from repro.circuits import S27_BENCH
         from repro.cli import main

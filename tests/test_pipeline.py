@@ -92,10 +92,15 @@ class TestConfigDict:
     def test_round_trip(self):
         config = DiacConfig(
             policy=2, activity=0.3, technology=RERAM, budget_j=1e-14,
-            target_period_s=2e-9, validate=False,
+            target_period_s=2e-9,
         )
         assert config_from_dict(config_to_dict(config)) == config
         assert config_from_dict(config_to_dict(DiacConfig())) == DiacConfig()
+
+    def test_unknown_keys_rejected(self):
+        stored = {**config_to_dict(DiacConfig()), "validate": True}
+        with pytest.raises(ValueError, match="unknown keys.*'validate'"):
+            config_from_dict(stored)
 
     def test_unregistered_technology_rejected(self):
         custom = replace(MRAM, write_energy_j=1e-12)

@@ -2,8 +2,9 @@
 
 A sweep builds each NV-enhanced plan and its code bundle once per
 distinct (stage, budget, technology, criteria[, target period]) and
-emits and round-trip checks each netlist's HDL once; the records must
-not depend on how much of the cache a point found warm.
+never emits HDL: a bundle writes and round-trip checks its Verilog only
+when it is read.  The records must not depend on how much of the cache
+a point found warm.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import pytest
 import repro.core.codegen as codegen
 import repro.core.diac as diac
 import repro.dse.explorer as explorer
-from repro.circuits import VerilogError
-from repro.core import DiacConfig, DiacSynthesizer, ReplacementCriteria
+from repro.circuits import GateType, VerilogError, parse_verilog
+from repro.core import DiacSynthesizer, ReplacementCriteria
 from repro.dse import (
     DesignPoint,
     SweepEngine,
@@ -30,8 +31,8 @@ from repro.dse import (
     record_to_dict,
 )
 from repro.dse.explorer import prepare_point
-from repro.dse.resilience import classify, describe_error
 from repro.energy.scenarios import ScenarioSpec
+from repro.evaluation import evaluate_suite
 from repro.suite import load_circuit
 from repro.tech import MRAM, RERAM
 
@@ -96,8 +97,8 @@ class TestBuiltOnce:
         distinct_plans = len(CIRCUITS) * 2 * 2  # circuits x budgets x techs
         assert calls["insert_nvm"] == distinct_plans
         assert calls["generate_code"] == distinct_plans
-        assert calls["write_verilog"] == len(CIRCUITS)
-        assert calls["parse_verilog"] == len(CIRCUITS)
+        assert calls["write_verilog"] == 0
+        assert calls["parse_verilog"] == 0
 
     def test_plan_memo_drops_the_least_recently_used(
         self, calls, monkeypatch
@@ -112,24 +113,21 @@ class TestBuiltOnce:
         assert calls["insert_nvm"] == 4
         assert calls["generate_code"] == 4
 
-    def test_synthesizer_run_emits_and_checks_per_design(self, calls):
-        DiacSynthesizer().run(load_circuit("s27"))
-        assert calls["write_verilog"] == 1
-        assert calls["parse_verilog"] == 1
-
-    def test_validate_false_skips_the_parse(self, calls):
+    def test_evaluations_emit_no_hdl(self, calls):
         netlist = load_circuit("s27")
         cache = SynthesisCache()
-        off = DiacConfig(validate=False)
         for scale in (0.5, 1.0):
-            evaluate_point(
-                netlist, DesignPoint(budget_scale=scale), off, cache
-            )
-        assert calls["write_verilog"] == 1
+            evaluate_point(netlist, DesignPoint(budget_scale=scale), cache=cache)
+        evaluate_suite(["s27"])
+        assert calls["generate_code"] == 3
+        assert calls["write_verilog"] == 0
         assert calls["parse_verilog"] == 0
-        # A later validating config checks the cached HDL exactly once.
-        for _ in range(2):
-            evaluate_point(netlist, DesignPoint(), DiacConfig(), cache)
+
+    def test_synthesizer_run_emits_no_hdl_until_it_is_read(self, calls):
+        code = DiacSynthesizer().run(load_circuit("s27")).code
+        assert calls["write_verilog"] == 0
+        assert calls["parse_verilog"] == 0
+        assert code.verilog == code.verilog
         assert calls["write_verilog"] == 1
         assert calls["parse_verilog"] == 1
 
@@ -169,9 +167,22 @@ def test_shared_cache_records_equal_fresh_cache_records():
     ]
 
 
-def test_malformed_hdl_fails_every_point_like_the_uncached_path(
-    monkeypatch, calls
-):
+def _small_sweep(netlist):
+    spec = SweepSpec(
+        circuits=("s27",),
+        policies=(3,),
+        budget_scales=(0.5, 1.0),
+        safe_zones=(True, False),
+        scenarios=SCENARIOS[:2],
+    )
+    return SweepEngine().submit(
+        SweepRequest(spec=spec), netlists={"s27": netlist}
+    )
+
+
+def test_malformed_hdl_raises_on_read_and_leaves_sweeps_alone(monkeypatch):
+    netlist = load_circuit("s27")
+    clean = _small_sweep(netlist)
     real = codegen.write_verilog
 
     def malformed(netlist, *args, **kwargs):
@@ -180,25 +191,41 @@ def test_malformed_hdl_fails_every_point_like_the_uncached_path(
         )
 
     monkeypatch.setattr(codegen, "write_verilog", malformed)
-    netlist = load_circuit("s27")
-    with pytest.raises(VerilogError) as excinfo:
-        DiacSynthesizer().run(netlist)
-    expected = (classify(excinfo.value), describe_error(excinfo.value))
-    assert "bogus construct" in expected[1]
+    code = DiacSynthesizer().run(netlist).code
+    with pytest.raises(VerilogError, match="bogus construct"):
+        _ = code.verilog
 
-    spec = SweepSpec(
-        circuits=("s27",),
-        policies=(3,),
-        budget_scales=(0.5, 1.0),
-        safe_zones=(True, False),
-        scenarios=SCENARIOS[:2],
+    patched = _small_sweep(netlist)
+    assert not patched.failures
+    assert len(patched.records) == 8
+    assert [record_to_dict(r) for r in patched.records] == [
+        record_to_dict(r) for r in clean.records
+    ]
+
+
+def test_hdl_that_parses_to_another_netlist_raises_on_read(monkeypatch):
+    """A writer that swaps two fanins of one gate still parses and
+    validates; only the comparison with the source netlist catches it."""
+    netlist = load_circuit("s27")
+    gate = next(
+        g
+        for g in netlist.gates.values()
+        if g.gtype is GateType.NOR and len(set(g.inputs)) == 2
     )
-    result = SweepEngine().submit(
-        SweepRequest(spec=spec), netlists={"s27": netlist}
-    )
-    assert not result.records
-    assert len(result.failures) == 8
-    assert {(f.kind, f.error) for f in result.failures} == {expected}
+    a, b = gate.inputs
+    real = codegen.write_verilog
+
+    def swapped(source, *args, **kwargs):
+        text = real(source, *args, **kwargs)
+        line = f"({gate.name}, {a}, {b});"
+        assert text.count(line) == 1
+        return text.replace(line, f"({gate.name}, {b}, {a});")
+
+    monkeypatch.setattr(codegen, "write_verilog", swapped)
+    parse_verilog(swapped(netlist)).validate()
+    code = DiacSynthesizer().run(netlist).code
+    with pytest.raises(VerilogError, match=repr(gate.name)):
+        _ = code.verilog
 
 
 class TestFrozenSharedObjects:

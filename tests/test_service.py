@@ -33,6 +33,7 @@ from repro.dse import (
     request_to_config,
 )
 from repro.dse.engine import expand_tasks
+from repro.dse.store import config_to_dict
 from repro.dse.faults import FaultPlan
 from repro.dse.resilience import (
     TERMINAL,
@@ -473,6 +474,21 @@ class TestWorkerParity:
         with pytest.raises(error, match=match):
             run_worker(path, path, drain=True, **knobs)
         assert not path.exists()  # neither store nor queue was opened
+
+    def test_worker_refuses_a_stale_base_config_before_claiming(
+        self, tmp_path
+    ):
+        path = tmp_path / "svc.sqlite"
+        queue = LeaseQueue(path)
+        queue.enqueue(expand_tasks(SPEC))
+        stale = {**config_to_dict(DiacConfig()), "validate": True}
+        queue._meta_set("base_config", stale)
+        queue.close()
+        with pytest.raises(ValueError, match=r"unknown keys \['validate'\]"):
+            run_worker(path, path, drain=True, poll_s=0.01)
+        queue = LeaseQueue(path)
+        assert queue.stats()["leased"] == 0
+        queue.close()
 
     def test_worker_accepts_zero_idle_timeout(self, tmp_path):
         path = tmp_path / "svc.sqlite"

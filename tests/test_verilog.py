@@ -42,6 +42,25 @@ class TestRoundTrip:
         check_equivalent(netlist, parse_verilog(write_verilog(netlist)))
 
 
+    def test_escaped_net_names_round_trip_exactly(self):
+        netlist = Netlist(name="escapes")
+        for net in ("1", "a[0]", "b.1", "c"):
+            netlist.add_input(net)
+        netlist.add_gate("10", GateType.NAND, ["1", "a[0]"])
+        netlist.add_gate("q.0", GateType.DFF, ["10"])
+        netlist.add_gate("m[1]", GateType.MUX, ["b.1", "q.0", "c"])
+        netlist.add_gate("k$", GateType.CONST0)
+        netlist.add_gate("x,y", GateType.OR, ["m[1]", "k$", "10"])
+        netlist.add_output("x,y")
+        netlist.add_output("10")
+        text = write_verilog(netlist)
+        assert "\\a[0] " in text
+        parsed = parse_verilog(text)
+        assert parsed.gates == netlist.gates
+        assert parsed.inputs == netlist.inputs
+        assert parsed.outputs == netlist.outputs
+
+
 class TestEmission:
     def test_clk_port_only_for_sequential(self, s27, combinational):
         assert "input clk;" in write_verilog(s27)
