@@ -42,12 +42,22 @@ def _escape(net: str) -> str:
     return "\\" + net + " "
 
 
+def _clock_name(netlist: Netlist) -> str:
+    """The generated clock port: ``clk``, or the first free ``clk_N``."""
+    name, n = "clk", 0
+    while name in netlist.gates:
+        n += 1
+        name = f"clk_{n}"
+    return name
+
+
 def write_verilog(netlist: Netlist, module_name: str | None = None) -> str:
     """Emit gate-level structural Verilog for ``netlist``.
 
-    DFFs become ``always @(posedge clk)`` processes on a generated ``clk``
-    port; MUX gates become continuous conditional assigns; constants become
-    constant assigns.
+    DFFs become ``always @(posedge clk)`` processes on a generated clock
+    port, named ``clk`` unless a net already is (then ``clk_1``,
+    ``clk_2``, ...); MUX gates become continuous conditional assigns;
+    constants become constant assigns.
 
     Returns:
         The Verilog source text.
@@ -55,11 +65,11 @@ def write_verilog(netlist: Netlist, module_name: str | None = None) -> str:
     module = module_name or re.sub(r"\W", "_", netlist.name) or "top"
     inputs = netlist.inputs
     outputs = netlist.outputs
-    has_ff = netlist.num_ffs > 0
-    ports = (["clk"] if has_ff else []) + inputs + outputs
+    clock = _clock_name(netlist) if netlist.num_ffs > 0 else None
+    ports = ([clock] if clock else []) + inputs + outputs
     lines = [f"module {module}({', '.join(_escape(p) for p in ports)});"]
-    if has_ff:
-        lines.append("  input clk;")
+    if clock:
+        lines.append(f"  input {clock};")
     for net in inputs:
         lines.append(f"  input {_escape(net)};")
     for net in outputs:
@@ -88,7 +98,7 @@ def write_verilog(netlist: Netlist, module_name: str | None = None) -> str:
         elif gate.is_sequential:
             src = _escape(gate.inputs[0])
             lines.append(
-                f"  always @(posedge clk) {_escape(gate.name)} <= {src};"
+                f"  always @(posedge {clock}) {_escape(gate.name)} <= {src};"
             )
         else:
             prim = _PRIMITIVE_OF[gate.gtype]
@@ -111,7 +121,9 @@ _ASSIGN_CONST_RE = re.compile(rf"^assign\s+{_NET}\s*=\s*1'b([01]);$")
 _ASSIGN_MUX_RE = re.compile(
     rf"^assign\s+{_NET}\s*=\s*{_NET}\s*\?\s*{_NET}\s*:\s*{_NET}\s*;$"
 )
-_ALWAYS_RE = re.compile(rf"^always\s+@\(posedge clk\)\s+{_NET}\s*<=\s*{_NET}\s*;$")
+_ALWAYS_RE = re.compile(
+    rf"^always\s+@\(posedge\s+{_NET}\s*\)\s+{_NET}\s*<=\s*{_NET}\s*;$"
+)
 
 
 def _unescape(token: str) -> str:
@@ -134,15 +146,19 @@ def parse_verilog(text: str) -> Netlist:
         raise VerilogError("no module header found")
     netlist = Netlist(name=header.group(1))
     body = text[header.end():]
+    lines = [raw.strip() for raw in body.splitlines()]
+    # Clock ports drive only the ``always`` edges, never a gate.
+    clocks = {
+        _unescape(m.group(1)) for m in map(_ALWAYS_RE.match, lines) if m
+    }
     outputs: list[str] = []
-    for raw in body.splitlines():
-        line = line_stripped = raw.strip()
+    for line in lines:
         if not line or line == "endmodule" or line.startswith("//"):
             continue
-        m = _PORT_DIR_RE.match(line_stripped)
+        m = _PORT_DIR_RE.match(line)
         if m:
             direction, net = m.group(1), _unescape(m.group(2))
-            if net == "clk":
+            if net in clocks:
                 continue
             if direction == "input":
                 netlist.add_input(net)
@@ -164,7 +180,7 @@ def parse_verilog(text: str) -> Netlist:
             continue
         m = _ALWAYS_RE.match(line)
         if m:
-            net, src = map(_unescape, m.groups())
+            _clock, net, src = map(_unescape, m.groups())
             netlist.add_gate(net, GateType.DFF, [src])
             continue
         m = _PRIM_RE.match(line)

@@ -548,7 +548,7 @@ def cmd_view(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
+        server.server_close()
     return 0
 
 

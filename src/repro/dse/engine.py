@@ -25,25 +25,25 @@ dedup, ask/tell and result assembly — is decided by
   as batches complete, so a killed run loses at most its in-flight
   batches and resumes from the store;
 * **fault tolerance** — execution runs under
-  :class:`~repro.dse.resilience.ResilienceConfig`: transient failures
-  (worker crashes, injected chaos) retry with seeded backoff; on the
-  parallel path a dead worker's lease is released at once, a worker
-  past ``batch_timeout_s`` is killed, both are replaced within a
-  budget, and once none is left this process drains the rest, every
-  task keeping its attempt count.  Deterministic evaluation errors fail
-  fast into a single :class:`SweepFailure`; *any* other exception
-  becomes a recorded failure too, never a destroyed sweep (see
-  ``docs/robustness.md``).
+  :class:`~repro.dse.resilience.ResilienceConfig`.  Either executor
+  evaluates each task it is given once; the planner retries transient
+  failures (worker crashes, injected chaos) with seeded backoff, so
+  both paths share one retry loop and one attempt count per task.  On
+  the parallel path a dead worker's lease fails ``transient`` at once,
+  a worker past ``batch_timeout_s`` is killed, both are replaced within
+  a budget, and once none is left this process drains the rest.
+  Deterministic evaluation errors fail fast into a single
+  :class:`SweepFailure`; *any* other exception becomes a recorded
+  failure too, never a destroyed sweep (see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
 
 import math
 import tempfile
-import time
 from collections.abc import Iterator
 from contextlib import AbstractContextManager, contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from numbers import Real
 from pathlib import Path
@@ -323,7 +323,7 @@ class SweepStats:
             result's ``failures`` list covers only requested
             scenarios).
         n_batches: synthesis-stage groups evaluated (enqueued, on the
-            parallel path).
+            parallel path), each retry round's groups included.
         n_generations: strategy generations driven (0 for a grid).
         synthesize_calls: circuit characterizations performed in this
             process — static screening and pruning included; stages
@@ -336,7 +336,7 @@ class SweepStats:
         n_retries: task re-evaluations scheduled after transient
             failures (each retry of one task counts once).
         n_timeouts: workers killed for holding a lease past its
-            deadline (the lease went back to the queue).
+            deadline (the lease failed ``transient``).
     """
 
     n_points: int = 0
@@ -523,7 +523,7 @@ def _evaluate_batch(
 
     Every per-job exception — deterministic, transient, or a genuine
     bug — becomes a classified :class:`SweepFailure` so one bad point
-    never destroys its batch; the caller decides which kinds retry.
+    never destroys its batch; the planner decides which kinds retry.
     ``fault_plan`` injects deterministic chaos just before each job.
     """
     inline = caches is not None
@@ -592,8 +592,8 @@ class SweepEngine:
             ``load()``.
         resilience: retry/deadline configuration (default: the default
             :class:`~repro.dse.resilience.RetryPolicy`, no deadlines);
-            ``batch_timeout_s`` is the lease deadline of the parallel
-            path.
+            ``retry`` goes to the planner, and ``batch_timeout_s`` is
+            the lease deadline of the parallel path.
     """
 
     def __init__(
@@ -670,6 +670,7 @@ class SweepEngine:
                 base_config=self.base_config,
                 netlists=netlists,
                 caches=caches,
+                retry=self.resilience.retry,
             )
 
     @contextmanager
@@ -738,19 +739,15 @@ class SweepEngine:
     ) -> tuple[
         dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]
     ]:
-        """Evaluate pending tasks inline, commit them, update ``stats``.
+        """Evaluate each task once, inline, and commit the records.
 
         The planner's executor for a one-worker :meth:`submit`.  Tasks
         are grouped by synthesis stage (circuit x policy), so each batch
         shares one characterization/tree/policy run on ``caches``;
         scenarios ride in the same batch because they never change the
         synthesized design.  Each batch is evaluated and committed in
-        turn.  A transient failure is retried as a single-job batch once
-        its seeded backoff has passed, the batches still waiting running
-        first; a batch's attempt number is the attempt of every task in
-        it.
+        turn; the planner decides which failures run again.
         """
-        policy = self.resilience.retry
         groups: dict[
             tuple[str, int],
             list[tuple[_TaskKey, ScenarioSpec, DesignPoint]],
@@ -762,34 +759,13 @@ class SweepEngine:
         stats.n_batches += len(groups)
         fresh: dict[_TaskKey, ExplorationRecord] = {}
         failures: dict[_TaskKey, SweepFailure] = {}
-        # (not-before monotonic time, circuit, jobs, attempt).
-        batches = [
-            (0.0, circuit, jobs, 1) for (circuit, _p), jobs in groups.items()
-        ]
-        while batches:
-            # The earliest due batch; first attempts (due at 0) in order.
-            index = min(range(len(batches)), key=lambda i: batches[i][0])
-            not_before, circuit, jobs, attempt = batches.pop(index)
-            wait = not_before - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
+        for (circuit, _policy), jobs in groups.items():
             records, synth_calls, batch_failures = _evaluate_batch(
                 circuit, netlists[circuit], jobs, self.base_config,
                 self.resilience.fault_plan, caches,
             )
             stats.synthesize_calls += synth_calls
             fresh.update(records)
+            failures.update(batch_failures)
             self._commit(records)
-            for key, failure in batch_failures:
-                delay = policy.retry_delay_s(failure.kind, attempt, key_text(key))
-                if delay is None:
-                    failures[key] = replace(failure, attempts=attempt)
-                    continue
-                stats.n_retries += 1
-                job = next(j for j in jobs if j[0] == key)
-                batches.append(
-                    (time.monotonic() + delay, circuit, [job], attempt + 1)
-                )
-        stats.n_evaluated += len(fresh)
-        stats.n_failed += len(failures)
         return fresh, failures

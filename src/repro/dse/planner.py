@@ -18,6 +18,10 @@ or on the lease queue (:meth:`repro.service.SweepCoordinator.submit`):
   points (:func:`prune_tasks`);
 * **dedup** — a key planned in any earlier generation is never planned
   again, so a strategy re-proposing a point costs nothing;
+* **retry** — the one retry loop: a transient failure the run's
+  :class:`~repro.dse.resilience.RetryPolicy` still allows is handed to
+  the executor again once its backoff has elapsed
+  (:func:`execute_with_retries`);
 * **full fidelity** — only keys under a requested scenario reach the
   result; screening evaluations are told to the strategy and streamed
   to the store, but stay out of ``records`` and ``failures``;
@@ -25,9 +29,10 @@ or on the lease queue (:meth:`repro.service.SweepCoordinator.submit`):
   grid, first-proposal order for a search).
 
 A front end supplies only an :data:`Execute` callable that evaluates
-pending tasks, and keeps the execution counters it owns
-(``n_evaluated``, ``n_failed``, ``n_retries``, ...).  Everything the
-planner decides is therefore identical across execution paths.
+each task it is given once, and keeps the execution counters it owns
+(``n_batches``, ``synthesize_calls``, ``n_timeouts``).  Everything the
+planner decides — retries and attempt counts included — is therefore
+identical across execution paths.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import time
 import warnings
 from collections.abc import Callable
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.circuits.netlist import Netlist
@@ -52,6 +58,8 @@ from repro.dse.engine import (
     expand_tasks,
 )
 from repro.dse.explorer import ExplorationRecord, SynthesisCache
+from repro.dse.faults import key_text
+from repro.dse.resilience import RetryPolicy
 from repro.dse.store import ResultStore, config_fingerprint, value_fingerprint
 from repro.dse.strategies import EvalOutcome, Proposal
 from repro.suite.registry import load_circuit
@@ -59,8 +67,8 @@ from repro.suite.registry import load_circuit
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dse.request import SweepRequest
 
-#: Evaluates pending tasks; returns ``(records_by_key, failures_by_key)``
-#: that together cover every task it was given.
+#: Evaluates each pending task once; returns ``(records_by_key,
+#: failures_by_key)`` that together cover every task it was given.
 Execute = Callable[
     [list[_Task]],
     tuple[dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]],
@@ -201,6 +209,48 @@ def _proposal_tasks(proposal: Proposal, spec: SweepSpec) -> list[_Task]:
     return tasks
 
 
+def execute_with_retries(
+    execute: Execute,
+    tasks: list[_Task],
+    retry: RetryPolicy,
+    stats: SweepStats,
+) -> tuple[dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]]:
+    """Evaluate ``tasks`` through ``execute``, retrying transient failures.
+
+    Round ``n`` hands ``execute`` every task on its ``n``-th attempt, so
+    the round number is each task's attempt number.  A failure that
+    :meth:`~repro.dse.resilience.RetryPolicy.retry_delay_s` still allows
+    joins the next round, which starts once the longest of its backoffs
+    has elapsed; any other failure is final and records the attempts its
+    task consumed.  Fills ``n_evaluated``, ``n_failed`` and
+    ``n_retries``; a run with no failure makes exactly one call.
+    """
+    records: dict[_TaskKey, ExplorationRecord] = {}
+    failures: dict[_TaskKey, SweepFailure] = {}
+    attempt, due = 1, 0.0
+    while tasks:
+        wait = due - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        fresh, failed = execute(tasks)
+        records.update(fresh)
+        now = time.monotonic()
+        again: set[_TaskKey] = set()
+        for key, failure in failed.items():
+            delay = retry.retry_delay_s(failure.kind, attempt, key_text(key))
+            if delay is None:
+                failures[key] = replace(failure, attempts=attempt)
+            else:
+                again.add(key)
+                due = max(due, now + delay)
+        stats.n_retries += len(again)
+        tasks = [task for task in tasks if task[0] in again]
+        attempt += 1
+    stats.n_evaluated += len(records)
+    stats.n_failed += len(failures)
+    return records, failures
+
+
 def plan_and_run(
     request: "SweepRequest",
     execute: Execute,
@@ -209,18 +259,19 @@ def plan_and_run(
     base_config: DiacConfig | None = None,
     netlists: dict[str, Netlist] | None = None,
     caches: dict[str, SynthesisCache] | None = None,
+    retry: RetryPolicy | None = None,
 ) -> SweepResult:
     """Plan ``request`` and evaluate its pending tasks through ``execute``.
 
     Args:
         request: what to explore and how.
-        execute: evaluates one generation's pending tasks (see
-            :data:`Execute`).
+        execute: evaluates a round of one generation's pending tasks
+            (see :data:`Execute`).
         stats: the run's statistics; the planner fills ``n_points``,
-            ``n_resumed``, ``n_pruned``, ``n_generations`` and
-            ``wall_s`` and counts the ``synthesize_calls`` of its own
-            pruning and screening; ``execute`` fills the execution
-            counters.
+            ``n_resumed``, ``n_pruned``, ``n_generations``,
+            ``n_evaluated``, ``n_failed``, ``n_retries`` and ``wall_s``
+            and counts the ``synthesize_calls`` of its own pruning and
+            screening; ``execute`` fills the rest.
         store: result store consulted for resume and stamped with the
             spec fingerprint.
         base_config: synthesis defaults (fingerprinted, and used by
@@ -231,6 +282,8 @@ def plan_and_run(
         caches: circuit name -> synthesis cache that pruning and the
             screener fill; pass the map ``execute`` evaluates with so
             every stage is characterized once (default: a fresh map).
+        retry: how transient failures are retried (default: the
+            default :class:`~repro.dse.resilience.RetryPolicy`).
 
     Returns:
         The run's :class:`~repro.dse.engine.SweepResult`.
@@ -239,6 +292,7 @@ def plan_and_run(
     spec = request.spec
     netlists = netlists if netlists is not None else {}
     caches = caches if caches is not None else {}
+    retry = retry if retry is not None else RetryPolicy()
 
     def synthesized() -> int:
         return sum(cache.synthesize_calls for cache in caches.values())
@@ -288,7 +342,7 @@ def plan_and_run(
             stats.synthesize_calls += synthesized() - before
             failures.update(pruned)
             stats.n_pruned += len(pruned)
-        fresh, failed = execute(pending)
+        fresh, failed = execute_with_retries(execute, pending, retry, stats)
         records.update(fresh)
         failures.update(failed)
 

@@ -6,7 +6,8 @@ process level.  A long multi-circuit, multi-scenario sweep must not die
 because one worker was OOM-killed, one batch hung, or one evaluation hit
 a transient hiccup — in the spirit of DiCA-style checkpointing, the
 sweep checkpoints (the result store) and the execution layer restores
-cheaply (retry, lease release and respawn, in-process drain).
+cheaply (the planner's retry, lease reclaim and respawn, in-process
+drain).
 
 Three pieces live here:
 
@@ -23,7 +24,8 @@ Three pieces live here:
 * :class:`ResilienceConfig` — the retry policy, the lease deadline of
   the engine's parallel path and the chaos plan of one run.
 
-The worker fleet that applies them lives in
+The planner (:mod:`repro.dse.planner`) applies the retry policy; the
+worker fleet that applies the rest lives in
 :mod:`repro.service.coordinator`.  See ``docs/robustness.md`` for the
 full recovery ladder and semantics.
 """
@@ -141,7 +143,8 @@ class RetryPolicy:
 
     Attributes:
         max_attempts: total tries per task (1 == never retry).  Leases
-            lost to a worker death or deadline share the same bound.
+            lost to a worker death or deadline fail ``transient`` and
+            share the same bound.
         backoff_base_s: wait before the second attempt.
         backoff_factor: multiplier per further attempt.
         backoff_max_s: backoff ceiling.
@@ -191,8 +194,9 @@ class RetryPolicy:
 
         ``None`` means the failure is final: it is not ``transient``, or
         ``attempt`` already spent the ``max_attempts`` budget.  The one
-        retry decision of the engine's stage-batch loop and the lease
-        queue.
+        retry decision, called only by the planner's retry loop
+        (:func:`repro.dse.planner.execute_with_retries`); executors and
+        the lease queue evaluate each task they are given once.
         """
         if kind != TRANSIENT or attempt >= self.max_attempts:
             return None
@@ -207,9 +211,10 @@ class ResilienceConfig:
         retry: retry/backoff policy for transient failures.
         batch_timeout_s: lease deadline of the engine's parallel path,
             counted from the claim: a worker still holding a lease past
-            it is a straggler — it is killed, the lease goes back to the
-            queue and a fresh worker replaces it.  ``None`` (default)
-            sets no deadline; inline batches never have one.
+            it is a straggler — it is killed, the lease fails
+            ``transient`` (so the planner retries it) and a fresh worker
+            replaces it.  ``None`` (default) sets no deadline; inline
+            batches never have one.
         fault_plan: optional deterministic chaos plan (tests and
             ``sweep --inject-faults``); ``None`` in production.
     """

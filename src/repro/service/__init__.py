@@ -6,8 +6,8 @@ lease queue; it is also the only parallel path of the in-process
 :class:`~repro.dse.engine.SweepEngine`:
 
 * :class:`~repro.service.queue.LeaseQueue` — the durable work queue
-  (leases, heartbeats, expiry + reclaim-on-death, the retry taxonomy
-  and backoff of :mod:`repro.dse.resilience` applied per lease);
+  (leases, heartbeats, expiry + reclaim-on-death; each task runs once
+  per enqueue, and the planner decides what is enqueued again);
 * :func:`~repro.service.worker.run_worker` — the worker loop behind
   ``repro worker`` and every forked local worker, pulling leases and
   evaluating them through the exact batch path the engine uses;

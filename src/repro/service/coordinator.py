@@ -21,14 +21,16 @@ netlists and fault plan as objects); ``repro worker`` processes on
 other hosts join the same queue by path.
 
 Every poll also tends the local fleet: a worker that exited non-zero
-has its leases released at once, a live worker holding an expired lease
-is a straggler and is killed, both are replaced up to a respawn budget,
-and once no local worker is left the submitter drains the rest in its
-own process.  Determinism carries through: point evaluation is pure,
-stores upsert on the engine's resume keys, and lease retries reuse the
-engine's taxonomy/backoff — so the final record set is bit-identical to
-a single-process run of the same request, however leases interleave or
-workers die (``tests/test_paths.py`` pins this).
+has its leases failed ``transient`` at once, a live worker holding an
+expired lease is a straggler and is killed, both are replaced up to a
+respawn budget, and once no local worker is left the submitter drains
+the rest in its own process.  The executor evaluates each task once;
+which failures run again is the planner's decision, the same retry loop
+the in-process engine uses.  Determinism carries through: point
+evaluation is pure and stores upsert on the engine's resume keys — so
+the final record set is bit-identical to a single-process run of the
+same request, however leases interleave or workers die
+(``tests/test_paths.py`` pins this).
 """
 
 from __future__ import annotations
@@ -184,16 +186,16 @@ class SweepCoordinator:
             poll).
         max_respawns: replacement local workers allowed per session
             after deaths and straggler kills.
-        resilience: retry policy source (``resilience.retry`` is
-            persisted into the queue) and fault plan handed to the
-            forked workers.
+        resilience: the planner's retry policy (``resilience.retry``)
+            and the fault plan handed to the forked workers.
         base_config: synthesis defaults, identical to the engine's;
             persisted in the queue, which is where workers read it.
         store_backend: forwarded to :func:`~repro.dse.store.open_store`.
         fsync_every: forwarded to :func:`~repro.dse.store.open_store`.
         http_port: when not ``None``, serve the read-only
             :class:`~repro.service.view.SweepViewServer` on this port
-            for the duration of :meth:`submit` (0 = ephemeral port).
+            for the duration of :meth:`submit` (0 = ephemeral port),
+            from a process of its own.
     """
 
     def __init__(
@@ -299,6 +301,7 @@ class SweepCoordinator:
                     base_config=self.base_config,
                     netlists=netlists,
                     caches=caches,
+                    retry=self.resilience.retry,
                 )
         finally:
             store.close()
@@ -316,16 +319,16 @@ class SweepCoordinator:
         """Open the queue, fork the local fleet, yield the executor.
 
         The yielded :data:`~repro.dse.planner.Execute` enqueues one
-        generation's tasks, polls the queue down to zero while tending
-        the fleet, and returns that generation's records and failures.
-        When the session ends the queue closes and the fleet winds down.
+        round of tasks, polls the queue down to zero while tending the
+        fleet, and returns that round's records and failures.  When the
+        session ends the queue closes, the fleet winds down and the view
+        process (``http_port``) stops.
 
         Args:
             stats: receives the execution counters — ``n_batches``
-                (stage groups enqueued), ``n_evaluated``, ``n_failed``,
-                ``n_retries``, ``n_timeouts`` (stragglers killed) and
-                the ``synthesize_calls`` of leases drained in this
-                process.
+                (stage groups enqueued), ``n_timeouts`` (stragglers
+                killed) and the ``synthesize_calls`` of leases drained
+                in this process.
             store: the SQLite store at ``store_path``, which the
                 workers write.
             netlists: circuit name -> netlist, handed to the forked
@@ -336,19 +339,20 @@ class SweepCoordinator:
             commit: called on every poll with the records stored since
                 the last one, so the caller can stream them on; the
                 executor then returns those records instead of reading
-                each generation back from ``store``.
+                each round back from ``store``.
         """
-        queue = LeaseQueue(
-            self.queue_path,
-            retry=self.resilience.retry,
-            lease_timeout_s=self.lease_timeout_s,
-        )
+        queue = LeaseQueue(self.queue_path, lease_timeout_s=self.lease_timeout_s)
         netlists = netlists if netlists is not None else {}
         caches = caches if caches is not None else {}
         inline = f"{socket.gethostname()}-{os.getpid()}-inline"
         fleet: _Fleet | None = None
-        view = None
+        view: multiprocessing.process.BaseProcess | None = None
         cursor = 0
+        # Every record streamed this session.  A record stored by a
+        # lease that then failed is returned only after a later round
+        # runs its task again, and that round's upsert keeps the row's
+        # rowid, so ``records_after`` never yields it a second time.
+        streamed: dict[_TaskKey, ExplorationRecord] = {}
 
         def execute(tasks: list[_Task]) -> tuple[
             dict[_TaskKey, ExplorationRecord], dict[_TaskKey, SweepFailure]
@@ -356,34 +360,35 @@ class SweepCoordinator:
             """Enqueue, poll the queue down to zero, collect.
 
             Waiting on :meth:`~repro.service.queue.LeaseQueue.unfinished`
-            is exact because the queue holds only this generation's
-            tasks and resolved ones: the session cleared it, and every
-            earlier generation was resolved before this one came.  Each
-            poll reaps dead local workers (releasing their leases,
-            replacing them within budget), reclaims expired leases,
-            kills stragglers and streams new records; once the fleet is
-            gone for good, this process runs one lease per poll itself.
-            Only tasks that did not fail are returned, so a stale
-            on-disk record never stands in for a point this run failed.
+            is exact because the queue holds only this round's tasks and
+            resolved ones: the session cleared it, and every earlier
+            round was resolved before this one came.  Each poll reaps
+            dead local workers (failing their leases, replacing them
+            within budget), reclaims expired leases, kills stragglers
+            and streams new records; once the fleet is gone for good,
+            this process runs one lease per poll itself.  Only tasks
+            that did not fail are returned, so a stale on-disk record
+            never stands in for a point this round failed.
             """
             nonlocal cursor
-            if not tasks:
-                return {}, {}
-            keys = [key for key, *_rest in tasks]
             stats.n_batches += len(
                 {(circuit, point.policy) for _k, circuit, _s, point in tasks}
             )
             queue.enqueue(tasks, sources=sources)
-            streamed: dict[_TaskKey, ExplorationRecord] = {}
+            failed: list[dict] = []
             while True:
                 queue.reclaim_expired(dead=fleet.reap() if fleet else ())
                 if fleet is not None:
-                    # Killed here, reaped (and replaced) next poll; the
-                    # queue marked it before its lease could be re-run.
+                    # Killed here, reaped (and replaced) next poll; its
+                    # lease failed when the queue marked it dead.
                     stats.n_timeouts += fleet.kill_stragglers()
-                # Workers store before they resolve, so the records read
-                # once the queue is seen drained are complete.
+                # Workers store before they resolve, and a resolved task
+                # can only turn from failed to done (a late report), so
+                # once the queue is seen drained every task missing from
+                # this failure snapshot is stored before the read below.
                 drained = queue.unfinished() == 0
+                if drained:
+                    failed = queue.failures()
                 if commit is not None:
                     records, cursor = store.records_after(cursor)
                     keyed = [(record.key(), record) for record in records]
@@ -400,11 +405,7 @@ class SweepCoordinator:
                         stats.synthesize_calls += ran[2]
                         continue
                 time.sleep(self.poll_s)
-            counts = queue.counts_for(keys)
-            stats.n_evaluated += counts["n_done"]
-            stats.n_failed += counts["n_failed"]
-            stats.n_retries += counts["n_retries"]  # claims beyond the first
-            wanted = set(keys)
+            wanted = {key for key, *_rest in tasks}
             failures = {
                 tuple(entry["key"]): SweepFailure(
                     circuit=entry["circuit"],
@@ -412,9 +413,8 @@ class SweepCoordinator:
                     error=entry["error"],
                     scenario=entry["scenario"],
                     kind=entry["kind"],
-                    attempts=entry["attempts"],
                 )
-                for entry in queue.failures()
+                for entry in failed
                 if tuple(entry["key"]) in wanted
             }
             done = [task for task in tasks if task[0] not in failures]
@@ -424,7 +424,6 @@ class SweepCoordinator:
 
         try:
             queue.configure(
-                retry=self.resilience.retry,
                 lease_timeout_s=self.lease_timeout_s,
                 base_config=self.base_config or DiacConfig(),
             )
@@ -443,19 +442,32 @@ class SweepCoordinator:
                     netlists=netlists,
                 )
             if self.http_port is not None:
-                from repro.service.view import SweepViewServer
-
-                view = SweepViewServer(
-                    self.store_path,
-                    queue_path=self.queue_path,
-                    port=self.http_port,
-                )
-                view.start_background()
+                view = self._fork_view()
             yield execute
         finally:
             if view is not None:
-                view.shutdown()
+                view.kill()
+                view.join()
             queue.set_state("closed")
             if fleet is not None:
                 fleet.shutdown()
             queue.close()
+
+    def _fork_view(self) -> multiprocessing.process.BaseProcess:
+        """Serve the read-only view from a process of its own.
+
+        The socket is bound here, so a bad port fails the session, and
+        then handed to the forked server.  This process keeps no server
+        thread: a worker forked later cannot inherit a lock one held.
+        """
+        from repro.service.view import SweepViewServer
+
+        server = SweepViewServer(
+            self.store_path, queue_path=self.queue_path, port=self.http_port or 0
+        )
+        proc = multiprocessing.get_context("fork").Process(
+            target=server.serve_forever, daemon=True
+        )
+        proc.start()
+        server.server_close()
+        return proc

@@ -6,23 +6,22 @@ database* — a distributed sweep then needs exactly one shared path:
 
 * ``svc_tasks`` — one row per evaluation task, keyed by the engine's
   resume key.  Lifecycle: ``pending`` -> ``leased`` (claimed by a
-  worker, deadline attached) -> ``done`` | ``failed``, with two ways
-  back to ``pending``: a *transient* failure inside its retry budget
-  (rescheduled after the deterministic
-  :meth:`~repro.dse.resilience.RetryPolicy.retry_delay_s` backoff) and
-  a *lease expiry* (the worker died or hung past its deadline — the
-  next :meth:`LeaseQueue.claim` reclaims it and hands the task on; a
-  coordinator that sees its own worker process exit releases the
-  lease at once with :meth:`LeaseQueue.reclaim_expired`).
-  ``attempts`` counts claims, so a task crashing its worker
-  repeatedly still exhausts the same budget a retrying error would.
+  worker, deadline attached) -> ``done`` | ``failed``.  Each task is
+  evaluated once per enqueue: a ``transient`` failure lands in
+  ``failed`` like any other, and so does a lease whose worker died or
+  hung past its deadline (the next :meth:`LeaseQueue.claim` reclaims
+  it; a coordinator that sees its own worker process exit reclaims the
+  lease at once with :meth:`LeaseQueue.reclaim_expired`), with kind
+  ``transient``.  Only :meth:`LeaseQueue.enqueue` makes a task
+  ``pending``: retrying is the planner's decision
+  (:func:`repro.dse.planner.execute_with_retries`), and a retry is the
+  coordinator enqueueing the task again.
 * ``svc_workers`` — registration + heartbeats, feeding the
   ``/workers`` view and dead-worker detection.
-* ``svc_meta`` — queue schema version, the run's retry policy, lease
-  timeout and synthesis base configuration (persisted by the
-  coordinator so every worker applies identical semantics), and the
-  ``open``/``closed`` queue state that tells idle workers whether more
-  work may still arrive.
+* ``svc_meta`` — queue schema version, the lease timeout and synthesis
+  base configuration (persisted by the coordinator so every worker
+  applies identical semantics), and the ``open``/``closed`` queue state
+  that tells idle workers whether more work may still arrive.
 
 Claims batch by *stage* (circuit x policy) — the synthesis-sharing
 group of :func:`repro.dse.engine._evaluate_batch` — so a lease is one
@@ -43,13 +42,12 @@ import sqlite3
 import time
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.diac import DiacConfig
 from repro.dse.explorer import DesignPoint
-from repro.dse.faults import key_text
-from repro.dse.resilience import TRANSIENT, RetryPolicy
+from repro.dse.resilience import TRANSIENT
 from repro.dse.sqlite_store import decode_key, enable_wal, encode_key
 from repro.dse.store import (
     config_from_dict,
@@ -62,16 +60,10 @@ from repro.dse.store import (
 from repro.energy.scenarios import ScenarioSpec
 
 #: Queue layout version, independent of the record-store schema; a
-#: newer-versioned queue is refused rather than misread.
-QUEUE_SCHEMA_VERSION = 1
-
-#: The ``WHERE`` clause matching a task still leased to a given worker,
-#: bound to ``(task_key, worker)``.
-_HELD = "task_key = ? AND status = 'leased' AND worker = ?"
-
-#: How many keys one SQL ``IN (...)`` clause carries (SQLite's default
-#: variable limit is 999).
-_CHUNK = 500
+#: newer-versioned queue is refused rather than misread.  A version-1
+#: file differs only by retry columns this build never reads, so it
+#: opens as version 2.
+QUEUE_SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS svc_meta (
@@ -83,15 +75,13 @@ CREATE TABLE IF NOT EXISTS svc_tasks (
     stage TEXT NOT NULL,
     payload TEXT NOT NULL,
     status TEXT NOT NULL DEFAULT 'pending',
-    attempts INTEGER NOT NULL DEFAULT 0,
-    not_before REAL NOT NULL DEFAULT 0,
     worker TEXT,
     lease_deadline REAL,
     error TEXT,
     kind TEXT
 );
 CREATE INDEX IF NOT EXISTS idx_svc_tasks_claim
-    ON svc_tasks (status, stage, not_before);
+    ON svc_tasks (status, stage);
 CREATE INDEX IF NOT EXISTS idx_svc_tasks_lease
     ON svc_tasks (status, lease_deadline);
 CREATE TABLE IF NOT EXISTS svc_workers (
@@ -116,7 +106,6 @@ class LeaseTask:
         scenario: harvest environment to evaluate under.
         point: the design point.
         source: optional netlist file path for non-roster circuits.
-        attempts: claims this task has consumed, this one included.
     """
 
     key: tuple
@@ -124,7 +113,6 @@ class LeaseTask:
     scenario: ScenarioSpec
     point: DesignPoint
     source: str | None
-    attempts: int
 
 
 class LeaseQueue:
@@ -134,8 +122,6 @@ class LeaseQueue:
         path: queue database; shares a file with
             :class:`~repro.dse.sqlite_store.SqliteResultStore` cleanly
             (all tables here are ``svc_``-prefixed).
-        retry: fallback retry policy when the coordinator has not
-            persisted one into the queue metadata.
         lease_timeout_s: fallback lease lifetime, same rule.
         busy_timeout_s: how long concurrent openers wait on a locked
             database before erroring.
@@ -147,12 +133,10 @@ class LeaseQueue:
     def __init__(
         self,
         path: str | Path,
-        retry: RetryPolicy | None = None,
         lease_timeout_s: float = 60.0,
         busy_timeout_s: float = 5.0,
     ) -> None:
         self.path = Path(path)
-        self._retry = retry if retry is not None else RetryPolicy()
         self._lease_timeout_s = lease_timeout_s
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         # Explicit BEGIN IMMEDIATE transactions (claims must serialize
@@ -173,6 +157,11 @@ class LeaseQueue:
                 f"{self.path} was written under queue schema {stored}; "
                 f"this build reads up to {QUEUE_SCHEMA_VERSION}"
             )
+        if stored < QUEUE_SCHEMA_VERSION:
+            # An older file's extra columns are never read.  Restamped,
+            # it is refused by the older builds that would retry tasks
+            # on their own.
+            self._meta_set("queue_schema_version", QUEUE_SCHEMA_VERSION)
 
     def close(self) -> None:
         """Close the underlying connection (idempotent)."""
@@ -206,33 +195,21 @@ class LeaseQueue:
 
     def configure(
         self,
-        retry: RetryPolicy | None = None,
         lease_timeout_s: float | None = None,
         base_config: DiacConfig | None = None,
     ) -> None:
         """Persist run-wide semantics into the queue metadata.
 
         The coordinator calls this once; every worker that opens the
-        queue afterwards applies the *same* retry budget, backoff seed,
-        lease lifetime and synthesis base configuration, however its
-        own constructor was defaulted — they are properties of the run,
-        not of whoever happens to claim.  ``None`` leaves a setting as
-        it is.
+        queue afterwards applies the *same* lease lifetime and synthesis
+        base configuration, however its own constructor was defaulted —
+        they are properties of the run, not of whoever happens to claim.
+        ``None`` leaves a setting as it is.
         """
-        if retry is not None:
-            self._meta_set("retry_policy", asdict(retry))
         if lease_timeout_s is not None:
             self._meta_set("lease_timeout_s", lease_timeout_s)
         if base_config is not None:
             self._meta_set("base_config", config_to_dict(base_config))
-
-    @property
-    def retry(self) -> RetryPolicy:
-        """The effective retry policy (persisted, else the fallback)."""
-        stored = self._meta_get("retry_policy")
-        if isinstance(stored, dict):
-            return RetryPolicy(**stored)
-        return self._retry
 
     @property
     def lease_timeout_s(self) -> float:
@@ -280,9 +257,9 @@ class LeaseQueue:
         tuples (see :func:`repro.dse.engine.expand_tasks`); ``sources``
         optionally maps non-roster circuit names to netlist file paths
         workers can load.  Re-enqueueing an existing key resets it to
-        ``pending`` with a fresh attempt budget — the coordinator
-        pre-filters resumed keys, so an enqueue always means "run
-        this".  Returns the number of rows written.
+        ``pending`` — the one way a task becomes pending, so an enqueue
+        always means "run this once" (a first attempt, or a retry the
+        planner decided on).  Returns the number of rows written.
         """
         sources = sources or {}
         rows = []
@@ -307,7 +284,7 @@ class LeaseQueue:
                 "VALUES (?, ?, ?) "
                 "ON CONFLICT(task_key) DO UPDATE SET "
                 "stage = excluded.stage, payload = excluded.payload, "
-                "status = 'pending', attempts = 0, not_before = 0, "
+                "status = 'pending', "
                 "worker = NULL, lease_deadline = NULL, "
                 "error = NULL, kind = NULL",
                 rows,
@@ -316,8 +293,7 @@ class LeaseQueue:
 
     # -- claiming and resolving -----------------------------------------
 
-    def _decode_task(self, key_text: str, payload_text: str,
-                     attempts: int) -> LeaseTask:
+    def _decode_task(self, key_text: str, payload_text: str) -> LeaseTask:
         payload = json.loads(payload_text)
         return LeaseTask(
             key=decode_key(key_text),
@@ -325,7 +301,6 @@ class LeaseQueue:
             scenario=scenario_from_dict(payload["scenario"]),
             point=point_from_dict(payload["point"]),
             source=payload.get("source"),
-            attempts=attempts,
         )
 
     def claim(self, worker: str, limit: int = 8) -> list[LeaseTask]:
@@ -333,10 +308,10 @@ class LeaseQueue:
 
         One ``BEGIN IMMEDIATE`` transaction first reclaims expired
         leases (see :meth:`reclaim_expired`), then picks the oldest
-        eligible stage and leases its oldest eligible tasks together, so
-        a lease shares one synthesis run exactly like an engine batch.
-        Eligible means ``pending`` with its backoff (``not_before``)
-        elapsed.  Returns ``[]`` when nothing is claimable right now.
+        ``pending`` stage and leases its oldest ``pending`` tasks
+        together, so a lease shares one synthesis run exactly like an
+        engine batch.  Returns ``[]`` when nothing is claimable right
+        now.
         """
         if limit < 1:
             raise ValueError("limit must be >= 1")
@@ -345,29 +320,23 @@ class LeaseQueue:
             self._reclaim(now)
             row = self._conn.execute(
                 "SELECT stage FROM svc_tasks "
-                "WHERE status = 'pending' AND not_before <= ? "
-                "ORDER BY rowid LIMIT 1",
-                (now,),
+                "WHERE status = 'pending' ORDER BY rowid LIMIT 1"
             ).fetchone()
             if row is None:
                 return []
             rows = self._conn.execute(
-                "SELECT task_key, payload, attempts FROM svc_tasks "
-                "WHERE status = 'pending' AND not_before <= ? "
-                "AND stage = ? ORDER BY rowid LIMIT ?",
-                (now, row[0], limit),
+                "SELECT task_key, payload FROM svc_tasks "
+                "WHERE status = 'pending' AND stage = ? "
+                "ORDER BY rowid LIMIT ?",
+                (row[0], limit),
             ).fetchall()
             deadline = now + self.lease_timeout_s
             self._conn.executemany(
                 "UPDATE svc_tasks SET status = 'leased', worker = ?, "
-                "lease_deadline = ?, attempts = attempts + 1 "
-                "WHERE task_key = ?",
-                [(worker, deadline, key) for key, _p, _a in rows],
+                "lease_deadline = ? WHERE task_key = ?",
+                [(worker, deadline, key) for key, _p in rows],
             )
-        return [
-            self._decode_task(key, payload, attempts + 1)
-            for key, payload, attempts in rows
-        ]
+        return [self._decode_task(key, payload) for key, payload in rows]
 
     def resolve(
         self,
@@ -381,33 +350,30 @@ class LeaseQueue:
         them now: each record already landed in the result store (an
         upsert on the same key), so a double completion after a lease
         reclaim is harmless.  ``failed`` holds ``(key, error, kind)``
-        entries: ``transient`` failures inside the retry budget go back
-        to ``pending`` with the deterministic backoff delay; everything
-        else lands in ``failed``.  Only the lease holder's failure
-        report counts — failing a task that was already reclaimed (or
-        completed) is a no-op.  The worker's ``n_done``/``n_failed``
-        counters and ``last_seen`` move in the same transaction.
+        entries, each landing in ``failed`` whatever its kind — the
+        planner decides what runs again.  Only the lease holder's
+        failure report counts — failing a task that was already
+        reclaimed (or completed) is a no-op.  The worker's
+        ``n_done``/``n_failed`` counters and ``last_seen`` move in the
+        same transaction.
         """
         now = time.time()
         with self._transaction():
-            n_done = sum(
-                self._conn.execute(
-                    "UPDATE svc_tasks SET status = 'done', worker = ?, "
-                    "lease_deadline = NULL, error = NULL, kind = NULL "
-                    "WHERE task_key = ? AND status != 'done'",
-                    (worker, encode_key(key)),
-                ).rowcount
-                for key in done
-            )
-            n_failed = 0
-            retry = self.retry
-            for key, error, kind in failed:
-                held = (encode_key(key), worker)
-                row = self._conn.execute(
-                    f"SELECT attempts FROM svc_tasks WHERE {_HELD}", held
-                ).fetchone()
-                if row is not None:
-                    n_failed += self._requeue_or_fail(retry, held, row[0], error, kind, now)
+            n_done = self._conn.executemany(
+                "UPDATE svc_tasks SET status = 'done', worker = ?, "
+                "lease_deadline = NULL, error = NULL, kind = NULL "
+                "WHERE task_key = ? AND status != 'done'",
+                [(worker, encode_key(key)) for key in done],
+            ).rowcount
+            n_failed = self._conn.executemany(
+                "UPDATE svc_tasks SET status = 'failed', "
+                "lease_deadline = NULL, error = ?, kind = ? "
+                "WHERE task_key = ? AND status = 'leased' AND worker = ?",
+                [
+                    (error, kind, encode_key(key), worker)
+                    for key, error, kind in failed
+                ],
+            ).rowcount
             self._conn.execute(
                 "UPDATE svc_workers SET n_done = n_done + ?, "
                 "n_failed = n_failed + ?, last_seen = ?, status = 'active' "
@@ -415,44 +381,17 @@ class LeaseQueue:
                 (n_done, n_failed, now, worker),
             )
 
-    def _requeue_or_fail(
-        self, retry: RetryPolicy, held: tuple, attempts: int, error: str, kind: str, now: float
-    ) -> bool:
-        """Resolve a task still leased as ``held`` (task key, worker).
-
-        A ``transient`` failure inside the retry budget goes back to
-        ``pending`` after its backoff; anything else lands in ``failed``.
-        Both writes re-check the lease, which may have been reclaimed and
-        re-claimed since the caller's read.  Returns True when it failed.
-        """
-        delay = retry.retry_delay_s(kind, attempts, key_text(decode_key(held[0])))
-        if delay is not None:
-            self._conn.execute(
-                "UPDATE svc_tasks SET status = 'pending', not_before = ?, worker = NULL, "
-                f"lease_deadline = NULL, error = ?, kind = ? WHERE {_HELD}",
-                (now + delay, error, kind, *held),
-            )
-            return False
-        return self._conn.execute(
-            "UPDATE svc_tasks SET status = 'failed', "
-            f"lease_deadline = NULL, error = ?, kind = ? WHERE {_HELD}",
-            (error, kind, *held),
-        ).rowcount > 0
-
     def reclaim_expired(self, dead: Iterable[str] = ()) -> int:
         """Recover leases whose worker died or hung past its deadline.
 
-        Expired leases inside the retry budget return to ``pending``
-        (with the same deterministic backoff a transient error gets —
-        a crash IS a transient failure in the taxonomy); budget-
-        exhausted ones land in ``failed`` so a task that kills every
-        worker it touches cannot loop forever.  ``dead`` names workers
-        known to have exited mid-lease (a coordinator reaping its own
-        processes): their leases are released the same way at once,
-        without waiting for the deadline — the claim already counted
-        the attempt.  Holders of expired leases, the ``dead`` workers
-        and workers whose heartbeat went stale are marked ``dead``.
-        Returns the number of leases recovered either way.
+        Expired leases land in ``failed`` with kind ``transient`` — a
+        crash IS a transient failure in the taxonomy, and the planner
+        retries it like any other.  ``dead`` names workers known to have
+        exited mid-lease (a coordinator reaping its own processes):
+        their leases fail the same way at once, without waiting for the
+        deadline.  Holders of expired leases, the ``dead`` workers and
+        workers whose heartbeat went stale are marked ``dead``.  Returns
+        the number of leases reclaimed.
         :meth:`claim` runs the same reclaim inside its own transaction.
         """
         with self._transaction():
@@ -461,26 +400,29 @@ class LeaseQueue:
     def _reclaim(self, now: float, dead: tuple[str, ...] = ()) -> int:
         """:meth:`reclaim_expired`'s body, inside the caller's transaction."""
         query = (
-            "SELECT task_key, attempts, worker FROM svc_tasks "
+            "SELECT task_key, worker FROM svc_tasks "
             "WHERE status = 'leased' AND (lease_deadline < ?"
         )
         if dead:
             query += f" OR worker IN ({','.join('?' * len(dead))})"
         rows = self._conn.execute(query + ")", (now, *dead)).fetchall()
-        retry = self.retry
-        for encoded, attempts, worker in rows:
-            if worker in dead:
-                error = f"worker {worker} exited mid-lease"
-            else:
-                error = (
-                    f"lease expired after {attempts} attempt(s); worker "
-                    f"{worker} presumed dead"
+        self._conn.executemany(
+            "UPDATE svc_tasks SET status = 'failed', lease_deadline = NULL, "
+            "error = ?, kind = ? WHERE task_key = ?",
+            [
+                (
+                    f"worker {worker} exited mid-lease" if worker in dead
+                    else f"lease expired; worker {worker} presumed dead",
+                    TRANSIENT,
+                    encoded,
                 )
-            self._requeue_or_fail(retry, (encoded, worker), attempts, error, TRANSIENT, now)
+                for encoded, worker in rows
+            ],
+        )
         if rows or dead:
             self._conn.executemany(
                 "UPDATE svc_workers SET status = 'dead' WHERE worker = ?",
-                [(worker,) for worker in {*dead, *(row[2] for row in rows)}],
+                [(worker,) for worker in {*dead, *(row[1] for row in rows)}],
             )
         self._conn.execute(
             "UPDATE svc_workers SET status = 'dead' "
@@ -562,45 +504,19 @@ class LeaseQueue:
             "WHERE status IN ('pending', 'leased')"
         ).fetchone()[0]
 
-    def counts_for(self, keys: list[tuple]) -> dict[str, int]:
-        """Aggregate outcome counters over the given keys.
-
-        Returns ``n_done``, ``n_failed`` and ``n_retries`` (total
-        claims beyond each task's first — the queue analogue of the
-        engine's retry counter).
-        """
-        totals = {"n_done": 0, "n_failed": 0, "n_retries": 0}
-        encoded = [encode_key(key) for key in keys]
-        for start in range(0, len(encoded), _CHUNK):
-            chunk = encoded[start:start + _CHUNK]
-            marks = ",".join("?" * len(chunk))
-            row = self._conn.execute(
-                f"SELECT "
-                f"SUM(status = 'done'), SUM(status = 'failed'), "
-                f"SUM(MAX(attempts - 1, 0)) "
-                f"FROM svc_tasks WHERE task_key IN ({marks})",
-                chunk,
-            ).fetchone()
-            totals["n_done"] += row[0] or 0
-            totals["n_failed"] += row[1] or 0
-            totals["n_retries"] += row[2] or 0
-        return totals
-
     def failures(self) -> list[dict]:
         """Every ``failed`` task as a JSON-friendly dict.
 
         Each entry carries the task key (as a list — JSON-friendly),
-        circuit, scenario label, point label, error text, taxonomy kind
-        and attempts — the fields a
-        :class:`~repro.dse.engine.SweepFailure` needs, with labels
-        rebuilt from the task payload.
+        circuit, scenario label, point label, error text and taxonomy
+        kind — the fields a :class:`~repro.dse.engine.SweepFailure`
+        needs, with labels rebuilt from the task payload (the planner,
+        not the queue, counts attempts).
         """
         out = []
-        for key_text_, payload_text, error, kind, attempts in (
-            self._conn.execute(
-                "SELECT task_key, payload, error, kind, attempts "
-                "FROM svc_tasks WHERE status = 'failed' ORDER BY rowid"
-            )
+        for key_text_, payload_text, error, kind in self._conn.execute(
+            "SELECT task_key, payload, error, kind "
+            "FROM svc_tasks WHERE status = 'failed' ORDER BY rowid"
         ):
             payload = json.loads(payload_text)
             out.append(
@@ -613,7 +529,6 @@ class LeaseQueue:
                     "label": point_from_dict(payload["point"]).label(),
                     "error": error or "",
                     "kind": kind or "unexpected",
-                    "attempts": attempts,
                 }
             )
         return out

@@ -20,7 +20,6 @@ Endpoints:
 from __future__ import annotations
 
 import json
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -170,25 +169,9 @@ class SweepViewServer(ThreadingHTTPServer):
         self.queue_path = (
             Path(queue_path) if queue_path is not None else None
         )
-        self._thread: threading.Thread | None = None
         super().__init__((host, port), _ViewHandler)
 
     @property
     def port(self) -> int:
         """The actually-bound port (resolves ``port=0``)."""
         return self.server_address[1]
-
-    def start_background(self) -> None:
-        """Serve from a daemon thread until :meth:`shutdown`."""
-        self._thread = threading.Thread(
-            target=self.serve_forever, daemon=True
-        )
-        self._thread.start()
-
-    def shutdown(self) -> None:
-        """Stop serving and release the socket (idempotent)."""
-        if self._thread is not None:
-            super().shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.server_close()

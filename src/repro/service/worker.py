@@ -12,14 +12,17 @@ costs a redundant re-evaluation, never a lost or duplicated record.
 :func:`run_lease` is that one step; a coordinator whose local workers
 are all gone runs it in its own process to drain the rest.
 
-Failure semantics are the queue's (see :mod:`repro.service.queue`):
-per-job exceptions arrive pre-classified by the engine's taxonomy and
-are reported with the lease's records in one
-:meth:`~repro.service.queue.LeaseQueue.resolve`; a worker death
-mid-lease is caught by its coordinator reaping the process, or by lease
-expiry (the next claim reclaims it).  An idle worker heartbeats and
-exits once the queue is drained *and* closed (or after
-``idle_timeout_s``, or immediately in ``drain`` mode).
+A worker evaluates each task it claims once and never retries: per-job
+exceptions arrive pre-classified by the engine's taxonomy and are
+reported with the lease's records in one
+:meth:`~repro.service.queue.LeaseQueue.resolve`, landing in ``failed``
+whatever their kind; a worker death mid-lease is caught by its
+coordinator reaping the process, or by lease expiry (the next claim
+reclaims it), and fails the lease ``transient``.  Whether a failed task
+runs again is the coordinator's planner's decision, made by enqueueing
+it anew.  An idle worker heartbeats and exits once the queue is drained
+*and* closed (or after ``idle_timeout_s``, or immediately in ``drain``
+mode).
 """
 
 from __future__ import annotations
@@ -127,6 +130,8 @@ def run_worker(
         poll_s: idle sleep between empty claims.
         drain: exit as soon as nothing is left to resolve, even while
             the queue is still ``open`` (one-shot helpers and tests).
+            Failed tasks stay failed: a drain evaluates each pending
+            task once.
         idle_timeout_s: give up after this much continuous idleness
             (``None`` = wait for the queue to close).
         fault_plan: deterministic chaos (``repro worker
@@ -178,8 +183,8 @@ def run_worker(
                 n_failed += ran[1]
                 continue
             queue.heartbeat(worker)
-            # Drain mode still waits out backoff delays and foreign
-            # leases — "drained" means resolved, not merely unclaimable.
+            # Drain mode still waits out foreign leases — "drained"
+            # means resolved, not merely unclaimable.
             if queue.unfinished() == 0 and (
                 drain or queue.state() == "closed"
             ):

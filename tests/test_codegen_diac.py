@@ -150,3 +150,20 @@ class TestDiacPipeline:
         # Reading the HDL emits and round-trip checks it; a malformed or
         # unfaithful artifact raises right here.
         parse_verilog(design.code.verilog)
+
+    def test_input_named_clk_keeps_its_own_port(self):
+        """A primary input called ``clk`` is not the generated clock."""
+        from repro.circuits import Netlist
+        from repro.circuits.gates import GateType
+
+        netlist = Netlist(name="clocked")
+        netlist.add_input("clk")
+        netlist.add_input("d")
+        netlist.add_gate("x", GateType.AND, ["clk", "d"])
+        netlist.add_gate("q", GateType.DFF, ["x"])
+        netlist.add_output("q")
+        hdl = DiacSynthesizer().run(netlist).code.verilog
+        assert "always @(posedge clk_1) q <= x;" in hdl
+        parsed = parse_verilog(hdl)
+        assert parsed.inputs == ["clk", "d"]
+        check_equivalent(netlist, parsed)

@@ -3,7 +3,8 @@
 Every front end plans through :mod:`repro.dse.planner` and differs only
 in how pending tasks are evaluated — in-process, or by workers pulling
 leases from the queue.  Each cell of {grid, random, halving +
-analysis_prune} x {engine with 1 worker, engine with 2 forked workers,
+analysis_prune, a barrier-placing grid} x {engine with 1 worker,
+engine with 2 forked workers,
 the same with one worker killed mid-lease, coordinator + thread worker}
 x {fresh store, half-filled store resumed} must return the serial
 engine's ordered records, planner stats, failures and aggregates
@@ -12,6 +13,7 @@ exactly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -45,6 +47,22 @@ SPEC = SweepSpec(
     scenarios=(ScenarioSpec(), ScenarioSpec(scale=0.002)),
 )
 
+#: Budgets tight enough that DIAC's replacement step places 1-6 NVM
+#: barriers in every record (the default budgets place none).
+BARRIER_SPEC = SweepSpec(
+    circuits=("s838", "b05"),
+    policies=(1, 2, 3),
+    budget_scales=(0.01, 0.005, 0.0025),
+    scenarios=(ScenarioSpec(), ScenarioSpec.parse("rf-markov@1")),
+)
+
+#: sha256 of the serial engine's ordered barrier-grid records (one
+#: sorted-key JSON line each), pinned so a change to barrier placement
+#: shows up end to end.
+BARRIER_DIGEST = (
+    "fe56f18808171e6d22e7f549362c7a74c52b6d326d9e70d8b241b1c63b91906b"
+)
+
 REQUESTS = {
     "grid": SweepRequest(spec=SPEC),
     "random": SweepRequest(
@@ -54,6 +72,7 @@ REQUESTS = {
         spec=SPEC, strategy="halving", samples=4, generations=2,
         search_seed=2, analysis_prune=True,
     ),
+    "barriers": SweepRequest(spec=BARRIER_SPEC),
 }
 PATHS = ("engine-1", "engine-2", "engine-2-crash", "coordinator")
 STATES = ("fresh", "resume")
@@ -166,11 +185,23 @@ def summary(result):
 def test_path_is_invisible(name, path, state, tmp_path, reference, half_filled):
     result = run_cell(path, name, state, tmp_path / "run.sqlite", half_filled)
     assert summary(result) == summary(reference(name, state))
-    # The matrix exercises what it claims: records, failures, resume.
-    assert result.records and result.failures
+    # The matrix exercises what it claims: records, failures (placed
+    # barriers, for the barrier grid), resume.
+    assert result.records
+    if name == "barriers":
+        assert all(record.n_barriers >= 1 for record in result.records)
+    else:
+        assert result.failures
     assert (result.stats.n_resumed > 0) == (state == "resume")
     if path.endswith("-crash"):
         assert result.stats.n_retries >= 1  # the killed worker's lease
+
+
+def test_barrier_records_are_pinned(reference):
+    rows = summary(reference("barriers", "fresh"))["records"]
+    assert len(rows) == len(BARRIER_SPEC) == 72
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == BARRIER_DIGEST
 
 
 #: One job, digested: a grid at 1 and at 2 workers and a suite

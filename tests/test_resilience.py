@@ -13,6 +13,7 @@ must finish with the exact record set of its fault-free twin.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 
 import pytest
@@ -460,6 +461,36 @@ class TestParallelRecovery:
         [failure] = result.failures
         assert failure.kind == TRANSIENT
         assert failure.attempts == 8
+
+    def test_record_stored_before_a_failed_lease_is_returned(
+        self, tmp_path, netlists, clean_fingerprints, monkeypatch
+    ):
+        # The first worker to finish a lease stores its records and dies
+        # before resolving it, so the lease fails transient.  The retry
+        # round re-stores the same keys, and an upsert keeps each row's
+        # rowid, so only the session's own stream still holds them.
+        from repro.service.queue import LeaseQueue
+
+        parent = os.getpid()
+        marker = tmp_path / "died-before-resolve"
+        resolve = LeaseQueue.resolve
+
+        def die_once_before_resolving(queue, *args, **kwargs):
+            if os.getpid() != parent:
+                try:
+                    marker.touch(exist_ok=False)
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(1)
+            return resolve(queue, *args, **kwargs)
+
+        monkeypatch.setattr(LeaseQueue, "resolve", die_once_before_resolving)
+        result = engine(2).submit(SweepRequest(spec=RES_SPEC), netlists=netlists)
+        assert marker.exists()
+        assert result.stats.n_retries == 2  # the whole-stage lease
+        assert result.stats.n_failed == 0
+        assert fingerprints(result) == clean_fingerprints
 
     def test_run_search_survives_killed_worker(self, tmp_path, netlists):
         space = DesignSpace(

@@ -16,6 +16,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
@@ -58,10 +59,10 @@ FAST_RETRY = RetryPolicy(
 )
 
 
-class _AfterRead:
+class _AfterBegin:
     """A connection proxy that runs ``hook`` once, right after the first
-    ``SELECT attempts`` it executes — between a read and the write that
-    depends on it."""
+    ``BEGIN IMMEDIATE`` it executes — inside the transaction, before any
+    of its writes."""
 
     def __init__(self, conn, hook):
         self._conn = conn
@@ -70,7 +71,7 @@ class _AfterRead:
 
     def execute(self, sql, *args):
         cursor = self._conn.execute(sql, *args)
-        if not self.fired and sql.startswith("SELECT attempts"):
+        if not self.fired and sql == "BEGIN IMMEDIATE":
             self.fired = True
             self._hook()
         return cursor
@@ -195,8 +196,13 @@ class TestSweepConfig:
 
 class TestLeaseQueue:
     def make_queue(self, tmp_path, **kwargs):
-        kwargs.setdefault("retry", FAST_RETRY)
         return LeaseQueue(tmp_path / "queue.sqlite", **kwargs)
+
+    @staticmethod
+    def row(queue):
+        return queue._conn.execute(
+            "SELECT status, worker, kind FROM svc_tasks"
+        ).fetchone()
 
     def test_claims_batch_by_stage(self, tmp_path):
         queue = self.make_queue(tmp_path)
@@ -216,21 +222,20 @@ class TestLeaseQueue:
         queue.resolve("w1", [task.key])
         queue.resolve("w1", [task.key])  # reclaimed-then-finished twice
         assert queue.stats()["done"] == 1
-        assert queue.counts_for([task.key])["n_done"] == 1
         queue.close()
 
-    def test_transient_failures_retry_then_exhaust(self, tmp_path):
+    def test_transient_failure_waits_for_enqueue(self, tmp_path):
+        """The queue never retries: only an enqueue makes a task pending."""
         queue = self.make_queue(tmp_path)
-        queue.enqueue(expand_tasks(SPEC)[:1])
+        tasks = expand_tasks(SPEC)[:1]
+        queue.enqueue(tasks)
         task = queue.claim("w1", limit=1)[0]
         queue.resolve("w1", [], [(task.key, "flaky", TRANSIENT)])
-        assert queue.stats()["pending"] == 1  # rescheduled with backoff
-        time.sleep(0.05)
-        retried = queue.claim("w1", limit=1)[0]
-        assert retried.attempts == 2
-        queue.resolve("w1", [], [(retried.key, "flaky", TRANSIENT)])
-        assert queue.stats()["failed"] == 1  # budget (2 attempts) spent
-        assert queue.counts_for([task.key])["n_retries"] == 1
+        assert queue.stats()["failed"] == 1
+        assert queue.claim("w1", limit=1) == []
+        queue.enqueue(tasks)  # the planner's retry
+        assert queue.failures() == []
+        assert queue.claim("w1", limit=1)[0].key == task.key
         queue.close()
 
     def test_terminal_failure_never_retries(self, tmp_path):
@@ -245,48 +250,43 @@ class TestLeaseQueue:
 
     def test_expired_lease_reclaimed_for_next_claimer(self, tmp_path):
         queue = self.make_queue(tmp_path, lease_timeout_s=0.05)
-        queue.enqueue(expand_tasks(SPEC)[:1])
+        tasks = expand_tasks(SPEC)[:1]
+        queue.enqueue(tasks)
         task = queue.claim("dying-worker", limit=1)[0]
         assert queue.claim("w2", limit=1) == []  # still leased
         time.sleep(0.1)
         assert queue.reclaim_expired() == 1
-        time.sleep(0.05)  # ride out the deterministic backoff
-        retried = queue.claim("w2", limit=1)[0]
-        assert retried.key == task.key
-        assert retried.attempts == 2
+        assert self.row(queue) == ("failed", "dying-worker", TRANSIENT)
+        (entry,) = queue.failures()
+        assert "presumed dead" in entry["error"]
+        queue.enqueue(tasks)  # the planner's retry
+        assert queue.claim("w2", limit=1)[0].key == task.key
         queue.close()
 
     def test_claim_reclaims_expired_leases_itself(self, tmp_path):
         """No separate ``reclaim_expired`` call: the claim recovers it."""
-        queue = self.make_queue(
-            tmp_path,
-            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
-            lease_timeout_s=0.05,
-        )
+        queue = self.make_queue(tmp_path, lease_timeout_s=0.05)
         queue.enqueue(expand_tasks(SPEC)[:1])
-        task = queue.claim("dying-worker", limit=1)[0]
+        queue.claim("dying-worker", limit=1)
         time.sleep(0.1)
-        retried = queue.claim("w2", limit=1)[0]
-        assert retried.key == task.key
-        assert retried.attempts == 2
+        assert queue.claim("w2", limit=1) == []
+        assert self.row(queue) == ("failed", "dying-worker", TRANSIENT)
         assert queue.reclaim_expired() == 0
         queue.close()
 
     def test_dead_worker_leases_released_at_once(self, tmp_path):
-        """A reaped worker's lease goes back without waiting out expiry."""
-        queue = self.make_queue(
-            tmp_path,
-            retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
-            lease_timeout_s=60.0,
-        )
+        """A reaped worker's lease fails without waiting out expiry."""
+        queue = self.make_queue(tmp_path, lease_timeout_s=60.0)
         queue.enqueue(expand_tasks(SPEC)[:2])
         queue.register_worker("crashed", 1)
         crashed = queue.claim("crashed", limit=1)[0]
         kept = queue.claim("alive", limit=1)[0]
         assert queue.reclaim_expired(dead=["crashed"]) == 1
-        retried = queue.claim("w2", limit=1)[0]
-        assert retried.key == crashed.key != kept.key
-        assert retried.attempts == 2  # the dead claim counted
+        (entry,) = queue.failures()
+        assert tuple(entry["key"]) == crashed.key != kept.key
+        assert entry["kind"] == TRANSIENT
+        assert entry["error"] == "worker crashed exited mid-lease"
+        assert queue.stats()["leased"] == 1  # the live worker's lease
         assert {w["worker"]: w["status"] for w in queue.workers()} == {
             "crashed": "dead"
         }
@@ -314,19 +314,17 @@ class TestLeaseQueue:
     def test_stale_fail_leaves_a_reclaimed_lease_alone(self, tmp_path, kind):
         """A failure reported after a reclaim and re-claim is a no-op."""
         queue = self.make_queue(tmp_path)
-        queue.enqueue(expand_tasks(SPEC)[:1])
+        tasks = expand_tasks(SPEC)[:1]
+        queue.enqueue(tasks)
         for worker in ("stale", "fresh"):
             queue.register_worker(worker, 0)
         task = queue.claim("stale", limit=1)[0]
         queue._conn.execute("UPDATE svc_tasks SET lease_deadline = 0")
         assert queue.reclaim_expired() == 1
-        queue._conn.execute("UPDATE svc_tasks SET not_before = 0")
+        queue.enqueue(tasks)  # the planner's retry
         assert queue.claim("fresh", limit=1)[0].key == task.key
         queue.resolve("stale", [], [(task.key, "late report", kind)])
-        row = queue._conn.execute(
-            "SELECT status, worker, attempts FROM svc_tasks"
-        ).fetchone()
-        assert row == ("leased", "fresh", 2)
+        assert self.row(queue) == ("leased", "fresh", None)
         assert {w["worker"]: w["n_failed"] for w in queue.workers()} == {
             "stale": 0,
             "fresh": 0,
@@ -337,7 +335,7 @@ class TestLeaseQueue:
     def test_resolve_leaves_no_window_between_read_and_write(
         self, tmp_path, kind
     ):
-        """No other writer gets in between ``resolve``'s read and write."""
+        """``resolve`` writes inside one transaction no writer enters."""
         import sqlite3
 
         queue = self.make_queue(tmp_path)
@@ -349,20 +347,18 @@ class TestLeaseQueue:
             with pytest.raises(sqlite3.OperationalError, match="locked"):
                 other.reclaim_expired()
 
-        queue._conn = _AfterRead(queue._conn, try_to_reclaim)
+        queue._conn = _AfterBegin(queue._conn, try_to_reclaim)
         queue.resolve("w1", [], [(task.key, "report", kind)])
         assert queue._conn.fired
-        status = "pending" if kind == TRANSIENT else "failed"
-        assert queue.stats()[status] == 1
+        assert queue.stats()["failed"] == 1
         other.close()
         queue.close()
 
     def test_configure_persists_run_semantics(self, tmp_path):
         queue = self.make_queue(tmp_path)
-        queue.configure(retry=FAST_RETRY, lease_timeout_s=7.5)
+        queue.configure(lease_timeout_s=7.5)
         queue.close()
         reopened = LeaseQueue(tmp_path / "queue.sqlite")
-        assert reopened.retry == FAST_RETRY
         assert reopened.lease_timeout_s == 7.5
         assert reopened.state() == "open"
         reopened.set_state("closed")
@@ -436,7 +432,7 @@ class TestLeaseQueue:
 class TestWorkerParity:
     def test_drain_worker_matches_engine(self, tmp_path, reference):
         path = tmp_path / "svc.sqlite"
-        queue = LeaseQueue(path, retry=FAST_RETRY)
+        queue = LeaseQueue(path)
         queue.enqueue(expand_tasks(SPEC))
         queue.close()
         summary = run_worker(path, path, drain=True, poll_s=0.01)
@@ -561,6 +557,47 @@ class TestCoordinator:
         assert fingerprints(result.records) == fingerprints(
             reference.records
         )
+
+    def test_view_thread_never_meets_a_fork(
+        self, tmp_path, reference, monkeypatch
+    ):
+        """The view serves from its own process, so every worker fork —
+        the replacement of a crashed worker included — happens in a
+        single-threaded coordinator and inherits no lock a view thread
+        holds."""
+        from repro.service import coordinator as module
+
+        threads_at_fork, views = [], []
+        fork, fork_view = module._Fleet.fork, module.SweepCoordinator._fork_view
+
+        def counting_fork(fleet):
+            threads_at_fork.append(threading.active_count())
+            fork(fleet)
+
+        def recording_fork_view(coordinator):
+            views.append(fork_view(coordinator))
+            return views[-1]
+
+        monkeypatch.setattr(module._Fleet, "fork", counting_fork)
+        monkeypatch.setattr(
+            module.SweepCoordinator, "_fork_view", recording_fork_view
+        )
+        plan = FaultPlan.parse("crash", tmp_path / "faults")
+        coordinator = self.coordinator(
+            tmp_path,
+            workers=1,
+            lease_size=1,
+            http_port=0,
+            resilience=ResilienceConfig(retry=FAST_RETRY, fault_plan=plan),
+        )
+        result = coordinator.submit(SweepRequest(spec=SPEC))
+        assert fingerprints(result.records) == fingerprints(
+            reference.records
+        )
+        assert len(threads_at_fork) >= 2  # the crashed worker's replacement
+        assert threads_at_fork == [1] * len(threads_at_fork)
+        (view,) = views
+        assert view.exitcode is not None  # stopped with the session
 
     def test_resume_skips_on_disk_records(self, tmp_path, reference):
         path = tmp_path / "svc.sqlite"
@@ -697,18 +734,28 @@ class TestSweepView:
         ) as response:
             return response.status, json.loads(response.read())
 
-    def test_endpoints_agree_with_store(self, store_path, reference):
-        server = SweepViewServer(store_path)
-        server.start_background()
+    @contextmanager
+    def serving(self, server):
+        """Serve ``server`` from a thread for the block; yield its port."""
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
         try:
-            status, stats = self.get(server.port, "/stats")
+            yield server.port
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_endpoints_agree_with_store(self, store_path, reference):
+        with self.serving(SweepViewServer(store_path)) as port:
+            status, stats = self.get(port, "/stats")
             assert status == 200
             assert stats["n_records"] == len(reference.records)
             assert stats["groups"] == [
                 {"scenario": "paper-fig5", "circuit": "s27", "count": 6}
             ]
 
-            _status, fronts = self.get(server.port, "/fronts")
+            _status, fronts = self.get(port, "/fronts")
             (group,) = fronts["groups"]
             expected = reference.fronts_by_scenario()[("paper-fig5", "s27")]
             assert sorted(
@@ -720,40 +767,31 @@ class TestSweepView:
             best = min(reference.records, key=lambda r: r.pdp_js)
             assert group["best"] == record_to_dict(best)
 
-            _status, failures = self.get(server.port, "/failures")
+            _status, failures = self.get(port, "/failures")
             assert failures == {"failures": []}
-            _status, workers = self.get(server.port, "/workers")
+            _status, workers = self.get(port, "/workers")
             assert workers == {"workers": []}
-        finally:
-            server.shutdown()
 
     def test_unknown_endpoint_404s(self, store_path):
-        server = SweepViewServer(store_path)
-        server.start_background()
-        try:
+        with self.serving(SweepViewServer(store_path)) as port:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self.get(server.port, "/nope")
+                self.get(port, "/nope")
             assert excinfo.value.code == 404
-        finally:
-            server.shutdown()
 
     def test_queue_tables_surface(self, tmp_path, store_path):
         queue_path = tmp_path / "queue.sqlite"
-        queue = LeaseQueue(queue_path, retry=FAST_RETRY)
+        queue = LeaseQueue(queue_path)
         queue.enqueue(expand_tasks(SPEC)[:2])
         queue.register_worker("w1", 4242)
         task = queue.claim("w1", limit=1)[0]
         queue.resolve("w1", [], [(task.key, "boom", TERMINAL)])
         queue.close()
         server = SweepViewServer(store_path, queue_path=queue_path)
-        server.start_background()
-        try:
-            _status, stats = self.get(server.port, "/stats")
+        with self.serving(server) as port:
+            _status, stats = self.get(port, "/stats")
             assert stats["queue"]["tasks"]["failed"] == 1
             assert stats["queue"]["state"] == "open"
-            _status, failures = self.get(server.port, "/failures")
+            _status, failures = self.get(port, "/failures")
             assert failures["failures"][0]["error"] == "boom"
-            _status, workers = self.get(server.port, "/workers")
+            _status, workers = self.get(port, "/workers")
             assert workers["workers"][0]["worker"] == "w1"
-        finally:
-            server.shutdown()
