@@ -21,6 +21,14 @@ the harvest scenario.  :class:`SynthesisCache` memoizes the
 a sweep builds each distinct plan and its code bundle once instead of
 once per point, and builds it exactly as ``DiacSynthesizer.run`` would.
 No evaluation reads HDL, so a sweep never emits any.
+
+The runtime inputs are memoized the same way: the evaluation
+environment depends only on the stage's synthesis report, the netlist
+and the harvest scenario, and the DIAC scheme profile only on the plan
+and the safe-zone setting.  A point scales its environment's thresholds
+itself, so every point of one stage and scenario runs on one
+environment, and :func:`evaluate_point` and the static bounds of
+:mod:`repro.analysis` share it through the sweep's cache map.
 """
 
 from __future__ import annotations
@@ -150,13 +158,16 @@ class ExplorationRecord:
         )
 
 
-#: Plans (and, separately, code bundles) one cache keeps; beyond this the
-#: least recently used is dropped.  A grid reuses at most policies x
-#: budgets x technologies x criteria plans per circuit, but a search
-#: over continuous budgets proposes a new plan per point.  A plan shares
-#: its stage's task graph, so a plan entry holds only its barrier overlay
+#: Entries each bounded memo of one cache keeps (plans, code bundles,
+#: environments and profiles, separately); beyond this the least
+#: recently used is dropped.  A grid reuses at most policies x budgets x
+#: technologies x criteria plans per circuit, but a search over
+#: continuous budgets proposes a new plan per point.  A plan shares its
+#: stage's task graph, so a plan entry holds only its barrier overlay
 #: and partitions; a code entry holds its pragma header and timing
-#: report (and its HDL text only once something has read it).
+#: report (and its HDL text only once something has read it).  An
+#: environment entry holds one harvest trace (per stage and scenario), a
+#: profile entry a handful of floats (per plan and safe zone).
 PLAN_MEMO_SIZE = 64
 
 
@@ -172,7 +183,7 @@ def _recall(memo: dict, key: tuple, build: Callable[[], _T]) -> _T:
 
 
 class SynthesisCache:
-    """Memoizes :class:`~repro.core.diac.DiacSynthesizer`'s steps, at three levels.
+    """Memoizes a point's synthesis steps and runtime inputs, at five levels.
 
     * **Stage** — :meth:`~repro.core.diac.DiacSynthesizer.stage` (the
       shaped task graph and its report), keyed by :meth:`stage_key`.
@@ -183,6 +194,13 @@ class SynthesisCache:
       cached stage itself, not a copy.
     * **Code** — :meth:`~repro.core.diac.DiacSynthesizer.code`, keyed by
       the plan key plus the target clock period.
+    * **Environment** — :func:`~repro.evaluation.build_environment`,
+      keyed by the stage key plus the scenario's identity.  It reads the
+      stage's synthesis report, the netlist and the scenario, never the
+      plan, budget, technology or safe zone, so every design over one
+      stage shares it; a point scales its thresholds on a copy.
+    * **Profile** — :func:`~repro.baselines.schemes.profile_diac`, keyed
+      by the plan key plus the safe-zone setting.
 
     The cache composes nothing itself, so its designs equal those
     :meth:`~repro.core.diac.DiacSynthesizer.run` builds.  A code bundle
@@ -197,11 +215,10 @@ class SynthesisCache:
         self._stages: dict[tuple, TaskGraph] = {}
         self._plans: dict[tuple, NvmPlan] = {}
         self._codes: dict[tuple, GeneratedCode] = {}
+        self._environments: dict[tuple, Environment] = {}
+        self._profiles: dict[tuple, SchemeProfile] = {}
         #: Number of cache misses == actual ``synthesize`` invocations.
         self.synthesize_calls = 0
-
-    def __len__(self) -> int:
-        return len(self._stages)
 
     @staticmethod
     def stage_key(netlist: Netlist, config: DiacConfig) -> tuple:
@@ -252,6 +269,23 @@ class SynthesisCache:
             lambda: DiacSynthesizer(config).code(self.plan_for(netlist, config)),
         )
 
+    def environment_for(self, design: DiacDesign, scenario: ScenarioSpec) -> Environment:
+        """Return the cached environment of ``design``'s stage under ``scenario``."""
+        return _recall(
+            self._environments,
+            (*self.stage_key(design.netlist, design.config), *scenario.identity()),
+            lambda: build_environment(design, scenario=scenario),
+        )
+
+    def profile_for(self, design: DiacDesign) -> SchemeProfile:
+        """Return the cached DIAC profile of ``design``'s plan and safe zone."""
+        config = design.config
+        return _recall(
+            self._profiles,
+            (*self.plan_key(design.netlist, config), config.use_safe_zone),
+            lambda: profile_diac(design),
+        )
+
 
 def _point_config(base: DiacConfig, point: DesignPoint, netlist: Netlist) -> DiacConfig:
     """The synthesis configuration a point resolves to.
@@ -281,7 +315,9 @@ class PreparedPoint:
     reads, and the macro-task work target.  The static bounds of
     :mod:`repro.analysis` read the same object, so they bound exactly
     the inputs the executor would run on; ``design.code`` costs no HDL
-    unless its text is read.
+    unless its text is read.  The environment (when the point keeps the
+    default thresholds), its trace and the profile are the cache's
+    shared entries: read them, never mutate them.
     """
 
     scenario: ScenarioSpec
@@ -305,13 +341,12 @@ def prepare_point(
     """
     scenario = scenario or ScenarioSpec()
     config = _point_config(base_config or DiacConfig(), point, netlist)
-    if cache is None:  # NB: an empty cache is falsy (it has __len__).
-        cache = SynthesisCache()
+    cache = cache or SynthesisCache()
     design = DiacSynthesizer(config).assemble(
         cache.plan_for(netlist, config), cache.code_for(netlist, config)
     )
 
-    env = build_environment(design, scenario=scenario)
+    env = cache.environment_for(design, scenario)
     thresholds = env.thresholds
     # Knob semantics: ``safe_margin_scale`` is relative to the derived
     # default margin of whatever set it is applied to, and ``scaled``
@@ -343,7 +378,7 @@ def prepare_point(
 
     # Simulate only the scheme this record reads — the four-scheme
     # comparison is the evaluation harness's job, not the sweep's.
-    profile = profile_diac(design, optimized=point.use_safe_zone)
+    profile = cache.profile_for(design)
     return PreparedPoint(
         scenario=scenario,
         design=design,

@@ -45,9 +45,11 @@ class HarvestTrace:
             t += seg.duration_s
         self.period_s = t
         #: Last segment index served by :meth:`segment_at`.  The executor
-        #: event loop queries monotonically increasing times, so checking
-        #: the previous hit first skips the binary search on nearly every
-        #: call; the returned index is identical either way.
+        #: event loop queries monotonically increasing times, so the
+        #: previous hit or the segment after it skips the binary search on
+        #: nearly every call.  It is only a hint: the returned index is
+        #: identical either way, so a trace shared by many runs (a cached
+        #: environment) is never wrong, only slower on a stale hint.
         self._last_idx = 0
 
     @property
@@ -76,25 +78,36 @@ class HarvestTrace:
                 hi = mid - 1
         return lo
 
-    def segment_at(self, t_s: float) -> tuple[HarvestSegment, float]:
-        """Segment active at absolute time ``t_s`` and time left in it."""
+    def _locate(self, t_s: float) -> tuple[int, float]:
+        """Index of the segment active at absolute ``t_s`` and time left in it."""
         if t_s < 0:
             raise ValueError("time must be non-negative")
         local = math.fmod(t_s, self.period_s)
-        # Fast path: re-verify the previous hit before binary-searching.
-        # The acceptance test mirrors _index_at exactly (largest index
-        # whose start is <= local + tolerance), so both paths agree.
-        idx = self._last_idx
+        bound = local + 1e-15
         starts = self._starts
-        if not (
-            starts[idx] <= local + 1e-15
-            and (idx + 1 >= len(starts) or starts[idx + 1] > local + 1e-15)
-        ):
-            idx = self._index_at(local)
+        last = len(starts) - 1
+        # Fast path: try the previous hit, then the segment after it
+        # (wrapping at the period), before binary-searching.  A candidate
+        # passes only as the largest index whose start is <= bound -- the
+        # index _index_at returns -- so a tied start falls through to it.
+        idx = self._last_idx
+        if not (starts[idx] <= bound and (idx == last or starts[idx + 1] > bound)):
+            idx = idx + 1 if idx < last else 0
+            if not (starts[idx] <= bound and (idx == last or starts[idx + 1] > bound)):
+                idx = self._index_at(local)
             self._last_idx = idx
-        seg = self.segments[idx]
-        remaining = starts[idx] + seg.duration_s - local
-        return seg, max(remaining, 1e-15)
+        remaining = starts[idx] + self.segments[idx].duration_s - local
+        return idx, max(remaining, 1e-15)
+
+    def segment_at(self, t_s: float) -> tuple[HarvestSegment, float]:
+        """Segment active at absolute time ``t_s`` and time left in it.
+
+        The executor steps forward with ``t += remaining``, so a query
+        mostly lands in the segment last served or the one after it;
+        both are checked before the binary search.
+        """
+        idx, remaining = self._locate(t_s)
+        return self.segments[idx], remaining
 
     def power_at(self, t_s: float) -> float:
         """Instantaneous harvest power at ``t_s``."""
@@ -118,9 +131,7 @@ class HarvestTrace:
         full_cycles = math.floor(span / self.period_s)
         total = full_cycles * self.cycle_energy_j
         span -= full_cycles * self.period_s
-        _seg, remaining = self.segment_at(t0_s)
-        idx = self._index_at(math.fmod(t0_s, self.period_s))
-        available = remaining
+        idx, available = self._locate(t0_s)
         while span > 1e-15:
             dt = min(available, span)
             total += self.segments[idx].power_w * dt

@@ -8,9 +8,13 @@ reads it.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+
+from repro.energy.harvester import HarvestSegment, HarvestTrace
+from repro.energy.scenarios import ScenarioSpec, build_scenario_trace
 
 
 def _kahn_order(netlist):
@@ -126,28 +130,131 @@ class TestOptimizationEquivalence:
         assert tiny_chain.fanout_map()["a"] == ("b", "d")
 
     def test_trace_fast_path_matches_binary_search(self):
-        """segment_at's last-index shortcut agrees with _index_at.
+        """segment_at's last-hit and next-segment probes agree with _index_at.
 
         The binary search is the oracle: whatever warm state
         ``_last_idx`` is in, the fast path must return exactly the
-        segment and remainder the search-based formula produces.
+        segment and remainder the search-based formula produces, and
+        ``energy_between`` exactly what a search-based walk sums.  The
+        traces are the paper's, two many-segment stochastic ones and one
+        whose rounding made starts equal; the queries cover the
+        executor's ``t += remaining`` walk (each lands on a segment
+        start), exact starts in later cycles, the wrap at ``period_s``
+        and random order (stale hints).
         """
-        import math
+        traces = [
+            *map(_scenario_trace, ("paper-fig5", "rf-markov@1", "kinetic-shot@1")),
+            _tied_trace(),
+        ]
+        for trace in traces:
+            _check_against_search(trace)
 
-        from repro.energy.scenarios import resolve_scenario
+    def test_trace_walk_needs_no_search(self, monkeypatch):
+        """The executor's forward walk is served by the two probes alone."""
+        trace = _scenario_trace("rf-markov@1")
+        searches = []
+        search = trace._index_at
 
-        trace = resolve_scenario("paper-fig5").build()
-        rng = random.Random(11)
-        times = [rng.uniform(0.0, 5.0 * trace.period_s) for _ in range(400)]
-        # Monotone queries (the executor's pattern) to warm the cache,
-        # then random-order queries to force stale-hint misses.
-        for t in sorted(times) + times:
-            seg, remaining = trace.segment_at(t)
-            local = math.fmod(t, trace.period_s)
-            idx = trace._index_at(local)
-            assert seg is trace.segments[idx]
-            expected = trace._starts[idx] + seg.duration_s - local
-            assert remaining == max(expected, 1e-15)
+        def counted(local_s):
+            searches.append(local_s)
+            return search(local_s)
+
+        monkeypatch.setattr(trace, "_index_at", counted)
+        t, steps = 0.0, 0
+        while t < 3.0 * trace.period_s:
+            t = _step(trace, t)
+            steps += 1
+        assert steps > 3 * len(trace.segments)
+        assert searches == []
+
+
+def _check_against_search(trace):
+    period = trace.period_s
+    rng = random.Random(11)
+    times = [rng.uniform(0.0, 5.0 * period) for _ in range(400)]
+    walk = [0.0]
+    while walk[-1] < 3.0 * period:
+        walk.append(_step(trace, walk[-1]))
+    starts = [
+        cycle * period + start for cycle in (0, 1, 4) for start in trace._starts
+    ]
+    wrap = [
+        t
+        for cycle in (1, 2, 7)
+        for t in (
+            cycle * period,
+            math.nextafter(cycle * period, 0.0),
+            math.nextafter(cycle * period, math.inf),
+            cycle * period - 1e-15,
+        )
+    ]
+    # Monotone queries (the executor's pattern) warm the hint, then
+    # random-order queries force stale-hint misses.
+    for t in walk + sorted(times) + starts + wrap + times + starts[::-1]:
+        seg, remaining = trace.segment_at(t)
+        idx, expected = _searched(trace, t)
+        assert seg is trace.segments[idx], (trace.name, t)
+        assert remaining == expected, (trace.name, t)
+
+    windows = [
+        (rng.uniform(0.0, 3.0 * period), rng.uniform(0.0, 2.5 * period))
+        for _ in range(200)
+    ]
+    for t0, span in windows + [(t, 0.5 * period) for t in starts + wrap]:
+        expected = _searched_energy(trace, t0, t0 + span)
+        assert trace.energy_between(t0, t0 + span) == expected, (trace.name, t0)
+
+
+def _step(trace, t_s):
+    """The executor's ``t += remaining`` step, kept moving past one ulp."""
+    return max(t_s + trace.segment_at(t_s)[1], math.nextafter(t_s, math.inf))
+
+
+def _scenario_trace(name):
+    return build_scenario_trace(ScenarioSpec.parse(name))
+
+
+def _tied_trace():
+    """A trace whose sub-ulp durations leave several equal ``_starts``."""
+    trace = HarvestTrace(
+        [
+            HarvestSegment(1.0, 1e-4),
+            HarvestSegment(1e-17, 2e-4),
+            HarvestSegment(1e-17, 3e-4),
+            HarvestSegment(0.5, 0.0),
+            HarvestSegment(1e-17, 5e-4),
+            HarvestSegment(0.25, 6e-5),
+        ],
+        name="tied",
+    )
+    assert trace._starts[1] == trace._starts[2] == trace._starts[3]
+    return trace
+
+
+def _searched(trace, t_s):
+    """(index, time left) at ``t_s`` from the binary search alone."""
+    local = math.fmod(t_s, trace.period_s)
+    idx = trace._index_at(local)
+    remaining = trace._starts[idx] + trace.segments[idx].duration_s - local
+    return idx, max(remaining, 1e-15)
+
+
+def _searched_energy(trace, t0_s, t1_s):
+    """``energy_between`` with every segment lookup done by _index_at."""
+    span = t1_s - t0_s
+    if span <= 0.0:
+        return 0.0
+    full_cycles = math.floor(span / trace.period_s)
+    total = full_cycles * trace.cycle_energy_j
+    span -= full_cycles * trace.period_s
+    idx, available = _searched(trace, t0_s)
+    while span > 1e-15:
+        dt = min(available, span)
+        total += trace.segments[idx].power_w * dt
+        span -= dt
+        idx = (idx + 1) % len(trace.segments)
+        available = trace.segments[idx].duration_s
+    return total
 
 
 class TestSweepStatsDerived:

@@ -1,10 +1,12 @@
-"""The plan and code memo levels of :class:`~repro.dse.explorer.SynthesisCache`.
+"""The plan, code, environment and profile memo levels of
+:class:`~repro.dse.explorer.SynthesisCache`.
 
 A sweep builds each NV-enhanced plan and its code bundle once per
 distinct (stage, budget, technology, criteria[, target period]) and
 never emits HDL: a bundle writes and round-trip checks its Verilog only
-when it is read.  The records must not depend on how much of the cache
-a point found warm.
+when it is read.  It builds each evaluation environment once per stage
+and scenario, and each DIAC profile once per plan and safe zone.  The
+records must not depend on how much of the cache a point found warm.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.dse import (
 )
 from repro.dse.explorer import prepare_point
 from repro.energy.scenarios import ScenarioSpec
-from repro.evaluation import evaluate_suite
+from repro.evaluation import build_environment, evaluate_suite
 from repro.suite import load_circuit
 from repro.tech import MRAM, RERAM
 
@@ -46,7 +48,7 @@ SCENARIOS = (
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count plan, codegen, HDL emission and HDL parse invocations."""
+    """Count plan, codegen, HDL, environment and profile invocations."""
     counts: Counter = Counter()
 
     def counted(name, fn):
@@ -72,14 +74,23 @@ def calls(monkeypatch):
         "parse_verilog",
         counted("parse_verilog", codegen.parse_verilog),
     )
+    monkeypatch.setattr(
+        explorer,
+        "build_environment",
+        counted("build_environment", explorer.build_environment),
+    )
+    monkeypatch.setattr(
+        explorer,
+        "profile_diac",
+        counted("profile_diac", explorer.profile_diac),
+    )
     return counts
 
 
 def _grid_spec(**axes) -> SweepSpec:
+    axes = {"policies": (3,), "budget_scales": (0.5, 1.0), **axes}
     return SweepSpec(
         circuits=CIRCUITS,
-        policies=(3,),
-        budget_scales=(0.5, 1.0),
         safe_zones=(True, False),
         scenarios=SCENARIOS,
         **axes,
@@ -99,6 +110,20 @@ class TestBuiltOnce:
         assert calls["generate_code"] == distinct_plans
         assert calls["write_verilog"] == 0
         assert calls["parse_verilog"] == 0
+
+    def test_environment_once_per_stage_and_profile_once_per_plan(
+        self, calls
+    ):
+        policies, budgets = (1, 3), (0.5, 1.0)
+        spec = _grid_spec(policies=policies, budget_scales=budgets)
+        result = SweepEngine().submit(SweepRequest(spec=spec))
+        assert not result.failures
+        # 2 circuits x 3 scenarios x 2 policies x 2 budgets x 2 modes.
+        assert len(result.records) == 48
+        stages = len(CIRCUITS) * len(policies)
+        plans = stages * len(budgets)
+        assert calls["build_environment"] == stages * len(SCENARIOS)
+        assert calls["profile_diac"] == plans * 2  # x safe zones
 
     def test_plan_memo_drops_the_least_recently_used(
         self, calls, monkeypatch
@@ -165,6 +190,39 @@ def test_shared_cache_records_equal_fresh_cache_records():
     assert [record_to_dict(r) for r in shared] == [
         record_to_dict(r) for r in fresh
     ]
+
+
+@pytest.mark.parametrize("scenario", ["paper-fig5", "rf-markov@1"])
+def test_one_environment_serves_every_design_of_a_stage(scenario):
+    """The environment memo keys on the stage, so the stage must be all
+    ``build_environment`` reads: a fresh build for every design over it
+    (barrier-placing budgets, both technologies, both safe zones) equals
+    the one environment they share."""
+    netlist = load_circuit("s838")
+    scenario = ScenarioSpec.parse(scenario)
+    cache = SynthesisCache()
+    prepared = [
+        prepare_point(
+            netlist,
+            DesignPoint(budget_scale=scale, technology=tech, use_safe_zone=safe),
+            cache=cache,
+            scenario=scenario,
+        )
+        for scale in (1.0, 0.01, 0.005)
+        for tech in (MRAM, RERAM)
+        for safe in (True, False)
+    ]
+    assert {p.design.plan.n_barriers for p in prepared} > {0}
+    shared = prepared[0].environment
+    for prep in prepared:
+        assert prep.environment is shared
+        fresh = build_environment(prep.design, scenario=scenario)
+        assert fresh.e_max_j == shared.e_max_j
+        assert fresh.thresholds == shared.thresholds
+        assert fresh.sleep_drain_w == shared.sleep_drain_w
+        assert fresh.n_passes == shared.n_passes
+        assert fresh.trace.name == shared.trace.name
+        assert fresh.trace.segments == shared.trace.segments
 
 
 def _small_sweep(netlist):
