@@ -203,18 +203,31 @@ class DiacSynthesizer:
     def __init__(self, config: DiacConfig | None = None) -> None:
         self.config = config or DiacConfig()
 
-    def stage(self, netlist: Netlist) -> TaskGraph:
-        """Steps 2–4a: characterize, build the tree, apply the policy.
+    def characterize(self, netlist: Netlist) -> TaskGraph:
+        """Steps 2–3: characterize, build the un-optimized tree.
 
-        The shaped graph carries the netlist and its synthesis report.
+        The graph carries the netlist and its synthesis report.  It
+        depends on the granularity and activity only, never the policy.
         """
         cfg = self.config
         report = synthesize(netlist, activity=cfg.activity)
-        graph = build_task_graph(netlist, report=report, granularity=cfg.granularity)
+        return build_task_graph(netlist, report=report, granularity=cfg.granularity)
+
+    def shape(self, graph: TaskGraph) -> TaskGraph:
+        """Step 4a: apply the policy to an un-optimized tree.
+
+        Returns a new graph; ``graph`` itself is not modified, so one
+        characterization serves every policy.
+        """
+        cfg = self.config
         policy_config = config_for_graph(
             graph, split_fraction=cfg.split_fraction, merge_fraction=cfg.merge_fraction
         )
         return apply_policy(graph, cfg.policy, policy_config)
+
+    def stage(self, netlist: Netlist) -> TaskGraph:
+        """Steps 2–4a: the shaped graph of ``netlist``."""
+        return self.shape(self.characterize(netlist))
 
     def derive_budget_j(self, netlist: Netlist) -> float:
         """Default barrier-spacing budget for ``netlist``.

@@ -11,9 +11,9 @@ dedup, ask/tell and result assembly — is decided by
 *how*:
 
 * **batching** — evaluation tasks are grouped by synthesis-stage key
-  (circuit x policy), so every batch shares one
-  characterization/tree/policy run via
-  :class:`~repro.dse.explorer.SynthesisCache`;
+  (circuit x policy), so every batch shares one policy-shaped stage via
+  :class:`~repro.dse.explorer.SynthesisCache`, and the batches of one
+  circuit share its characterization and un-optimized tree;
 * **one parallel path** — with one worker each batch runs inline in
   this process on the submission's cache map (which the static screen
   and pruning share); with more, the engine runs the coordinator's
@@ -325,9 +325,9 @@ class SweepStats:
         n_batches: synthesis-stage groups evaluated (enqueued, on the
             parallel path), each retry round's groups included.
         n_generations: strategy generations driven (0 for a grid).
-        synthesize_calls: circuit characterizations performed in this
-            process — static screening and pruning included; stages
-            that worker processes synthesized are not counted.
+        synthesize_calls: synthesis stages (circuit x policy) built in
+            this process — static screening and pruning included;
+            stages that worker processes built are not counted.
         workers: process count used (1 == inline, in-process).
         wall_s: wall-clock duration of the run.
         n_pruned: points the static analysis proved infeasible and
@@ -357,7 +357,7 @@ class SweepStats:
         """Fraction of synthesis-stage groups served without synthesizing.
 
         Each of the run's ``n_batches`` (circuit, policy) groups needs one
-        characterization when cold; every one the caches absorbed beyond
+        stage when cold; every one the caches absorbed beyond
         the actual ``synthesize_calls`` was a hit.  0.0 on a fully cold
         run, approaching 1.0 when a long-lived cache (generational search,
         warm explorer) serves every stage.  Only meaningful when the
@@ -646,8 +646,8 @@ class SweepEngine:
         netlists = load_netlists(request.spec.circuits, dict(netlists or {}))
         stats = SweepStats(workers=self.workers)
         # One synthesis-cache map per submission: the static screen,
-        # pruning and every in-process batch share it, so each stage is
-        # characterized once in this process.
+        # pruning and every in-process batch share it, so each circuit is
+        # characterized, and each stage shaped, once in this process.
         caches: dict[str, SynthesisCache] = {}
         session: AbstractContextManager[Execute]
         if self.workers == 1:
@@ -743,7 +743,7 @@ class SweepEngine:
 
         The planner's executor for a one-worker :meth:`submit`.  Tasks
         are grouped by synthesis stage (circuit x policy), so each batch
-        shares one characterization/tree/policy run on ``caches``;
+        shares one shaped stage on ``caches``;
         scenarios ride in the same batch because they never change the
         synthesized design.  Each batch is evaluated and committed in
         turn; the planner decides which failures run again.

@@ -11,22 +11,24 @@ mutating any shared state.  The parallel sweep machinery lives in
 :mod:`repro.dse.engine`.
 
 Evaluating a point runs the full DIAC pipeline, but most of it depends on
-few of the point's knobs: synthesis characterization, tree generation and
-policy shaping only on ``(netlist, policy, granularity, activity,
-split/merge bounds)``; NVM replacement additionally on budget, technology
-and criteria; code generation additionally on the target clock period.
-None of them depends on the safe zone, the threshold or margin scales or
-the harvest scenario.  :class:`SynthesisCache` memoizes the
-:class:`~repro.core.diac.DiacSynthesizer` steps at all three levels, so
-a sweep builds each distinct plan and its code bundle once instead of
-once per point, and builds it exactly as ``DiacSynthesizer.run`` would.
-No evaluation reads HDL, so a sweep never emits any.
+few of the point's knobs: synthesis characterization and tree generation
+only on ``(netlist, granularity, activity)``; policy shaping additionally
+on the policy and the split/merge bounds; NVM replacement additionally on
+budget, technology and criteria; code generation additionally on the
+target clock period.  None of them depends on the safe zone, the
+threshold or margin scales or the harvest scenario.
+:class:`SynthesisCache` memoizes the
+:class:`~repro.core.diac.DiacSynthesizer` steps at all four levels, so
+a sweep characterizes each circuit once for all of its policies and
+builds each distinct plan and its code bundle once instead of once per
+point, exactly as ``DiacSynthesizer.run`` would.  No evaluation reads
+HDL, so a sweep never emits any.
 
 The runtime inputs are memoized the same way: the evaluation
-environment depends only on the stage's synthesis report, the netlist
+environment depends only on the circuit's synthesis report, the netlist
 and the harvest scenario, and the DIAC scheme profile only on the plan
 and the safe-zone setting.  A point scales its environment's thresholds
-itself, so every point of one stage and scenario runs on one
+itself, so every point of one circuit and scenario runs on one
 environment, and :func:`evaluate_point` and the static bounds of
 :mod:`repro.analysis` share it through the sweep's cache map.
 """
@@ -166,8 +168,8 @@ class ExplorationRecord:
 #: stage's task graph, so a plan entry holds only its barrier overlay
 #: and partitions; a code entry holds its pragma header and timing
 #: report (and its HDL text only once something has read it).  An
-#: environment entry holds one harvest trace (per stage and scenario), a
-#: profile entry a handful of floats (per plan and safe zone).
+#: environment entry holds one harvest trace (per circuit and scenario),
+#: a profile entry a handful of floats (per plan and safe zone).
 PLAN_MEMO_SIZE = 64
 
 
@@ -183,10 +185,17 @@ def _recall(memo: dict, key: tuple, build: Callable[[], _T]) -> _T:
 
 
 class SynthesisCache:
-    """Memoizes a point's synthesis steps and runtime inputs, at five levels.
+    """Memoizes a point's synthesis steps and runtime inputs, at six levels.
 
-    * **Stage** — :meth:`~repro.core.diac.DiacSynthesizer.stage` (the
-      shaped task graph and its report), keyed by :meth:`stage_key`.
+    * **Characterization** —
+      :meth:`~repro.core.diac.DiacSynthesizer.characterize` (the
+      un-optimized task graph and its report), keyed by
+      :meth:`characterization_key`: circuit, granularity and activity.
+    * **Stage** — :meth:`~repro.core.diac.DiacSynthesizer.shape` of the
+      cached characterization, keyed by :meth:`stage_key`: the
+      characterization key plus policy and split/merge bounds.  Shaping
+      derives a new graph and never modifies its input, so every policy
+      of a circuit shapes the one cached characterization.
     * **Plan** — :meth:`~repro.core.diac.DiacSynthesizer.plan` at the
       config's :meth:`~repro.core.diac.DiacSynthesizer.budget_j`, keyed by
       :meth:`plan_key`: the stage key plus budget, NVM technology and
@@ -195,39 +204,44 @@ class SynthesisCache:
     * **Code** — :meth:`~repro.core.diac.DiacSynthesizer.code`, keyed by
       the plan key plus the target clock period.
     * **Environment** — :func:`~repro.evaluation.build_environment`,
-      keyed by the stage key plus the scenario's identity.  It reads the
-      stage's synthesis report, the netlist and the scenario, never the
-      plan, budget, technology or safe zone, so every design over one
-      stage shares it; a point scales its thresholds on a copy.
+      keyed by the characterization key plus the scenario's identity.
+      It reads the synthesis report, the netlist and the scenario, never
+      the policy, plan, budget, technology or safe zone, so every design
+      of one circuit shares it; a point scales its thresholds on a copy.
     * **Profile** — :func:`~repro.baselines.schemes.profile_diac`, keyed
       by the plan key plus the safe-zone setting.
 
     The cache composes nothing itself, so its designs equal those
     :meth:`~repro.core.diac.DiacSynthesizer.run` builds.  A code bundle
     emits and checks its structural Verilog only when its HDL is read,
-    which no evaluation does.  Plans and code bundles are frozen and
-    nothing after the policy stage mutates a stage graph, so one entry
-    is safely shared by every design built from it; each memo keeps its
-    :data:`PLAN_MEMO_SIZE` most recently used entries.
+    which no evaluation does.  Plans, code bundles and harvest traces
+    are immutable and nothing after the policy stage mutates a graph,
+    so one entry is safely shared by every design built from it; each
+    bounded memo keeps its :data:`PLAN_MEMO_SIZE` most recently used
+    entries.
     """
 
     def __init__(self) -> None:
+        self._characterizations: dict[tuple, TaskGraph] = {}
         self._stages: dict[tuple, TaskGraph] = {}
         self._plans: dict[tuple, NvmPlan] = {}
         self._codes: dict[tuple, GeneratedCode] = {}
         self._environments: dict[tuple, Environment] = {}
         self._profiles: dict[tuple, SchemeProfile] = {}
-        #: Number of cache misses == actual ``synthesize`` invocations.
+        #: Stage misses: shaped stages built by this cache.
         self.synthesize_calls = 0
 
     @staticmethod
-    def stage_key(netlist: Netlist, config: DiacConfig) -> tuple:
-        """The memoization key for one (netlist, config) combination."""
+    def characterization_key(netlist: Netlist, config: DiacConfig) -> tuple:
+        """The characterization memo key: what steps 2–3 read."""
+        return (netlist.name, config.granularity, config.activity)
+
+    @classmethod
+    def stage_key(cls, netlist: Netlist, config: DiacConfig) -> tuple:
+        """The stage memo key: characterization key + policy and bounds."""
         return (
-            netlist.name,
+            *cls.characterization_key(netlist, config),
             config.policy,
-            config.granularity,
-            config.activity,
             config.split_fraction,
             config.merge_fraction,
         )
@@ -242,13 +256,24 @@ class SynthesisCache:
             config.criteria,
         )
 
+    def characterization_for(self, netlist: Netlist, config: DiacConfig) -> TaskGraph:
+        """Return the cached un-optimized tree, computing it on a miss."""
+        key = self.characterization_key(netlist, config)
+        graph = self._characterizations.get(key)
+        if graph is None:
+            graph = DiacSynthesizer(config).characterize(netlist)
+            self._characterizations[key] = graph
+        return graph
+
     def stage_for(self, netlist: Netlist, config: DiacConfig) -> TaskGraph:
-        """Return the cached front-half stage, computing it on a miss."""
+        """Return the cached shaped stage, shaping it on a miss."""
         key = self.stage_key(netlist, config)
         stage = self._stages.get(key)
         if stage is None:
             self.synthesize_calls += 1
-            stage = DiacSynthesizer(config).stage(netlist)
+            stage = DiacSynthesizer(config).shape(
+                self.characterization_for(netlist, config)
+            )
             self._stages[key] = stage
         return stage
 
@@ -270,10 +295,13 @@ class SynthesisCache:
         )
 
     def environment_for(self, design: DiacDesign, scenario: ScenarioSpec) -> Environment:
-        """Return the cached environment of ``design``'s stage under ``scenario``."""
+        """Return the cached environment of ``design``'s circuit under ``scenario``."""
         return _recall(
             self._environments,
-            (*self.stage_key(design.netlist, design.config), *scenario.identity()),
+            (
+                *self.characterization_key(design.netlist, design.config),
+                *scenario.identity(),
+            ),
             lambda: build_environment(design, scenario=scenario),
         )
 

@@ -281,7 +281,7 @@ def plan_and_run(
             loaded into it on demand.
         caches: circuit name -> synthesis cache that pruning and the
             screener fill; pass the map ``execute`` evaluates with so
-            every stage is characterized once (default: a fresh map).
+            every stage is built once (default: a fresh map).
         retry: how transient failures are retried (default: the
             default :class:`~repro.dse.resilience.RetryPolicy`).
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 
@@ -31,7 +32,12 @@ class HarvestSegment:
 
 
 class HarvestTrace:
-    """A cyclically repeating sequence of constant-power segments."""
+    """A cyclically repeating sequence of constant-power segments.
+
+    A trace is immutable once built: a cached environment's trace is
+    shared by every design of a circuit, and by threads.  A run that
+    walks it forward keeps its position in its own :meth:`cursor`.
+    """
 
     def __init__(self, segments: list[HarvestSegment], name: str = "trace") -> None:
         if not segments:
@@ -39,18 +45,13 @@ class HarvestTrace:
         self.segments = list(segments)
         self.name = name
         self._starts: list[float] = []
+        self._ends: list[float] = []
         t = 0.0
         for seg in self.segments:
             self._starts.append(t)
+            self._ends.append(t + seg.duration_s)
             t += seg.duration_s
         self.period_s = t
-        #: Last segment index served by :meth:`segment_at`.  The executor
-        #: event loop queries monotonically increasing times, so the
-        #: previous hit or the segment after it skips the binary search on
-        #: nearly every call.  It is only a hint: the returned index is
-        #: identical either way, so a trace shared by many runs (a cached
-        #: environment) is never wrong, only slower on a stale hint.
-        self._last_idx = 0
 
     @property
     def cycle_energy_j(self) -> float:
@@ -83,31 +84,49 @@ class HarvestTrace:
         if t_s < 0:
             raise ValueError("time must be non-negative")
         local = math.fmod(t_s, self.period_s)
-        bound = local + 1e-15
-        starts = self._starts
-        last = len(starts) - 1
-        # Fast path: try the previous hit, then the segment after it
-        # (wrapping at the period), before binary-searching.  A candidate
-        # passes only as the largest index whose start is <= bound -- the
-        # index _index_at returns -- so a tied start falls through to it.
-        idx = self._last_idx
-        if not (starts[idx] <= bound and (idx == last or starts[idx + 1] > bound)):
-            idx = idx + 1 if idx < last else 0
-            if not (starts[idx] <= bound and (idx == last or starts[idx + 1] > bound)):
-                idx = self._index_at(local)
-            self._last_idx = idx
-        remaining = starts[idx] + self.segments[idx].duration_s - local
-        return idx, max(remaining, 1e-15)
+        idx = self._index_at(local)
+        return idx, max(self._ends[idx] - local, 1e-15)
 
     def segment_at(self, t_s: float) -> tuple[HarvestSegment, float]:
-        """Segment active at absolute time ``t_s`` and time left in it.
-
-        The executor steps forward with ``t += remaining``, so a query
-        mostly lands in the segment last served or the one after it;
-        both are checked before the binary search.
-        """
+        """Segment active at absolute time ``t_s`` and time left in it."""
         idx, remaining = self._locate(t_s)
         return self.segments[idx], remaining
+
+    def cursor(self) -> Callable[[float], tuple[float, float]]:
+        """A lookup ``t -> (power_w, remaining)`` that remembers its place.
+
+        Answers exactly as :meth:`segment_at` does.  A run steps forward
+        with ``t += remaining``, so a query mostly lands in the segment
+        last served or the one after it (wrapping at the period); both
+        are tried before the binary search.  Either is accepted only as
+        the largest index whose start is ``<= local + 1e-15`` -- the
+        index :meth:`_index_at` returns -- so a tied start falls through
+        to the search.  The position lives in the closure, not on the
+        trace, so runs sharing a trace never disturb one another.
+        """
+        # An infinite sentinel start closes the last segment's interval.
+        starts = [*self._starts, math.inf]
+        ends, period, fmod = self._ends, self.period_s, math.fmod
+        powers = [seg.power_w for seg in self.segments]
+        last = len(ends) - 1
+        idx = 0
+
+        def lookup(t_s: float) -> tuple[float, float]:
+            nonlocal idx
+            if t_s < 0:
+                raise ValueError("time must be non-negative")
+            local = fmod(t_s, period)
+            bound = local + 1e-15
+            i = idx
+            if not starts[i] <= bound < starts[i + 1]:
+                i = i + 1 if i < last else 0
+                if not starts[i] <= bound < starts[i + 1]:
+                    i = self._index_at(local)
+                idx = i
+            remaining = ends[i] - local
+            return powers[i], 1e-15 if remaining < 1e-15 else remaining
+
+        return lookup
 
     def power_at(self, t_s: float) -> float:
         """Instantaneous harvest power at ``t_s``."""

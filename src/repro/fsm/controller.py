@@ -223,11 +223,12 @@ class IntermittentController:
         n_steps = int(round(duration_s / dt))
         in_safe_dip = False
         emax_latched = False
+        harvest_at = self.trace.cursor()
 
         for step in range(n_steps):
             t = step * dt
             # Harvest.
-            self.storage.deposit(self.trace.power_at(t) * dt)
+            self.storage.deposit(harvest_at(t)[0] * dt)
             if self.storage.is_full and not emax_latched:
                 emax_latched = True
                 counters["reached_e_max"] += 1

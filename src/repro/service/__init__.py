@@ -27,10 +27,11 @@ infrastructure beyond one shared file path.
 """
 
 from repro.service.coordinator import SweepCoordinator
-from repro.service.queue import LeaseQueue, LeaseTask
+from repro.service.queue import Lease, LeaseQueue, LeaseTask
 from repro.service.worker import run_worker
 
 __all__ = [
+    "Lease",
     "LeaseQueue",
     "LeaseTask",
     "SweepCoordinator",

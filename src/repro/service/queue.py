@@ -115,6 +115,25 @@ class LeaseTask:
     source: str | None
 
 
+class Lease(list[LeaseTask]):
+    """The tasks one :meth:`LeaseQueue.claim` leased, in claim order.
+
+    Attributes:
+        base_config: the synthesis base configuration persisted in the
+            queue, read in the claim's own transaction, so it is the
+            one the coordinator stored before enqueueing these tasks
+            (``None``: defaults).
+    """
+
+    def __init__(
+        self,
+        tasks: Iterable[LeaseTask] = (),
+        base_config: DiacConfig | None = None,
+    ) -> None:
+        super().__init__(tasks)
+        self.base_config = base_config
+
+
 class LeaseQueue:
     """Durable lease queue over one SQLite file (see module docs).
 
@@ -303,27 +322,34 @@ class LeaseQueue:
             source=payload.get("source"),
         )
 
-    def claim(self, worker: str, limit: int = 8) -> list[LeaseTask]:
+    def claim(self, worker: str, limit: int = 8) -> Lease:
         """Lease up to ``limit`` tasks of one stage to ``worker``.
 
-        One ``BEGIN IMMEDIATE`` transaction first reclaims expired
-        leases (see :meth:`reclaim_expired`), then picks the oldest
-        ``pending`` stage and leases its oldest ``pending`` tasks
-        together, so a lease shares one synthesis run exactly like an
-        engine batch.  Returns ``[]`` when nothing is claimable right
-        now.
+        One ``BEGIN IMMEDIATE`` transaction reads the base
+        configuration, reclaims expired leases (see
+        :meth:`reclaim_expired`), then picks the oldest ``pending``
+        stage and leases its oldest ``pending`` tasks together, so a
+        lease shares one synthesis run exactly like an engine batch.
+        The configuration comes back with the tasks: a coordinator
+        stores it before it enqueues, so a task is never seen without
+        it.  Returns an empty lease when nothing is claimable right now.
+
+        Raises:
+            ValueError: for a stored configuration this build cannot
+                read, before any task is leased.
         """
         if limit < 1:
             raise ValueError("limit must be >= 1")
         now = time.time()
         with self._transaction():
+            base_config = self.base_config
             self._reclaim(now)
             row = self._conn.execute(
                 "SELECT stage FROM svc_tasks "
                 "WHERE status = 'pending' ORDER BY rowid LIMIT 1"
             ).fetchone()
             if row is None:
-                return []
+                return Lease(base_config=base_config)
             rows = self._conn.execute(
                 "SELECT task_key, payload FROM svc_tasks "
                 "WHERE status = 'pending' AND stage = ? "
@@ -336,7 +362,10 @@ class LeaseQueue:
                 "lease_deadline = ? WHERE task_key = ?",
                 [(worker, deadline, key) for key, _p in rows],
             )
-        return [self._decode_task(key, payload) for key, payload in rows]
+        return Lease(
+            (self._decode_task(key, payload) for key, payload in rows),
+            base_config,
+        )
 
     def resolve(
         self,

@@ -79,9 +79,9 @@ def run_lease(
     ``(n_done, n_failed, synthesize_calls)``, or ``None`` when nothing
     was claimable.
     """
-    # Read before claiming: a stored config this version cannot read
-    # raises here, leaving every task pending.
-    base_config = queue.base_config
+    # The claim reads the base config in its own transaction: a stored
+    # config this version cannot read raises there, leaving every task
+    # pending.
     lease = queue.claim(worker, limit=lease_size)
     if not lease:
         return None
@@ -92,7 +92,7 @@ def run_lease(
     # Without caches a crash fault exits the process here, leaving the
     # lease to its coordinator or its deadline — the real death path.
     records, calls, failures = _evaluate_batch(
-        circuit, netlists[circuit], jobs, base_config, fault_plan,
+        circuit, netlists[circuit], jobs, lease.base_config, fault_plan,
         caches,
     )
     # Store first, then resolve: a death in between re-runs the point,

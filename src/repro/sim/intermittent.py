@@ -216,7 +216,9 @@ class IntermittentExecutor:
         # Hot-loop hoists: the event loop runs thousands of iterations per
         # macro task, so threshold levels, the trace accessor and the
         # result counters all live in locals and are written back once.
-        segment_at = self.trace.segment_at
+        # The trace lookup is this run's own cursor (the trace may be
+        # shared by many runs).
+        harvest_at = self.trace.cursor()
         safe_j = th.safe_j
         compute_j = th.compute_j
         backup_j = th.backup_j
@@ -245,8 +247,7 @@ class IntermittentExecutor:
                     f"sustain the macro task within {max_cycles:g} cycles "
                     f"(work {work:.3e}/{work_target_j:.3e} J)"
                 )
-            seg, seg_remaining = segment_at(t)
-            p_in = seg.power_w
+            p_in, seg_remaining = harvest_at(t)
 
             if mode == "active":
                 p_net = p_in - p_active

@@ -30,10 +30,11 @@ class QueryBudgetExceeded(RuntimeError):
 class MonotonicProbeTrace(HarvestTrace):
     """Trace wrapper recording every simulation time the executor visits.
 
-    ``segment_at`` is called with the executor's clock on every event-loop
-    iteration, so the recorded sequence is a faithful sample of simulated
-    time.  A query budget bounds livelocked runs (the seed bug regressed
-    time, so the executor's own time limit never fired).
+    The executor looks the trace up through a :meth:`cursor` with its
+    clock on every event-loop iteration, so the recorded sequence is a
+    faithful sample of simulated time.  A query budget bounds livelocked
+    runs (the seed bug regressed time, so the executor's own time limit
+    never fired).
     """
 
     def __init__(
@@ -43,15 +44,21 @@ class MonotonicProbeTrace(HarvestTrace):
         self.times: list[float] = []
         self.limit = limit
 
-    def segment_at(self, t_s: float):
-        self.times.append(t_s)
-        if len(self.times) > self.limit:
-            raise QueryBudgetExceeded(
-                f"{self.limit} trace queries without finishing"
-            )
-        return super().segment_at(t_s)
+    def cursor(self):
+        lookup = super().cursor()
+
+        def probed(t_s: float):
+            self.times.append(t_s)
+            if len(self.times) > self.limit:
+                raise QueryBudgetExceeded(
+                    f"{self.limit} trace queries without finishing"
+                )
+            return lookup(t_s)
+
+        return probed
 
     def assert_time_monotonic(self) -> None:
+        assert self.times, "the executor never queried the trace"
         regressions = [
             (earlier, later)
             for earlier, later in zip(self.times, self.times[1:])

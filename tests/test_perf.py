@@ -130,17 +130,17 @@ class TestOptimizationEquivalence:
         assert tiny_chain.fanout_map()["a"] == ("b", "d")
 
     def test_trace_fast_path_matches_binary_search(self):
-        """segment_at's last-hit and next-segment probes agree with _index_at.
+        """A cursor's last-hit and next-segment probes agree with _index_at.
 
-        The binary search is the oracle: whatever warm state
-        ``_last_idx`` is in, the fast path must return exactly the
-        segment and remainder the search-based formula produces, and
+        The binary search is the oracle: whatever position the cursor
+        holds, it must return exactly the power and remainder the
+        search-based formula produces, as must ``segment_at``, and
         ``energy_between`` exactly what a search-based walk sums.  The
         traces are the paper's, two many-segment stochastic ones and one
         whose rounding made starts equal; the queries cover the
         executor's ``t += remaining`` walk (each lands on a segment
         start), exact starts in later cycles, the wrap at ``period_s``
-        and random order (stale hints).
+        and random order (a stale position).
         """
         traces = [
             *map(_scenario_trace, ("paper-fig5", "rf-markov@1", "kinetic-shot@1")),
@@ -160,21 +160,56 @@ class TestOptimizationEquivalence:
             return search(local_s)
 
         monkeypatch.setattr(trace, "_index_at", counted)
+        lookup = trace.cursor()
         t, steps = 0.0, 0
         while t < 3.0 * trace.period_s:
-            t = _step(trace, t)
+            t = _step(lookup, t)
             steps += 1
         assert steps > 3 * len(trace.segments)
         assert searches == []
+
+    def test_interleaved_cursors_answer_as_separate_ones(self, monkeypatch):
+        """Runs walking one shared trace never disturb each other.
+
+        Interleaved, each cursor gives the answers it gives alone and
+        needs no more binary searches: its position is its own.
+        """
+        for trace in (_scenario_trace("rf-markov@1"), _tied_trace()):
+            period = trace.period_s
+            rng = random.Random(5)
+            walks = [
+                _walk(trace.cursor(), 0.0, 3.0 * period),
+                _walk(trace.cursor(), 0.37 * period, 4.0 * period),
+                sorted(rng.uniform(0.0, 5.0 * period) for _ in range(200)),
+            ]
+            searches = []
+            search = type(trace)._index_at
+
+            def counted(local_s, trace=trace, search=search):
+                searches.append(local_s)
+                return search(trace, local_s)
+
+            monkeypatch.setattr(trace, "_index_at", counted)
+            alone = []
+            for times in walks:
+                lookup = trace.cursor()
+                alone.append([lookup(t) for t in times])
+            n_alone, searches[:] = len(searches), []
+            cursors = [trace.cursor() for _ in walks]
+            together = [[] for _ in walks]
+            for step in range(max(map(len, walks))):
+                for lookup, times, answers in zip(cursors, walks, together):
+                    if step < len(times):
+                        answers.append(lookup(times[step]))
+            assert together == alone, trace.name
+            assert len(searches) == n_alone, trace.name
 
 
 def _check_against_search(trace):
     period = trace.period_s
     rng = random.Random(11)
     times = [rng.uniform(0.0, 5.0 * period) for _ in range(400)]
-    walk = [0.0]
-    while walk[-1] < 3.0 * period:
-        walk.append(_step(trace, walk[-1]))
+    walk = _walk(trace.cursor(), 0.0, 3.0 * period)
     starts = [
         cycle * period + start for cycle in (0, 1, 4) for start in trace._starts
     ]
@@ -188,11 +223,13 @@ def _check_against_search(trace):
             cycle * period - 1e-15,
         )
     ]
-    # Monotone queries (the executor's pattern) warm the hint, then
-    # random-order queries force stale-hint misses.
+    # Monotone queries (the executor's pattern) warm the cursor, then
+    # random-order queries force stale-position misses.
+    lookup = trace.cursor()
     for t in walk + sorted(times) + starts + wrap + times + starts[::-1]:
-        seg, remaining = trace.segment_at(t)
         idx, expected = _searched(trace, t)
+        assert lookup(t) == (trace.segments[idx].power_w, expected), (trace.name, t)
+        seg, remaining = trace.segment_at(t)
         assert seg is trace.segments[idx], (trace.name, t)
         assert remaining == expected, (trace.name, t)
 
@@ -205,9 +242,17 @@ def _check_against_search(trace):
         assert trace.energy_between(t0, t0 + span) == expected, (trace.name, t0)
 
 
-def _step(trace, t_s):
+def _step(lookup, t_s):
     """The executor's ``t += remaining`` step, kept moving past one ulp."""
-    return max(t_s + trace.segment_at(t_s)[1], math.nextafter(t_s, math.inf))
+    return max(t_s + lookup(t_s)[1], math.nextafter(t_s, math.inf))
+
+
+def _walk(lookup, t0_s, t1_s):
+    """The times a ``t += remaining`` walk from ``t0_s`` visits before ``t1_s``."""
+    times = [t0_s]
+    while times[-1] < t1_s:
+        times.append(_step(lookup, times[-1]))
+    return times
 
 
 def _scenario_trace(name):

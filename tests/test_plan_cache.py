@@ -1,19 +1,20 @@
-"""The plan, code, environment and profile memo levels of
-:class:`~repro.dse.explorer.SynthesisCache`.
+"""The characterization, plan, code, environment and profile memo levels
+of :class:`~repro.dse.explorer.SynthesisCache`.
 
-A sweep builds each NV-enhanced plan and its code bundle once per
-distinct (stage, budget, technology, criteria[, target period]) and
-never emits HDL: a bundle writes and round-trip checks its Verilog only
-when it is read.  It builds each evaluation environment once per stage
-and scenario, and each DIAC profile once per plan and safe zone.  The
-records must not depend on how much of the cache a point found warm.
+A sweep characterizes each circuit once for all of its policies, builds
+each NV-enhanced plan and its code bundle once per distinct (stage,
+budget, technology, criteria[, target period]) and never emits HDL: a
+bundle writes and round-trip checks its Verilog only when it is read.
+It builds each evaluation environment once per circuit and scenario,
+and each DIAC profile once per plan and safe zone.  The records must not
+depend on how much of the cache a point found warm.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -21,7 +22,7 @@ import repro.core.codegen as codegen
 import repro.core.diac as diac
 import repro.dse.explorer as explorer
 from repro.circuits import GateType, VerilogError, parse_verilog
-from repro.core import DiacSynthesizer, ReplacementCriteria
+from repro.core import DiacConfig, DiacSynthesizer, ReplacementCriteria
 from repro.dse import (
     DesignPoint,
     SweepEngine,
@@ -48,7 +49,8 @@ SCENARIOS = (
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count plan, codegen, HDL, environment and profile invocations."""
+    """Count characterization, plan, codegen, HDL, environment and
+    profile invocations."""
     counts: Counter = Counter()
 
     def counted(name, fn):
@@ -58,6 +60,14 @@ def calls(monkeypatch):
 
         return wrapper
 
+    monkeypatch.setattr(
+        diac, "synthesize", counted("synthesize", diac.synthesize)
+    )
+    monkeypatch.setattr(
+        diac,
+        "build_task_graph",
+        counted("build_task_graph", diac.build_task_graph),
+    )
     monkeypatch.setattr(
         diac, "insert_nvm", counted("insert_nvm", diac.insert_nvm)
     )
@@ -111,7 +121,7 @@ class TestBuiltOnce:
         assert calls["write_verilog"] == 0
         assert calls["parse_verilog"] == 0
 
-    def test_environment_once_per_stage_and_profile_once_per_plan(
+    def test_environment_once_per_circuit_and_profile_once_per_plan(
         self, calls
     ):
         policies, budgets = (1, 3), (0.5, 1.0)
@@ -120,10 +130,21 @@ class TestBuiltOnce:
         assert not result.failures
         # 2 circuits x 3 scenarios x 2 policies x 2 budgets x 2 modes.
         assert len(result.records) == 48
-        stages = len(CIRCUITS) * len(policies)
-        plans = stages * len(budgets)
-        assert calls["build_environment"] == stages * len(SCENARIOS)
+        plans = len(CIRCUITS) * len(policies) * len(budgets)
+        assert calls["build_environment"] == len(CIRCUITS) * len(SCENARIOS)
         assert calls["profile_diac"] == plans * 2  # x safe zones
+
+    def test_characterization_once_per_circuit(self, calls):
+        policies = (1, 2, 3)
+        spec = _grid_spec(policies=policies, budget_scales=(1.0,))
+        result = SweepEngine().submit(SweepRequest(spec=spec))
+        assert not result.failures
+        # 2 circuits x 3 scenarios x 3 policies x 2 modes.
+        assert len(result.records) == 36
+        assert result.stats.synthesize_calls == len(CIRCUITS) * len(policies)
+        assert calls["synthesize"] == len(CIRCUITS)
+        assert calls["build_task_graph"] == len(CIRCUITS)
+        assert calls["build_environment"] == len(CIRCUITS) * len(SCENARIOS)
 
     def test_plan_memo_drops_the_least_recently_used(
         self, calls, monkeypatch
@@ -194,25 +215,33 @@ def test_shared_cache_records_equal_fresh_cache_records():
 
 @pytest.mark.parametrize("scenario", ["paper-fig5", "rf-markov@1"])
 def test_one_environment_serves_every_design_of_a_stage(scenario):
-    """The environment memo keys on the stage, so the stage must be all
-    ``build_environment`` reads: a fresh build for every design over it
-    (barrier-placing budgets, both technologies, both safe zones) equals
-    the one environment they share."""
+    """The environment memo keys on the characterization, so it must be
+    all ``build_environment`` reads: a fresh build for every design of
+    the circuit (all three policies, barrier-placing budgets, both
+    technologies, both safe zones) equals the one environment they
+    share."""
     netlist = load_circuit("s838")
     scenario = ScenarioSpec.parse(scenario)
     cache = SynthesisCache()
     prepared = [
         prepare_point(
             netlist,
-            DesignPoint(budget_scale=scale, technology=tech, use_safe_zone=safe),
+            DesignPoint(
+                policy=policy,
+                budget_scale=scale,
+                technology=tech,
+                use_safe_zone=safe,
+            ),
             cache=cache,
             scenario=scenario,
         )
+        for policy in (1, 2, 3)
         for scale in (1.0, 0.01, 0.005)
         for tech in (MRAM, RERAM)
         for safe in (True, False)
     ]
     assert {p.design.plan.n_barriers for p in prepared} > {0}
+    assert len({id(p.design.plan.graph) for p in prepared}) == 3
     shared = prepared[0].environment
     for prep in prepared:
         assert prep.environment is shared
@@ -223,6 +252,28 @@ def test_one_environment_serves_every_design_of_a_stage(scenario):
         assert fresh.n_passes == shared.n_passes
         assert fresh.trace.name == shared.trace.name
         assert fresh.trace.segments == shared.trace.segments
+
+
+@pytest.mark.parametrize("circuit", CIRCUITS)
+def test_shaping_leaves_the_characterization_intact(circuit):
+    """Every policy shapes the one cached un-optimized tree; after all
+    three it still equals a fresh characterization."""
+    netlist = load_circuit(circuit)
+    config = DiacConfig()
+    cache = SynthesisCache()
+    for policy in (1, 2, 3):
+        cache.stage_for(netlist, replace(config, policy=policy))
+    base = cache.characterization_for(netlist, config)
+    fresh = DiacSynthesizer(config).characterize(netlist)
+    assert base.report is cache.stage_for(netlist, config).report
+    assert list(base.nodes) == list(fresh.nodes)
+    for node_id, node in base.nodes.items():
+        assert node.gates == fresh.nodes[node_id].gates
+        assert node.feature == fresh.nodes[node_id].feature
+    assert base.edges == fresh.edges
+    assert {n: base.predecessors(n) for n in base.nodes} == {
+        n: fresh.predecessors(n) for n in fresh.nodes
+    }
 
 
 def _small_sweep(netlist):

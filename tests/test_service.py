@@ -443,6 +443,42 @@ class TestWorkerParity:
         )
         store.close()
 
+    def test_worker_applies_the_config_stored_with_its_tasks(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker started before the coordinator configures the queue
+        evaluates the tasks it claims under the configuration stored
+        with them, never under defaults it read before they existed."""
+        from repro.service.worker import run_lease
+
+        path = tmp_path / "svc.sqlite"
+        base = DiacConfig(activity=0.3)
+        claim = LeaseQueue.claim
+
+        def coordinator_lands_first(queue, worker, limit=8):
+            # The coordinator configures and enqueues from its own
+            # connection just before this worker's claim runs.
+            coordinator = LeaseQueue(path)
+            coordinator.configure(base_config=base)
+            coordinator.enqueue(expand_tasks(SPEC))
+            coordinator.close()
+            monkeypatch.setattr(LeaseQueue, "claim", claim)
+            return claim(queue, worker, limit)
+
+        monkeypatch.setattr(LeaseQueue, "claim", coordinator_lands_first)
+        queue, store = LeaseQueue(path), open_store(path)
+        try:
+            assert run_lease(queue, store, "w1", 8, {}, caches={})[:2] == (2, 0)
+            stored = list(store.iter_records())
+        finally:
+            queue.close()
+            store.close()
+        expected = SweepEngine(workers=1, base_config=base).submit(
+            SweepRequest(spec=SPEC)
+        )
+        assert len(stored) == 2
+        assert set(fingerprints(stored)) <= set(fingerprints(expected.records))
+
     def test_worker_requires_sqlite_store(self, tmp_path):
         with pytest.raises(ValueError, match="SQLite"):
             run_worker(
