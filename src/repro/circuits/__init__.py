@@ -32,13 +32,6 @@ from repro.circuits.levelize import (
     levelize,
 )
 from repro.circuits.netlist import Gate, Netlist, NetlistError
-from repro.circuits.optimize import (
-    cancel_double_inverters,
-    optimize,
-    propagate_constants,
-    remove_dead_gates,
-    sweep_buffers,
-)
 from repro.circuits.verilog import VerilogError, parse_verilog, write_verilog
 
 __all__ = [
@@ -55,7 +48,6 @@ __all__ = [
     "VerilogError",
     "array_multiplier",
     "balanced_tree_circuit",
-    "cancel_double_inverters",
     "critical_path_delay",
     "cut_width",
     "evaluate_gate",
@@ -65,16 +57,12 @@ __all__ = [
     "load_bench",
     "load_blif",
     "majority_voter",
-    "optimize",
     "parity_tree",
     "parse_bench",
     "parse_blif",
     "parse_verilog",
-    "propagate_constants",
-    "remove_dead_gates",
     "ripple_carry_adder",
     "sequential_counter",
-    "sweep_buffers",
     "write_bench",
     "write_verilog",
 ]

@@ -12,16 +12,18 @@ Ties the seven steps together:
 6.  form the NV-enhanced tree,
 7.  generate HDL and validate timing.
 
-:class:`DiacSynthesizer` is the one composition of these steps.  Its
-result, :class:`DiacDesign`, carries the plan (barriers over the shaped
-graph, and the commit schedule), the generated code, and the executor's
-figures.
+:class:`DiacSynthesizer` is the one composition of steps 2–6.  Its
+result, :class:`DiacDesign`, is the plan (barriers over the shaped
+graph, and the commit schedule) and the config that produced it; the
+netlist and report are the graph's, the executor's figures derive from
+them, and step 7's code bundle is generated the first time it is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.calibration import BARRIER_BUDGET_FACTOR, DEFAULT_ACTIVITY
 from repro.circuits.netlist import Netlist
@@ -120,20 +122,33 @@ class DiacDesign:
     """Output of one DIAC synthesis run.
 
     Attributes:
-        netlist: the source circuit.
-        report: its synthesis characterization.
         plan: the replacement plan: barriers, commit schedule and
             commit bits overlaid on the shaped stage graph
             (``plan.graph``, shared with every plan over that stage).
-        code: generated HDL + timing report.
         config: the configuration that produced this design.
     """
 
-    netlist: Netlist
-    report: SynthesisReport
     plan: NvmPlan
-    code: GeneratedCode
     config: DiacConfig
+
+    @property
+    def netlist(self) -> Netlist:
+        """The source circuit (the plan graph's)."""
+        return self.plan.graph.netlist
+
+    @property
+    def report(self) -> SynthesisReport:
+        """The circuit's synthesis characterization (the plan graph's)."""
+        return self.plan.graph.report
+
+    @cached_property
+    def code(self) -> GeneratedCode:
+        """Step 7: generated code and timing report, built on first read.
+
+        The HDL inside is emitted and round-trip checked only when it is
+        read in turn.
+        """
+        return generate_code(self.plan, target_period_s=self.config.target_period_s)
 
     # -- derived figures -------------------------------------------------------
 
@@ -197,7 +212,8 @@ class DiacSynthesizer:
 
     The only composition of the pipeline: :meth:`run` calls the step
     methods in order, and :class:`repro.dse.explorer.SynthesisCache`
-    memoizes the same calls for a sweep.
+    memoizes the same calls for a sweep.  Step 7 is the design's own
+    :attr:`DiacDesign.code`.
     """
 
     def __init__(self, config: DiacConfig | None = None) -> None:
@@ -254,20 +270,12 @@ class DiacSynthesizer:
         cfg = self.config
         return insert_nvm(shaped, budget_j, technology=cfg.technology, criteria=cfg.criteria)
 
-    def code(self, plan: NvmPlan) -> GeneratedCode:
-        """Step 7: check timing; the HDL is emitted and checked on first read."""
-        return generate_code(plan, target_period_s=self.config.target_period_s)
-
-    def assemble(self, plan: NvmPlan, code: GeneratedCode) -> DiacDesign:
-        """The :class:`DiacDesign` of one plan and its code bundle."""
-        graph = plan.graph
-        return DiacDesign(graph.netlist, graph.report, plan, code, self.config)
-
     def run(self, netlist: Netlist) -> DiacDesign:
         """Run the full pipeline on ``netlist``.
 
         Returns:
             The synthesized :class:`DiacDesign`.
         """
-        plan = self.plan(self.stage(netlist), self.budget_j(netlist))
-        return self.assemble(plan, self.code(plan))
+        return DiacDesign(
+            self.plan(self.stage(netlist), self.budget_j(netlist)), self.config
+        )

@@ -501,16 +501,14 @@ def _evaluate_batch(
     caches: dict[str, SynthesisCache] | None = None,
 ) -> tuple[
     list[tuple[_TaskKey, ExplorationRecord]],
-    int,
     list[tuple[_TaskKey, SweepFailure]],
 ]:
     """Evaluate one synthesis-stage group: the only evaluator.
 
     Shared by the inline engine and every service worker; returns
-    keyed records, the number of ``synthesize`` calls the batch cost
-    (at most one when the grouping works — scenarios share the stage,
-    since the environment never changes the synthesized design), and any
-    keyed per-job failures.  ``circuit`` is the sweep's name for the
+    keyed records and any keyed per-job failures.  The group shares one
+    shaped stage — scenarios too, since the environment never changes
+    the synthesized design.  ``circuit`` is the sweep's name for the
     netlist, which wins over ``netlist.name`` so resume keys stay stable
     for file-loaded circuits.
 
@@ -530,7 +528,6 @@ def _evaluate_batch(
     cache = (_PROCESS_CACHES if caches is None else caches).setdefault(
         circuit, SynthesisCache()
     )
-    calls_before = cache.synthesize_calls
     records = []
     failures = []
     for key, scenario, point in jobs:
@@ -560,7 +557,7 @@ def _evaluate_batch(
             continue
         record.circuit = circuit
         records.append((key, record))
-    return records, cache.synthesize_calls - calls_before, failures
+    return records, failures
 
 
 #: Supervision poll of the engine's parallel path.
@@ -760,11 +757,10 @@ class SweepEngine:
         fresh: dict[_TaskKey, ExplorationRecord] = {}
         failures: dict[_TaskKey, SweepFailure] = {}
         for (circuit, _policy), jobs in groups.items():
-            records, synth_calls, batch_failures = _evaluate_batch(
+            records, batch_failures = _evaluate_batch(
                 circuit, netlists[circuit], jobs, self.base_config,
                 self.resilience.fault_plan, caches,
             )
-            stats.synthesize_calls += synth_calls
             fresh.update(records)
             failures.update(batch_failures)
             self._commit(records)

@@ -14,15 +14,15 @@ Evaluating a point runs the full DIAC pipeline, but most of it depends on
 few of the point's knobs: synthesis characterization and tree generation
 only on ``(netlist, granularity, activity)``; policy shaping additionally
 on the policy and the split/merge bounds; NVM replacement additionally on
-budget, technology and criteria; code generation additionally on the
-target clock period.  None of them depends on the safe zone, the
-threshold or margin scales or the harvest scenario.
+budget, technology and criteria.  None of them depends on the safe zone,
+the threshold or margin scales or the harvest scenario.
 :class:`SynthesisCache` memoizes the
-:class:`~repro.core.diac.DiacSynthesizer` steps at all four levels, so
+:class:`~repro.core.diac.DiacSynthesizer` steps at all three levels, so
 a sweep characterizes each circuit once for all of its policies and
-builds each distinct plan and its code bundle once instead of once per
-point, exactly as ``DiacSynthesizer.run`` would.  No evaluation reads
-HDL, so a sweep never emits any.
+builds each distinct plan once instead of once per point, exactly as
+``DiacSynthesizer.run`` would.  A design is its plan and its config: no
+evaluation reads its code bundle, so a sweep generates no code and
+emits no HDL.
 
 The runtime inputs are memoized the same way: the evaluation
 environment depends only on the circuit's synthesis report, the netlist
@@ -42,7 +42,6 @@ from typing import TypeVar
 
 from repro.baselines.schemes import profile_diac
 from repro.circuits.netlist import Netlist
-from repro.core.codegen import GeneratedCode
 from repro.core.diac import DiacConfig, DiacDesign, DiacSynthesizer
 from repro.core.replacement import NvmPlan, ReplacementCriteria
 from repro.core.tree import TaskGraph
@@ -160,14 +159,13 @@ class ExplorationRecord:
         )
 
 
-#: Entries each bounded memo of one cache keeps (plans, code bundles,
-#: environments and profiles, separately); beyond this the least
+#: Entries each memo of one cache keeps (characterizations, stages,
+#: plans, environments and profiles, separately); beyond this the least
 #: recently used is dropped.  A grid reuses at most policies x budgets x
 #: technologies x criteria plans per circuit, but a search over
-#: continuous budgets proposes a new plan per point.  A plan shares its
-#: stage's task graph, so a plan entry holds only its barrier overlay
-#: and partitions; a code entry holds its pragma header and timing
-#: report (and its HDL text only once something has read it).  An
+#: continuous budgets proposes a new plan per point.  A characterization
+#: or stage entry holds one task graph; a plan shares its stage's graph,
+#: so a plan entry holds only its barrier overlay and partitions.  An
 #: environment entry holds one harvest trace (per circuit and scenario),
 #: a profile entry a handful of floats (per plan and safe zone).
 PLAN_MEMO_SIZE = 64
@@ -185,7 +183,7 @@ def _recall(memo: dict, key: tuple, build: Callable[[], _T]) -> _T:
 
 
 class SynthesisCache:
-    """Memoizes a point's synthesis steps and runtime inputs, at six levels.
+    """Memoizes a point's synthesis steps and runtime inputs, at five levels.
 
     * **Characterization** —
       :meth:`~repro.core.diac.DiacSynthesizer.characterize` (the
@@ -201,8 +199,6 @@ class SynthesisCache:
       :meth:`plan_key`: the stage key plus budget, NVM technology and
       criteria.  A plan is a barrier overlay whose ``graph`` is the
       cached stage itself, not a copy.
-    * **Code** — :meth:`~repro.core.diac.DiacSynthesizer.code`, keyed by
-      the plan key plus the target clock period.
     * **Environment** — :func:`~repro.evaluation.build_environment`,
       keyed by the characterization key plus the scenario's identity.
       It reads the synthesis report, the netlist and the scenario, never
@@ -211,21 +207,19 @@ class SynthesisCache:
     * **Profile** — :func:`~repro.baselines.schemes.profile_diac`, keyed
       by the plan key plus the safe-zone setting.
 
-    The cache composes nothing itself, so its designs equal those
-    :meth:`~repro.core.diac.DiacSynthesizer.run` builds.  A code bundle
-    emits and checks its structural Verilog only when its HDL is read,
-    which no evaluation does.  Plans, code bundles and harvest traces
-    are immutable and nothing after the policy stage mutates a graph,
-    so one entry is safely shared by every design built from it; each
-    bounded memo keeps its :data:`PLAN_MEMO_SIZE` most recently used
-    entries.
+    The cache composes nothing itself, so the designs built on its plans
+    equal those :meth:`~repro.core.diac.DiacSynthesizer.run` builds, code
+    bundle included: a design generates its code only when it is read,
+    which no evaluation does.  Plans and harvest traces are immutable and
+    nothing after the policy stage mutates a graph, so one entry is
+    safely shared by every design built from it; each memo keeps its
+    :data:`PLAN_MEMO_SIZE` most recently used entries.
     """
 
     def __init__(self) -> None:
         self._characterizations: dict[tuple, TaskGraph] = {}
         self._stages: dict[tuple, TaskGraph] = {}
         self._plans: dict[tuple, NvmPlan] = {}
-        self._codes: dict[tuple, GeneratedCode] = {}
         self._environments: dict[tuple, Environment] = {}
         self._profiles: dict[tuple, SchemeProfile] = {}
         #: Stage misses: shaped stages built by this cache.
@@ -258,24 +252,22 @@ class SynthesisCache:
 
     def characterization_for(self, netlist: Netlist, config: DiacConfig) -> TaskGraph:
         """Return the cached un-optimized tree, computing it on a miss."""
-        key = self.characterization_key(netlist, config)
-        graph = self._characterizations.get(key)
-        if graph is None:
-            graph = DiacSynthesizer(config).characterize(netlist)
-            self._characterizations[key] = graph
-        return graph
+        return _recall(
+            self._characterizations,
+            self.characterization_key(netlist, config),
+            lambda: DiacSynthesizer(config).characterize(netlist),
+        )
 
     def stage_for(self, netlist: Netlist, config: DiacConfig) -> TaskGraph:
         """Return the cached shaped stage, shaping it on a miss."""
-        key = self.stage_key(netlist, config)
-        stage = self._stages.get(key)
-        if stage is None:
+
+        def build() -> TaskGraph:
             self.synthesize_calls += 1
-            stage = DiacSynthesizer(config).shape(
+            return DiacSynthesizer(config).shape(
                 self.characterization_for(netlist, config)
             )
-            self._stages[key] = stage
-        return stage
+
+        return _recall(self._stages, self.stage_key(netlist, config), build)
 
     def plan_for(self, netlist: Netlist, config: DiacConfig) -> NvmPlan:
         """Return the cached NVM plan."""
@@ -284,14 +276,6 @@ class SynthesisCache:
             self._plans,
             self.plan_key(netlist, config),
             lambda: synth.plan(self.stage_for(netlist, config), synth.budget_j(netlist)),
-        )
-
-    def code_for(self, netlist: Netlist, config: DiacConfig) -> GeneratedCode:
-        """Return the cached code bundle of :meth:`plan_for`'s plan."""
-        return _recall(
-            self._codes,
-            (*self.plan_key(netlist, config), config.target_period_s),
-            lambda: DiacSynthesizer(config).code(self.plan_for(netlist, config)),
         )
 
     def environment_for(self, design: DiacDesign, scenario: ScenarioSpec) -> Environment:
@@ -342,9 +326,9 @@ class PreparedPoint:
     threshold-scaled) environment, the single scheme profile the record
     reads, and the macro-task work target.  The static bounds of
     :mod:`repro.analysis` read the same object, so they bound exactly
-    the inputs the executor would run on; ``design.code`` costs no HDL
-    unless its text is read.  The environment (when the point keeps the
-    default thresholds), its trace and the profile are the cache's
+    the inputs the executor would run on; ``design.code`` is generated
+    only if something reads it.  The environment (when the point keeps
+    the default thresholds), its trace and the profile are the cache's
     shared entries: read them, never mutate them.
     """
 
@@ -370,9 +354,7 @@ def prepare_point(
     scenario = scenario or ScenarioSpec()
     config = _point_config(base_config or DiacConfig(), point, netlist)
     cache = cache or SynthesisCache()
-    design = DiacSynthesizer(config).assemble(
-        cache.plan_for(netlist, config), cache.code_for(netlist, config)
-    )
+    design = DiacDesign(cache.plan_for(netlist, config), config)
 
     env = cache.environment_for(design, scenario)
     thresholds = env.thresholds

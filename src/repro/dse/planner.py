@@ -30,7 +30,8 @@ or on the lease queue (:meth:`repro.service.SweepCoordinator.submit`):
 
 A front end supplies only an :data:`Execute` callable that evaluates
 each task it is given once, and keeps the execution counters it owns
-(``n_batches``, ``synthesize_calls``, ``n_timeouts``).  Everything the
+(``n_batches``, ``n_timeouts``).  ``synthesize_calls`` is read once, off
+the submission's synthesis caches, when the run ends.  Everything the
 planner decides — retries and attempt counts included — is therefore
 identical across execution paths.
 """
@@ -269,9 +270,9 @@ def plan_and_run(
             (see :data:`Execute`).
         stats: the run's statistics; the planner fills ``n_points``,
             ``n_resumed``, ``n_pruned``, ``n_generations``,
-            ``n_evaluated``, ``n_failed``, ``n_retries`` and ``wall_s``
-            and counts the ``synthesize_calls`` of its own pruning and
-            screening; ``execute`` fills the rest.
+            ``n_evaluated``, ``n_failed``, ``n_retries``, ``wall_s``
+            and ``synthesize_calls`` (the stages built on ``caches``);
+            ``execute`` fills the rest.
         store: result store consulted for resume and stamped with the
             spec fingerprint.
         base_config: synthesis defaults (fingerprinted, and used by
@@ -281,7 +282,8 @@ def plan_and_run(
             loaded into it on demand.
         caches: circuit name -> synthesis cache that pruning and the
             screener fill; pass the map ``execute`` evaluates with so
-            every stage is built once (default: a fresh map).
+            every stage is built once, and counted (default: a fresh
+            map).
         retry: how transient failures are retried (default: the
             default :class:`~repro.dse.resilience.RetryPolicy`).
 
@@ -293,9 +295,6 @@ def plan_and_run(
     netlists = netlists if netlists is not None else {}
     caches = caches if caches is not None else {}
     retry = retry if retry is not None else RetryPolicy()
-
-    def synthesized() -> int:
-        return sum(cache.synthesize_calls for cache in caches.values())
 
     strategy = None
     axes: object = _spec_axes(spec)
@@ -334,12 +333,10 @@ def plan_and_run(
             stats.n_resumed += len(resumed)
         pending = [task for task in new if task[0] not in records]
         if prune and pending:
-            before = synthesized()
             pending, pruned = prune_tasks(
                 pending, load_netlists(spec.circuits, netlists), caches,
                 base_config,
             )
-            stats.synthesize_calls += synthesized() - before
             failures.update(pruned)
             stats.n_pruned += len(pruned)
         fresh, failed = execute_with_retries(execute, pending, retry, stats)
@@ -350,9 +347,7 @@ def plan_and_run(
         run_generation(expand_tasks(spec))
     else:
         for _generation in range(request.effective_max_generations()):
-            before = synthesized()
             proposals = strategy.ask()
-            stats.synthesize_calls += synthesized() - before
             if not proposals:
                 break
             stats.n_generations += 1
@@ -382,6 +377,7 @@ def plan_and_run(
         if scenario.identity() in requested
     ]
     ordered = [records[key] for key in full if key in records]
+    stats.synthesize_calls = sum(c.synthesize_calls for c in caches.values())
     stats.wall_s = time.perf_counter() - start
     return SweepResult(
         records=ordered,

@@ -326,16 +326,16 @@ class SweepCoordinator:
 
         Args:
             stats: receives the execution counters — ``n_batches``
-                (stage groups enqueued), ``n_timeouts`` (stragglers
-                killed) and the ``synthesize_calls`` of leases drained
-                in this process.
+                (stage groups enqueued) and ``n_timeouts`` (stragglers
+                killed).
             store: the SQLite store at ``store_path``, which the
                 workers write.
             netlists: circuit name -> netlist, handed to the forked
                 workers and to an in-process drain.
             sources: circuit name -> netlist file path for non-roster
                 circuits, carried in the queue payloads.
-            caches: the synthesis-cache map of an in-process drain.
+            caches: the synthesis-cache map of an in-process drain
+                (the planner counts the stages built on it).
             commit: called on every poll with the records stored since
                 the last one, so the caller can stream them on; the
                 executor then returns those records instead of reading
@@ -397,12 +397,10 @@ class SweepCoordinator:
                 if drained:
                     break
                 if fleet is not None and not fleet.procs:
-                    ran = run_lease(
+                    if run_lease(
                         queue, store, inline, self.lease_size, netlists,
                         self.resilience.fault_plan, caches,
-                    )
-                    if ran is not None:
-                        stats.synthesize_calls += ran[2]
+                    ) is not None:
                         continue
                 time.sleep(self.poll_s)
             wanted = {key for key, *_rest in tasks}

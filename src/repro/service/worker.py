@@ -69,15 +69,14 @@ def run_lease(
     netlists: dict[str, Netlist],
     fault_plan: FaultPlan | None = None,
     caches: dict[str, SynthesisCache] | None = None,
-) -> tuple[int, int, int] | None:
+) -> tuple[int, int] | None:
     """Claim one lease and run it: evaluate, store, then resolve.
 
     ``netlists`` is filled in place with every circuit a lease loads.
     ``caches`` selects :func:`~repro.dse.engine._evaluate_batch`'s
     inline path (crash faults raise instead of exiting), for a
     coordinator draining its queue in its own process.  Returns
-    ``(n_done, n_failed, synthesize_calls)``, or ``None`` when nothing
-    was claimable.
+    ``(n_done, n_failed)``, or ``None`` when nothing was claimable.
     """
     # The claim reads the base config in its own transaction: a stored
     # config this version cannot read raises there, leaving every task
@@ -91,7 +90,7 @@ def run_lease(
     jobs = [(task.key, task.scenario, task.point) for task in lease]
     # Without caches a crash fault exits the process here, leaving the
     # lease to its coordinator or its deadline — the real death path.
-    records, calls, failures = _evaluate_batch(
+    records, failures = _evaluate_batch(
         circuit, netlists[circuit], jobs, lease.base_config, fault_plan,
         caches,
     )
@@ -103,7 +102,7 @@ def run_lease(
         [key for key, _record in records],
         [(key, f.error, f.kind) for key, f in failures],
     )
-    return len(records), len(failures), calls
+    return len(records), len(failures)
 
 
 def run_worker(

@@ -1,12 +1,14 @@
-"""The characterization, plan, code, environment and profile memo levels
-of :class:`~repro.dse.explorer.SynthesisCache`.
+"""The characterization, stage, plan, environment and profile memo
+levels of :class:`~repro.dse.explorer.SynthesisCache`, and the lazily
+built :class:`~repro.core.diac.DiacDesign`.
 
 A sweep characterizes each circuit once for all of its policies, builds
-each NV-enhanced plan and its code bundle once per distinct (stage,
-budget, technology, criteria[, target period]) and never emits HDL: a
-bundle writes and round-trip checks its Verilog only when it is read.
-It builds each evaluation environment once per circuit and scenario,
-and each DIAC profile once per plan and safe zone.  The records must not
+each NV-enhanced plan once per distinct (stage, budget, technology,
+criteria) and never generates code: a design is its plan and its config,
+and builds its code bundle only when it is read, just as the bundle
+writes and round-trip checks its Verilog only when that is read.  It
+builds each evaluation environment once per circuit and scenario, and
+each DIAC profile once per plan and safe zone.  The records must not
 depend on how much of the cache a point found warm.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -22,7 +24,13 @@ import repro.core.codegen as codegen
 import repro.core.diac as diac
 import repro.dse.explorer as explorer
 from repro.circuits import GateType, VerilogError, parse_verilog
-from repro.core import DiacConfig, DiacSynthesizer, ReplacementCriteria
+from repro.core import (
+    DiacConfig,
+    DiacDesign,
+    DiacSynthesizer,
+    ReplacementCriteria,
+    generate_code,
+)
 from repro.dse import (
     DesignPoint,
     SweepEngine,
@@ -117,7 +125,7 @@ class TestBuiltOnce:
         assert result.stats.n_batches == len(CIRCUITS)
         distinct_plans = len(CIRCUITS) * 2 * 2  # circuits x budgets x techs
         assert calls["insert_nvm"] == distinct_plans
-        assert calls["generate_code"] == distinct_plans
+        assert calls["generate_code"] == 0  # no evaluation reads code
         assert calls["write_verilog"] == 0
         assert calls["parse_verilog"] == 0
 
@@ -157,7 +165,7 @@ class TestBuiltOnce:
         # 0.5, 1.0 and 2.0 miss; 2.0 evicts 1.0 (0.5 was used since), so
         # 1.0 misses again while 0.5 always hits.
         assert calls["insert_nvm"] == 4
-        assert calls["generate_code"] == 4
+        assert calls["generate_code"] == 0
 
     def test_evaluations_emit_no_hdl(self, calls):
         netlist = load_circuit("s27")
@@ -165,7 +173,7 @@ class TestBuiltOnce:
         for scale in (0.5, 1.0):
             evaluate_point(netlist, DesignPoint(budget_scale=scale), cache=cache)
         evaluate_suite(["s27"])
-        assert calls["generate_code"] == 3
+        assert calls["generate_code"] == 0
         assert calls["write_verilog"] == 0
         assert calls["parse_verilog"] == 0
 
@@ -351,7 +359,8 @@ class TestFrozenSharedObjects:
             cache=cache,
         )
         assert again.design.plan is first.design.plan
-        assert again.design.code is first.design.code
+        # Each design builds its own bundle, equal to the other's.
+        assert again.design.code == first.design.code
         return first.design
 
     def test_plan_is_frozen(self, design):
@@ -381,3 +390,47 @@ class TestFrozenSharedObjects:
         assert isinstance(code.timing.violations, tuple)
         assert code.verilog == code.header + code.hdl
 
+
+
+class TestLazyDesign:
+    """A design is its plan and its config; the rest is read off them."""
+
+    def test_only_plan_and_config_are_fields(self):
+        assert [f.name for f in fields(DiacDesign)] == ["plan", "config"]
+
+    def test_barrier_sweep_generates_no_code(self, calls):
+        spec = SweepSpec(
+            circuits=("s838",),
+            policies=(3,),
+            budget_scales=(0.01, 0.005),
+            safe_zones=(True, False),
+        )
+        result = SweepEngine().submit(SweepRequest(spec=spec))
+        assert not result.failures
+        assert len(result.records) == 4
+        assert min(r.n_barriers for r in result.records) > 0
+        assert calls["insert_nvm"] == 2
+        assert calls["generate_code"] == 0
+
+    def test_netlist_and_report_are_the_plan_graphs(self):
+        design = DiacSynthesizer().run(load_circuit("s27"))
+        assert design.netlist is design.plan.graph.netlist
+        assert design.report is design.plan.graph.report
+
+    @pytest.mark.parametrize("target_period_s", [None, 1.0, 1e-15])
+    def test_code_is_generated_on_first_read(self, calls, target_period_s):
+        netlist = load_circuit("s838")
+        config = DiacConfig(target_period_s=target_period_s)
+        point = DesignPoint(budget_scale=0.01)
+        design = prepare_point(netlist, point, base_config=config).design
+        assert design.plan.n_barriers > 0
+        assert calls["generate_code"] == 0
+        code = design.code
+        assert design.code is code
+        assert calls["generate_code"] == 1
+        expected = generate_code(design.plan, target_period_s=target_period_s)
+        assert code.header == expected.header
+        assert code.barrier_pragmas == expected.barrier_pragmas
+        assert code.timing == expected.timing
+        assert code.timing.passed is (target_period_s != 1e-15)
+        assert calls["write_verilog"] == 0
