@@ -117,16 +117,12 @@ def _positions(nets: list[str]) -> dict[str, int]:
 def generate_code(
     plan: NvmPlan,
     target_period_s: float | None = None,
-    ff_delay_overhead: float = 0.0,
 ) -> GeneratedCode:
     """Build an NV-enhanced plan's code bundle and validate timing.
 
     Args:
         plan: the replacement procedure's output.
         target_period_s: optional clock-period constraint to check.
-        ff_delay_overhead: relative registered-path penalty of the state
-            elements (0.0 for DIAC's plain CMOS flip-flops; the NV-FF and
-            LE-FF baselines pass their penalties here).
 
     Returns:
         A :class:`GeneratedCode` with the pragma header, barrier pragma
@@ -149,7 +145,7 @@ def generate_code(
             f"nets={','.join(nets)}"
         )
 
-    achievable = graph.report.critical_path_s * (1.0 + ff_delay_overhead)
+    achievable = graph.report.critical_path_s
     array = plan.backup_array()
     commit_latency = array.write_cost(plan.max_commit_bits).latency_s
     violations: list[str] = []

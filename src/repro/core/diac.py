@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.calibration import BARRIER_BUDGET_FACTOR, DEFAULT_ACTIVITY
+from repro.calibration import BARRIER_BUDGET_FACTOR
 from repro.circuits.netlist import Netlist
 from repro.core.codegen import GeneratedCode, generate_code
 from repro.core.policies import apply_policy, config_for_graph
@@ -44,33 +44,31 @@ from repro.tech.synthesis import SynthesisReport, synthesize
 
 @dataclass(frozen=True)
 class DiacConfig:
-    """Configuration of one DIAC synthesis run.
+    """Configuration of one DIAC synthesis run: the knobs a sweep varies.
+
+    The rest of the pipeline runs at the paper's fixed settings: the
+    synthesis surrogate's default switching activity, the policy bounds
+    :func:`~repro.core.policies.config_for_graph` derives (the worked
+    25 mJ / 20 mJ bracket around the mean node energy) and an
+    unconstrained clock for step 7's timing report.
 
     Attributes:
         policy: task-granularity policy (1, 2 or 3; the paper uses 3).
         granularity: initial tree granularity (``"gate"`` or ``"level"``).
-        activity: switching activity for the synthesis surrogate.
         technology: NVM technology for backup arrays (paper: MRAM).
         criteria: replacement criteria weights.
         budget_j: per-partition energy budget; None derives it from the
             circuit's full-state backup cost (see calibration module).
-        split_fraction: policy split bound relative to mean node energy.
-        merge_fraction: policy merge bound relative to mean node energy.
         use_safe_zone: whether the runtime FSM uses Th_SafeZone
             ("optimized DIAC" when True, plain "DIAC" when False).
-        target_period_s: optional clock constraint for timing validation.
     """
 
     policy: int = 3
     granularity: str = "gate"
-    activity: float = DEFAULT_ACTIVITY
     technology: NvmTechnology = MRAM
     criteria: ReplacementCriteria = field(default_factory=ReplacementCriteria)
     budget_j: float | None = None
-    split_fraction: float = 1.25
-    merge_fraction: float = 1.0
     use_safe_zone: bool = True
-    target_period_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.policy not in (1, 2, 3):
@@ -80,29 +78,12 @@ class DiacConfig:
                 f"granularity must be one of {GRANULARITIES}, "
                 f"got {self.granularity!r}"
             )
-        if not (math.isfinite(self.activity) and 0.0 < self.activity <= 1.0):
-            raise ValueError(f"activity must be in (0, 1], got {self.activity!r}")
         if self.budget_j is not None and not (
             math.isfinite(self.budget_j) and self.budget_j > 0
         ):
             raise ValueError(
                 f"budget_j must be None or finite and positive, "
                 f"got {self.budget_j!r}"
-            )
-        if not (math.isfinite(self.split_fraction) and self.split_fraction > 0):
-            raise ValueError(
-                f"split_fraction must be finite and positive, "
-                f"got {self.split_fraction!r}"
-            )
-        if not (math.isfinite(self.merge_fraction) and self.merge_fraction >= 0):
-            raise ValueError(
-                f"merge_fraction must be finite and >= 0, "
-                f"got {self.merge_fraction!r}"
-            )
-        if self.merge_fraction > self.split_fraction:
-            raise ValueError(
-                f"merge_fraction ({self.merge_fraction!r}) must not exceed "
-                f"split_fraction ({self.split_fraction!r})"
             )
 
 
@@ -148,7 +129,7 @@ class DiacDesign:
         The HDL inside is emitted and round-trip checked only when it is
         read in turn.
         """
-        return generate_code(self.plan, target_period_s=self.config.target_period_s)
+        return generate_code(self.plan)
 
     # -- derived figures -------------------------------------------------------
 
@@ -223,11 +204,11 @@ class DiacSynthesizer:
         """Steps 2–3: characterize, build the un-optimized tree.
 
         The graph carries the netlist and its synthesis report.  It
-        depends on the granularity and activity only, never the policy.
+        depends on the granularity only, never the policy.
         """
-        cfg = self.config
-        report = synthesize(netlist, activity=cfg.activity)
-        return build_task_graph(netlist, report=report, granularity=cfg.granularity)
+        return build_task_graph(
+            netlist, report=synthesize(netlist), granularity=self.config.granularity
+        )
 
     def shape(self, graph: TaskGraph) -> TaskGraph:
         """Step 4a: apply the policy to an un-optimized tree.
@@ -235,11 +216,7 @@ class DiacSynthesizer:
         Returns a new graph; ``graph`` itself is not modified, so one
         characterization serves every policy.
         """
-        cfg = self.config
-        policy_config = config_for_graph(
-            graph, split_fraction=cfg.split_fraction, merge_fraction=cfg.merge_fraction
-        )
-        return apply_policy(graph, cfg.policy, policy_config)
+        return apply_policy(graph, self.config.policy, config_for_graph(graph))
 
     def stage(self, netlist: Netlist) -> TaskGraph:
         """Steps 2–4a: the shaped graph of ``netlist``."""

@@ -35,27 +35,29 @@ from dataclasses import dataclass
 from repro.core.tree import TaskGraph, TaskNode, TreeError
 
 
+#: The paper's "min(F_power) = n% · Max": Policy 2 keeps merging while
+#: the smallest node is below this fraction of the largest.
+MIN_FRACTION = 0.2
+
+#: Termination guard on Policy 2's merge passes.  Merging also stops
+#: at the first pass that merges nothing; this bound caps the rest.
+MAX_MERGE_PASSES = 50
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     """Energy bounds steering the three policies.
 
     Attributes:
         split_threshold_j: upper bound; nodes above it are split
-            (derived from V_th / the per-burst energy budget).
+            (derived from V_th / the per-burst energy budget).  It is
+            also the ceiling of a merged node ("max(F_power) << V_th").
         merge_threshold_j: lower bound; nodes below it are merge
             candidates.
-        merge_cap_j: ceiling for a merged node ("max(F_power) << V_th").
-        min_fraction: the paper's "min(F_power) = n% · Max" — merging
-            continues while the smallest node is below this fraction of the
-            largest.
-        max_passes: safety limit on merge iterations.
     """
 
     split_threshold_j: float
     merge_threshold_j: float
-    merge_cap_j: float | None = None
-    min_fraction: float = 0.2
-    max_passes: int = 50
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.split_threshold_j) and self.split_threshold_j > 0):
@@ -70,26 +72,6 @@ class PolicyConfig:
             )
         if self.merge_threshold_j > self.split_threshold_j:
             raise ValueError("merge threshold must not exceed split threshold")
-        if self.merge_cap_j is not None and not (
-            math.isfinite(self.merge_cap_j) and self.merge_cap_j >= 0
-        ):
-            raise ValueError(
-                f"merge_cap_j must be None or finite and >= 0, "
-                f"got {self.merge_cap_j!r}"
-            )
-        if not 0.0 <= self.min_fraction <= 1.0:
-            raise ValueError(
-                f"min_fraction must be in [0, 1], got {self.min_fraction!r}"
-            )
-        if not isinstance(self.max_passes, int) or self.max_passes < 1:
-            raise ValueError(
-                f"max_passes must be an integer >= 1, got {self.max_passes!r}"
-            )
-
-    @property
-    def effective_cap_j(self) -> float:
-        """Merged-node ceiling; defaults to the split threshold."""
-        return self.merge_cap_j if self.merge_cap_j is not None else self.split_threshold_j
 
 
 def config_for_graph(
@@ -299,23 +281,22 @@ def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     """Merge small nodes into larger ones (paper Policy 2).
 
     Alternates same-level bin-packing with chain contractions until the
-    smallest node reaches ``min_fraction`` of the largest, nothing below
-    the merge threshold remains, or no safe merge exists.  Each merged
-    graph is derived from the previous one: it shares the unchanged
-    nodes and contracts the adjacency instead of rebuilding it.
+    smallest node reaches :data:`MIN_FRACTION` of the largest, nothing
+    below the merge threshold remains, or no safe merge exists.  No
+    merged node exceeds the split threshold.  Each merged graph is
+    derived from the previous one: it shares the unchanged nodes and
+    contracts the adjacency instead of rebuilding it.
 
     Returns:
         A new checked graph; the input graph is not modified.
     """
     current = graph
-    cap = config.effective_cap_j
-    for _pass in range(config.max_passes):
+    cap = config.split_threshold_j
+    for _pass in range(MAX_MERGE_PASSES):
         if not current.nodes:
             break
         energies = [n.feature.energy_j for n in current.nodes.values()]
-        floor = max(
-            config.merge_threshold_j, config.min_fraction * max(energies)
-        )
+        floor = max(config.merge_threshold_j, MIN_FRACTION * max(energies))
         nodes, packed = _level_pack_pass(current, floor, cap)
         if packed:
             current = current.derive(nodes, packed)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from repro.circuits.levelize import levelize
 from repro.circuits.netlist import Netlist
 from repro.core.tree import TaskGraph, TaskNode
-from repro.tech.library import StandardCellLibrary
 from repro.tech.synthesis import SynthesisReport, synthesize
 
 #: Initial node granularities :func:`build_task_graph` accepts.
@@ -33,8 +32,6 @@ def build_task_graph(
     netlist: Netlist,
     report: SynthesisReport | None = None,
     granularity: str = "gate",
-    library: StandardCellLibrary | None = None,
-    activity: float | None = None,
 ) -> TaskGraph:
     """Build the un-optimized task tree for ``netlist``.
 
@@ -43,8 +40,6 @@ def build_task_graph(
         report: existing synthesis report; if omitted the netlist is
             synthesized here (paper step 2).
         granularity: ``"gate"`` or ``"level"`` initial node granularity.
-        library: cell library used if ``report`` is None.
-        activity: switching activity used if ``report`` is None.
 
     Returns:
         A checked, costed :class:`TaskGraph`.
@@ -55,10 +50,7 @@ def build_task_graph(
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}")
     if report is None:
-        kwargs = {}
-        if activity is not None:
-            kwargs["activity"] = activity
-        report = synthesize(netlist, library=library, **kwargs)
+        report = synthesize(netlist)
     if granularity == "gate":
         nodes = _gate_nodes(netlist)
     else:

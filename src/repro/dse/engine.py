@@ -720,11 +720,7 @@ class SweepEngine:
         poll of the parallel path) hands its completions here as it
         finishes, so a killed run loses at most its in-flight batches.
         """
-        if not keyed_records or self.store is None:
-            return
-        if len(keyed_records) == 1:
-            self.store.append(keyed_records[0][1])
-        else:
+        if keyed_records and self.store is not None:
             self.store.extend([r for _k, r in keyed_records])
 
     def _execute_tasks(

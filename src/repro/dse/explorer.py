@@ -12,15 +12,14 @@ mutating any shared state.  The parallel sweep machinery lives in
 
 Evaluating a point runs the full DIAC pipeline, but most of it depends on
 few of the point's knobs: synthesis characterization and tree generation
-only on ``(netlist, granularity, activity)``; policy shaping additionally
-on the policy and the split/merge bounds; NVM replacement additionally on
-budget, technology and criteria.  None of them depends on the safe zone,
-the threshold or margin scales or the harvest scenario.
-:class:`SynthesisCache` memoizes the
-:class:`~repro.core.diac.DiacSynthesizer` steps at all three levels, so
-a sweep characterizes each circuit once for all of its policies and
-builds each distinct plan once instead of once per point, exactly as
-``DiacSynthesizer.run`` would.  A design is its plan and its config: no
+only on ``(netlist, granularity)``; policy shaping additionally on the
+policy; NVM replacement additionally on budget, technology and
+criteria.  None of them depends on the safe zone, the threshold or
+margin scales or the harvest scenario.  :class:`SynthesisCache`
+memoizes the :class:`~repro.core.diac.DiacSynthesizer` steps at all
+three levels, so a sweep characterizes each circuit once for all of
+its policies and builds each distinct plan once instead of once per
+point, exactly as ``DiacSynthesizer.run`` would.  A design is its plan and its config: no
 evaluation reads its code bundle, so a sweep generates no code and
 emits no HDL.
 
@@ -188,12 +187,12 @@ class SynthesisCache:
     * **Characterization** —
       :meth:`~repro.core.diac.DiacSynthesizer.characterize` (the
       un-optimized task graph and its report), keyed by
-      :meth:`characterization_key`: circuit, granularity and activity.
+      :meth:`characterization_key`: circuit and granularity.
     * **Stage** — :meth:`~repro.core.diac.DiacSynthesizer.shape` of the
       cached characterization, keyed by :meth:`stage_key`: the
-      characterization key plus policy and split/merge bounds.  Shaping
-      derives a new graph and never modifies its input, so every policy
-      of a circuit shapes the one cached characterization.
+      characterization key plus the policy.  Shaping derives a new
+      graph and never modifies its input, so every policy of a circuit
+      shapes the one cached characterization.
     * **Plan** — :meth:`~repro.core.diac.DiacSynthesizer.plan` at the
       config's :meth:`~repro.core.diac.DiacSynthesizer.budget_j`, keyed by
       :meth:`plan_key`: the stage key plus budget, NVM technology and
@@ -228,17 +227,12 @@ class SynthesisCache:
     @staticmethod
     def characterization_key(netlist: Netlist, config: DiacConfig) -> tuple:
         """The characterization memo key: what steps 2–3 read."""
-        return (netlist.name, config.granularity, config.activity)
+        return (netlist.name, config.granularity)
 
     @classmethod
     def stage_key(cls, netlist: Netlist, config: DiacConfig) -> tuple:
-        """The stage memo key: characterization key + policy and bounds."""
-        return (
-            *cls.characterization_key(netlist, config),
-            config.policy,
-            config.split_fraction,
-            config.merge_fraction,
-        )
+        """The stage memo key: characterization key + policy."""
+        return (*cls.characterization_key(netlist, config), config.policy)
 
     @classmethod
     def plan_key(cls, netlist: Netlist, config: DiacConfig) -> tuple:

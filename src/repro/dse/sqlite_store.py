@@ -142,9 +142,6 @@ class SqliteResultStore(StoreQueryMixin):
         self.path = Path(path)
         self.fsync_every = fsync_every
         self.fault_plan = fault_plan
-        #: Kept for interface symmetry with the JSONL store; SQLite
-        #: refuses to read a damaged database rather than skip lines.
-        self.last_load_skipped = 0
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         enable_wal(self._conn, busy_timeout_s)
         self._conn.execute(

@@ -9,7 +9,7 @@ depends on and the JSON-lines reference backend:
 * :class:`ResultStore` — the protocol every backend implements:
   streaming appends (``append``/``extend``), bulk access
   (``load``/``rewrite``/``compact``), **indexed access** (``keys`` for
-  resume, ``get``/``iter_records``/``front``/``count`` for queries),
+  resume, ``get``/``iter_records``/``count`` for queries),
   and a small metadata map (``get_metadata``/``set_metadata``) holding
   the schema version and the sweep's spec fingerprint;
 * :class:`JsonlResultStore` — append-only JSON lines, the default
@@ -56,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.core.diac import DiacConfig
 from repro.core.replacement import ReplacementCriteria
 from repro.dse.explorer import DesignPoint, ExplorationRecord
-from repro.dse.pareto import record_front
 from repro.energy.scenarios import ScenarioSpec
 from repro.tech.nvm import TECHNOLOGIES, get_technology
 
@@ -309,10 +308,6 @@ class ResultStore(Protocol):
         """Records filtered by scenario label and/or circuit."""
         ...  # pragma: no cover - protocol
 
-    def front(self, scenario: str, circuit: str) -> list[ExplorationRecord]:
-        """Pareto front of one (scenario label, circuit) group."""
-        ...  # pragma: no cover - protocol
-
     def get_metadata(self) -> dict:
         """The store's metadata map (empty when never written)."""
         ...  # pragma: no cover - protocol
@@ -342,12 +337,6 @@ class StoreQueryMixin:
             if record.key() == key:
                 found = record  # last occurrence wins, like resume
         return found
-
-    def front(self, scenario: str, circuit: str) -> list[ExplorationRecord]:
-        """Pareto front (PDP x re-execution) of one group's records."""
-        return record_front(
-            list(self.iter_records(scenario=scenario, circuit=circuit))
-        )
 
 
 class JsonlResultStore(StoreQueryMixin):

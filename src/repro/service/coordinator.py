@@ -57,7 +57,12 @@ from repro.dse.engine import (
 from repro.dse.explorer import ExplorationRecord, SynthesisCache
 from repro.dse.planner import Execute, fetch_records, plan_and_run
 from repro.dse.request import SweepRequest
-from repro.dse.resilience import ResilienceConfig, check_count, check_duration
+from repro.dse.resilience import (
+    TERMINAL,
+    ResilienceConfig,
+    check_count,
+    check_duration,
+)
 from repro.dse.sqlite_store import SqliteResultStore
 from repro.dse.store import open_store
 from repro.service.queue import LeaseQueue
@@ -368,7 +373,9 @@ class SweepCoordinator:
             and streams new records; once the fleet is gone for good,
             this process runs one lease per poll itself.  Only tasks
             that did not fail are returned, so a stale on-disk record
-            never stands in for a point this round failed.
+            never stands in for a point this round failed.  A task that
+            is done but has no record in ``store`` (its worker wrote to
+            another store) comes back as a terminal failure.
             """
             nonlocal cursor
             stats.n_batches += len(
@@ -416,9 +423,20 @@ class SweepCoordinator:
                 if tuple(entry["key"]) in wanted
             }
             done = [task for task in tasks if task[0] not in failures]
-            if commit is None:
-                return fetch_records(store, done), failures
-            return {key: streamed[key] for key, *_rest in done}, failures
+            found = streamed if commit is not None else fetch_records(store, done)
+            for key, circuit, scenario, point in done:
+                if key not in found:
+                    failures[key] = SweepFailure(
+                        circuit=circuit,
+                        label=point.label(),
+                        error=(
+                            f"task is done but its record is not in "
+                            f"{self.store_path}: its worker stored it elsewhere"
+                        ),
+                        scenario=scenario.label(),
+                        kind=TERMINAL,
+                    )
+            return {key: found[key] for key, *_rest in done if key in found}, failures
 
         try:
             queue.configure(

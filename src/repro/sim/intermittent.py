@@ -248,6 +248,12 @@ class IntermittentExecutor:
                     f"(work {work:.3e}/{work_target_j:.3e} J)"
                 )
             p_in, seg_remaining = harvest_at(t)
+            if t + seg_remaining == t:
+                # The segment ends within rounding of ``t``, closer than
+                # any step can reach: stepping would stall the clock for
+                # good, so move on to the next segment.
+                t = math.nextafter(t, math.inf)
+                continue
 
             if mode == "active":
                 p_net = p_in - p_active

@@ -541,8 +541,8 @@ class TestStaticScreener:
         assert screened.records
 
     @pytest.mark.parametrize(
-        "base_config", [None, DiacConfig(activity=0.3)],
-        ids=["default", "activity-0.3"],
+        "base_config", [None, DiacConfig(granularity="level")],
+        ids=["default", "granularity-level"],
     )
     def test_halving_prune_synthesizes_each_stage_once(
         self, base_config, monkeypatch

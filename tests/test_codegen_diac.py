@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.circuits import parse_verilog
@@ -50,13 +52,6 @@ class TestCodegen:
         code = generate_code(plan, target_period_s=1.0)
         assert code.timing.passed
 
-    def test_ff_delay_overhead_slows_clock(self, s27):
-        graph = build_task_graph(s27)
-        plan = insert_nvm(graph, 1.0)
-        base = generate_code(plan).timing.achievable_period_s
-        slowed = generate_code(plan, ff_delay_overhead=0.3).timing.achievable_period_s
-        assert slowed == pytest.approx(base * 1.3)
-
     def test_infeasible_nodes_flagged(self, small_logic):
         graph = build_task_graph(small_logic)
         tiny = min(n.feature.energy_j for n in graph.nodes.values()) / 2.0
@@ -66,6 +61,12 @@ class TestCodegen:
 
 
 class TestDiacPipeline:
+    def test_config_holds_only_the_knobs_callers_set(self):
+        assert [f.name for f in dataclasses.fields(DiacConfig)] == [
+            "policy", "granularity", "technology", "criteria", "budget_j",
+            "use_safe_zone",
+        ]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DiacConfig(policy=5)
@@ -73,17 +74,7 @@ class TestDiacPipeline:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"split_fraction": float("nan")}, "split_fraction"),
-            ({"split_fraction": float("inf")}, "split_fraction"),
-            ({"split_fraction": 0.0}, "split_fraction"),
-            ({"split_fraction": -1.0}, "split_fraction"),
-            ({"merge_fraction": float("nan")}, "merge_fraction"),
-            ({"merge_fraction": -0.5}, "merge_fraction"),
-            ({"split_fraction": 1.0, "merge_fraction": 2.0}, "must not exceed"),
             ({"granularity": "cone"}, "granularity"),
-            ({"activity": 0.0}, "activity"),
-            ({"activity": 1.5}, "activity"),
-            ({"activity": float("nan")}, "activity"),
             ({"budget_j": 0.0}, "budget_j"),
             ({"budget_j": -1e-12}, "budget_j"),
             ({"budget_j": float("nan")}, "budget_j"),
@@ -95,10 +86,8 @@ class TestDiacPipeline:
             DiacConfig(**kwargs)
 
     def test_config_accepts_boundary_values(self):
-        config = DiacConfig(
-            granularity="level", activity=1.0, merge_fraction=0.0, budget_j=1e-15
-        )
-        assert config.split_fraction > config.merge_fraction
+        config = DiacConfig(granularity="level", budget_j=1e-15)
+        assert config.budget_j == 1e-15
 
     def test_design_summary_fields(self, s27_design):
         summary = s27_design.summary()

@@ -150,6 +150,37 @@ class TestNegativeDtRegression:
         trace.assert_time_monotonic()
 
 
+class TestClockResolution:
+    """A segment end closer to ``t`` than ``t`` can resolve stalled the clock."""
+
+    def test_segment_end_below_clock_resolution_does_not_stall(self):
+        # Found by the property below: near t = 16.1 s the trace reports
+        # 1.25e-15 s left in a segment, under half an ulp of t, so
+        # ``t += remaining`` left t where it was on every iteration.
+        profile = SchemeProfile(
+            name="prop",
+            pass_energy_j=1e-10,
+            pass_time_s=0.009765625,
+            commit_bits=8,
+            restore_bits=8,
+            reexec_window_j=0.0,
+            uses_safe_zone=False,
+            technology=MRAM,
+        )
+        duration = 0.24083351884203316
+        trace = MonotonicProbeTrace(
+            [
+                HarvestSegment(duration, 0.0625 * profile.active_power_w),
+                HarvestSegment(duration, 0.0),
+            ]
+        )
+        e_max = 9.86454093176968e-09
+        executor = IntermittentExecutor(profile, e_max, trace)
+        with pytest.raises(TraceTooWeakError):
+            executor.run(work_target_j=e_max, max_cycles=40.0)
+        trace.assert_time_monotonic()
+
+
 @st.composite
 def executor_configs(draw):
     """Random (profile, e_max, trace, work target) executor setups."""

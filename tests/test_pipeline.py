@@ -91,8 +91,7 @@ def test_evaluations_retain_no_design_state():
 class TestConfigDict:
     def test_round_trip(self):
         config = DiacConfig(
-            policy=2, activity=0.3, technology=RERAM, budget_j=1e-14,
-            target_period_s=2e-9,
+            policy=2, granularity="level", technology=RERAM, budget_j=1e-14,
         )
         assert config_from_dict(config_to_dict(config)) == config
         assert config_from_dict(config_to_dict(DiacConfig())) == DiacConfig()

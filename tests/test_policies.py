@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,15 +39,6 @@ class TestPolicyConfig:
             ({"split_threshold_j": float("inf")}, "split_threshold_j"),
             ({"merge_threshold_j": float("nan")}, "merge_threshold_j"),
             ({"merge_threshold_j": float("-inf")}, "merge_threshold_j"),
-            ({"merge_cap_j": -1.0}, "merge_cap_j"),
-            ({"merge_cap_j": float("nan")}, "merge_cap_j"),
-            ({"merge_cap_j": float("inf")}, "merge_cap_j"),
-            ({"min_fraction": -0.1}, "min_fraction"),
-            ({"min_fraction": 1.5}, "min_fraction"),
-            ({"min_fraction": float("nan")}, "min_fraction"),
-            ({"max_passes": 0}, "max_passes"),
-            ({"max_passes": -3}, "max_passes"),
-            ({"max_passes": 2.5}, "max_passes"),
         ],
     )
     def test_rejects_malformed_field(self, kwargs, message):
@@ -53,19 +46,14 @@ class TestPolicyConfig:
         with pytest.raises(ValueError, match=message):
             PolicyConfig(**fields)
 
-    def test_accepts_boundary_values(self):
-        cfg = PolicyConfig(
-            split_threshold_j=1.0,
-            merge_threshold_j=0.0,
-            merge_cap_j=0.0,
-            min_fraction=1.0,
-            max_passes=1,
-        )
-        assert cfg.effective_cap_j == 0.0
+    def test_holds_only_the_two_bounds(self):
+        assert [f.name for f in dataclasses.fields(PolicyConfig)] == [
+            "split_threshold_j", "merge_threshold_j",
+        ]
 
-    def test_effective_cap_defaults_to_split(self):
-        cfg = PolicyConfig(split_threshold_j=2.0, merge_threshold_j=1.0)
-        assert cfg.effective_cap_j == 2.0
+    def test_accepts_boundary_values(self):
+        assert PolicyConfig(split_threshold_j=1.0, merge_threshold_j=0.0)
+        assert PolicyConfig(split_threshold_j=1.0, merge_threshold_j=1.0)
 
     def test_config_for_graph_brackets_mean(self, s27):
         graph = build_task_graph(s27)
@@ -127,7 +115,7 @@ class TestPolicy2Merge:
         result = apply_policy2(graph, cfg)
         for node in result.nodes.values():
             if node.feature.n_gates > 1:
-                assert node.feature.energy_j <= cfg.effective_cap_j * 1.5
+                assert node.feature.energy_j <= cfg.split_threshold_j * 1.5
 
     def test_acyclic_after_merge(self, small_fsm):
         graph = build_task_graph(small_fsm)

@@ -33,7 +33,7 @@ from repro.dse import (
     request_from_config,
     request_to_config,
 )
-from repro.dse.engine import expand_tasks
+from repro.dse.engine import SweepStats, expand_tasks
 from repro.dse.store import config_to_dict
 from repro.dse.faults import FaultPlan
 from repro.dse.resilience import (
@@ -53,6 +53,11 @@ SPEC = SweepSpec(
     budget_scales=(0.5, 1.0),
     safe_zones=(True,),
 )
+
+#: A non-default base config whose records differ from the defaults':
+#: at this budget s27 gets barriers, placed differently on the
+#: level-granularity tree.
+OTHER_BASE = DiacConfig(granularity="level", budget_j=1e-15)
 
 FAST_RETRY = RetryPolicy(
     max_attempts=2, backoff_base_s=0.01, backoff_max_s=0.02
@@ -368,7 +373,7 @@ class TestLeaseQueue:
     def test_configure_persists_base_config(self, tmp_path):
         queue = self.make_queue(tmp_path)
         assert queue.base_config is None
-        base = DiacConfig(activity=0.3, technology=RERAM)
+        base = DiacConfig(granularity="level", technology=RERAM)
         queue.configure(base_config=base)
         queue.close()
         reopened = LeaseQueue(tmp_path / "queue.sqlite")
@@ -452,7 +457,7 @@ class TestWorkerParity:
         from repro.service.worker import run_lease
 
         path = tmp_path / "svc.sqlite"
-        base = DiacConfig(activity=0.3)
+        base = OTHER_BASE
         claim = LeaseQueue.claim
 
         def coordinator_lands_first(queue, worker, limit=8):
@@ -653,7 +658,7 @@ class TestCoordinator:
         )
 
     def test_base_config_reaches_the_workers(self, tmp_path, reference):
-        base = DiacConfig(activity=0.3)
+        base = OTHER_BASE
         result = self.run_with_thread_worker(
             self.coordinator(tmp_path, base_config=base),
             SweepRequest(spec=SPEC),
@@ -667,6 +672,43 @@ class TestCoordinator:
         assert fingerprints(expected.records) != fingerprints(
             reference.records
         )
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["read-back", "streamed"])
+    def test_records_stored_elsewhere_fail_loudly(self, tmp_path, streamed):
+        """A worker pointed at another store finishes every task, yet
+        none of its records reaches the coordinator's store: each task
+        comes back as a terminal failure naming that store, whether the
+        round reads its records back or streams them on."""
+        path = tmp_path / "svc.sqlite"
+        coordinator = self.coordinator(tmp_path)
+        worker = threading.Thread(
+            target=run_worker,
+            args=(path, tmp_path / "other.sqlite"),
+            kwargs={"poll_s": 0.01, "store_backend": "sqlite"},
+            daemon=True,
+        )
+        worker.start()
+        try:
+            if streamed:
+                store, streamed_records = open_store(path, backend="sqlite"), []
+                try:
+                    with coordinator.session(
+                        SweepStats(), store, commit=streamed_records.extend
+                    ) as execute:
+                        records, by_key = execute(expand_tasks(SPEC))
+                finally:
+                    store.close()
+                assert streamed_records == []
+                failures = list(by_key.values())
+            else:
+                result = coordinator.submit(SweepRequest(spec=SPEC))
+                records, failures = result.records, result.failures
+        finally:
+            worker.join(timeout=30)
+        assert not records
+        assert len(failures) == 6
+        assert {failure.kind for failure in failures} == {TERMINAL}
+        assert all(str(path) in failure.error for failure in failures)
 
     def test_strategy_instances_rejected(self, tmp_path):
         coordinator = self.coordinator(tmp_path)

@@ -122,8 +122,8 @@ class TestProtocolConformance:
         group = list(store.iter_records(scenario=label, circuit="s27"))
         assert len(group) == 8
         assert list(store.iter_records(circuit="not-a-circuit")) == []
-        front = store.front(label, "s27")
-        assert front == record_front(records)
+        fronts = SweepAggregator.from_store(store).fronts()
+        assert fronts[(label, "s27")] == record_front(records)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_duplicate_key_queries_last_write(
@@ -332,7 +332,7 @@ class TestEngineResume:
         )
         other = SweepEngine(
             workers=1,
-            base_config=DiacConfig(activity=0.42),
+            base_config=DiacConfig(granularity="level"),
             store=make_store(tmp_path, backend),
         )
         with pytest.warns(UserWarning, match="base configuration"):
