@@ -83,9 +83,16 @@ class SweepAggregator:
     @classmethod
     def from_store(cls, store: "ResultStore") -> "SweepAggregator":
         """Aggregate a whole result store without retaining its records."""
+        return cls.from_records(store.iter_records())
+
+    @classmethod
+    def from_records(
+        cls, records: Iterable[ExplorationRecord]
+    ) -> "SweepAggregator":
+        """Aggregate a record stream, folding it in batches."""
         aggregator = cls()
         batch: list[ExplorationRecord] = []
-        for record in store.iter_records():
+        for record in records:
             batch.append(record)
             if len(batch) >= _REPLAY_BATCH:
                 aggregator.add_many(batch)

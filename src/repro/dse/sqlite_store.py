@@ -1,10 +1,10 @@
 """SQLite/WAL result store: the indexed backend for large sweeps.
 
 Same :class:`~repro.dse.store.ResultStore` contract as the JSONL
-reference backend, different scaling behavior: resume keys, counts,
-point lookups and per-(scenario, circuit) group queries are index
-reads instead of full-file scans, and a batch append is one
-transaction instead of N line writes.
+reference backend, different scaling behavior: resume keys, counts
+and per-(scenario, circuit) group queries are index reads instead of
+full-file scans, and a batch write is one transaction instead of N
+line writes.
 
 Durability parity with the JSONL torn-tail guarantees (docs/store.md
 has the full matrix):
@@ -13,13 +13,15 @@ has the full matrix):
   tail of the write-ahead log back to the last committed transaction,
   the structural analogue of JSONL's "torn final line is skipped";
 * ``fsync_every>=1`` maps to ``synchronous=FULL`` (every commit is
-  fsynced before ``append``/``extend`` returns); the default 0 maps to
+  fsynced before ``extend`` returns); the default 0 maps to
   ``synchronous=NORMAL``, WAL's standard setting, where a power cut may
   lose the most recent commits but never corrupts the database;
-* appends are **idempotent upserts** keyed on the resume key, so the
-  re-evaluation a crash forces overwrites rather than duplicates — the
-  equivalent of JSONL's "last record per key wins" compaction rule,
-  enforced at write time;
+* every write is a **new row**: ``INSERT OR REPLACE`` on the resume key
+  deletes the key's old row and appends the new one with the next
+  rowid, so the re-evaluation a crash forces replaces rather than
+  duplicates — JSONL's "last record per key wins" compaction rule,
+  enforced at write time — and rowid order is write order, which is
+  what lets :meth:`SqliteResultStore.records_after` follow writers;
 * a ``busy_timeout`` makes concurrent openers (a `repro store stats`
   against a live sweep) wait instead of failing.
 
@@ -43,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.dse.explorer import ExplorationRecord
 from repro.dse.store import (
     STORE_SCHEMA_VERSION,
-    StoreQueryMixin,
     record_from_dict,
     record_to_dict,
 )
@@ -65,15 +66,12 @@ CREATE INDEX IF NOT EXISTS idx_records_group
     ON records (scenario, circuit, point_key);
 """
 
-_UPSERT = """
-INSERT INTO records (point_key, scenario, circuit, pdp_js, reexec_energy_j, data)
+# REPLACE deletes the key's old row and inserts a fresh one, which
+# SQLite numbers max(rowid) + 1 even when the old row was the newest.
+_WRITE = """
+INSERT OR REPLACE INTO records
+    (point_key, scenario, circuit, pdp_js, reexec_energy_j, data)
 VALUES (?, ?, ?, ?, ?, ?)
-ON CONFLICT(point_key) DO UPDATE SET
-    scenario = excluded.scenario,
-    circuit = excluded.circuit,
-    pdp_js = excluded.pdp_js,
-    reexec_energy_j = excluded.reexec_energy_j,
-    data = excluded.data
 """
 
 
@@ -108,7 +106,19 @@ def enable_wal(conn: sqlite3.Connection, busy_timeout_s: float) -> None:
             time.sleep(0.005)
 
 
-class SqliteResultStore(StoreQueryMixin):
+def _row(record: ExplorationRecord) -> tuple:
+    """:data:`_WRITE` parameters for one record."""
+    return (
+        encode_key(record.key()),
+        record.scenario.label(),
+        record.circuit,
+        record.pdp_js,
+        record.reexec_energy_j,
+        json.dumps(record_to_dict(record), sort_keys=True),
+    )
+
+
+class SqliteResultStore:
     """Indexed, transactional result store on a single SQLite file.
 
     Args:
@@ -175,67 +185,41 @@ class SqliteResultStore(StoreQueryMixin):
 
     # -- writes ---------------------------------------------------------
 
-    def _row(self, record: ExplorationRecord) -> tuple | None:
-        """Upsert parameters for one record, or None if a fault eats it."""
-        key = record.key()
+    def extend(self, records: list[ExplorationRecord]) -> None:
+        """Write a batch of records in a single transaction."""
         if self.fault_plan is not None:
             from repro.dse.faults import key_text
 
-            if self.fault_plan.corrupt_append(key_text(key)):
-                # Simulated power cut: this record's transaction never
-                # commits.  WAL recovery discards it wholesale, so —
-                # unlike a torn JSONL line — there is nothing to skip
-                # on reload; resume just re-evaluates the point.
-                return None
-        return (
-            encode_key(key),
-            record.scenario.label(),
-            record.circuit,
-            record.pdp_js,
-            record.reexec_energy_j,
-            json.dumps(record_to_dict(record), sort_keys=True),
-        )
-
-    def append(self, record: ExplorationRecord) -> None:
-        """Upsert one record in its own transaction."""
-        self.extend([record])
-
-    def extend(self, records: list[ExplorationRecord]) -> None:
-        """Upsert a batch of records in a single transaction."""
-        rows = [row for row in map(self._row, records) if row is not None]
-        if not rows:
-            return
-        with self._conn:
-            self._conn.executemany(_UPSERT, rows)
+            # Simulated power cut: a corrupted record's transaction
+            # never commits.  WAL recovery discards it wholesale, so —
+            # unlike a torn JSONL line — there is nothing to skip on
+            # reload; resume just re-evaluates the point.
+            records = [
+                r for r in records
+                if not self.fault_plan.corrupt_append(key_text(r.key()))
+            ]
+        if records:
+            with self._conn:
+                self._conn.executemany(_WRITE, map(_row, records))
 
     def rewrite(self, records: list[ExplorationRecord]) -> None:
         """Replace the whole record set in one transaction.
 
         Bypasses fault injection, like the JSONL backend's atomic
         rewrite: a rewrite models compaction/migration, not the
-        crash-prone streaming append path.
+        crash-prone streaming write path.  Row numbering restarts, so
+        a :meth:`records_after` cursor taken before it is stale.
         """
-        rows = [
-            (
-                encode_key(r.key()),
-                r.scenario.label(),
-                r.circuit,
-                r.pdp_js,
-                r.reexec_energy_j,
-                json.dumps(record_to_dict(r), sort_keys=True),
-            )
-            for r in records
-        ]
         with self._conn:
             self._conn.execute("DELETE FROM records")
-            self._conn.executemany(_UPSERT, rows)
+            self._conn.executemany(_WRITE, map(_row, records))
 
     def compact(self) -> int:
         """Checkpoint the WAL back into the main database file.
 
-        Upserts keep the record set duplicate-free at write time, so
-        unlike JSONL compaction there are never stale rows to drop —
-        this reclaims the write-ahead log instead.  Returns 0.
+        A write replaces its key's row, so unlike JSONL compaction
+        there are never stale rows to drop — this reclaims the
+        write-ahead log instead.  Returns 0.
         """
         self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         return 0
@@ -243,7 +227,7 @@ class SqliteResultStore(StoreQueryMixin):
     # -- reads ----------------------------------------------------------
 
     def load(self) -> list[ExplorationRecord]:
-        """Every record, in first-insert order."""
+        """Every record, in write order (a re-written key comes last)."""
         return [
             record_from_dict(json.loads(row[0]))
             for row in self._conn.execute(
@@ -264,20 +248,18 @@ class SqliteResultStore(StoreQueryMixin):
             "SELECT COUNT(*) FROM records"
         ).fetchone()[0]
 
-    def get(self, key: tuple) -> ExplorationRecord | None:
-        """Primary-key lookup of one record."""
-        row = self._conn.execute(
-            "SELECT data FROM records WHERE point_key = ?",
-            (encode_key(key),),
-        ).fetchone()
-        return None if row is None else record_from_dict(json.loads(row[0]))
+    def last_rowid(self) -> int:
+        """The newest row's rowid (0 when empty): a cursor at "now"."""
+        return self._conn.execute(
+            "SELECT COALESCE(MAX(rowid), 0) FROM records"
+        ).fetchone()[0]
 
     def records_after(self, rowid: int) -> tuple[list[ExplorationRecord], int]:
-        """Records first inserted after row ``rowid``, and the new cursor.
+        """Records written after row ``rowid``, and the new cursor.
 
-        An append cursor for a reader following writers in other
-        processes: an upsert keeps its key's row, so each key is
-        returned once however often it is rewritten.
+        A cursor for a reader following writers in other processes:
+        every write is a new row, so a key written again after the
+        cursor comes back again, with its newest data.
         """
         rows = self._conn.execute(
             "SELECT rowid, data FROM records WHERE rowid > ? ORDER BY rowid",

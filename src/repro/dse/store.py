@@ -6,12 +6,12 @@ enough that re-reading every record to resume is its own scaling
 ceiling.  This module defines the storage contract the sweep engine
 depends on and the JSON-lines reference backend:
 
-* :class:`ResultStore` — the protocol every backend implements:
-  streaming appends (``append``/``extend``), bulk access
-  (``load``/``rewrite``/``compact``), **indexed access** (``keys`` for
-  resume, ``get``/``iter_records``/``count`` for queries),
-  and a small metadata map (``get_metadata``/``set_metadata``) holding
-  the schema version and the sweep's spec fingerprint;
+* :class:`ResultStore` — the protocol every backend implements: one
+  batched write (``extend``), bulk access (``load``/``rewrite``/
+  ``compact``), **indexed access** (``keys`` for resume,
+  ``iter_records``/``count`` for queries), and a small metadata map
+  (``get_metadata``/``set_metadata``) holding the schema version and
+  the sweep's spec fingerprint;
 * :class:`JsonlResultStore` — append-only JSON lines, the default
   backend and the crash-safety reference (torn-tail semantics below);
 * :func:`open_store` — backend factory (explicit, or auto-detected
@@ -24,9 +24,9 @@ documented in ``docs/store.md``.
 
 JSONL durability guarantees (see ``docs/robustness.md``):
 
-* every append is a **single ``os.write`` of whole lines** to an
-  ``O_APPEND`` descriptor — a SIGKILL between appends never leaves a
-  torn line, and concurrent appenders never interleave mid-line;
+* every write is a **single ``os.write`` of whole lines** to an
+  ``O_APPEND`` descriptor — a SIGKILL between writes never leaves a
+  torn line, and concurrent writers never interleave mid-line;
 * the ``fsync_every=N`` knob bounds post-SIGKILL loss to the last N
   records (0 leaves flushing to the OS, the historical behavior);
 * an append onto a file whose last byte is not ``\\n`` (the tail a
@@ -206,11 +206,6 @@ def record_key_from_dict(data: dict) -> tuple:
     )
 
 
-def scenario_label_of_key(key: tuple) -> str:
-    """Display label of the scenario baked into a resume key."""
-    return ScenarioSpec(name=key[1], seed=key[2], scale=key[3]).label()
-
-
 def value_fingerprint(payload: object) -> str:
     """Short stable hash of any JSON-representable payload."""
     text = json.dumps(payload, sort_keys=True, default=repr)
@@ -264,22 +259,18 @@ def config_from_dict(data: dict) -> DiacConfig:
 class ResultStore(Protocol):
     """The storage contract :class:`~repro.dse.engine.SweepEngine` uses.
 
-    Streaming writes, bulk access, indexed queries and a metadata map —
+    One batched write, bulk access, indexed queries and a metadata map —
     every backend (:class:`JsonlResultStore`,
     :class:`repro.dse.sqlite_store.SqliteResultStore`) implements this
     set; the engine, CLI and aggregation layer depend on nothing else.
     """
-
-    def append(self, record: ExplorationRecord) -> None:
-        """Durably add one record."""
-        ...  # pragma: no cover - protocol
 
     def extend(self, records: list[ExplorationRecord]) -> None:
         """Durably add many records in one batch."""
         ...  # pragma: no cover - protocol
 
     def load(self) -> list[ExplorationRecord]:
-        """Every record on disk, in append order."""
+        """Every record on disk, in write order."""
         ...  # pragma: no cover - protocol
 
     def rewrite(self, records: list[ExplorationRecord]) -> None:
@@ -298,10 +289,6 @@ class ResultStore(Protocol):
         """Number of readable records."""
         ...  # pragma: no cover - protocol
 
-    def get(self, key: tuple) -> ExplorationRecord | None:
-        """The record stored under one resume key, or ``None``."""
-        ...  # pragma: no cover - protocol
-
     def iter_records(
         self, scenario: str | None = None, circuit: str | None = None
     ) -> Iterable[ExplorationRecord]:
@@ -317,29 +304,7 @@ class ResultStore(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class StoreQueryMixin:
-    """Derived queries shared by backends, built on the primitives.
-
-    A backend with a cheaper native path (SQLite's indexed ``get``,
-    ``count``) overrides the relevant method.
-    """
-
-    def count(self) -> int:
-        """Number of readable records."""
-        return len(self.keys())
-
-    def get(self, key: tuple) -> ExplorationRecord | None:
-        """Scan the key's (scenario, circuit) group for an exact match."""
-        found = None
-        for record in self.iter_records(
-            scenario=scenario_label_of_key(key), circuit=key[0]
-        ):
-            if record.key() == key:
-                found = record  # last occurrence wins, like resume
-        return found
-
-
-class JsonlResultStore(StoreQueryMixin):
+class JsonlResultStore:
     """Append-only JSON-lines store for exploration records.
 
     The default backend: humanly greppable, trivially concatenable, and
@@ -423,10 +388,6 @@ class JsonlResultStore(StoreQueryMixin):
                 self._unsynced = 0
         finally:
             os.close(fd)
-
-    def append(self, record: ExplorationRecord) -> None:
-        """Append one record as a single whole-line write."""
-        self._append_bytes(self._encode(record), 1)
 
     def extend(self, records: list[ExplorationRecord]) -> None:
         """Append many records in one write."""
@@ -559,6 +520,10 @@ class JsonlResultStore(StoreQueryMixin):
         store cheaper than :meth:`load`.
         """
         return set(self._scan(record_key_from_dict))
+
+    def count(self) -> int:
+        """Number of distinct readable records (one scan of the file)."""
+        return len(self.keys())
 
     def iter_records(
         self, scenario: str | None = None, circuit: str | None = None

@@ -39,7 +39,15 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
     )
     store = _open(args.store, backend)
     meta = store.get_metadata()
-    aggregator = SweepAggregator.from_store(store)
+    keys: set[tuple] = set()
+
+    def scanned():
+        """The store's records in one scan, collecting their keys."""
+        for record in store.iter_records():
+            keys.add(record.key())
+            yield record
+
+    aggregator = SweepAggregator.from_records(scanned())
     counts = aggregator.counts()
     best = aggregator.best()
     fronts = aggregator.fronts()
@@ -52,7 +60,7 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
             f"spec fingerprint: base-config {fingerprint.get('base_config')}"
             f", axes {fingerprint.get('axes')}"
         )
-    print(f"records: {store.count()}")
+    print(f"records: {len(keys)}")
     skipped = getattr(store, "last_load_skipped", 0)
     if skipped:
         print(

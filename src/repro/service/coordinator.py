@@ -8,10 +8,10 @@
 The planner hands the coordinator each generation's pending tasks (a
 grid is one generation), which it enqueues on a
 :class:`~repro.service.queue.LeaseQueue`; workers claim stage-batch
-leases and upsert into the shared SQLite store, and the coordinator
-polls the queue down to zero and reads the records back.  Workers — and
-their process-global synthesis caches — stay alive across a search's
-generations.
+leases and write into the shared SQLite store, and the coordinator
+polls the queue down to zero, reading each record once as it is
+written.  Workers — and their process-global synthesis caches — stay
+alive across a search's generations.
 
 :meth:`SweepCoordinator.session` is that executor on its own, and the
 only parallel path there is: ``SweepEngine(workers>1)`` runs it on a
@@ -55,7 +55,7 @@ from repro.dse.engine import (
     _TaskKey,
 )
 from repro.dse.explorer import ExplorationRecord, SynthesisCache
-from repro.dse.planner import Execute, fetch_records, plan_and_run
+from repro.dse.planner import Execute, plan_and_run
 from repro.dse.request import SweepRequest
 from repro.dse.resilience import (
     TERMINAL,
@@ -341,10 +341,9 @@ class SweepCoordinator:
                 circuits, carried in the queue payloads.
             caches: the synthesis-cache map of an in-process drain
                 (the planner counts the stages built on it).
-            commit: called on every poll with the records stored since
-                the last one, so the caller can stream them on; the
-                executor then returns those records instead of reading
-                each round back from ``store``.
+            commit: called on each poll that finds new records, with
+                those records, so the caller can stream them on; a
+                record written again unchanged is not passed twice.
         """
         queue = LeaseQueue(self.queue_path, lease_timeout_s=self.lease_timeout_s)
         netlists = netlists if netlists is not None else {}
@@ -352,11 +351,11 @@ class SweepCoordinator:
         inline = f"{socket.gethostname()}-{os.getpid()}-inline"
         fleet: _Fleet | None = None
         view: multiprocessing.process.BaseProcess | None = None
-        cursor = 0
-        # Every record streamed this session.  A record stored by a
-        # lease that then failed is returned only after a later round
-        # runs its task again, and that round's upsert keeps the row's
-        # rowid, so ``records_after`` never yields it a second time.
+        cursor = store.last_rowid()
+        # Every record written this session, newest write per key.  A
+        # record stored by a lease that then failed is returned only
+        # after a later round runs its task again; that write is a new
+        # row, so the cursor reads it too.
         streamed: dict[_TaskKey, ExplorationRecord] = {}
 
         def execute(tasks: list[_Task]) -> tuple[
@@ -370,12 +369,13 @@ class SweepCoordinator:
             round was resolved before this one came.  Each poll reaps
             dead local workers (failing their leases, replacing them
             within budget), reclaims expired leases, kills stragglers
-            and streams new records; once the fleet is gone for good,
-            this process runs one lease per poll itself.  Only tasks
-            that did not fail are returned, so a stale on-disk record
-            never stands in for a point this round failed.  A task that
-            is done but has no record in ``store`` (its worker wrote to
-            another store) comes back as a terminal failure.
+            and reads the records written since the last poll; once the
+            fleet is gone for good, this process runs one lease per poll
+            itself.  Only tasks that did not fail are returned, so a
+            record stored by a failed lease never stands in for a point
+            this round failed.  A task that is done but has no record
+            written this session (its worker wrote to another store)
+            comes back as a terminal failure.
             """
             nonlocal cursor
             stats.n_batches += len(
@@ -396,11 +396,17 @@ class SweepCoordinator:
                 drained = queue.unfinished() == 0
                 if drained:
                     failed = queue.failures()
-                if commit is not None:
-                    records, cursor = store.records_after(cursor)
-                    keyed = [(record.key(), record) for record in records]
-                    commit(keyed)
-                    streamed.update(keyed)
+                records, cursor = store.records_after(cursor)
+                # A task run again after its lease failed writes the
+                # same record again; it is handed on once.
+                fresh = []
+                for record in records:
+                    key = record.key()
+                    if streamed.get(key) != record:
+                        streamed[key] = record
+                        fresh.append((key, record))
+                if commit is not None and fresh:
+                    commit(fresh)
                 if drained:
                     break
                 if fleet is not None and not fleet.procs:
@@ -423,9 +429,8 @@ class SweepCoordinator:
                 if tuple(entry["key"]) in wanted
             }
             done = [task for task in tasks if task[0] not in failures]
-            found = streamed if commit is not None else fetch_records(store, done)
             for key, circuit, scenario, point in done:
-                if key not in found:
+                if key not in streamed:
                     failures[key] = SweepFailure(
                         circuit=circuit,
                         label=point.label(),
@@ -436,7 +441,9 @@ class SweepCoordinator:
                         scenario=scenario.label(),
                         kind=TERMINAL,
                     )
-            return {key: found[key] for key, *_rest in done if key in found}, failures
+            return {
+                key: streamed[key] for key, *_rest in done if key in streamed
+            }, failures
 
         try:
             queue.configure(

@@ -93,6 +93,30 @@ def plan(tmp_path, text):
     return FaultPlan.parse(text, tmp_path / "faults")
 
 
+def die_once_before_resolving(tmp_path, monkeypatch):
+    """Make the first forked worker to finish a lease exit before it
+    resolves the lease, after storing its records; returns the marker
+    file that worker leaves."""
+    from repro.service.queue import LeaseQueue
+
+    parent = os.getpid()
+    marker = tmp_path / "died-before-resolve"
+    resolve = LeaseQueue.resolve
+
+    def die_once(queue, *args, **kwargs):
+        if os.getpid() != parent:
+            try:
+                marker.touch(exist_ok=False)
+            except FileExistsError:
+                pass
+            else:
+                os._exit(1)
+        return resolve(queue, *args, **kwargs)
+
+    monkeypatch.setattr(LeaseQueue, "resolve", die_once)
+    return marker
+
+
 def engine(workers, fault_plan=None, **cfg):
     cfg.setdefault("retry", FAST_RETRY)
     return SweepEngine(
@@ -467,30 +491,29 @@ class TestParallelRecovery:
     ):
         # The first worker to finish a lease stores its records and dies
         # before resolving it, so the lease fails transient.  The retry
-        # round re-stores the same keys, and an upsert keeps each row's
-        # rowid, so only the session's own stream still holds them.
-        from repro.service.queue import LeaseQueue
-
-        parent = os.getpid()
-        marker = tmp_path / "died-before-resolve"
-        resolve = LeaseQueue.resolve
-
-        def die_once_before_resolving(queue, *args, **kwargs):
-            if os.getpid() != parent:
-                try:
-                    marker.touch(exist_ok=False)
-                except FileExistsError:
-                    pass
-                else:
-                    os._exit(1)
-            return resolve(queue, *args, **kwargs)
-
-        monkeypatch.setattr(LeaseQueue, "resolve", die_once_before_resolving)
+        # round re-stores the same keys, each write a new row after the
+        # session's cursor, so the stream reads them again.
+        marker = die_once_before_resolving(tmp_path, monkeypatch)
         result = engine(2).submit(SweepRequest(spec=RES_SPEC), netlists=netlists)
         assert marker.exists()
         assert result.stats.n_retries == 2  # the whole-stage lease
         assert result.stats.n_failed == 0
         assert fingerprints(result) == clean_fingerprints
+
+    def test_record_written_twice_is_committed_once(
+        self, tmp_path, netlists, monkeypatch
+    ):
+        # The retry round writes the failed lease's records again,
+        # unchanged; the engine's store receives each of them once.
+        die_once_before_resolving(tmp_path, monkeypatch)
+        path = tmp_path / "r.jsonl"
+        result = SweepEngine(
+            workers=2,
+            store=JsonlResultStore(path),
+            resilience=ResilienceConfig(retry=FAST_RETRY),
+        ).submit(SweepRequest(spec=RES_SPEC), netlists=netlists)
+        assert result.stats.n_retries == 2
+        assert len(path.read_text("utf-8").splitlines()) == 2
 
     def test_run_search_survives_killed_worker(self, tmp_path, netlists):
         space = DesignSpace(
@@ -609,8 +632,8 @@ class TestCrashSafeStore:
     def test_duplicate_keys_collapse_to_last_record(
         self, tmp_path, backend, netlists
     ):
-        # JSONL appends duplicates and compact() drops them; SQLite
-        # upserts in place, so there is never anything to drop.
+        # JSONL appends duplicates and compact() drops them; an SQLite
+        # write replaces its key's row, so there is never anything to drop.
         store = make_store(tmp_path, backend)
         result = self.run_with_store(store, netlists)
         store.extend(result.records)  # duplicate every key

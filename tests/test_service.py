@@ -673,6 +673,32 @@ class TestCoordinator:
             reference.records
         )
 
+    def test_rerun_reads_every_rewritten_key(self, tmp_path):
+        """A second run on the same store, without resume, writes every
+        key again under another base config.  Each write is a new row
+        after the session's cursor, so each record is read back."""
+        path = tmp_path / "svc.sqlite"
+        first = self.run_with_thread_worker(
+            self.coordinator(tmp_path), SweepRequest(spec=SPEC), path
+        )
+        assert not first.failures
+        # The first session closed the queue, and a worker that finds
+        # it closed exits at once.
+        queue = LeaseQueue(path)
+        queue.set_state("open")
+        queue.close()
+        with pytest.warns(UserWarning, match="not comparable"):
+            second = self.run_with_thread_worker(
+                self.coordinator(tmp_path, base_config=OTHER_BASE),
+                SweepRequest(spec=SPEC),
+                path,
+            )
+        expected = SweepEngine(base_config=OTHER_BASE).submit(
+            SweepRequest(spec=SPEC)
+        )
+        assert not second.failures
+        assert fingerprints(second.records) == fingerprints(expected.records)
+
     @pytest.mark.parametrize("streamed", [False, True], ids=["read-back", "streamed"])
     def test_records_stored_elsewhere_fail_loudly(self, tmp_path, streamed):
         """A worker pointed at another store finishes every task, yet

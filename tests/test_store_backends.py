@@ -32,6 +32,7 @@ from repro.dse import (
 )
 from repro.dse.aggregate import SweepAggregator
 from repro.dse.pareto import record_front
+from repro.dse.planner import fetch_records
 from repro.dse.scoring import best_pdp_by_group
 from repro.dse.sqlite_store import SqliteResultStore
 from repro.dse.store import JsonlResultStore, detect_backend
@@ -107,17 +108,9 @@ class TestProtocolConformance:
         store = make_store(tmp_path, backend)
         store.extend(records[:4])
         for record in records[4:]:
-            store.append(record)
+            store.extend([record])
         assert store.count() == 8
         assert store.keys() == {r.key() for r in records}
-        hit = store.get(records[3].key())
-        assert hit is not None
-        assert hit.point.budget_scale == records[3].point.budget_scale
-        absent = dataclasses.replace(
-            base_record,
-            point=dataclasses.replace(base_record.point, budget_scale=999.0),
-        )
-        assert store.get(absent.key()) is None
         label = base_record.scenario.label()
         group = list(store.iter_records(scenario=label, circuit="s27"))
         assert len(group) == 8
@@ -132,9 +125,13 @@ class TestProtocolConformance:
         first, second = mint_records(base_record, 1)[0], None
         second = dataclasses.replace(first, pdp_js=first.pdp_js * 2)
         store = make_store(tmp_path, backend)
-        store.append(first)
-        store.append(second)
-        assert store.get(first.key()).pdp_js == second.pdp_js
+        store.extend([first])
+        store.extend([second])
+        task = (first.key(), first.circuit, first.scenario, first.point)
+        assert fetch_records(store, [task])[first.key()].pdp_js == (
+            second.pdp_js
+        )
+        assert store.load()[-1].pdp_js == second.pdp_js
 
     def test_keys_identical_across_backends(self, tmp_path, base_record):
         records = mint_records(base_record, 16)
@@ -165,7 +162,7 @@ class TestBackendDetection:
         # A JSONL store that merely *looks* like a database must not be
         # handed to sqlite3 (and vice versa): content wins over name.
         disguised = tmp_path / "r.db"
-        JsonlResultStore(disguised).append(base_record)
+        JsonlResultStore(disguised).extend([base_record])
         assert detect_backend(disguised) == "jsonl"
         actual = tmp_path / "r.jsonl"
         SqliteResultStore(actual).close()
@@ -209,9 +206,30 @@ class TestMigrate:
         assert main(["store", "compact", str(dest)]) == 0
         assert "5 records kept" in capsys.readouterr().out
 
+    def test_cli_stats_scans_a_damaged_store_once(
+        self, tmp_path, base_record, capsys
+    ):
+        # The aggregates and the record count come from one scan, so a
+        # torn middle line is warned about once, not once per read.
+        path = tmp_path / "r.jsonl"
+        JsonlResultStore(path).extend(mint_records(base_record, 3))
+        lines = path.read_text("utf-8").splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        path.write_text("".join(lines), "utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["store", "stats", str(path)]) == 0
+        torn = [
+            w for w in caught if "skipped 1 malformed line(s)" in str(w.message)
+        ]
+        assert len(torn) == 1
+        out = capsys.readouterr().out
+        assert "records: 2" in out
+        assert "malformed lines skipped: 1" in out
+
     def test_cli_migrate_refuses_same_file(self, tmp_path, base_record):
         path = tmp_path / "r.jsonl"
-        JsonlResultStore(path).append(base_record)
+        JsonlResultStore(path).extend([base_record])
         with pytest.raises(SystemExit, match="same file"):
             main(["store", "migrate", str(path), str(path)])
 
@@ -255,6 +273,28 @@ class TestSqliteDurability:
         assert store.compact() == 0
         assert wal.stat().st_size == 0
         assert store.count() == 6
+
+    def test_rewritten_key_is_the_newest_row(self, tmp_path, base_record):
+        # Every write is a new row, so a cursor taken before a key is
+        # written again reads that write — also when the key's old row
+        # was the newest one.
+        store = SqliteResultStore(tmp_path / "r.sqlite")
+        records = mint_records(base_record, 3)
+        store.extend(records)
+        cursor = store.last_rowid()
+        again = [
+            dataclasses.replace(r, pdp_js=r.pdp_js * 2)
+            for r in (records[2], records[0])
+        ]
+        for record in again:
+            store.extend([record])
+        fresh, after = store.records_after(cursor)
+        assert [r.pdp_js for r in fresh] == [r.pdp_js for r in again]
+        assert store.records_after(after) == ([], after)
+        assert store.count() == 3
+        assert [r.key() for r in store.load()] == [
+            records[1].key(), records[2].key(), records[0].key()
+        ]
 
 
 class TestEngineResume:
