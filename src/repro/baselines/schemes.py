@@ -56,7 +56,7 @@ def cycle_figures(report: SynthesisReport) -> tuple[float, float, float]:
     The design is assumed clocked at its critical path (plus the scheme's
     state-element delay penalty, applied by the caller).
     """
-    comb = report.total_dynamic_energy_j + report.static_energy_j()
+    comb = report.logic_energy_j
     state_clock = _effective_state_bits(report) * report.library.ff_clock_energy_j()
     cycle_time = max(report.critical_path_s, 1e-12)
     return comb, state_clock, cycle_time

@@ -5,6 +5,9 @@ BLIF) into the DIAC pipeline and provides generators for synthetic
 stand-ins.
 """
 
+from collections.abc import Callable
+from pathlib import Path
+
 from repro.circuits.bench_parser import (
     BenchParseError,
     load_bench,
@@ -34,6 +37,19 @@ from repro.circuits.levelize import (
 from repro.circuits.netlist import Gate, Netlist, NetlistError
 from repro.circuits.verilog import VerilogError, parse_verilog, write_verilog
 
+#: Netlist file parsers by lower-case file suffix.
+_PARSERS = {".bench": load_bench, ".blif": load_blif, ".mcnc": load_blif}
+
+
+def netlist_parser(path: str | Path) -> Callable[[str | Path], Netlist] | None:
+    """The parser for a netlist file, chosen by its suffix in any case.
+
+    ``.bench`` files parse as ISCAS-89, ``.blif`` and ``.mcnc`` as BLIF;
+    any other suffix gives ``None``.
+    """
+    return _PARSERS.get(Path(path).suffix.lower())
+
+
 __all__ = [
     "BenchParseError",
     "BlifParseError",
@@ -57,6 +73,7 @@ __all__ = [
     "load_bench",
     "load_blif",
     "majority_voter",
+    "netlist_parser",
     "parity_tree",
     "parse_bench",
     "parse_blif",

@@ -49,7 +49,7 @@ import sys
 from pathlib import Path
 
 from repro.baselines import SCHEME_ORDER
-from repro.circuits import load_bench, load_blif
+from repro.circuits import netlist_parser
 from repro.circuits.netlist import Netlist
 from repro.core import DiacConfig, DiacSynthesizer
 from repro.evaluation import evaluate_design
@@ -65,10 +65,9 @@ _STRATEGY_CHOICES = ("grid", "random", "lhs", "halving", "evolution")
 def _resolve_netlist(spec: str) -> Netlist:
     """Roster name, .bench path, or .blif path -> netlist."""
     path = Path(spec)
-    if path.suffix == ".bench" and path.exists():
-        return load_bench(path)
-    if path.suffix in (".blif", ".mcnc") and path.exists():
-        return load_blif(path)
+    parser = netlist_parser(path)
+    if parser is not None and path.exists():
+        return parser(path)
     if spec in BY_NAME:
         return load_circuit(spec)
     raise SystemExit(

@@ -139,25 +139,9 @@ class DiacDesign:
         return architectural_state_bits(self.netlist)
 
     @property
-    def full_backup_energy_j(self) -> float:
-        """Energy of committing the full architectural state once."""
-        return full_backup_energy_j(self.netlist, self.config.technology)
-
-    @property
     def pass_energy_j(self) -> float:
         """Energy of one evaluation pass (logic + flip-flop clocking)."""
-        return (
-            self.report.total_dynamic_energy_j
-            + self.report.static_energy_j()
-            + self.report.ff_clock_energy_j
-        )
-
-    @property
-    def pass_time_s(self) -> float:
-        """Wall-clock time of one evaluation pass."""
-        if self.netlist.num_ffs:
-            return max(self.report.critical_path_s, self.report.library.clock_period_s)
-        return self.report.critical_path_s
+        return self.report.logic_energy_j + self.report.ff_clock_energy_j
 
     def summary(self) -> dict[str, float]:
         """Headline numbers for reports."""

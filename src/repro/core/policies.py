@@ -122,7 +122,7 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
             new_nodes.append(node)
             continue
         split = True
-        ordered = sorted(node.gates, key=report.topo_index().__getitem__)
+        ordered = sorted(node.gates, key=report.topo_index.__getitem__)
         chunks: list[list[str]] = [[]]
         acc = 0.0
         for gate in ordered:

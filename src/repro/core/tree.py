@@ -241,7 +241,7 @@ class TaskGraph:
     def _check_partition(self) -> None:
         """Raise :class:`TreeError` unless nodes own exactly the logic gates."""
         if self.report.netlist is self.netlist:
-            comb = self.report.combinational_nets()
+            comb = self.report.combinational_nets
         else:
             comb = frozenset(g.name for g in self.netlist.logic_gates)
         owned = self._owner.keys()
@@ -352,8 +352,7 @@ class TaskGraph:
                     ):
                         outs += 1
                 fan_in = len(external)
-                energy = report.block_energy_j(gates)
-                delay = report.block_critical_path_s(gates)
+                energy, delay = report.block_cost(gates)
             feature = FeatureDict(fan_in, outs, level, energy, delay, len(gates))
             nodes[nid] = TaskNode(nid, gates, feature)
 

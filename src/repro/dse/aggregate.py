@@ -79,6 +79,9 @@ class SweepAggregator:
         # memory stays proportional to designs x scenarios.
         self._profiles: dict[tuple, dict[str, float]] = {}
         self._labels: dict[tuple, tuple[str, str]] = {}
+        # Record keys folded so far: a JSONL store may hold a key twice
+        # (a re-evaluation before ``compact``), and a point counts once.
+        self._keys: set[tuple] = set()
 
     @classmethod
     def from_store(cls, store: "ResultStore") -> "SweepAggregator":
@@ -110,9 +113,17 @@ class SweepAggregator:
         self.add_many([record])
 
     def add_many(self, records: Iterable[ExplorationRecord]) -> None:
-        """Fold a batch in (one front update per touched group)."""
+        """Fold a batch in (one front update per touched group).
+
+        Each record key is folded once; a later record with a key
+        already folded is skipped.
+        """
         by_group: dict[tuple[str, str], list[ExplorationRecord]] = {}
         for record in records:
+            key = record.key()
+            if key in self._keys:
+                continue
+            self._keys.add(key)
             label = record.scenario.label()
             by_group.setdefault((label, record.circuit), []).append(record)
             point_key = (record.circuit, *record.point.identity())

@@ -39,15 +39,7 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
     )
     store = _open(args.store, backend)
     meta = store.get_metadata()
-    keys: set[tuple] = set()
-
-    def scanned():
-        """The store's records in one scan, collecting their keys."""
-        for record in store.iter_records():
-            keys.add(record.key())
-            yield record
-
-    aggregator = SweepAggregator.from_records(scanned())
+    aggregator = SweepAggregator.from_store(store)
     counts = aggregator.counts()
     best = aggregator.best()
     fronts = aggregator.fronts()
@@ -60,7 +52,7 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
             f"spec fingerprint: base-config {fingerprint.get('base_config')}"
             f", axes {fingerprint.get('axes')}"
         )
-    print(f"records: {len(keys)}")
+    print(f"records: {aggregator.n_records}")
     skipped = getattr(store, "last_load_skipped", 0)
     if skipped:
         print(

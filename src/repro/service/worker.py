@@ -32,6 +32,7 @@ import socket
 import time
 from pathlib import Path
 
+from repro.circuits import netlist_parser
 from repro.circuits.netlist import Netlist
 from repro.dse.engine import _evaluate_batch
 from repro.dse.explorer import SynthesisCache
@@ -45,20 +46,14 @@ from repro.suite.registry import load_circuit
 
 def _load_netlist(circuit: str, source: str | None) -> Netlist:
     """Resolve one lease's netlist: explicit file path, else roster."""
-    if source is not None:
-        suffix = Path(source).suffix.lower()
-        if suffix == ".bench":
-            from repro.circuits.bench_parser import load_bench
-
-            return load_bench(source)
-        if suffix in (".blif", ".mcnc"):
-            from repro.circuits.blif_parser import load_blif
-
-            return load_blif(source)
+    if source is None:
+        return load_circuit(circuit)
+    parser = netlist_parser(source)
+    if parser is None:
         raise ValueError(
             f"cannot load netlist {source!r}: expected .bench or .blif"
         )
-    return load_circuit(circuit)
+    return parser(source)
 
 
 def run_lease(

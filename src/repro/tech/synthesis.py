@@ -11,21 +11,31 @@ energy model:
   (Section IV-A; the delay is doubled for a conservative estimate),
 * static energy ``≈ CDP × Σ static_power_i`` where CDP is the critical
   delay path of the block and the sum excludes the currently active gate.
+
+:meth:`SynthesisReport.block_cost` evaluates both terms and the CDP in one
+step; the report holds no per-block memo, since the task-graph policies
+rarely cost the same multi-gate block twice.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.calibration import DEFAULT_ACTIVITY
 from repro.circuits.levelize import critical_path_delay
 from repro.circuits.netlist import Netlist
 from repro.tech.library import DEFAULT_LIBRARY, CellTiming, StandardCellLibrary
 
+
 @dataclass
 class SynthesisReport:
     """Characterization tables for one synthesized netlist.
+
+    A block of gates is costed in one step by :meth:`block_cost` (one
+    gate by :meth:`gate_cost`) and is not memoized; the whole circuit's
+    pass energy is computed once per report, as :attr:`logic_energy_j`.
 
     Attributes:
         netlist: the synthesized circuit.
@@ -39,35 +49,16 @@ class SynthesisReport:
     critical_path_s: float
     activity: float
     library: StandardCellLibrary = field(default=DEFAULT_LIBRARY, repr=False)
-    _topo_index: dict[str, int] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _comb_nets: frozenset[str] | None = field(
-        default=None, repr=False, compare=False
-    )
-    #: Memoized per-block costing results, keyed on (kind, block key).
-    #: The granularity policies re-cost the same blocks across every
-    #: merge/split pass; the timing tables are immutable after synthesis,
-    #: so a block's cost never changes.
-    _cost_cache: dict[tuple, float] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
+    @cached_property
     def topo_index(self) -> dict[str, int]:
-        """Net -> position in a topological order (cached)."""
-        if self._topo_index is None:
-            self._topo_index = {
-                g.name: i for i, g in enumerate(self.netlist.topological_order())
-            }
-        return self._topo_index
+        """Net -> position in a topological order."""
+        return {g.name: i for i, g in enumerate(self.netlist.topological_order())}
 
+    @cached_property
     def combinational_nets(self) -> frozenset[str]:
-        """Names of the netlist's combinational gates (cached)."""
-        if self._comb_nets is None:
-            self._comb_nets = frozenset(
-                g.name for g in self.netlist.logic_gates
-            )
-        return self._comb_nets
+        """Names of the netlist's combinational gates."""
+        return frozenset(g.name for g in self.netlist.logic_gates)
 
     # -- per-gate views ------------------------------------------------------
 
@@ -85,115 +76,45 @@ class SynthesisReport:
 
     # -- block-level analytic model (paper Section IV-A) ----------------------
 
-    #: Entry cap for the per-report cost memo.  Reports pinned by a
-    #: long-lived SynthesisCache see many distinct intermediate blocks
-    #: over a generational search; past the cap the memo resets rather
-    #: than grow without bound (values are recomputed identically).
-    _COST_CACHE_MAX = 100_000
-
-    def _memo(self, key: tuple, compute, block) -> float:
-        """Memoized ``compute(block)``.
-
-        Single-gate blocks are never stored: computing one costs less
-        than a memo lookup, and a gate-granularity tree has one per gate.
-        """
-        if len(block) == 1:
-            return compute(block)
-        value = self._cost_cache.get(key)
-        if value is None:
-            if len(self._cost_cache) >= self._COST_CACHE_MAX:
-                self._cost_cache.clear()
-            value = compute(block)
-            self._cost_cache[key] = value
-        return value
-
-    def dynamic_energy_j(self, nets: Iterable[str] | None = None) -> float:
-        """Dynamic energy of a block per evaluation pass.
-
-        Implements the paper's estimate ``≈ 2 Σ delay_i × dynamic_power_i``
-        scaled by the switching activity (not every gate toggles on every
-        pass).
-
-        Args:
-            nets: nets (gates) in the block; defaults to the whole netlist.
-        """
-        if nets is None:
-            block = tuple(self.timing)
-        else:
-            block = tuple(nets)
-        return self._memo(("dyn", block), self._dynamic_energy_j, block)
-
-    def _dynamic_energy_j(self, block: tuple[str, ...]) -> float:
-        # gate_cost repeats this (and _block_leakage_w) for one gate.
+    def _dynamic_energy_j(self, block: Iterable[str]) -> float:
+        """``2 Σ delay_i × dynamic_power_i``, scaled by the activity."""
         total = 0.0
         for net in block:
             cell = self.timing[net]
             total += 2.0 * cell.delay_s * cell.dynamic_power_w
         return total * self.activity
 
-    def static_energy_j(
-        self, nets: Iterable[str] | None = None, cdp_s: float | None = None
-    ) -> float:
-        """Static (leakage) energy of a block over one evaluation pass.
+    def block_cost(self, nets: Iterable[str]) -> tuple[float, float]:
+        """``(energy_j, critical_path_s)`` of one evaluation of a block.
 
-        Implements ``≈ CDP × Σ static_power_i`` over the inactive gates —
-        the paper notes that while one gate switches the others leak for the
-        duration of the critical delay path.
-        """
-        if nets is None:
-            block = tuple(self.timing)
-        else:
-            block = tuple(nets)
-        if cdp_s is None:
-            cdp_s = self.block_critical_path_s(block)
-        leak = self._memo(("leak", block), self._block_leakage_w, block)
-        return cdp_s * leak
-
-    def _block_leakage_w(self, block: tuple[str, ...]) -> float:
-        leak = sum(self.timing[n].static_power_w for n in block)
-        # Exclude the single active gate's leakage share, per the paper.
-        if block:
-            leak -= max(0.0, min(self.timing[n].static_power_w for n in block))
-        return leak
-
-    def block_critical_path_s(self, nets: Iterable[str]) -> float:
-        """Critical delay path restricted to a block of nets.
-
-        Computes the longest chain of dependent gates *within* the block
-        (fan-ins outside the block are treated as ready at time zero).
-        Cost is O(k log k) in the block size, not the netlist size.
+        The critical delay path (CDP) is the longest chain of dependent
+        gates *within* the block; fan-ins outside it are ready at time
+        zero, so the cost is O(k log k) in the block size.  The energy is
+        the dynamic term plus the static one, ``CDP × Σ static_power_i``
+        over the inactive gates: while one gate switches the others leak
+        for the duration of the CDP, so the active gate's share (the
+        least leakage in the block) is excluded.
         """
         block = tuple(nets)
-        return self._memo(("cdp", block), self._block_critical_path_s, block)
-
-    def _block_critical_path_s(self, block: tuple[str, ...]) -> float:
-        if len(block) == 1:
-            return self.timing[block[0]].delay_s
-        index = self.topo_index()
-        block = sorted(block, key=index.__getitem__)
         members = set(block)
         arrival: dict[str, float] = {}
-        worst = 0.0
-        for name in block:
+        cdp = 0.0
+        for name in sorted(block, key=self.topo_index.__getitem__):
             gate = self.netlist.gates[name]
             start = max(
                 (arrival.get(src, 0.0) for src in gate.inputs if src in members),
                 default=0.0,
             )
             arrival[name] = start + self.timing[name].delay_s
-            worst = max(worst, arrival[name])
-        return worst
-
-    def block_energy_j(self, nets: Iterable[str]) -> float:
-        """Total (dynamic + static) energy of one evaluation of a block."""
-        nets = tuple(nets)
-        return self.dynamic_energy_j(nets) + self.static_energy_j(nets)
+            cdp = max(cdp, arrival[name])
+        leakages = [self.timing[n].static_power_w for n in block]
+        leak = sum(leakages) - max(0.0, min(leakages, default=0.0))
+        return self._dynamic_energy_j(block) + cdp * leak, cdp
 
     def gate_cost(self, net: str) -> tuple[float, float]:
-        """``(block_energy_j((net,)), block_critical_path_s((net,)))``.
+        """``block_cost((net,))`` for one gate, without the path walk.
 
-        The one-gate block's energy and critical path in one step, with
-        the same float expressions as the block methods: a one-gate
+        The same float expressions as :meth:`block_cost`: a one-gate
         block's path is the gate's delay, and its leakage term excludes
         the gate itself as the active one.
         """
@@ -206,10 +127,15 @@ class SynthesisReport:
 
     # -- whole-circuit figures ------------------------------------------------
 
+    @cached_property
+    def logic_energy_j(self) -> float:
+        """Energy of one full evaluation pass of the netlist's gates."""
+        return self.block_cost(self.timing)[0]
+
     @property
     def total_dynamic_energy_j(self) -> float:
         """Dynamic energy of one full evaluation pass of the netlist."""
-        return self.dynamic_energy_j()
+        return self._dynamic_energy_j(self.timing)
 
     @property
     def total_static_power_w(self) -> float:

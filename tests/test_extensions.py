@@ -222,6 +222,18 @@ class TestCli:
         bench.write_text(S27_BENCH)
         assert main(["synth", str(bench)]) == 0
 
+    def test_cli_and_worker_load_an_upper_case_suffix_alike(self, tmp_path, capsys):
+        from repro.circuits import S27_BENCH, load_bench
+        from repro.cli import _resolve_netlist, main
+        from repro.service.worker import _load_netlist
+
+        bench = tmp_path / "MINE.BENCH"
+        bench.write_text(S27_BENCH)
+        expected = load_bench(bench)
+        assert _resolve_netlist(str(bench)).gates == expected.gates
+        assert _load_netlist("MINE", str(bench)).gates == expected.gates
+        assert main(["synth", str(bench)]) == 0
+
     def test_evaluate_command(self, capsys):
         from repro.cli import main
 

@@ -1,9 +1,8 @@
 """Equivalence tests for the hot-path caches and ``SweepStats`` rates.
 
-Memoized block costing, the cached topological order and the trace
-fast path must produce exactly the numbers a from-scratch computation
-produces; each test compares a warm cache against an oracle that never
-reads it.
+The cached topological order and the trace fast path must produce
+exactly the numbers a from-scratch computation produces; each test
+compares a warm cache against an oracle that never reads it.
 """
 
 from __future__ import annotations
@@ -48,47 +47,6 @@ def _kahn_order(netlist):
 
 class TestOptimizationEquivalence:
     """The hot-path optimizations must not change a single number."""
-
-    def test_block_cost_memo_equivalence(self, s27):
-        """Warm memoized block costs equal each block's first computation.
-
-        The oracle is the first call for a block on a freshly
-        synthesized report, whose memo is still empty, so the value is
-        computed from the timing tables and never read from a cache.
-        """
-        from repro.tech.synthesis import synthesize
-
-        gates = [g.name for g in s27.logic_gates]
-        blocks = [tuple(gates[:i]) for i in range(1, len(gates) + 1)]
-        warm = synthesize(s27)
-        for _round in range(2):
-            for block in blocks:
-                warm.block_energy_j(block)
-                warm.block_critical_path_s(block)
-        assert warm._cost_cache
-
-        def fresh():
-            report = synthesize(s27)
-            assert not report._cost_cache
-            return report
-
-        assert warm.total_dynamic_energy_j == fresh().total_dynamic_energy_j
-        assert warm.static_energy_j() == fresh().static_energy_j()
-        for block in blocks:
-            assert warm.block_energy_j(block) == fresh().block_energy_j(block)
-            assert warm.block_critical_path_s(block) == (
-                fresh().block_critical_path_s(block)
-            )
-
-    def test_repeated_costing_identical(self, s27):
-        from repro.tech.synthesis import synthesize
-
-        report = synthesize(s27)
-        gates = [g.name for g in s27.logic_gates][:5]
-        first = report.block_energy_j(gates)
-        assert all(
-            report.block_energy_j(gates) == first for _ in range(3)
-        )
 
     def test_execution_results_identical(self):
         """The cached gate execution order equals a from-scratch sort.

@@ -227,6 +227,22 @@ class TestMigrate:
         assert "records: 2" in out
         assert "malformed lines skipped: 1" in out
 
+    def test_repeated_key_is_aggregated_once(self, tmp_path, base_record, capsys):
+        # A JSONL store may hold one key twice until it is compacted.
+        path = tmp_path / "r.jsonl"
+        JsonlResultStore(path).extend(mint_records(base_record, 3))
+        clean = SweepAggregator.from_store(JsonlResultStore(path))
+        lines = path.read_text("utf-8").splitlines(keepends=True)
+        path.write_text("".join([*lines, lines[0]]), "utf-8")
+        repeated = SweepAggregator.from_store(JsonlResultStore(path))
+        assert repeated.n_records == 3
+        assert repeated.counts() == clean.counts()
+        assert {g: [r.key() for r in f] for g, f in repeated.fronts().items()} == {
+            g: [r.key() for r in f] for g, f in clean.fronts().items()
+        }
+        assert main(["store", "stats", str(path)]) == 0
+        assert "records: 3" in capsys.readouterr().out
+
     def test_cli_migrate_refuses_same_file(self, tmp_path, base_record):
         path = tmp_path / "r.jsonl"
         JsonlResultStore(path).extend([base_record])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.diac import full_backup_energy_j
 from repro.evaluation import build_environment, evaluate_circuit, evaluate_design
 from repro.metrics import (
     format_normalized_pdp,
@@ -78,7 +79,8 @@ class TestEnvironment:
     def test_reserve_covers_full_backup(self, s27_design):
         """The paper's provisioning rule: backup fits in Th_Bk - Th_Off."""
         env = build_environment(s27_design)
-        assert env.thresholds.backup_reserve_j > s27_design.full_backup_energy_j
+        full_backup = full_backup_energy_j(s27_design.netlist, s27_design.config.technology)
+        assert env.thresholds.backup_reserve_j > full_backup
 
 
 class TestEvaluation:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.schemes import cycle_figures
 from repro.circuits import GateType, Netlist
 from repro.tech import DEFAULT_LIBRARY, synthesize
 
@@ -36,6 +37,18 @@ class TestReportBasics:
         )
 
 
+def _paper_static_j(report, block, cdp):
+    """``CDP x sum(static_power_i)`` over all gates but the active one."""
+    leak = sum(report.timing[n].static_power_w for n in block)
+    return cdp * (leak - min(report.timing[n].static_power_w for n in block))
+
+
+def _dynamic_j(report, block):
+    """The dynamic term of ``block_cost``: its energy less the paper's static."""
+    energy, cdp = report.block_cost(block)
+    return energy - _paper_static_j(report, block, cdp)
+
+
 class TestAnalyticModel:
     def test_paper_dynamic_formula_on_chain(self, tiny_chain):
         """dynamic energy ~= 2 * sum(delay_i * dyn_power_i) * activity."""
@@ -45,32 +58,40 @@ class TestAnalyticModel:
             cell = report.timing[net]
             expected += 2.0 * cell.delay_s * cell.dynamic_power_w
         expected *= 0.5
-        assert report.dynamic_energy_j(["a", "b"]) == pytest.approx(expected)
+        assert _dynamic_j(report, ["a", "b"]) == pytest.approx(expected)
 
     def test_static_formula_excludes_one_active_gate(self, tiny_chain):
-        report = synthesize(tiny_chain)
-        cdp = report.block_critical_path_s(["a", "b"])
+        report = synthesize(tiny_chain, activity=0.5)
+        cdp = report.delay_of("a") + report.delay_of("b")
         leak = sum(report.timing[n].static_power_w for n in ("a", "b"))
         leak -= min(report.timing[n].static_power_w for n in ("a", "b"))
-        assert report.static_energy_j(["a", "b"]) == pytest.approx(cdp * leak)
+        dynamic = sum(
+            2.0 * report.delay_of(n) * report.dynamic_power_of(n) for n in ("a", "b")
+        )
+        energy, path = report.block_cost(["a", "b"])
+        assert path == pytest.approx(cdp)
+        assert energy == pytest.approx(dynamic * 0.5 + cdp * leak)
 
     def test_dynamic_energy_additive_over_blocks(self, s27):
         report = synthesize(s27)
         gates = [g.name for g in s27.logic_gates]
         left, right = gates[:5], gates[5:]
-        assert report.dynamic_energy_j(gates) == pytest.approx(
-            report.dynamic_energy_j(left) + report.dynamic_energy_j(right)
+        assert _dynamic_j(report, gates) == pytest.approx(
+            _dynamic_j(report, left) + _dynamic_j(report, right)
         )
 
     def test_block_critical_path_bounded_by_total(self, s27):
         report = synthesize(s27)
         gates = [g.name for g in s27.logic_gates]
-        assert report.block_critical_path_s(gates) <= report.critical_path_s + 1e-15
+        assert report.block_cost(gates)[1] <= report.critical_path_s + 1e-15
 
     def test_single_gate_block(self, s27):
         report = synthesize(s27)
-        assert report.block_critical_path_s(["G14"]) == pytest.approx(
-            report.delay_of("G14")
+        cell = report.timing["G14"]
+        energy, path = report.block_cost(["G14"])
+        assert path == pytest.approx(report.delay_of("G14"))
+        assert energy == pytest.approx(
+            2.0 * cell.delay_s * cell.dynamic_power_w * report.activity
         )
 
     def test_disjoint_blocks_have_independent_paths(self):
@@ -81,7 +102,7 @@ class TestAnalyticModel:
         netlist.add_output("a")
         netlist.add_output("b")
         report = synthesize(netlist)
-        both = report.block_critical_path_s(["a", "b"])
+        both = report.block_cost(["a", "b"])[1]
         assert both == pytest.approx(report.delay_of("a"))
 
     def test_ff_clock_energy_scales_with_ffs(self, s27, combinational):
@@ -96,9 +117,18 @@ class TestAnalyticModel:
 
     def test_topo_index_cached(self, s27):
         report = synthesize(s27)
-        first = report.topo_index()
-        assert report.topo_index() is first
+        first = report.topo_index
+        assert report.topo_index is first
         assert len(first) == len(s27)
+
+
+class TestWholeCircuit:
+    def test_logic_energy_is_the_whole_circuit_block_cost(self, s27):
+        report = synthesize(s27)
+        energy = report.logic_energy_j
+        assert repr(energy) == repr(report.block_cost(report.timing)[0])
+        assert report.logic_energy_j is energy
+        assert cycle_figures(report)[0] is energy
 
 
 class TestLibraryInjection:
