@@ -26,7 +26,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.circuits.gates import GateType
-from repro.circuits.netlist import Netlist
+from repro.circuits.netlist import Gate, Netlist
 
 #: Gate-type weights per structural style, applied when drawing each gate.
 _STYLE_WEIGHTS: dict[str, list[tuple[GateType, float]]] = {
@@ -98,38 +98,22 @@ def _stable_seed(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
-def _draw_type(rng: random.Random, style: str) -> GateType:
-    weights = _STYLE_WEIGHTS[style]
-    roll = rng.random()
-    cumulative = 0.0
-    for gtype, weight in weights:
-        cumulative += weight
-        if roll < cumulative:
-            return gtype
-    return weights[-1][0]
-
-
-def _recency_biased_pick(rng: random.Random, pool: list[str], bias: float) -> str:
-    """Pick a net, biased toward the end of ``pool`` (recent nets).
-
-    ``bias`` in (0, 1]: smaller values reach further back, creating deeper
-    reconvergence; values near 1 give shallow, chain-like structure.
-    """
-    n = len(pool)
-    # Power-law bias toward the most recent nets; smaller exponents flatten
-    # the distribution and reach further back into the pool.
-    exponent = 1.0 / (1.0 + 3.0 * bias)
-    idx = min(int(rng.random() ** exponent * n), n - 1)
-    return pool[idx]
-
-
 def generate_circuit(spec: CircuitSpec) -> Netlist:
     """Generate a circuit matching ``spec``; deterministic in ``spec.name``.
+
+    The netlist is built in one pass and validated once.  Each gate draws
+    its type from the style's weights (one ``random()`` roll against the
+    cumulative weights), then an arity, then its inputs, each a net
+    picked with a power-law bias toward the end of the pool of nets
+    built so far: ``bias`` in (0, 1], smaller values reach further back
+    (deeper reconvergence), values near 1 give shallow, chain-like
+    structure.
 
     The result always validates: every net driven once, no combinational
     cycles, exact combinational gate count ``spec.n_gates``.
     """
     rng = random.Random(_stable_seed(spec.name))
+    roll = rng.random
     n_gates = spec.n_gates
     n_ffs = int(round(n_gates * spec.ff_fraction))
     n_inputs = spec.n_inputs
@@ -139,40 +123,55 @@ def generate_circuit(spec: CircuitSpec) -> Netlist:
     if n_outputs is None:
         n_outputs = max(1, min(32, int(round(n_gates ** 0.4))))
 
-    netlist = Netlist(name=spec.name)
+    gates: dict[str, Gate] = {}
     pool: list[str] = []
     for i in range(n_inputs):
-        netlist.add_input(f"pi{i}")
-        pool.append(f"pi{i}")
+        name = f"pi{i}"
+        gates[name] = Gate(name, GateType.INPUT)
+        pool.append(name)
     # Flip-flop outputs are combinational sources; their data inputs are
     # connected after the logic exists (feedback is legal through a DFF).
     ff_names = [f"ff{i}" for i in range(n_ffs)]
     pool.extend(ff_names)
 
+    weights = _STYLE_WEIGHTS[spec.style]
     bias = {"logic": 0.6, "pld": 0.3, "datapath": 0.9, "fsm": 0.5}[spec.style]
+    exponent = 1.0 / (1.0 + 3.0 * bias)
     max_arity = {"logic": 4, "pld": 6, "datapath": 3, "fsm": 4}[spec.style]
+    unary = (GateType.NOT, GateType.BUF)
+    consumed: set[str] = set()
     gate_names: list[str] = []
     for i in range(n_gates):
-        gtype = _draw_type(rng, spec.style)
-        if gtype in (GateType.NOT, GateType.BUF):
+        draw = roll()
+        cumulative = 0.0
+        gtype = weights[-1][0]
+        for candidate_type, weight in weights:
+            cumulative += weight
+            if draw < cumulative:
+                gtype = candidate_type
+                break
+        if gtype in unary:
             arity = 1
         else:
             arity = rng.randint(2, max_arity)
-        arity = min(arity, len(pool))
-        if arity < 2 and gtype not in (GateType.NOT, GateType.BUF):
+        n = len(pool)
+        arity = min(arity, n)
+        if arity < 2 and gtype not in unary:
             gtype = GateType.NOT
             arity = 1
         chosen: list[str] = []
-        attempts = 0
-        while len(chosen) < arity and attempts < 20 * arity:
-            candidate = _recency_biased_pick(rng, pool, bias)
+        attempts, limit = 0, 20 * arity
+        while len(chosen) < arity and attempts < limit:
+            pick = int(roll() ** exponent * n)
+            candidate = pool[pick if pick < n else n - 1]
             attempts += 1
             if candidate not in chosen:
                 chosen.append(candidate)
         while len(chosen) < arity:  # tiny pools: allow duplicates' fallback
             chosen.append(rng.choice(pool))
         name = f"n{i}"
-        netlist.add_gate(name, gtype, chosen)
+        gates[name] = Gate(name, gtype, tuple(chosen))
+        consumed.update(chosen)
         pool.append(name)
         gate_names.append(name)
 
@@ -181,23 +180,22 @@ def generate_circuit(spec: CircuitSpec) -> Netlist:
     for ff in ff_names:
         src = candidates[rng.randrange(max(1, len(candidates) // 2), len(candidates))] \
             if len(candidates) > 1 else candidates[0]
-        netlist.add_gate(ff, GateType.DFF, [src])
+        gates[ff] = Gate(ff, GateType.DFF, (src,))
+        consumed.add(src)
 
     # Primary outputs: prefer nets nobody consumes, then late nets.
-    fanout = netlist.fanout_map()
-    unused = [n for n in gate_names if not fanout[n]]
-    chosen_outputs: list[str] = []
-    for net in unused:
-        if len(chosen_outputs) >= n_outputs:
+    outputs: list[str] = []
+    for net in gate_names:
+        if len(outputs) >= n_outputs:
             break
-        chosen_outputs.append(net)
+        if net not in consumed:
+            outputs.append(net)
     for net in reversed(gate_names or pool):
-        if len(chosen_outputs) >= n_outputs:
+        if len(outputs) >= n_outputs:
             break
-        if net not in chosen_outputs:
-            chosen_outputs.append(net)
-    for net in chosen_outputs:
-        netlist.add_output(net)
+        if net not in outputs:
+            outputs.append(net)
+    netlist = Netlist(name=spec.name, gates=gates, outputs=outputs)
     netlist.validate()
     return netlist
 

@@ -224,12 +224,6 @@ class Netlist:
             {net: tuple(names) for net, names in building.items()}
         )
 
-    def fanout_count(self, net: str) -> int:
-        """Number of gate inputs plus primary outputs fed by ``net``."""
-        count = sum(1 for g in self.gates.values() for src in g.inputs if src == net)
-        count += self.outputs.count(net)
-        return count
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
@@ -261,13 +255,16 @@ class Netlist:
     def topological_order(self) -> list[Gate]:
         """Topologically sort the combinational core.
 
-        Sources (primary inputs, constants, and DFF outputs) come first;
-        DFF *inputs* are treated as sinks so sequential loops are legal.
+        Sources (primary inputs, constants, and DFF outputs) are ready
+        from the start; DFF *inputs* are treated as sinks so sequential
+        loops are legal.
         The order is cached until the netlist changes (see
         :meth:`_cached`); callers get their own copy of the list.
 
         Returns:
-            Gates in evaluation order (sources included, DFFs last).
+            Every gate once, in evaluation order.  Flip-flops are
+            emitted as sources, so each comes before the gates reading
+            it (on ``s27`` the order starts ``DFF, DFF, DFF, INPUT``).
 
         Raises:
             NetlistError: if a purely combinational cycle exists.
@@ -302,8 +299,8 @@ class Netlist:
             raise NetlistError(
                 f"combinational cycle in {self.name!r} involving {stuck[:8]}"
             )
-        # Stable presentation: sources, then logic in dependency order, then
-        # re-emit DFFs at the end (they were emitted as sources already).
+        # Sources and DFFs start ready, so each DFF is emitted once, as a
+        # source, ahead of its readers; the logic follows its inputs.
         return order
 
     # -- transforms ---------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.tree import TaskGraph, TaskNode, TreeError
+from repro.core.tree import NodePair, TaskGraph, TreeError
 
 
 #: The paper's "min(F_power) = n% · Max": Policy 2 keeps merging while
@@ -85,9 +85,9 @@ def config_for_graph(
     paper's worked example where the upper/lower bounds bracket the typical
     operand cost (25 mJ / 20 mJ around ~22 mJ operands).
     """
-    if not graph.nodes:
+    if not len(graph):
         raise TreeError("cannot derive a policy config for an empty graph")
-    mean = graph.total_energy_j / len(graph.nodes)
+    mean = graph.total_energy_j / len(graph)
     return PolicyConfig(
         split_threshold_j=split_fraction * mean,
         merge_threshold_j=merge_fraction * mean,
@@ -106,36 +106,34 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     order, greedily packed so each chunk stays at or under the threshold
     (single gates above the threshold become singleton chunks — gates are
     our atomic unit).  Nodes are emitted in topological order; when
-    nothing is split the result shares every node and its adjacency.
-    Unsplit nodes are handed over as they are; each chunk gets its source
-    node's feature record as a placeholder, which
-    :meth:`~repro.core.tree.TaskGraph.derive` replaces.
+    nothing is split the result shares every array of the input.
 
     Returns:
         A new checked graph; the input graph is not modified.
     """
     report = graph.report
-    new_nodes: list[TaskNode] = []
+    threshold = config.split_threshold_j
+    ids, gates, energies = graph.ids, graph.gates, graph.energies
+    new_nodes: list[NodePair] = []
     split = False
-    for node in graph.topological_nodes():
-        if node.feature.energy_j <= config.split_threshold_j or len(node.gates) == 1:
-            new_nodes.append(node)
+    for i in graph.topo:
+        members = gates[i]
+        if energies[i] <= threshold or len(members) == 1:
+            new_nodes.append((ids[i], members))
             continue
         split = True
-        ordered = sorted(node.gates, key=report.topo_index.__getitem__)
+        ordered = sorted(members, key=report.topo_index.__getitem__)
         chunks: list[list[str]] = [[]]
         acc = 0.0
         for gate in ordered:
             cost = report.gate_cost(gate)[0]
-            if chunks[-1] and acc + cost > config.split_threshold_j:
+            if chunks[-1] and acc + cost > threshold:
                 chunks.append([])
                 acc = 0.0
             chunks[-1].append(gate)
             acc += cost
-        for i, chunk in enumerate(chunks):
-            new_nodes.append(
-                TaskNode(f"{node.node_id}.s{i}", tuple(chunk), node.feature)
-            )
+        for n, chunk in enumerate(chunks):
+            new_nodes.append((f"{ids[i]}.s{n}", tuple(chunk)))
     return graph.derive(new_nodes, absorbed_into=None if split else {})
 
 
@@ -143,58 +141,49 @@ def apply_policy1(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
 # Policy 2 — merge.
 # ---------------------------------------------------------------------------
 
+#: A pass's output: the new nodes as ``(id, gates)`` pairs and the
+#: absorbed-node -> host id map (empty when nothing merged).
+_Pass = tuple[list[NodePair], dict[str, str]]
 
-def _chain_merge_pass(
-    graph: TaskGraph, threshold_j: float, cap_j: float
-) -> tuple[list[TaskNode], dict[str, str]]:
+
+def _chain_merge_pass(graph: TaskGraph, threshold_j: float, cap_j: float) -> _Pass:
     """One pass of safe edge contractions.
 
-    Returns:
-        The new nodes and the absorbed-node -> host map (empty when
-        nothing merged).
+    Nodes are visited by ascending energy (ties in node order).  A node
+    below ``threshold_j`` is contracted with its single predecessor (no
+    alternate path can re-enter it) or else its single successor (none
+    can leave it), when neither was merged in this pass and the pair
+    stays within ``cap_j``.
     """
-    merged_into: dict[str, str] = {}
-    used: set[str] = set()
-    energies = {nid: n.feature.energy_j for nid, n in graph.nodes.items()}
-    order = sorted(graph.nodes, key=lambda nid: energies[nid])
-    for nid in order:
-        if nid in used or energies[nid] >= threshold_j:
+    energies, pred, succ = graph.energies, graph.pred, graph.succ
+    used = bytearray(len(energies))
+    merged_into: dict[int, int] = {}
+    for i in sorted(graph.order, key=energies.__getitem__):
+        energy = energies[i]
+        if energy >= threshold_j:
+            break  # every later node is at least as large
+        if used[i]:
             continue
-        partner: str | None = None
-        # Prefer contracting with the single predecessor or single successor.
-        preds = graph.predecessors(nid)
-        succs = graph.successors(nid)
-        # Safe contractions: the single predecessor (no alternate path can
-        # re-enter this node) or the single successor (no alternate path
-        # can leave this node).
-        candidates: list[str] = []
-        if len(preds) == 1:
-            candidates.append(next(iter(preds)))
-        if len(succs) == 1:
-            candidates.append(next(iter(succs)))
-        for cand in candidates:
-            if cand in used or cand == nid:
-                continue
-            if energies[nid] + energies[cand] <= cap_j:
-                partner = cand
-                break
-        if partner is None:
-            continue
-        used.add(nid)
-        used.add(partner)
-        merged_into[partner] = nid
+        for neighbours in (pred[i], succ[i]):
+            if len(neighbours) == 1:
+                (partner,) = neighbours
+                if not used[partner] and energy + energies[partner] <= cap_j:
+                    used[i] = used[partner] = 1
+                    merged_into[partner] = i
+                    break
     if not merged_into:
-        return [], merged_into
+        return [], {}
+    ids, gates = graph.ids, graph.gates
     absorbed_by = {host: absorbed for absorbed, host in merged_into.items()}
     nodes = []
-    for nid, node in graph.nodes.items():
-        if nid in merged_into:
+    for i in graph.order:
+        if i in merged_into:
             continue
-        if nid in absorbed_by:
-            gates = node.gates + graph.nodes[absorbed_by[nid]].gates
-            node = TaskNode(nid, gates, node.feature)
-        nodes.append(node)
-    return nodes, merged_into
+        members = gates[i]
+        if i in absorbed_by:
+            members = members + gates[absorbed_by[i]]
+        nodes.append((ids[i], members))
+    return nodes, {ids[a]: ids[h] for a, h in merged_into.items()}
 
 
 def _first_fit(sizes: list[float], cap_j: float) -> list[list[int]]:
@@ -244,36 +233,31 @@ def _first_fit(sizes: list[float], cap_j: float) -> list[list[int]]:
     return bins
 
 
-def _level_pack_pass(
-    graph: TaskGraph, threshold_j: float, cap_j: float
-) -> tuple[list[TaskNode], dict[str, str]]:
+def _level_pack_pass(graph: TaskGraph, threshold_j: float, cap_j: float) -> _Pass:
     """Bin-pack small same-level nodes together (first fit decreasing).
 
-    Returns:
-        The new nodes and the absorbed-node -> host map (empty when
-        nothing merged).
+    Each level's nodes are taken in id order; those below ``threshold_j``
+    are packed by decreasing energy (ties in id order) under ``cap_j``.
     """
+    ids, gates, energies = graph.ids, graph.gates, graph.energies
+    by_level: dict[int, list[int]] = {}
+    for i, level in enumerate(graph.levels):  # index order is id order
+        by_level.setdefault(level, []).append(i)
     absorbed_into: dict[str, str] = {}
-    new_nodes: list[TaskNode] = []
-    by_level: dict[int, list[TaskNode]] = {}
-    for node in graph.nodes.values():
-        by_level.setdefault(node.feature.level, []).append(node)
-    for level in range(1, max(by_level, default=0) + 1):
-        members = sorted(
-            by_level.get(level, ()), key=lambda n: n.node_id
-        )
-        small = [n for n in members if n.feature.energy_j < threshold_j]
-        new_nodes.extend(n for n in members if n.feature.energy_j >= threshold_j)
-        small.sort(key=lambda n: n.feature.energy_j, reverse=True)
-        sizes = [n.feature.energy_j for n in small]
-        for packed in _first_fit(sizes, cap_j):
+    new_nodes: list[NodePair] = []
+    for level in sorted(by_level):
+        members = by_level[level]
+        small = [i for i in members if energies[i] < threshold_j]
+        new_nodes.extend((ids[i], gates[i]) for i in members if energies[i] >= threshold_j)
+        small.sort(key=energies.__getitem__, reverse=True)
+        for packed in _first_fit([energies[i] for i in small], cap_j):
             host = small[packed[0]]
+            merged = gates[host]
             if len(packed) > 1:
-                for i in packed[1:]:
-                    absorbed_into[small[i].node_id] = host.node_id
-                gates = tuple(g for i in packed for g in small[i].gates)
-                host = TaskNode(host.node_id, gates, host.feature)
-            new_nodes.append(host)
+                for k in packed[1:]:
+                    absorbed_into[ids[small[k]]] = ids[host]
+                merged = tuple(g for k in packed for g in gates[small[k]])
+            new_nodes.append((ids[host], merged))
     return new_nodes, absorbed_into
 
 
@@ -284,8 +268,7 @@ def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     smallest node reaches :data:`MIN_FRACTION` of the largest, nothing
     below the merge threshold remains, or no safe merge exists.  No
     merged node exceeds the split threshold.  Each merged graph is
-    derived from the previous one: it shares the unchanged nodes and
-    contracts the adjacency instead of rebuilding it.
+    derived from the previous one by contracting its adjacency.
 
     Returns:
         A new checked graph; the input graph is not modified.
@@ -293,10 +276,9 @@ def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
     current = graph
     cap = config.split_threshold_j
     for _pass in range(MAX_MERGE_PASSES):
-        if not current.nodes:
+        if not len(current):
             break
-        energies = [n.feature.energy_j for n in current.nodes.values()]
-        floor = max(config.merge_threshold_j, MIN_FRACTION * max(energies))
+        floor = max(config.merge_threshold_j, MIN_FRACTION * max(current.energies))
         nodes, packed = _level_pack_pass(current, floor, cap)
         if packed:
             current = current.derive(nodes, packed)
@@ -306,7 +288,8 @@ def apply_policy2(graph: TaskGraph, config: PolicyConfig) -> TaskGraph:
         if not packed and not chained:
             break
     if current is graph:  # nothing merged: return a copy, never the input
-        current = graph.derive(list(graph.nodes.values()), {})
+        ids, gates = graph.ids, graph.gates
+        current = graph.derive([(ids[i], gates[i]) for i in graph.order], {})
     return current
 
 

@@ -84,15 +84,56 @@ class Partition:
     commit_bits: int
 
 
-def schedule_order(graph: TaskGraph) -> list[TaskNode]:
-    """Deterministic execution order: by (level, node id).
+def _schedule_indices(graph: TaskGraph) -> list[int]:
+    """Node indices by (level, node id).
 
-    Sorting by level is a valid topological order because every edge
-    strictly increases the level.
+    A node's index is its id rank, so a stable sort of the indices by
+    level is that order.  Sorting by level is a valid topological order
+    because every edge strictly increases the level.
     """
-    return sorted(
-        graph.nodes.values(), key=lambda n: (n.feature.level, n.node_id)
-    )
+    return sorted(range(len(graph)), key=graph.levels.__getitem__)
+
+
+def schedule_order(graph: TaskGraph) -> list[TaskNode]:
+    """Deterministic execution order: by (level, node id)."""
+    nodes, ids = graph.nodes, graph.ids
+    return [nodes[ids[i]] for i in _schedule_indices(graph)]
+
+
+def _live_cut(graph: TaskGraph, order: list[int]) -> list[int]:
+    """Per node index, the live values after it in schedule ``order``.
+
+    A computed net is live while it still has unexecuted combinational
+    consumers, feeds a flip-flop (pending next state), or is a primary
+    output.
+    """
+    gates_of = graph.netlist.gates
+    # Combinational net -> its unexecuted combinational input pins.
+    remaining = {gate.name: 0 for gate in graph.netlist.logic_gates}
+    persistent = set(graph.netlist.outputs)
+    for gate in gates_of.values():
+        if gate.is_combinational:
+            for src in gate.inputs:
+                if src in remaining:
+                    remaining[src] += 1
+        elif gate.is_sequential:
+            persistent.update(gate.inputs)
+    gates = graph.gates
+    live = 0
+    profile = [0] * len(gates)
+    for i in order:
+        for gate in gates[i]:
+            if remaining[gate] > 0 or gate in persistent:
+                live += 1
+            for src in gates_of[gate].inputs:
+                left = remaining.get(src)
+                if left is None:
+                    continue
+                remaining[src] = left - 1
+                if left == 1 and src not in persistent:
+                    live -= 1
+        profile[i] = live
+    return profile
 
 
 def live_cut_profile(
@@ -100,51 +141,30 @@ def live_cut_profile(
 ) -> dict[str, int]:
     """Live values crossing the schedule cut *after* each node executes.
 
-    A computed net is live while it still has unexecuted combinational
-    consumers, feeds a flip-flop (pending next state), or is a primary
-    output.  This is the number of bits a commit placed after that node
-    must write (excluding the Reg_Flag).
+    This is the number of bits a commit placed after that node must
+    write (excluding the Reg_Flag).
     """
-    netlist = graph.netlist
-    fanout = netlist.fanout_map()
-    outputs = set(netlist.outputs)
-    remaining: dict[str, int] = {}
-    persistent: set[str] = set()
-    for net, consumers in fanout.items():
-        remaining[net] = sum(
-            1 for c in consumers if netlist.gates[c].is_combinational
-        )
-        if net in outputs or any(
-            netlist.gates[c].is_sequential for c in consumers
-        ):
-            persistent.add(net)
-    live = 0
-    profile: dict[str, int] = {}
-    for node in order:
-        for gate in node.gates:
-            if remaining[gate] > 0 or gate in persistent:
-                live += 1
-            for src in netlist.gates[gate].inputs:
-                if not netlist.gates[src].is_combinational:
-                    continue
-                remaining[src] -= 1
-                if remaining[src] == 0 and src not in persistent:
-                    live -= 1
-        profile[node.node_id] = live
-    return profile
+    indices = [graph.index[node.node_id] for node in order]
+    live, ids = _live_cut(graph, indices), graph.ids
+    return {ids[i]: live[i] for i in indices}
 
 
-def stage_schedule(graph: TaskGraph) -> tuple[tuple[TaskNode, ...], Mapping[str, int]]:
-    """``graph``'s :func:`schedule_order` and :func:`live_cut_profile`, once.
+def stage_schedule(
+    graph: TaskGraph,
+) -> tuple[tuple[int, ...], list[int], Mapping[str, int]]:
+    """``graph``'s schedule order and live cut, once.
 
-    Neither depends on the budget, so every plan over one stage graph
-    shares them.  The memo lives on the graph, which never changes after
-    it is built.  Two threads racing on a cold memo both store equal
-    values.
+    Returns the :func:`schedule_order` as node indices, the live cut
+    indexed by node index, and the :func:`live_cut_profile` (keyed by
+    node id).  None of them depends on the budget, so every plan over
+    one stage graph shares them.  The memo lives on the graph, which
+    never changes after it is built.  Two threads racing on a cold memo
+    both store equal values.
     """
     if graph._schedule is None:
-        order = schedule_order(graph)
-        graph._schedule = (tuple(order), live_cut_profile(graph, order))
+        order = _schedule_indices(graph)
+        live, ids = _live_cut(graph, order), graph.ids
+        graph._schedule = (tuple(order), live, {ids[i]: live[i] for i in order})
     return graph._schedule
 
 
@@ -184,7 +204,7 @@ class NvmPlan:
     @property
     def live_cut(self) -> Mapping[str, int]:
         """The :func:`live_cut_profile` of ``graph``'s schedule."""
-        return stage_schedule(self.graph)[1]
+        return stage_schedule(self.graph)[2]
 
     def commit_bits(self, node_id: str) -> int:
         """Bits a commit after ``node_id`` writes: its live cut + Reg_Flag."""
@@ -226,34 +246,36 @@ class NvmPlan:
         ``cached_property`` stores into the instance ``__dict__`` directly,
         which a frozen dataclass permits.
         """
-        order = stage_schedule(self.graph)[0]
+        graph = self.graph
+        order, live, _ = stage_schedule(graph)
+        ids, energies, delays = graph.ids, graph.energies, graph.delays
         barriers = set(self.barriers)
         partitions: list[Partition] = []
-        current: list[TaskNode] = []
+        current: list[str] = []
         energy = 0.0
         delay = 0.0
-        for node in order:
-            current.append(node)
-            energy += node.feature.energy_j
-            delay += node.feature.delay_s
-            if node.node_id in barriers:
+        for i in order:
+            current.append(ids[i])
+            energy += energies[i]
+            delay += delays[i]
+            if ids[i] in barriers:
                 partitions.append(
                     Partition(
-                        node_ids=tuple(n.node_id for n in current),
+                        node_ids=tuple(current),
                         energy_j=energy,
                         delay_s=delay,
-                        commit_bits=self.commit_bits(node.node_id),
+                        commit_bits=live[i] + REG_FLAG_BITS,
                     )
                 )
                 current, energy, delay = [], 0.0, 0.0
         if current or not partitions:
             partitions.append(
                 Partition(
-                    node_ids=tuple(n.node_id for n in current),
+                    node_ids=tuple(current),
                     energy_j=energy,
                     delay_s=delay,
                     commit_bits=(
-                        self.commit_bits(order[-1].node_id) if order else REG_FLAG_BITS
+                        live[order[-1]] + REG_FLAG_BITS if order else REG_FLAG_BITS
                     ),
                 )
             )
@@ -307,50 +329,50 @@ def insert_nvm(
         raise ValueError("budget_j must be positive")
     if criteria is None:
         criteria = ReplacementCriteria()
-    order, live = stage_schedule(graph)
+    order, live, _ = stage_schedule(graph)
+    ids, levels, energies = graph.ids, graph.levels, graph.energies
     depth = max(graph.depth, 1)
+    w_level = criteria.level_weight
+    w_power = criteria.power_weight
+    w_fanio = criteria.fanio_weight
     barriers: list[str] = []
     accumulated: list[float] = []
     infeasible: list[str] = []
 
-    window: list[TaskNode] = []
+    window: list[int] = []
     running = 0.0
 
     def place_barrier() -> None:
         """Choose the best node of the open window and commit there."""
         nonlocal window, running
-        min_live = min(live[n.node_id] for n in window)
-        cum = 0.0
-        best: TaskNode | None = None
+        min_live = min([live[i] for i in window])
+        best = -1
         best_score = -1.0
         cum_at_best = 0.0
         cum_so_far = 0.0
-        for node in window:
-            cum_so_far += node.feature.energy_j
-            s_level = criteria.level_weight * (node.feature.level / depth)
-            s_power = criteria.power_weight * (cum_so_far / running)
-            width = live[node.node_id]
-            s_fanio = criteria.fanio_weight * (
-                (min_live + 1.0) / (width + 1.0)
-            )
+        for i in window:
+            cum_so_far += energies[i]
+            s_level = w_level * (levels[i] / depth)
+            s_power = w_power * (cum_so_far / running)
+            s_fanio = w_fanio * ((min_live + 1.0) / (live[i] + 1.0))
             score = s_level + s_power + s_fanio
             if score > best_score:
-                best, best_score, cum_at_best = node, score, cum_so_far
-        assert best is not None
-        barriers.append(best.node_id)
+                best, best_score, cum_at_best = i, score, cum_so_far
+        assert best >= 0
+        barriers.append(ids[best])
         # Paper: "the node's Dict. is updated with the new power
         # consumption = Ptotal + Pn".
         accumulated.append(cum_at_best)
         # Nodes after the barrier open the next window.
-        idx = window.index(best)
-        window = window[idx + 1 :]
-        running = sum(n.feature.energy_j for n in window)
+        window = window[window.index(best) + 1 :]
+        running = sum([energies[i] for i in window])
 
-    for node in order:
-        if node.feature.energy_j > budget_j:
-            infeasible.append(node.node_id)
-        window.append(node)
-        running += node.feature.energy_j
+    for i in order:
+        energy = energies[i]
+        if energy > budget_j:
+            infeasible.append(ids[i])
+        window.append(i)
+        running += energy
         while running > budget_j and len(window) > 1:
             place_barrier()
         if running > budget_j and len(window) == 1:

@@ -17,8 +17,12 @@ is built (and re-verified by :meth:`TaskGraph.check`):
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
 
 from repro.core.feature import FeatureDict
 from repro.circuits.netlist import Netlist
@@ -37,9 +41,6 @@ _UNCOSTED = FeatureDict()
 class TaskNode:
     """One function node: an atomic unit of forward progress.
 
-    Immutable, so a graph derived from another shares every node whose
-    gates and level did not change.
-
     Attributes:
         node_id: unique identifier within the graph.
         gates: names of the combinational gates folded into this node.
@@ -55,18 +56,63 @@ class TaskNode:
             raise TreeError(f"node {self.node_id!r} contains no gates")
 
 
+#: A node as the policy passes hand it over: ``(node_id, gates)``.
+NodePair = tuple[str, tuple[str, ...]]
+
+#: A node as the graph builders take it: a :class:`TaskNode` (its feature
+#: record is ignored) or a :data:`NodePair`.
+NodeSpec = TaskNode | NodePair
+
+
+def _unpack(nodes: Iterable[NodeSpec]) -> tuple[list[str], list[tuple[str, ...]]]:
+    """Node ids and gate tuples of ``nodes``, in the given order."""
+    pairs = [(n.node_id, n.gates) if isinstance(n, TaskNode) else n for n in nodes]
+    ids = list(map(itemgetter(0), pairs))
+    gates = list(map(itemgetter(1), pairs))
+    if not all(gates):
+        empty = next(nid for nid, members in pairs if not members)
+        raise TreeError(f"node {empty!r} contains no gates")
+    if len(set(ids)) != len(ids):
+        duplicate = next(nid for nid, count in Counter(ids).items() if count > 1)
+        raise TreeError(f"duplicate node id {duplicate!r}")
+    return ids, gates
+
+
 class TaskGraph:
-    """A levelized DAG of :class:`TaskNode` over a synthesized netlist.
+    """A levelized DAG of task nodes over a synthesized netlist.
 
     A graph is checked and costed when it is built: construction raises
-    :class:`TreeError` on a broken invariant and replaces every node with
-    one carrying its feature dictionary.  :meth:`derive` builds a graph
-    from another and re-costs only the nodes whose gates changed.
+    :class:`TreeError` on a broken invariant.  :meth:`derive` builds a
+    graph from another and re-costs only the nodes whose gates changed.
+
+    The graph is stored as flat per-node lists.  Node ``i`` is the
+    ``i``-th node id in sort order, so ordering by index is ordering by
+    id.  The lists are never changed after construction, which lets
+    derived graphs share them.  :class:`TaskNode` objects exist only at
+    the API edge (:attr:`nodes`, :meth:`topological_nodes`), built on
+    first read.
+
+    Attributes:
+        netlist: the underlying circuit.
+        report: its synthesis characterization.
+        ids: node ids, sorted.
+        gates: each node's gate tuple.
+        order: node indices in the order the nodes were given (the
+            order of :attr:`nodes`).
+        pred: each node's predecessor indices, a sorted tuple.
+        succ: each node's successor indices, a sorted tuple.
+        topo: node indices in dependency order, ties broken by id.
+        levels: node levels (sources at 1, as in the paper's figures).
+        energies: energy of one evaluation of each node, joules.
+        delays: critical-path delay through each node, seconds.
+        fan_ins: nets each node reads from outside itself.
+        fan_outs: nets each node drives that are observed outside it.
 
     Args:
         netlist: the underlying circuit.
         report: its synthesis characterization.
-        nodes: the function nodes (a partition of the combinational gates).
+        nodes: the function nodes (a partition of the combinational
+            gates), as :class:`TaskNode` objects or ``(id, gates)`` pairs.
 
     Raises:
         TreeError: if ``nodes`` violate an invariant.
@@ -76,7 +122,7 @@ class TaskGraph:
         self,
         netlist: Netlist,
         report: SynthesisReport,
-        nodes: Iterable[TaskNode],
+        nodes: Iterable[NodeSpec],
     ) -> None:
         self._build(netlist, report, nodes, None, None)
 
@@ -84,7 +130,7 @@ class TaskGraph:
         self,
         netlist: Netlist,
         report: SynthesisReport,
-        nodes: Iterable[TaskNode],
+        nodes: Iterable[NodeSpec],
         parent: "TaskGraph | None",
         absorbed_into: Mapping[str, str] | None,
     ) -> None:
@@ -97,123 +143,165 @@ class TaskGraph:
         """
         self.netlist = netlist
         self.report = report
-        self.nodes: dict[str, TaskNode] = {}
-        for node in nodes:
-            if node.node_id in self.nodes:
-                raise TreeError(f"duplicate node id {node.node_id!r}")
-            self.nodes[node.node_id] = node
-        self._owner: dict[str, str] = {}
-        for node in self.nodes.values():
-            for gate in node.gates:
-                if gate in self._owner:
-                    raise TreeError(
-                        f"gate {gate!r} owned by both {self._owner[gate]!r} "
-                        f"and {node.node_id!r}"
-                    )
-                self._owner[gate] = node.node_id
-        self._check_partition()
+        ids, gates = _unpack(nodes)
+        self._check_partition(ids, gates)
         #: The replacement procedure's schedule order and live cut,
         #: memoized by :func:`repro.core.replacement.stage_schedule`.
         self._schedule: tuple | None = None
+        self._view: dict[str, TaskNode] | None = None
+        #: One slot for the per-index node objects, shared by graphs
+        #: derived with nothing changed.
+        self._objects: list[list[TaskNode] | None] = [None]
         if parent is None:
             self._fanout = netlist.fanout_map()
             self._outputs = set(netlist.outputs)
         else:
             self._fanout, self._outputs = parent._fanout, parent._outputs
-        self._edges: dict[str, set[str]]
-        self._redges: dict[str, set[str]]
-        topo_ids: list[str] | None = None
-        if parent is None or absorbed_into is None:
-            self._edges, self._redges = self._gate_edges()
+        if parent is not None and absorbed_into is not None:
+            source = self._contract(parent, ids, gates, absorbed_into)
+            if source is None:
+                return
         else:
-            self._edges, self._redges = self._contract_edges(
-                parent, absorbed_into
-            )
-            if not absorbed_into and self.nodes.keys() == parent.nodes.keys():
-                # Same ids and edges: the topological order is the parent's.
-                topo_ids = parent._topo_ids
-        self._topo_ids = topo_ids or self._sorted_ids()
-        self._cost(parent.nodes if parent is not None else {})
+            source = self._rank(ids, gates, parent)
+            self._connect()
+        self.topo, self.levels = self._sorted()
+        self._cost(parent, source)
 
-    def _gate_edges(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-        """Successor and predecessor maps built from gate inputs."""
-        edges: dict[str, set[str]] = {nid: set() for nid in self.nodes}
-        redges: dict[str, set[str]] = {nid: set() for nid in self.nodes}
-        for node in self.nodes.values():
-            for gate in node.gates:
-                for src in self.netlist.gates[gate].inputs:
-                    src_owner = self._owner.get(src)
-                    if src_owner is not None and src_owner != node.node_id:
-                        edges[src_owner].add(node.node_id)
-                        redges[node.node_id].add(src_owner)
-        return edges, redges
+    def _rank(
+        self,
+        ids: list[str],
+        gates: list[tuple[str, ...]],
+        parent: "TaskGraph | None",
+    ) -> list[int]:
+        """Number the nodes by id; return each one's carried-over parent index.
 
-    def _contract_edges(
-        self, parent: "TaskGraph", absorbed_into: Mapping[str, str]
-    ) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-        """Adjacency as ``parent``'s node edges contracted onto this graph.
-
-        Exact when every node here is a union of ``parent`` nodes: an edge
-        ``H1 -> H2`` exists iff some parent edge ``u -> v`` has ``u``
-        inside ``H1`` and ``v`` inside ``H2`` (``H1 != H2``).  Only hosts
-        and the neighbours of absorbed nodes are re-contracted; every
-        other node keeps its parent's adjacency sets (cached sets are never
-        mutated in place).
+        A node keeps the costs of the ``parent`` node with its id and
+        gate tuple (-1: it is costed afresh).
         """
-        succ, pred = parent._edges, parent._redges
-        members: dict[str, tuple[str, ...]] = {}
-        for absorbed, host in absorbed_into.items():
-            members[host] = members.get(host, (host,)) + (absorbed,)
-        host_of = absorbed_into.get
+        by_id = sorted(range(len(ids)), key=ids.__getitem__)
+        self.ids = [ids[k] for k in by_id]
+        self.gates = [gates[k] for k in by_id]
+        order = [0] * len(ids)
+        for i, k in enumerate(by_id):
+            order[k] = i
+        self.order = order
+        if parent is None:
+            return [-1] * len(ids)
+        index, old_gates = parent.index, parent.gates
+        return [
+            p if p >= 0 and old_gates[p] == members else -1
+            for p, members in zip(map(index.get, self.ids, repeat(-1)), self.gates)
+        ]
 
-        def contract(nid: str, adjacency: dict[str, set[str]]) -> set[str]:
-            out: set[str] = set()
-            for member in members.get(nid, (nid,)):
-                for other in adjacency[member]:
-                    host = host_of(other, other)
-                    if host != nid:
-                        out.add(host)
-            return out
+    def _connect(self) -> None:
+        """Predecessor and successor tuples built from gate inputs."""
+        owner = {gate: i for i, members in enumerate(self.gates) for gate in members}
+        gates_of = self.netlist.gates
+        pred: list[tuple[int, ...]] = []
+        for i, members in enumerate(self.gates):  # nets no node owns map to i
+            if len(members) == 1:
+                sources = set(map(owner.get, gates_of[members[0]].inputs, repeat(i)))
+            else:
+                sources = {owner.get(s, i) for gate in members for s in gates_of[gate].inputs}
+            sources.discard(i)
+            pred.append(tuple(sorted(sources)))
+        succ: list[list[int]] = [[] for _ in pred]
+        for i, preds in enumerate(pred):  # as i ascends, every list stays sorted
+            for p in preds:
+                succ[p].append(i)
+        self.pred, self.succ = pred, list(map(tuple, succ))
 
-        edges, redges = dict(succ), dict(pred)
-        touched = set(members)
-        for absorbed in absorbed_into:
-            touched.update(edges.pop(absorbed), redges.pop(absorbed))
-        touched.difference_update(absorbed_into)
-        for nid in touched:
-            edges[nid] = contract(nid, succ)
-            redges[nid] = contract(nid, pred)
-        return edges, redges
+    def _contract(
+        self,
+        parent: "TaskGraph",
+        ids: list[str],
+        gates: list[tuple[str, ...]],
+        absorbed_into: Mapping[str, str],
+    ) -> list[int] | None:
+        """Copy ``parent``'s arrays, contracted through ``absorbed_into``.
 
-    @property
-    def edges(self) -> dict[str, set[str]]:
-        """Adjacency map: node id -> successor node ids."""
-        return self._edges
+        The nodes must be the parent's minus the absorbed ones, so node
+        indices are the parent's with the absorbed ones left out (id order
+        is kept).  An edge ``H1 -> H2`` exists iff some parent edge
+        ``u -> v`` has ``u`` inside ``H1`` and ``v`` inside ``H2``
+        (``H1 != H2``); only hosts and the neighbours of absorbed nodes
+        are re-contracted, every other adjacency tuple is renumbered.
 
-    def successors(self, node_id: str) -> set[str]:
-        """Successor node ids of ``node_id``."""
-        return self._edges[node_id]
-
-    def predecessors(self, node_id: str) -> set[str]:
-        """Predecessor node ids of ``node_id``."""
-        return self._redges[node_id]
+        Returns:
+            Each node's carried-over parent index (-1 for a node whose
+            gates changed), or None when nothing changed and every array,
+            the node objects included, is the parent's.
+        """
+        index = parent.index
+        try:
+            absorbed = {index[a]: index[h] for a, h in absorbed_into.items()}
+        except KeyError as exc:
+            raise TreeError(f"node {exc.args[0]!r} is not in the parent graph") from None
+        kept = [p for p in range(len(parent.ids)) if p not in absorbed]
+        given = list(map(index.get, ids, repeat(-1)))
+        if (
+            len(given) != len(kept)
+            or -1 in given
+            or not absorbed.keys().isdisjoint(given)
+            or not absorbed.keys().isdisjoint(absorbed.values())
+        ):
+            raise TreeError(
+                "a contracted graph's nodes must be its parent's minus the "
+                "absorbed ones, each absorbed into a node that is kept"
+            )
+        new_of = [0] * len(parent.ids)
+        for k, p in enumerate(kept):
+            new_of[p] = k
+        for a, h in absorbed.items():
+            new_of[a] = new_of[h]
+        self.ids = list(map(parent.ids.__getitem__, kept))
+        self.order = list(map(new_of.__getitem__, given))
+        new_gates: list[tuple[str, ...]] = [()] * len(kept)
+        self.gates = new_gates
+        for k, members in zip(self.order, gates):
+            new_gates[k] = members
+        old_gates = parent.gates
+        source = [p if new_gates[k] == old_gates[p] else -1 for k, p in enumerate(kept)]
+        if not absorbed and -1 not in source:
+            for name in ("index", "pred", "succ", "topo", "levels", "energies",
+                         "delays", "fan_ins", "fan_outs", "_objects"):
+                setattr(self, name, getattr(parent, name))
+            return None
+        members_of: dict[int, list[int]] = {}
+        for a, h in absorbed.items():
+            members_of.setdefault(new_of[h], [h]).append(a)
+        remap = new_of.__getitem__
+        for name, other in (("pred", parent.succ), ("succ", parent.pred)):
+            old = getattr(parent, name)
+            adjacency = [tuple(map(remap, old[p])) for p in kept]
+            touched = set(members_of)
+            for a in absorbed:
+                touched.update(map(remap, other[a]))
+            for k in touched:
+                members = members_of.get(k) or (kept[k],)
+                linked = set(map(remap, chain.from_iterable(map(old.__getitem__, members))))
+                linked.discard(k)
+                adjacency[k] = tuple(sorted(linked))
+            setattr(self, name, adjacency)
+        return source
 
     def derive(
         self,
-        nodes: Iterable[TaskNode],
+        nodes: Iterable[NodeSpec],
         absorbed_into: Mapping[str, str] | None = None,
     ) -> "TaskGraph":
         """A new checked, costed graph over ``nodes`` that reuses this one.
 
         A new node with the id and gate tuple of a node here keeps that
-        node's gate-derived features, and when its re-derived level is
-        unchanged too, the new graph holds this graph's node object
-        itself.  Every other node is re-costed.  The feature record a
-        caller puts on a new node is never kept, so a pass may hand over
-        its source node's record as a placeholder.
+        node's fan-in, fan-out, energy and delay; every other node is
+        re-costed, and every level is re-derived.  This graph is never
+        changed: the new graph copies what it keeps, and when nothing
+        changes at all it shares this graph's arrays and node objects.
+        The feature record on a :class:`TaskNode` passed in is never kept.
 
         Args:
-            nodes: the new graph's nodes.
+            nodes: the new graph's nodes (TaskNodes or ``(id, gates)``
+                pairs).
             absorbed_into: when every new node is a union of nodes here,
                 maps each absorbed node id to the id of the new node that
                 contains it (unmapped ids keep their own node).  The new
@@ -235,49 +323,162 @@ class TaskGraph:
         Raises:
             TreeError: on any violation.
         """
-        self._check_partition()
-        self._sorted_ids()
+        self._check_partition(self.ids, self.gates)
+        self._sorted()
 
-    def _check_partition(self) -> None:
-        """Raise :class:`TreeError` unless nodes own exactly the logic gates."""
+    def _check_partition(self, ids: list[str], gates: list[tuple[str, ...]]) -> None:
+        """Raise :class:`TreeError` unless ``gates`` own exactly the logic gates."""
         if self.report.netlist is self.netlist:
             comb = self.report.combinational_nets
         else:
             comb = frozenset(g.name for g in self.netlist.logic_gates)
-        owned = self._owner.keys()
-        if owned != comb:
-            missing = comb - owned
-            extra = owned - comb
-            if missing:
-                raise TreeError(
-                    f"gates not covered by any node: {sorted(missing)[:8]}"
-                )
-            raise TreeError(
-                f"nodes own non-combinational gates: {sorted(extra)[:8]}"
-            )
+        flat = list(chain.from_iterable(gates))
+        owned = set(flat)
+        if len(owned) == len(flat) and owned == comb:
+            return
+        if len(owned) != len(flat):
+            owner: dict[str, str] = {}
+            for nid, members in zip(ids, gates):
+                for gate in members:
+                    if gate in owner:
+                        raise TreeError(
+                            f"gate {gate!r} owned by both {owner[gate]!r} "
+                            f"and {nid!r}"
+                        )
+                    owner[gate] = nid
+        missing = comb - owned
+        if missing:
+            raise TreeError(f"gates not covered by any node: {sorted(missing)[:8]}")
+        raise TreeError(f"nodes own non-combinational gates: {sorted(owned - comb)[:8]}")
 
-    def _sorted_ids(self) -> list[str]:
-        """Node ids in dependency order, ties broken by id.
+    def _sorted(self) -> tuple[list[int], list[int]]:
+        """Node indices in dependency order (ties broken by id), and levels.
 
         Raises:
             TreeError: if the node graph is cyclic.
         """
-        edges = self._edges
-        indeg = {nid: len(preds) for nid, preds in self._redges.items()}
-        ready = sorted(nid for nid, d in indeg.items() if d == 0)
-        order: list[str] = []
+        succ = self.succ
+        indeg = list(map(len, self.pred))
+        levels = [1] * len(indeg)
+        ready = [i for i, d in enumerate(indeg) if not d]
+        order: list[int] = []
         while ready:
-            nid = ready.pop()
-            order.append(nid)
-            succs = edges[nid]
-            for succ in sorted(succs) if len(succs) > 1 else succs:
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    ready.append(succ)
-        if len(order) != len(self.nodes):
-            stuck = sorted(nid for nid, d in indeg.items() if d > 0)[:8]
+            i = ready.pop()
+            order.append(i)
+            level = levels[i] + 1
+            for s in succ[i]:
+                if levels[s] < level:
+                    levels[s] = level
+                indeg[s] -= 1
+                if not indeg[s]:
+                    ready.append(s)
+        if len(order) != len(indeg):
+            stuck = [self.ids[i] for i, d in enumerate(indeg) if d > 0][:8]
             raise TreeError(f"cycle among task nodes: {stuck}")
-        return order
+        return order, levels
+
+    # -- annotations ------------------------------------------------------------
+
+    def _cost(self, parent: "TaskGraph | None", source: list[int]) -> None:
+        """Fan-in, fan-out, energy and delay of every node.
+
+        They depend only on a node's gates, so a node with a ``source``
+        index copies the ``parent`` node's; the rest (-1) are costed with
+        the synthesis report's analytic model.
+        """
+        if parent is None:
+            n = len(source)
+            fan_ins, fan_outs = [0] * n, [0] * n
+            energies, delays = [0.0] * n, [0.0] * n
+        else:  # copy by index; the -1 entries are overwritten below
+            fan_ins = list(map(parent.fan_ins.__getitem__, source))
+            fan_outs = list(map(parent.fan_outs.__getitem__, source))
+            energies = list(map(parent.energies.__getitem__, source))
+            delays = list(map(parent.delays.__getitem__, source))
+        gates_of = self.netlist.gates
+        fanout = self._fanout
+        outputs = self._outputs
+        report = self.report
+        all_gates = self.gates
+        for k in [k for k, p in enumerate(source) if p < 0]:
+            gates = all_gates[k]
+            if len(gates) == 1:
+                (gate,) = gates
+                inputs = gates_of[gate].inputs
+                fan_ins[k] = len(set(inputs)) - (gate in inputs)
+                consumers = fanout.get(gate, ())
+                fan_outs[k] = int(
+                    gate in outputs or consumers.count(gate) != len(consumers)
+                )
+                energies[k], delays[k] = report.gate_cost(gate)
+                continue
+            inside = set(gates)
+            external: set[str] = set()
+            outs = 0
+            for gate in gates:
+                for src in gates_of[gate].inputs:
+                    if src not in inside:
+                        external.add(src)
+                if gate in outputs or any(
+                    c not in inside for c in fanout.get(gate, ())
+                ):
+                    outs += 1
+            fan_ins[k], fan_outs[k] = len(external), outs
+            energies[k], delays[k] = report.block_cost(gates)
+        self.fan_ins, self.fan_outs = fan_ins, fan_outs
+        self.energies, self.delays = energies, delays
+
+    # -- API edge: string ids and node objects -------------------------------
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Node id -> node index."""
+        return {nid: i for i, nid in enumerate(self.ids)}
+
+    def _node_objects(self) -> list[TaskNode]:
+        """One :class:`TaskNode` per index, built on first read."""
+        objects = self._objects[0]
+        if objects is None:
+            gates, levels = self.gates, self.levels
+            fan_ins, fan_outs = self.fan_ins, self.fan_outs
+            energies, delays = self.energies, self.delays
+            objects = self._objects[0] = [
+                TaskNode(
+                    nid,
+                    gates[i],
+                    FeatureDict(
+                        fan_ins[i], fan_outs[i], levels[i],
+                        energies[i], delays[i], len(gates[i]),
+                    ),
+                )
+                for i, nid in enumerate(self.ids)
+            ]
+        return objects
+
+    @property
+    def nodes(self) -> dict[str, TaskNode]:
+        """Node id -> :class:`TaskNode`, in the order the nodes were given."""
+        view = self._view
+        if view is None:
+            objects, ids = self._node_objects(), self.ids
+            view = self._view = {ids[i]: objects[i] for i in self.order}
+        return view
+
+    @property
+    def edges(self) -> dict[str, set[str]]:
+        """Adjacency map: node id -> successor node ids."""
+        ids, succ = self.ids, self.succ
+        return {ids[i]: {ids[j] for j in succ[i]} for i in self.order}
+
+    def successors(self, node_id: str) -> set[str]:
+        """Successor node ids of ``node_id``."""
+        ids = self.ids
+        return {ids[j] for j in self.succ[self.index[node_id]]}
+
+    def predecessors(self, node_id: str) -> set[str]:
+        """Predecessor node ids of ``node_id``."""
+        ids = self.ids
+        return {ids[j] for j in self.pred[self.index[node_id]]}
 
     def topological_nodes(self) -> list[TaskNode]:
         """Nodes in dependency order.
@@ -285,76 +486,8 @@ class TaskGraph:
         The order depends only on node ids and edges, never on node
         insertion order.
         """
-        nodes = self.nodes
-        return [nodes[nid] for nid in self._topo_ids]
-
-    # -- annotations ------------------------------------------------------------
-
-    def _cost(self, previous: Mapping[str, TaskNode]) -> None:
-        """Derive every level; cost every node not carried over.
-
-        Levels follow the node DAG (sources at 1, as in the paper's
-        figures); energy and delay come from the synthesis report's
-        analytic model.  Fan-in, fan-out, energy, delay and gate count
-        depend only on a node's gates, so a node with the id and gates of
-        a node in ``previous`` (a parent graph's nodes) keeps that node's
-        costs, and is that very node when its level is unchanged too.
-        Nodes are never mutated: new ones replace old ones in
-        :attr:`nodes`, which keeps their order.
-        """
-        nodes = self.nodes
-        redges = self._redges
-        gates_of = self.netlist.gates
-        fanout = self._fanout
-        outputs = self._outputs
-        report = self.report
-        levels: dict[str, int] = {}
-        for node in self.topological_nodes():
-            nid = node.node_id
-            level = 0
-            for p in redges[nid]:
-                if levels[p] > level:
-                    level = levels[p]
-            level += 1
-            levels[nid] = level
-            old = previous.get(nid)
-            if old is not None and (old is node or old.gates == node.gates):
-                feature = old.feature
-                if feature.level != level:
-                    feature = FeatureDict(
-                        feature.fan_in, feature.fan_out, level,
-                        feature.energy_j, feature.delay_s, feature.n_gates,
-                    )
-                    old = TaskNode(nid, old.gates, feature)
-                if old is not node:
-                    nodes[nid] = old
-                continue
-            gates = node.gates
-            if len(gates) == 1:
-                (gate,) = gates
-                inputs = gates_of[gate].inputs
-                fan_in = len(set(inputs)) - (gate in inputs)
-                consumers = fanout.get(gate, ())
-                outs = int(
-                    gate in outputs or consumers.count(gate) != len(consumers)
-                )
-                energy, delay = report.gate_cost(gate)
-            else:
-                inside = set(gates)
-                external: set[str] = set()
-                outs = 0
-                for gate in gates:
-                    for src in gates_of[gate].inputs:
-                        if src not in inside:
-                            external.add(src)
-                    if gate in outputs or any(
-                        c not in inside for c in fanout.get(gate, ())
-                    ):
-                        outs += 1
-                fan_in = len(external)
-                energy, delay = report.block_cost(gates)
-            feature = FeatureDict(fan_in, outs, level, energy, delay, len(gates))
-            nodes[nid] = TaskNode(nid, gates, feature)
+        objects = self._node_objects()
+        return [objects[i] for i in self.topo]
 
     def output_nets(self, node: TaskNode) -> set[str]:
         """Nets driven inside ``node`` that are observable outside it.
@@ -378,18 +511,18 @@ class TaskGraph:
     @property
     def depth(self) -> int:
         """Maximum node level."""
-        return max((n.feature.level for n in self.nodes.values()), default=0)
+        return max(self.levels, default=0)
 
     @property
     def total_energy_j(self) -> float:
         """Sum of node energies per full evaluation pass."""
-        return sum(n.feature.energy_j for n in self.nodes.values())
+        return sum(map(self.energies.__getitem__, self.order))
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.ids)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"TaskGraph({self.netlist.name!r}, nodes={len(self.nodes)}, "
+            f"TaskGraph({self.netlist.name!r}, nodes={len(self.ids)}, "
             f"depth={self.depth})"
         )

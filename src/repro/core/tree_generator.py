@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.circuits.levelize import levelize
 from repro.circuits.netlist import Netlist
-from repro.core.tree import TaskGraph, TaskNode
+from repro.core.tree import NodePair, TaskGraph
 from repro.tech.synthesis import SynthesisReport, synthesize
 
 #: Initial node granularities :func:`build_task_graph` accepts.
@@ -58,12 +58,12 @@ def build_task_graph(
     return TaskGraph(netlist, report, nodes)
 
 
-def _gate_nodes(netlist: Netlist) -> list[TaskNode]:
+def _gate_nodes(netlist: Netlist) -> list[NodePair]:
     """One task node per combinational gate."""
-    return [TaskNode(node_id=g.name, gates=(g.name,)) for g in netlist.logic_gates]
+    return [(g.name, (g.name,)) for g in netlist.logic_gates]
 
 
-def _level_nodes(netlist: Netlist, max_gates_per_node: int = 8) -> list[TaskNode]:
+def _level_nodes(netlist: Netlist, max_gates_per_node: int = 8) -> list[NodePair]:
     """Group gates of the same level into chunks of bounded size.
 
     Produces the coarser "function"-style nodes of the paper's figures
@@ -71,16 +71,11 @@ def _level_nodes(netlist: Netlist, max_gates_per_node: int = 8) -> list[TaskNode
     (grouping within a single level can never create cycles).
     """
     lev = levelize(netlist)
-    nodes: list[TaskNode] = []
+    nodes: list[NodePair] = []
     for level, nets in enumerate(lev.by_level):
         comb = [n for n in nets if netlist.gates[n].is_combinational]
         for chunk_no in range(0, len(comb), max_gates_per_node):
             chunk = comb[chunk_no : chunk_no + max_gates_per_node]
             if chunk:
-                nodes.append(
-                    TaskNode(
-                        node_id=f"L{level}_{chunk_no // max_gates_per_node}",
-                        gates=tuple(chunk),
-                    )
-                )
+                nodes.append((f"L{level}_{chunk_no // max_gates_per_node}", tuple(chunk)))
     return nodes

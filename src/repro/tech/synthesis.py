@@ -99,14 +99,15 @@ class SynthesisReport:
         members = set(block)
         arrival: dict[str, float] = {}
         cdp = 0.0
+        gates, timing = self.netlist.gates, self.timing
         for name in sorted(block, key=self.topo_index.__getitem__):
-            gate = self.netlist.gates[name]
-            start = max(
-                (arrival.get(src, 0.0) for src in gate.inputs if src in members),
-                default=0.0,
-            )
-            arrival[name] = start + self.timing[name].delay_s
-            cdp = max(cdp, arrival[name])
+            start = 0.0  # delays are positive: the latest member input
+            for src in gates[name].inputs:
+                if src in members and arrival.get(src, 0.0) > start:
+                    start = arrival[src]
+            end = arrival[name] = start + timing[name].delay_s
+            if end > cdp:
+                cdp = end
         leakages = [self.timing[n].static_power_w for n in block]
         leak = sum(leakages) - max(0.0, min(leakages, default=0.0))
         return self._dynamic_energy_j(block) + cdp * leak, cdp

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.circuits import (
@@ -17,6 +19,13 @@ from repro.circuits import (
     write_bench,
 )
 from repro.sim.logic_sim import LogicSimulator
+from repro.suite.registry import ROSTER, load_circuit
+
+#: sha256 over the ``write_bench`` text of every generated roster circuit
+#: (all but ``s27``, which is parsed), in roster order.
+ROSTER_BENCH_SHA256 = (
+    "24fdee69e174ab9ef1c065783f76563caf3b4bee79fdedd0c9abcffa6f22db17"
+)
 
 
 class TestSpecValidation:
@@ -65,6 +74,13 @@ class TestGeneratedCircuits:
         assert netlist.outputs
         for out in netlist.outputs:
             assert out in netlist.gates
+
+    def test_roster_netlists_are_pinned(self):
+        digest = hashlib.sha256()
+        for info in ROSTER:
+            if info.name != "s27":
+                digest.update(write_bench(load_circuit(info.name)).encode())
+        assert digest.hexdigest() == ROSTER_BENCH_SHA256
 
     def test_simulatable(self):
         netlist = generate_circuit(CircuitSpec(name="simme", n_gates=64))

@@ -17,7 +17,7 @@ from repro.core.policies import apply_policy
 from repro.core.replacement import live_cut_profile, schedule_order
 from repro.core.tree import TaskGraph, TaskNode, TreeError
 from repro.suite.registry import load_circuit
-from repro.tech.synthesis import synthesize
+from repro.tech.synthesis import SynthesisReport, synthesize
 
 CIRCUITS = ("s298", "b05", "des")
 FIELDS = ("fan_in", "fan_out", "level", "energy_j", "delay_s", "n_gates")
@@ -115,35 +115,66 @@ def test_unsplit_policy1_keeps_costing(netlists, derived):
         assert node.feature is graph.nodes[nid].feature
 
 
+@pytest.fixture
+def recosted(monkeypatch) -> list[tuple[TaskGraph, TaskGraph, int]]:
+    """``(parent, child, cost calls)`` for every :meth:`TaskGraph.derive`.
+
+    The calls count :meth:`SynthesisReport.block_cost` and
+    :meth:`SynthesisReport.gate_cost` made inside the derive.
+    """
+    calls = [0]
+
+    def counted(original):
+        def cost(self, *args):
+            calls[0] += 1
+            return original(self, *args)
+
+        return cost
+
+    for name in ("block_cost", "gate_cost"):
+        monkeypatch.setattr(SynthesisReport, name, counted(getattr(SynthesisReport, name)))
+    derives: list[tuple[TaskGraph, TaskGraph, int]] = []
+    original = TaskGraph.derive
+
+    def spy(self, *args, **kwargs):
+        before = calls[0]
+        graph = original(self, *args, **kwargs)
+        derives.append((self, graph, calls[0] - before))
+        return graph
+
+    monkeypatch.setattr(TaskGraph, "derive", spy)
+    return derives
+
+
 @pytest.mark.parametrize("granularity", ["gate", "level"])
 @pytest.mark.parametrize("policy", [1, 2, 3])
 @pytest.mark.parametrize("circuit", ["s298", "s838", "b05"])
-def test_derive_shares_unchanged_nodes(derived, circuit, policy, granularity):
-    """Unchanged nodes are the parent's objects; moved ones keep its costs.
+def test_derive_shares_unchanged_nodes(recosted, circuit, policy, granularity):
+    """Derive re-costs only nodes whose gate tuple changed.
 
-    Only s838 at level granularity under policies 2 and 3 moves the
-    level of a node whose gates are unchanged.
+    Every other node keeps its parent's costs, also when its level
+    moved: only s838 at level granularity under policies 2 and 3 moves
+    the level of a node whose gates are unchanged.
     """
     graph = build_task_graph(load_circuit(circuit), granularity=granularity)
     apply_policy(graph, policy, config_for_graph(graph))
-    parent = graph
-    shared = 0
-    for child in derived:
+    assert recosted
+    kept = 0
+    for parent, child, calls in recosted:
+        changed = 0
         for nid, node in child.nodes.items():
             old = parent.nodes.get(nid)
             if old is None or old.gates != node.gates:
+                changed += 1
                 continue
-            if old.feature.level == node.feature.level:
-                assert node is old, nid
-                shared += 1
-            else:
-                assert replace(old.feature, level=node.feature.level) == (
-                    node.feature
-                ), nid
+            kept += 1
+            assert replace(old.feature, level=node.feature.level) == (
+                node.feature
+            ), nid
+        assert calls == changed
         assert_matches_rebuild(child)
-        parent = child
-    assert shared > 0
-    node = next(iter(parent.nodes.values()))
+    assert kept > 0
+    node = next(iter(child.nodes.values()))
     with pytest.raises(FrozenInstanceError):
         node.gates = ()
     with pytest.raises(FrozenInstanceError):

@@ -139,11 +139,6 @@ class TestViewsAndTransforms:
         fanout = s27.fanout_map()
         assert set(fanout["G11"]) == {"G17", "G10", "G6"}
 
-    def test_fanout_count_includes_outputs(self):
-        netlist = build_half_adder()
-        assert netlist.fanout_count("sum") == 1  # primary output only
-        assert netlist.fanout_count("a") == 2
-
     def test_copy_is_independent(self, s27):
         clone = s27.copy(name="s27_clone")
         clone.add_output("G10")
