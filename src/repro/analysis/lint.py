@@ -160,7 +160,9 @@ def lint_netlist(netlist: Netlist) -> list[LintFinding]:
     findings: list[LintFinding] = []
     source = netlist.name
     driven = netlist.gates
+    consumed: set[str] = set()
     for gate in driven.values():
+        consumed.update(gate.inputs)
         for src in gate.inputs:
             if src not in driven:
                 findings.append(
@@ -182,21 +184,19 @@ def lint_netlist(netlist: Netlist) -> list[LintFinding]:
                 )
             )
     # Cycle detection only makes sense once every net resolves; on a
-    # netlist with floating nets the topological walk would conflate
-    # the two defects.
+    # netlist with floating nets validation reports those first.
     if not findings:
         try:
-            netlist.topological_order()
+            netlist.validate()
         except NetlistError as error:
             findings.append(
                 _finding("N001", str(error), source=source)
             )
-    fanout = netlist.fanout_map()
     output_nets = set(netlist.outputs)
     for gate in driven.values():
         if not gate.is_combinational:
             continue
-        if not fanout.get(gate.name) and gate.name not in output_nets:
+        if gate.name not in consumed and gate.name not in output_nets:
             findings.append(
                 _finding(
                     "N004",

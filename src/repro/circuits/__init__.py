@@ -27,14 +27,8 @@ from repro.circuits.generators import (
     ripple_carry_adder,
     sequential_counter,
 )
-from repro.circuits.levelize import (
-    Levelization,
-    critical_path_delay,
-    cut_width,
-    fanin_cone,
-    levelize,
-)
-from repro.circuits.netlist import Gate, Netlist, NetlistError
+from repro.circuits.levelize import levelize
+from repro.circuits.netlist import Gate, Netlist, NetlistError, NetlistStructure
 from repro.circuits.verilog import VerilogError, parse_verilog, write_verilog
 
 #: Netlist file parsers by lower-case file suffix.
@@ -57,17 +51,14 @@ __all__ = [
     "Gate",
     "GateArityError",
     "GateType",
-    "Levelization",
     "Netlist",
     "NetlistError",
+    "NetlistStructure",
     "S27_BENCH",
     "VerilogError",
     "array_multiplier",
     "balanced_tree_circuit",
-    "critical_path_delay",
-    "cut_width",
     "evaluate_gate",
-    "fanin_cone",
     "generate_circuit",
     "levelize",
     "load_bench",

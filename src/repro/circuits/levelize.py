@@ -1,134 +1,38 @@
 """Structural levelization of a netlist's combinational core.
 
-The DIAC tree generator (paper Fig. 1, step 3) works on a *levelized*
-view of the design: sources (primary inputs, constants, flip-flop outputs)
-sit at level 0 and every combinational gate sits one level above its deepest
-fan-in.  This module provides that view plus the structural statistics the
-feature dictionaries need (fan-in, fan-out, logic depth, cones).
+The DIAC tree generator (paper Fig. 1, step 3) can start from a
+*levelized* view of the design: sources (primary inputs, constants,
+flip-flop outputs) sit at level 0 and every combinational gate sits one
+level above its deepest fan-in.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-
 from repro.circuits.netlist import Netlist
 
 
-@dataclass
-class Levelization:
-    """Levelized view of a netlist.
-
-    Attributes:
-        levels: map from net name to its level (sources at 0).
-        by_level: nets grouped by level, ``by_level[0]`` being the sources.
-        depth: maximum level (the structural logic depth).
-    """
-
-    levels: dict[str, int]
-    by_level: list[list[str]] = field(default_factory=list)
-
-    @property
-    def depth(self) -> int:
-        """Maximum level in the circuit (0 for source-only netlists)."""
-        return len(self.by_level) - 1 if self.by_level else 0
-
-    def level_of(self, net: str) -> int:
-        """Level of ``net``; raises ``KeyError`` for unknown nets."""
-        return self.levels[net]
-
-
-def levelize(netlist: Netlist) -> Levelization:
-    """Compute ASAP levels for every net in ``netlist``.
+def levelize(netlist: Netlist) -> list[list[str]]:
+    """Group every net of ``netlist`` by its ASAP level.
 
     Sources (primary inputs, constants, DFF outputs) are level 0.  A
     combinational gate's level is ``1 + max(level of fan-ins)``.  DFF cells
-    themselves are placed at level 0 (their output is a source); their data
-    input belongs to whatever level its driver has.
+    themselves are placed at level 0 (their output is a source).
 
     Returns:
-        A :class:`Levelization`.
+        ``by_level[k]`` lists the nets at level ``k`` in the netlist's
+        topological order; ``len(by_level) - 1`` is the logic depth.
     """
-    levels: dict[str, int] = {}
-    for gate in netlist.topological_order():
-        if gate.is_source or gate.is_sequential:
-            levels[gate.name] = 0
+    structure = netlist.structure()
+    names, fanin = structure.names, structure.fanin
+    gates = tuple(netlist.gates.values())
+    levels = [0] * len(names)
+    by_level: list[list[str]] = [[]]
+    for i in structure.topo:
+        if gates[i].is_combinational:
+            level = levels[i] = 1 + max(map(levels.__getitem__, fanin[i]))
+            if level == len(by_level):
+                by_level.append([])
+            by_level[level].append(names[i])
         else:
-            levels[gate.name] = 1 + max(levels[src] for src in gate.inputs)
-    depth = max(levels.values(), default=0)
-    by_level: list[list[str]] = [[] for _ in range(depth + 1)]
-    for gate in netlist.topological_order():
-        by_level[levels[gate.name]].append(gate.name)
-    return Levelization(levels=levels, by_level=by_level)
-
-
-def critical_path_delay(
-    netlist: Netlist, delays: Mapping[str, float]
-) -> float:
-    """Longest combinational path delay through the netlist.
-
-    Args:
-        netlist: the circuit.
-        delays: per-net gate delay in seconds (sources may be omitted; they
-            default to zero).
-
-    Returns:
-        The critical path delay in seconds (0.0 for source-only netlists).
-    """
-    arrival: dict[str, float] = {}
-    worst = 0.0
-    for gate in netlist.topological_order():
-        if gate.is_source or gate.is_sequential:
-            arrival[gate.name] = delays.get(gate.name, 0.0)
-        else:
-            arrival[gate.name] = delays.get(gate.name, 0.0) + max(
-                arrival[src] for src in gate.inputs
-            )
-        worst = max(worst, arrival[gate.name])
-    return worst
-
-
-def fanin_cone(netlist: Netlist, net: str, *, stop_at_state: bool = True) -> set[str]:
-    """Transitive fan-in cone of ``net`` (the net itself included).
-
-    Args:
-        netlist: the circuit.
-        net: cone apex.
-        stop_at_state: if true, traversal stops at DFF outputs and primary
-            inputs (the usual combinational cone); otherwise it crosses
-            flip-flops.
-
-    Returns:
-        The set of net names in the cone.
-    """
-    cone: set[str] = set()
-    stack = [net]
-    while stack:
-        current = stack.pop()
-        if current in cone:
-            continue
-        cone.add(current)
-        gate = netlist.driver(current)
-        if gate.is_source:
-            continue
-        if stop_at_state and gate.is_sequential:
-            continue
-        stack.extend(gate.inputs)
-    return cone
-
-
-def cut_width(netlist: Netlist, level_cut: int, levelization: Levelization) -> int:
-    """Number of live nets crossing a horizontal cut above ``level_cut``.
-
-    A net is live across the cut if its driver sits at or below the cut
-    level and at least one consumer (gate or primary output) sits above it.
-    This is the number of bits a DIAC barrier at that level must commit.
-    """
-    fanout = netlist.fanout_map()
-    live = 0
-    for net, level in levelization.levels.items():
-        if level > level_cut:
-            continue
-        if any(levelization.levels[c] > level_cut for c in fanout.get(net, ())):
-            live += 1
-    return live
+            by_level[0].append(names[i])
+    return by_level

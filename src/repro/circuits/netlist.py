@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import TypeVar
 
 from repro.circuits.gates import (
@@ -31,7 +30,7 @@ _SEQUENTIAL_TYPES = tuple(SEQUENTIAL_TYPES)
 _SOURCE_TYPES = tuple(SOURCE_TYPES)
 
 #: The derived views :class:`Netlist` caches in its ``__dict__``.
-_CACHE_SLOTS = ("_topo_cache", "_fanout_cache", "_ff_cache", "_valid_stamp")
+_CACHE_SLOTS = ("_structure", "_ff_cache")
 
 _T = TypeVar("_T")
 
@@ -72,6 +71,35 @@ class Gate:
         object.__setattr__(self, "is_sequential", sequential)
         object.__setattr__(self, "is_source", source)
         object.__setattr__(self, "is_combinational", not (sequential or source))
+
+
+@dataclass(frozen=True, slots=True)
+class NetlistStructure:
+    """A valid netlist's connectivity on integer gate indices.
+
+    Gate ``i`` is the ``i``-th gate in insertion order.  Built once per
+    netlist by :meth:`Netlist.validate` and shared by every reader, so
+    it must be treated as read-only.
+
+    Attributes:
+        names: gate (net) names, in insertion order.
+        index: net name -> gate index.
+        fanin: each gate's input indices, in pin order (a net read on
+            two pins appears twice).
+        fanout: each gate's consumer indices, flip-flops included, in
+            gate order (once per pin read).
+        topo: gate indices in evaluation order.  Sources and flip-flops
+            start ready, ready gates are taken last-in first-out, and only
+            combinational consumers wait for their inputs; so each
+            flip-flop comes before the gates reading it (on ``s27`` the
+            order starts ``DFF, DFF, DFF, INPUT``).
+    """
+
+    names: tuple[str, ...]
+    index: dict[str, int]
+    fanin: tuple[tuple[int, ...], ...]
+    fanout: tuple[tuple[int, ...], ...]
+    topo: tuple[int, ...]
 
 
 @dataclass
@@ -148,8 +176,7 @@ class Netlist:
     def __getstate__(self) -> dict[str, object]:
         """Pickle without the derived caches.
 
-        The fanout cache holds a (non-picklable) mapping proxy, and no
-        cache is worth shipping to sweep worker processes — each side
+        No cache is worth shipping to sweep worker processes: each side
         rebuilds on first use.
         """
         state = self.__dict__.copy()
@@ -202,28 +229,6 @@ class Netlist:
         except KeyError as exc:
             raise NetlistError(f"net {net!r} has no driver in {self.name!r}") from exc
 
-    def fanout_map(self) -> Mapping[str, tuple[str, ...]]:
-        """Map each net to the names of the gates it feeds.
-
-        Primary outputs do not appear as consumers; use :attr:`outputs`.
-        The map is cached and shared between callers, so it is returned
-        read-only (a mapping proxy over tuples) — an accidental
-        ``append`` or key assignment fails loudly instead of silently
-        poisoning every later reader.  Invalidation is growth-aware (see
-        :meth:`_cached`).
-        """
-        return self._cached("_fanout_cache", self._build_fanout_map)
-
-    def _build_fanout_map(self) -> Mapping[str, tuple[str, ...]]:
-        building: dict[str, list[str]] = {net: [] for net in self.gates}
-        for gate in self.gates.values():
-            for src in gate.inputs:
-                if src in building:
-                    building[src].append(gate.name)
-        return MappingProxyType(
-            {net: tuple(names) for net, names in building.items()}
-        )
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
@@ -231,77 +236,86 @@ class Netlist:
 
         Ensures every referenced net has a driver, every output is driven,
         and the combinational core is acyclic (cycles must pass through a
-        DFF).  A passing check is cached until the netlist changes (see
-        :meth:`_cached`), so validating an unchanged netlist again is free.
+        DFF), reporting the first violation in that order.  A passing
+        check builds the :class:`NetlistStructure` and caches it until the
+        netlist changes (see :meth:`_cached`), so validating an unchanged
+        netlist again is free.
 
         Raises:
             NetlistError: on the first violation found.
         """
-        self._cached("_valid_stamp", self._validate, watch_outputs=True)
+        self.structure()
 
-    def _validate(self) -> bool:
-        for gate in self.gates.values():
-            for src in gate.inputs:
-                if src not in self.gates:
-                    raise NetlistError(
-                        f"gate {gate.name!r} reads undriven net {src!r}"
-                    )
-        for out in self.outputs:
-            if out not in self.gates:
-                raise NetlistError(f"primary output {out!r} is undriven")
-        self.topological_order()  # raises on combinational cycles
-        return True
-
-    def topological_order(self) -> list[Gate]:
-        """Topologically sort the combinational core.
-
-        Sources (primary inputs, constants, and DFF outputs) are ready
-        from the start; DFF *inputs* are treated as sinks so sequential
-        loops are legal.
-        The order is cached until the netlist changes (see
-        :meth:`_cached`); callers get their own copy of the list.
-
-        Returns:
-            Every gate once, in evaluation order.  Flip-flops are
-            emitted as sources, so each comes before the gates reading
-            it (on ``s27`` the order starts ``DFF, DFF, DFF, INPUT``).
+    def structure(self) -> NetlistStructure:
+        """The validated netlist's :class:`NetlistStructure` (cached).
 
         Raises:
-            NetlistError: if a purely combinational cycle exists.
+            NetlistError: as :meth:`validate` does.
         """
-        return list(self._cached("_topo_cache", self._build_topological_order))
+        return self._cached("_structure", self._build_structure, watch_outputs=True)
 
-    def _build_topological_order(self) -> list[Gate]:
-        order: list[Gate] = []
-        # Combinational in-degree: a DFF contributes no combinational edge
-        # from its input; its *output* is a source.
-        indegree: dict[str, int] = {}
-        consumers: dict[str, list[str]] = {net: [] for net in self.gates}
-        for gate in self.gates.values():
-            if gate.is_source or gate.is_sequential:
-                indegree[gate.name] = 0
-                continue
-            indegree[gate.name] = len(gate.inputs)
-            for src in gate.inputs:
-                consumers.setdefault(src, []).append(gate.name)
-        ready = [net for net, deg in indegree.items() if deg == 0]
-        seen = 0
+    def _build_structure(self) -> NetlistStructure:
+        gates = self.gates
+        names = tuple(gates)
+        index = dict(zip(names, range(len(names))))
+        lookup = index.__getitem__
+        try:
+            fanin = tuple([tuple(map(lookup, g.inputs)) for g in gates.values()])
+        except KeyError:
+            gate, src = next(
+                (g, src) for g in gates.values() for src in g.inputs if src not in index
+            )
+            raise NetlistError(
+                f"gate {gate.name!r} reads undriven net {src!r}"
+            ) from None
+        for out in self.outputs:
+            if out not in index:
+                raise NetlistError(f"primary output {out!r} is undriven")
+        # Growing one tuple per net, not lists converted at the end,
+        # leaves the collector one live container per gate.  It copies
+        # O(k^2) for a net with k consumers; roster nets have at most 16.
+        consumers: list[tuple[int, ...]] = [()] * len(names)
+        for i, ins in enumerate(fanin):
+            for src in ins:
+                consumers[src] += (i,)
+        fanout = tuple(consumers)
+        # Sources and flip-flops start ready at in-degree 0.  Their count
+        # goes negative as their inputs are taken, never back to 0, so
+        # only combinational consumers are released.
+        indegree = [
+            len(ins) if g.is_combinational else 0
+            for g, ins in zip(gates.values(), fanin)
+        ]
+        ready = [i for i, degree in enumerate(indegree) if not degree]
+        order: list[int] = []
+        take, release, emit = ready.pop, ready.append, order.append
         while ready:
-            net = ready.pop()
-            order.append(self.gates[net])
-            seen += 1
-            for consumer in consumers.get(net, ()):
+            i = take()
+            emit(i)
+            for consumer in fanout[i]:
                 indegree[consumer] -= 1
-                if indegree[consumer] == 0:
-                    ready.append(consumer)
-        if seen != len(self.gates):
-            stuck = sorted(net for net, deg in indegree.items() if deg > 0)
+                if not indegree[consumer]:
+                    release(consumer)
+        if len(order) != len(names):
+            stuck = sorted(names[i] for i, degree in enumerate(indegree) if degree > 0)
             raise NetlistError(
                 f"combinational cycle in {self.name!r} involving {stuck[:8]}"
             )
-        # Sources and DFFs start ready, so each DFF is emitted once, as a
-        # source, ahead of its readers; the logic follows its inputs.
-        return order
+        return NetlistStructure(names, index, fanin, fanout, tuple(order))
+
+    def topological_order(self) -> list[Gate]:
+        """Every gate once, in the evaluation order of :attr:`NetlistStructure.topo`.
+
+        Sources (primary inputs, constants, and DFF outputs) are ready
+        from the start; DFF *inputs* are treated as sinks so sequential
+        loops are legal.  Callers get their own list.
+
+        Raises:
+            NetlistError: if the netlist is invalid (see :meth:`validate`),
+                a purely combinational cycle included.
+        """
+        gates = tuple(self.gates.values())
+        return [gates[i] for i in self.structure().topo]
 
     # -- transforms ---------------------------------------------------------
 

@@ -107,27 +107,31 @@ def _live_cut(graph: TaskGraph, order: list[int]) -> list[int]:
     consumers, feeds a flip-flop (pending next state), or is a primary
     output.
     """
-    gates_of = graph.netlist.gates
-    # Combinational net -> its unexecuted combinational input pins.
-    remaining = {gate.name: 0 for gate in graph.netlist.logic_gates}
-    persistent = set(graph.netlist.outputs)
-    for gate in gates_of.values():
+    netlist = graph.netlist
+    structure = netlist.structure()
+    index, fanin = structure.index, structure.fanin
+    # Per gate index: a combinational net's unexecuted combinational
+    # input pins, -1 for any other net.
+    remaining = [0 if g.is_combinational else -1 for g in netlist.gates.values()]
+    persistent = set(map(index.__getitem__, netlist.outputs))
+    for gate, ins in zip(netlist.gates.values(), fanin):
         if gate.is_combinational:
-            for src in gate.inputs:
-                if src in remaining:
+            for src in ins:
+                if remaining[src] >= 0:
                     remaining[src] += 1
         elif gate.is_sequential:
-            persistent.update(gate.inputs)
+            persistent.update(ins)
     gates = graph.gates
     live = 0
     profile = [0] * len(gates)
     for i in order:
         for gate in gates[i]:
-            if remaining[gate] > 0 or gate in persistent:
+            g = index[gate]
+            if remaining[g] > 0 or g in persistent:
                 live += 1
-            for src in gates_of[gate].inputs:
-                left = remaining.get(src)
-                if left is None:
+            for src in fanin[g]:
+                left = remaining[src]
+                if left < 0:
                     continue
                 remaining[src] = left - 1
                 if left == 1 and src not in persistent:

@@ -153,10 +153,10 @@ class TaskGraph:
         #: derived with nothing changed.
         self._objects: list[list[TaskNode] | None] = [None]
         if parent is None:
-            self._fanout = netlist.fanout_map()
+            self._structure = netlist.structure()
             self._outputs = set(netlist.outputs)
         else:
-            self._fanout, self._outputs = parent._fanout, parent._outputs
+            self._structure, self._outputs = parent._structure, parent._outputs
         if parent is not None and absorbed_into is not None:
             source = self._contract(parent, ids, gates, absorbed_into)
             if source is None:
@@ -194,16 +194,20 @@ class TaskGraph:
         ]
 
     def _connect(self) -> None:
-        """Predecessor and successor tuples built from gate inputs."""
-        owner = {gate: i for i, members in enumerate(self.gates) for gate in members}
-        gates_of = self.netlist.gates
+        """Predecessor and successor tuples built from gate fan-ins."""
+        index, fanin = self._structure.index, self._structure.fanin
+        owner = [-1] * len(fanin)  # nets no node owns map to -1
+        for i, members in enumerate(self.gates):
+            for gate in members:
+                owner[index[gate]] = i
         pred: list[tuple[int, ...]] = []
-        for i, members in enumerate(self.gates):  # nets no node owns map to i
+        for i, members in enumerate(self.gates):
             if len(members) == 1:
-                sources = set(map(owner.get, gates_of[members[0]].inputs, repeat(i)))
+                sources = set(map(owner.__getitem__, fanin[index[members[0]]]))
             else:
-                sources = {owner.get(s, i) for gate in members for s in gates_of[gate].inputs}
+                sources = {owner[s] for gate in members for s in fanin[index[gate]]}
             sources.discard(i)
+            sources.discard(-1)
             pred.append(tuple(sorted(sources)))
         succ: list[list[int]] = [[] for _ in pred]
         for i, preds in enumerate(pred):  # as i ascends, every list stays sorted
@@ -395,35 +399,29 @@ class TaskGraph:
             fan_outs = list(map(parent.fan_outs.__getitem__, source))
             energies = list(map(parent.energies.__getitem__, source))
             delays = list(map(parent.delays.__getitem__, source))
-        gates_of = self.netlist.gates
-        fanout = self._fanout
+        structure = self._structure
+        index, fanin, fanout = structure.index, structure.fanin, structure.fanout
         outputs = self._outputs
         report = self.report
         all_gates = self.gates
         for k in [k for k, p in enumerate(source) if p < 0]:
             gates = all_gates[k]
-            if len(gates) == 1:
+            if len(gates) == 1:  # a combinational gate never reads itself
                 (gate,) = gates
-                inputs = gates_of[gate].inputs
-                fan_ins[k] = len(set(inputs)) - (gate in inputs)
-                consumers = fanout.get(gate, ())
-                fan_outs[k] = int(
-                    gate in outputs or consumers.count(gate) != len(consumers)
-                )
+                g = index[gate]
+                fan_ins[k] = len(set(fanin[g]))
+                fan_outs[k] = int(gate in outputs or bool(fanout[g]))
                 energies[k], delays[k] = report.gate_cost(gate)
                 continue
-            inside = set(gates)
-            external: set[str] = set()
+            inside = set(map(index.__getitem__, gates))
+            external: set[int] = set()
             outs = 0
             for gate in gates:
-                for src in gates_of[gate].inputs:
-                    if src not in inside:
-                        external.add(src)
-                if gate in outputs or any(
-                    c not in inside for c in fanout.get(gate, ())
-                ):
+                g = index[gate]
+                external.update(fanin[g])
+                if gate in outputs or not inside.issuperset(fanout[g]):
                     outs += 1
-            fan_ins[k], fan_outs[k] = len(external), outs
+            fan_ins[k], fan_outs[k] = len(external - inside), outs
             energies[k], delays[k] = report.block_cost(gates)
         self.fan_ins, self.fan_outs = fan_ins, fan_outs
         self.energies, self.delays = energies, delays
@@ -494,17 +492,14 @@ class TaskGraph:
 
         These are the bits an NVM barrier at this node has to commit.
         """
-        inside = set(node.gates)
-        fanout = self._fanout
-        outs: set[str] = set()
+        index, fanout = self._structure.index, self._structure.fanout
+        inside = set(map(index.__getitem__, node.gates))
         outputs = self._outputs
-        for gate in node.gates:
-            consumers = fanout.get(gate, [])
-            if any(c not in inside for c in consumers):
-                outs.add(gate)
-            elif gate in outputs:
-                outs.add(gate)
-        return outs
+        return {
+            gate
+            for gate in node.gates
+            if gate in outputs or not inside.issuperset(fanout[index[gate]])
+        }
 
     # -- aggregate views ---------------------------------------------------------
 

@@ -70,12 +70,9 @@ def _level_nodes(netlist: Netlist, max_gates_per_node: int = 8) -> list[NodePair
     while keeping the partition/acyclicity invariants trivially true
     (grouping within a single level can never create cycles).
     """
-    lev = levelize(netlist)
     nodes: list[NodePair] = []
-    for level, nets in enumerate(lev.by_level):
-        comb = [n for n in nets if netlist.gates[n].is_combinational]
-        for chunk_no in range(0, len(comb), max_gates_per_node):
-            chunk = comb[chunk_no : chunk_no + max_gates_per_node]
-            if chunk:
-                nodes.append((f"L{level}_{chunk_no // max_gates_per_node}", tuple(chunk)))
+    for level, nets in enumerate(levelize(netlist)[1:], start=1):
+        for chunk_no in range(0, len(nets), max_gates_per_node):
+            chunk = nets[chunk_no : chunk_no + max_gates_per_node]
+            nodes.append((f"L{level}_{chunk_no // max_gates_per_node}", tuple(chunk)))
     return nodes

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.calibration import DEFAULT_ACTIVITY
-from repro.circuits.levelize import critical_path_delay
+from repro.circuits.gates import GateType
 from repro.circuits.netlist import Netlist
 from repro.tech.library import DEFAULT_LIBRARY, CellTiming, StandardCellLibrary
 
@@ -52,8 +52,10 @@ class SynthesisReport:
 
     @cached_property
     def topo_index(self) -> dict[str, int]:
-        """Net -> position in a topological order."""
-        return {g.name: i for i, g in enumerate(self.netlist.topological_order())}
+        """Net -> position in the netlist's topological order."""
+        structure = self.netlist.structure()
+        order = map(structure.names.__getitem__, structure.topo)
+        return dict(zip(order, range(len(structure.topo))))
 
     @cached_property
     def combinational_nets(self) -> frozenset[str]:
@@ -130,8 +132,27 @@ class SynthesisReport:
 
     @cached_property
     def logic_energy_j(self) -> float:
-        """Energy of one full evaluation pass of the netlist's gates."""
-        return self.block_cost(self.timing)[0]
+        """Energy of one full evaluation pass of the netlist's gates.
+
+        ``block_cost`` of the whole netlist, walked in topological order
+        on gate indices.  Every gate is a member, so a fan-in is read at
+        its arrival time, or at 0.0 while it is not visited yet (a
+        flip-flop's data input, whose driver comes later).
+        """
+        structure = self.netlist.structure()
+        fanin, timing = structure.fanin, self.timing
+        delays = [timing[net].delay_s for net in structure.names]
+        arrival = [0.0] * len(delays)
+        cdp = 0.0
+        for i in structure.topo:
+            end = arrival[i] = (
+                max(map(arrival.__getitem__, fanin[i]), default=0.0) + delays[i]
+            )
+            if end > cdp:
+                cdp = end
+        leakages = [cell.static_power_w for cell in timing.values()]
+        leak = sum(leakages) - max(0.0, min(leakages, default=0.0))
+        return self._dynamic_energy_j(timing) + cdp * leak
 
     @property
     def total_dynamic_energy_j(self) -> float:
@@ -182,10 +203,31 @@ def synthesize(
         library = DEFAULT_LIBRARY
     if not 0.0 < activity <= 1.0:
         raise ValueError("activity must be in (0, 1]")
-    netlist.validate()
-    timing = {g.name: library.characterize(g) for g in netlist.gates.values()}
-    delays = {net: cell.delay_s for net, cell in timing.items()}
-    cpd = critical_path_delay(netlist, delays)
+    structure = netlist.structure()
+    # A cell's figures depend only on its type and arity: characterize
+    # each such pair once and share the frozen record.
+    cells: dict[tuple[GateType, int], CellTiming] = {}
+    timing: dict[str, CellTiming] = {}
+    for name, gate in netlist.gates.items():
+        key = (gate.gtype, len(gate.inputs))
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = library.characterize(gate)
+        timing[name] = cell
+    # Critical path: sources and flip-flops start at their own delay,
+    # a combinational gate at its latest fan-in's arrival plus its own.
+    gates = tuple(netlist.gates.values())
+    delays = [cell.delay_s for cell in timing.values()]
+    fanin = structure.fanin
+    arrival = [0.0] * len(delays)
+    cpd = 0.0
+    for i in structure.topo:
+        if gates[i].is_combinational:
+            end = arrival[i] = delays[i] + max(map(arrival.__getitem__, fanin[i]))
+        else:
+            end = arrival[i] = delays[i]
+        if end > cpd:
+            cpd = end
     return SynthesisReport(
         netlist=netlist,
         timing=timing,

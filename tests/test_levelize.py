@@ -1,4 +1,4 @@
-"""Tests for structural levelization and cut analysis."""
+"""Tests for structural levelization and the critical path."""
 
 from __future__ import annotations
 
@@ -8,49 +8,52 @@ from repro.circuits import (
     GateType,
     Netlist,
     balanced_tree_circuit,
-    critical_path_delay,
-    cut_width,
-    fanin_cone,
     levelize,
 )
+from repro.tech import DEFAULT_LIBRARY, synthesize
+
+
+def _levels(by_level):
+    return {net: level for level, nets in enumerate(by_level) for net in nets}
 
 
 class TestLevels:
     def test_chain_levels(self, tiny_chain):
-        lev = levelize(tiny_chain)
-        assert lev.level_of("x") == 0
-        assert lev.level_of("a") == 1
-        assert lev.level_of("b") == 2
-        assert lev.depth == 2
+        assert levelize(tiny_chain) == [["x"], ["a"], ["b"]]
 
     def test_balanced_tree_depth(self):
         tree = balanced_tree_circuit(8)
-        assert levelize(tree).depth == 3  # log2(8)
+        assert len(levelize(tree)) - 1 == 3  # log2(8)
 
     def test_sources_at_level_zero(self, s27):
-        lev = levelize(s27)
-        for net in s27.inputs:
-            assert lev.level_of(net) == 0
-        for ff in s27.flip_flops:
-            assert lev.level_of(ff.name) == 0
+        sources = set(levelize(s27)[0])
+        assert set(s27.inputs) <= sources
+        assert {ff.name for ff in s27.flip_flops} <= sources
 
     def test_gate_above_deepest_fanin(self, s27):
-        lev = levelize(s27)
+        levels = _levels(levelize(s27))
         for gate in s27.logic_gates:
-            assert lev.level_of(gate.name) == 1 + max(
-                lev.level_of(src) for src in gate.inputs
-            )
+            assert levels[gate.name] == 1 + max(levels[src] for src in gate.inputs)
 
     def test_by_level_partitions_all_nets(self, small_logic):
-        lev = levelize(small_logic)
-        flattened = [n for level in lev.by_level for n in level]
+        by_level = levelize(small_logic)
+        flattened = [n for level in by_level for n in level]
         assert sorted(flattened) == sorted(small_logic.gates)
+
+    def test_each_level_in_topological_order(self, small_logic):
+        order = [g.name for g in small_logic.topological_order()]
+        for nets in levelize(small_logic):
+            assert nets == [n for n in order if n in set(nets)]
+
+
+def _delay(netlist, net):
+    return DEFAULT_LIBRARY.characterize(netlist.driver(net)).delay_s
 
 
 class TestCriticalPath:
     def test_chain_sums_delays(self, tiny_chain):
-        delays = {"a": 2.0, "b": 3.0}
-        assert critical_path_delay(tiny_chain, delays) == pytest.approx(5.0)
+        expected = _delay(tiny_chain, "a") + _delay(tiny_chain, "b")
+        assert synthesize(tiny_chain).critical_path_s == pytest.approx(expected)
 
     def test_parallel_paths_take_max(self):
         netlist = Netlist(name="diamond")
@@ -59,41 +62,20 @@ class TestCriticalPath:
         netlist.add_gate("fast", GateType.NOT, ["x"])
         netlist.add_gate("join", GateType.AND, ["slow", "fast"])
         netlist.add_output("join")
-        delays = {"slow": 10.0, "fast": 1.0, "join": 1.0}
-        assert critical_path_delay(netlist, delays) == pytest.approx(11.0)
+        expected = _delay(netlist, "slow") + _delay(netlist, "join")
+        assert _delay(netlist, "slow") > _delay(netlist, "fast")
+        assert synthesize(netlist).critical_path_s == pytest.approx(expected)
 
-    def test_empty_delays_give_zero(self, tiny_chain):
-        assert critical_path_delay(tiny_chain, {}) == 0.0
+    def test_empty_delays_give_zero(self):
+        netlist = Netlist(name="wires")
+        netlist.add_input("x")
+        netlist.add_output("x")
+        assert synthesize(netlist).critical_path_s == 0.0
 
-
-class TestCones:
-    def test_fanin_cone_of_output(self, s27):
-        cone = fanin_cone(s27, "G17")
-        assert "G17" in cone
-        assert "G11" in cone
-        # Stops at flip-flops by default.
-        assert "G10" not in cone or s27.driver("G10").is_sequential
-
-    def test_fanin_cone_crossing_state(self, s27):
-        shallow = fanin_cone(s27, "G17", stop_at_state=True)
-        deep = fanin_cone(s27, "G17", stop_at_state=False)
-        assert shallow <= deep
-        assert len(deep) > len(shallow)
-
-    def test_cone_of_input_is_singleton(self, s27):
-        assert fanin_cone(s27, "G0") == {"G0"}
-
-
-class TestCutWidth:
-    def test_tree_cut_narrows_toward_root(self):
-        tree = balanced_tree_circuit(8)
-        lev = levelize(tree)
-        widths = [cut_width(tree, level, lev) for level in range(lev.depth)]
-        # 8-leaf tree: cuts of width 4, 2, 1 above levels 1, 2 (then none).
-        assert widths[1] == 4
-        assert widths[2] == 2
-        assert widths[0] == 8
-
-    def test_cut_above_depth_is_zero(self, s27):
-        lev = levelize(s27)
-        assert cut_width(s27, lev.depth, lev) == 0
+    def test_flip_flop_starts_a_path(self):
+        netlist = Netlist(name="toggler")
+        netlist.add_gate("q", GateType.DFF, ["d"])
+        netlist.add_gate("d", GateType.NOT, ["q"])
+        netlist.add_output("q")
+        expected = _delay(netlist, "q") + _delay(netlist, "d")
+        assert synthesize(netlist).critical_path_s == pytest.approx(expected)

@@ -82,6 +82,39 @@ class TestValidation:
         netlist.add_output("q")
         netlist.validate()  # must not raise
 
+    def test_undriven_input_reported_before_undriven_output(self):
+        netlist = Netlist(name="bad")
+        netlist.add_gate("p", GateType.AND, ["q", "missing"])
+        netlist.add_gate("q", GateType.AND, ["p", "p"])
+        netlist.add_output("ghost")
+        with pytest.raises(NetlistError) as info:
+            netlist.validate()
+        assert str(info.value) == "gate 'p' reads undriven net 'missing'"
+
+    def test_undriven_output_reported_before_cycle(self):
+        netlist = Netlist(name="bad")
+        netlist.add_input("x")
+        netlist.add_gate("p", GateType.AND, ["x", "q"])
+        netlist.add_gate("q", GateType.AND, ["x", "p"])
+        netlist.add_output("ghost")
+        with pytest.raises(NetlistError) as info:
+            netlist.validate()
+        assert str(info.value) == "primary output 'ghost' is undriven"
+
+    def test_cycle_message_names_every_stuck_net(self):
+        netlist = Netlist(name="cyclic")
+        netlist.add_input("x")
+        netlist.add_gate("r", GateType.NOT, ["q"])
+        netlist.add_gate("q", GateType.AND, ["x", "p"])
+        netlist.add_gate("p", GateType.AND, ["x", "q"])
+        netlist.add_gate("s", GateType.NOT, ["x"])
+        netlist.add_output("r")
+        with pytest.raises(NetlistError) as info:
+            netlist.validate()
+        assert str(info.value) == (
+            "combinational cycle in 'cyclic' involving ['p', 'q', 'r']"
+        )
+
     def test_growth_after_passing_validate_is_checked(self):
         netlist = build_half_adder()
         netlist.validate()
@@ -136,8 +169,9 @@ class TestTopologicalOrder:
 
 class TestViewsAndTransforms:
     def test_fanout_map(self, s27):
-        fanout = s27.fanout_map()
-        assert set(fanout["G11"]) == {"G17", "G10", "G6"}
+        structure = s27.structure()
+        consumers = structure.fanout[structure.index["G11"]]
+        assert {structure.names[i] for i in consumers} == {"G17", "G10", "G6"}
 
     def test_copy_is_independent(self, s27):
         clone = s27.copy(name="s27_clone")

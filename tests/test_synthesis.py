@@ -130,8 +130,28 @@ class TestWholeCircuit:
         assert report.logic_energy_j is energy
         assert cycle_figures(report)[0] is energy
 
+    @pytest.mark.parametrize("name", ["s298", "s1423", "b05"])
+    def test_logic_energy_matches_block_cost_on_sequential_circuits(self, name):
+        """Flip-flop fan-ins that arrive late read 0.0, as in ``block_cost``."""
+        from repro.suite.registry import load_circuit
+
+        report = synthesize(load_circuit(name))
+        assert repr(report.logic_energy_j) == repr(
+            report.block_cost(report.timing)[0]
+        )
+
 
 class TestLibraryInjection:
+    @pytest.mark.parametrize("name", ["s27", "s1423"])
+    def test_timing_is_the_library_characterization(self, name):
+        from repro.suite.registry import load_circuit
+
+        netlist = load_circuit(name)
+        report = synthesize(netlist)
+        assert list(report.timing) == list(netlist.gates)
+        for net, gate in netlist.gates.items():
+            assert report.timing[net] == DEFAULT_LIBRARY.characterize(gate)
+
     def test_custom_library_changes_results(self, s27):
         fast = synthesize(s27, library=DEFAULT_LIBRARY)
         slow_lib = type(DEFAULT_LIBRARY)(process_corner=2.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core import FeatureDict, TaskGraph, TaskNode, TreeError, build_task_graph
@@ -103,6 +105,23 @@ class TestGranularities:
         level_graph = build_task_graph(small_logic, granularity="level")
         assert len(level_graph) < len(gate_graph)
         level_graph.check()
+
+    def test_level_nodes_pinned_over_the_roster(self):
+        """The ``level`` granularity's nodes, over every roster circuit.
+
+        sha256 over the ``repr`` of each circuit's ``_level_nodes``, in
+        roster order: level numbering, chunking and the order of gates
+        within a level must all stay as they are.
+        """
+        from repro.core.tree_generator import _level_nodes
+        from repro.suite.registry import ROSTER, load_circuit
+
+        digest = hashlib.sha256()
+        for info in ROSTER:
+            digest.update(repr(_level_nodes(load_circuit(info.name))).encode())
+        assert digest.hexdigest() == (
+            "d19d3af6e3d582cd7b75aac6eebdf93b7858f6829e6413baf6ce8c2ea539042b"
+        )
 
     def test_unknown_granularity(self, s27):
         with pytest.raises(ValueError, match="unknown granularity"):
