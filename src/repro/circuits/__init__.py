@@ -34,6 +34,9 @@ from repro.circuits.verilog import VerilogError, parse_verilog, write_verilog
 #: Netlist file parsers by lower-case file suffix.
 _PARSERS = {".bench": load_bench, ".blif": load_blif, ".mcnc": load_blif}
 
+#: The netlist file suffixes :func:`netlist_parser` accepts, for messages.
+NETLIST_SUFFIXES = "/".join(_PARSERS)
+
 
 def netlist_parser(path: str | Path) -> Callable[[str | Path], Netlist] | None:
     """The parser for a netlist file, chosen by its suffix in any case.
@@ -51,6 +54,7 @@ __all__ = [
     "Gate",
     "GateArityError",
     "GateType",
+    "NETLIST_SUFFIXES",
     "Netlist",
     "NetlistError",
     "NetlistStructure",

@@ -25,8 +25,7 @@ Usage (after ``pip install -e .``)::
     python -m repro sweep b10 --dump-config        # print merged TOML
     python -m repro coordinator s27 --results svc.sqlite \
         --spawn-workers 4                          # distributed sweep
-    python -m repro worker --queue svc.sqlite \
-        --results svc.sqlite                       # extra worker, any host
+    python -m repro worker --results svc.sqlite    # extra worker, any host
     python -m repro view svc.sqlite --port 8750    # read-only HTTP view
     python -m repro lint                           # lint the full roster
     python -m repro lint my.bench bad.json --deep  # netlists + configs
@@ -44,12 +43,11 @@ optionally seeded/scaled as ``name[@seed[@scale]]``, or paths to measured
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
 
 from repro.baselines import SCHEME_ORDER
-from repro.circuits import netlist_parser
+from repro.circuits import NETLIST_SUFFIXES, netlist_parser
 from repro.circuits.netlist import Netlist
 from repro.core import DiacConfig, DiacSynthesizer
 from repro.evaluation import evaluate_design
@@ -72,7 +70,7 @@ def _resolve_netlist(spec: str) -> Netlist:
         return load_circuit(spec)
     raise SystemExit(
         f"error: {spec!r} is neither a roster circuit nor an existing "
-        f".bench/.blif file; roster: {', '.join(sorted(BY_NAME))}"
+        f"{NETLIST_SUFFIXES} file; roster: {', '.join(sorted(BY_NAME))}"
     )
 
 
@@ -428,7 +426,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     fault_plan = _parse_fault_plan(args)
     try:
         summary = run_worker(
-            args.queue,
             args.results,
             worker_id=args.worker_id,
             lease_size=args.lease_size,
@@ -436,8 +433,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
             drain=args.drain,
             idle_timeout_s=args.idle_timeout,
             fault_plan=fault_plan,
-            store_backend=args.store_backend or "auto",
-            fsync_every=args.fsync_every,
         )
     except ValueError as error:
         raise SystemExit(f"error: {error}") from None
@@ -467,6 +462,12 @@ def cmd_coordinator(args: argparse.Namespace) -> int:
             "error: execution.workers applies to 'sweep' only; the "
             "coordinator's local worker count is --spawn-workers"
         )
+    if store_cfg["fsync_every"]:
+        raise SystemExit(
+            "error: store.fsync_every applies to 'sweep' only; the "
+            "coordinator's records commit with their lease, in one "
+            "transaction synced at SQLite's synchronous=FULL"
+        )
     _validate_sweep_config(merged)
     if not store_cfg["results"]:
         raise SystemExit(
@@ -488,7 +489,6 @@ def cmd_coordinator(args: argparse.Namespace) -> int:
     try:
         coordinator = SweepCoordinator(
             store_cfg["results"],
-            queue_path=args.queue,
             workers=args.spawn_workers,
             lease_size=args.lease_size,
             lease_timeout_s=args.lease_timeout,
@@ -496,7 +496,6 @@ def cmd_coordinator(args: argparse.Namespace) -> int:
             max_respawns=args.max_respawns,
             resilience=resilience,
             store_backend=store_cfg["backend"],
-            fsync_every=store_cfg["fsync_every"],
             http_port=args.http,
         )
     except (TypeError, ValueError) as error:
@@ -513,29 +512,10 @@ def cmd_coordinator(args: argparse.Namespace) -> int:
 
 
 def cmd_view(args: argparse.Namespace) -> int:
-    import sqlite3
-
     from repro.service.view import SweepViewServer
 
-    queue_path = args.queue
-    if queue_path is None and Path(args.store).exists():
-        # The queue usually colocates with the store; attach it
-        # automatically when its tables are present in the same file.
-        with contextlib.closing(sqlite3.connect(args.store)) as conn:
-            with contextlib.suppress(sqlite3.Error):
-                found = conn.execute(
-                    "SELECT name FROM sqlite_master "
-                    "WHERE type = 'table' AND name = 'svc_tasks'"
-                ).fetchone()
-                if found is not None:
-                    queue_path = args.store
     try:
-        server = SweepViewServer(
-            args.store,
-            queue_path=queue_path,
-            host=args.host,
-            port=args.port,
-        )
+        server = SweepViewServer(args.store, host=args.host, port=args.port)
     except OSError as error:
         raise SystemExit(f"error: cannot bind view server: {error}") from None
     print(
@@ -922,11 +902,12 @@ def _add_sweep_config_args(
         help="skip points already present in --results (indexed key "
         "lookup; warns if the store's base configuration differs)",
     )
-    store.add_argument(
-        "--fsync-every", type=int, default=None, metavar="N",
-        help="fsync --results after every N records (default: 0 = "
-        "leave flushing to the OS)",
-    )
+    if engine_execution:
+        store.add_argument(
+            "--fsync-every", type=int, default=None, metavar="N",
+            help="fsync --results after every N records (default: 0 = "
+            "leave flushing to the OS)",
+        )
 
 
 def _add_chaos_args(p: argparse.ArgumentParser) -> None:
@@ -992,13 +973,9 @@ def build_parser() -> argparse.ArgumentParser:
         "service", "queue, worker fleet and view wiring"
     )
     service.add_argument(
-        "--queue", metavar="FILE", default=None,
-        help="lease-queue database (default: colocate with --results)",
-    )
-    service.add_argument(
         "--spawn-workers", type=int, default=2, metavar="N",
         help="local worker processes to fork (0 = rely on external "
-        "'repro worker' processes pointed at the same queue)",
+        "'repro worker' processes pointed at the same --results)",
     )
     service.add_argument(
         "--lease-size", type=int, default=8, metavar="N",
@@ -1036,17 +1013,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate leases from a coordinator's queue until drained",
     )
     p_worker.add_argument(
-        "--queue", metavar="FILE", required=True,
-        help="the coordinator's lease-queue database",
-    )
-    p_worker.add_argument(
         "--results", metavar="FILE", required=True,
-        help="the shared SQLite result store",
-    )
-    p_worker.add_argument(
-        "--store-backend", choices=("auto", "jsonl", "sqlite"),
-        default="auto",
-        help="result-store backend (must resolve to sqlite)",
+        help="the coordinator's SQLite result store, which holds the "
+        "lease queue",
     )
     p_worker.add_argument(
         "--worker-id", metavar="NAME", default=None,
@@ -1069,10 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after this much continuous idleness "
         "(default: wait for the queue to close)",
     )
-    p_worker.add_argument(
-        "--fsync-every", type=int, default=0, metavar="N",
-        help="fsync the store after every N records",
-    )
     _add_chaos_args(p_worker)
     p_worker.set_defaults(func=cmd_worker)
 
@@ -1081,11 +1046,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="read-only HTTP JSON view over a sweep store",
     )
     p_view.add_argument(
-        "store", metavar="STORE", help="result store to render"
-    )
-    p_view.add_argument(
-        "--queue", metavar="FILE", default=None,
-        help="lease queue for /failures, /workers and queue stats",
+        "store", metavar="STORE",
+        help="result store to render; a lease queue in the same file "
+        "feeds /failures, /workers and the queue stats",
     )
     p_view.add_argument("--host", default="127.0.0.1")
     p_view.add_argument(

@@ -698,7 +698,6 @@ class SweepEngine:
                 poll_s=_FLEET_POLL_S,
                 resilience=cfg,
                 base_config=self.base_config,
-                store_backend="sqlite",
             )
             store = SqliteResultStore(path)
             try:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -106,16 +106,58 @@ def enable_wal(conn: sqlite3.Connection, busy_timeout_s: float) -> None:
             time.sleep(0.005)
 
 
-def _row(record: ExplorationRecord) -> tuple:
-    """:data:`_WRITE` parameters for one record."""
-    return (
-        encode_key(record.key()),
-        record.scenario.label(),
-        record.circuit,
-        record.pdp_js,
-        record.reexec_energy_j,
-        json.dumps(record_to_dict(record), sort_keys=True),
+def write_records(
+    conn: sqlite3.Connection, records: Iterable[ExplorationRecord]
+) -> None:
+    """Write ``records`` as new rows, inside the caller's transaction.
+
+    The one record writer: :class:`SqliteResultStore` and
+    :meth:`repro.service.queue.LeaseQueue.resolve` both write through it.
+    """
+    conn.executemany(
+        _WRITE,
+        (
+            (
+                encode_key(record.key()),
+                record.scenario.label(),
+                record.circuit,
+                record.pdp_js,
+                record.reexec_energy_j,
+                json.dumps(record_to_dict(record), sort_keys=True),
+            )
+            for record in records
+        ),
     )
+
+
+def create_schema(conn: sqlite3.Connection, path: Path) -> None:
+    """Create the record tables if absent, then check their version.
+
+    Shared by every opener of a store file, the lease queue included,
+    so a file written under a newer schema is refused before anything
+    is written to it.
+
+    Raises:
+        ValueError: for a database written under a newer schema.
+    """
+    conn.executescript(_SCHEMA)
+    # Insert-if-absent, then read back: a read-then-insert races a
+    # concurrent first opener into a UNIQUE violation.
+    conn.execute(
+        "INSERT INTO meta (key, value) VALUES (?, ?) "
+        "ON CONFLICT(key) DO NOTHING",
+        ("schema_version", json.dumps(STORE_SCHEMA_VERSION)),
+    )
+    stored = json.loads(
+        conn.execute(
+            "SELECT value FROM meta WHERE key = 'schema_version'"
+        ).fetchone()[0]
+    )
+    if stored > STORE_SCHEMA_VERSION:
+        raise ValueError(
+            f"{path} was written under store schema {stored}; this build "
+            f"reads up to {STORE_SCHEMA_VERSION}"
+        )
 
 
 class SqliteResultStore:
@@ -159,25 +201,7 @@ class SqliteResultStore:
             + ("FULL" if fsync_every >= 1 else "NORMAL")
         )
         with self._conn:
-            self._conn.executescript(_SCHEMA)
-            # Insert-if-absent, then read back: a read-then-insert races
-            # a concurrent first opener into a UNIQUE violation.
-            self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES (?, ?) "
-                "ON CONFLICT(key) DO NOTHING",
-                ("schema_version", json.dumps(STORE_SCHEMA_VERSION)),
-            )
-            stored = json.loads(
-                self._conn.execute(
-                    "SELECT value FROM meta WHERE key = 'schema_version'"
-                ).fetchone()[0]
-            )
-            if stored > STORE_SCHEMA_VERSION:
-                raise ValueError(
-                    f"{self.path} was written under store schema "
-                    f"{stored}; this build reads up to "
-                    f"{STORE_SCHEMA_VERSION}"
-                )
+            create_schema(self._conn, self.path)
 
     def close(self) -> None:
         """Close the underlying connection (idempotent)."""
@@ -200,7 +224,7 @@ class SqliteResultStore:
             ]
         if records:
             with self._conn:
-                self._conn.executemany(_WRITE, map(_row, records))
+                write_records(self._conn, records)
 
     def rewrite(self, records: list[ExplorationRecord]) -> None:
         """Replace the whole record set in one transaction.
@@ -212,7 +236,7 @@ class SqliteResultStore:
         """
         with self._conn:
             self._conn.execute("DELETE FROM records")
-            self._conn.executemany(_WRITE, map(_row, records))
+            write_records(self._conn, records)
 
     def compact(self) -> int:
         """Checkpoint the WAL back into the main database file.

@@ -21,8 +21,8 @@ lease queue; it is also the only parallel path of the in-process
   live or finished store; import it from :mod:`repro.service.view`, so
   the engine's parallel path does not load ``http.server``.
 
-Everything is stdlib-only: the queue colocates with the SQLite result
-store (WAL admits concurrent writers), so a distributed sweep needs no
+Everything is stdlib-only: the queue lives in the SQLite result store's
+file (WAL admits concurrent writers), so a distributed sweep needs no
 infrastructure beyond one shared file path.
 """
 

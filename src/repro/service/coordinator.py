@@ -7,11 +7,12 @@
 :func:`repro.dse.planner.plan_and_run`.  Only the evaluation differs.
 The planner hands the coordinator each generation's pending tasks (a
 grid is one generation), which it enqueues on a
-:class:`~repro.service.queue.LeaseQueue`; workers claim stage-batch
-leases and write into the shared SQLite store, and the coordinator
-polls the queue down to zero, reading each record once as it is
-written.  Workers — and their process-global synthesis caches — stay
-alive across a search's generations.
+:class:`~repro.service.queue.LeaseQueue` inside the shared SQLite
+store; workers claim stage-batch leases and resolve each one in a
+single transaction that writes its records and marks its tasks done,
+and the coordinator polls the queue down to zero, reading each record
+once as it is written.  Workers — and their process-global synthesis
+caches — stay alive across a search's generations.
 
 :meth:`SweepCoordinator.session` is that executor on its own, and the
 only parallel path there is: ``SweepEngine(workers>1)`` runs it on a
@@ -27,10 +28,10 @@ respawn budget, and once no local worker is left the submitter drains
 the rest in its own process.  The executor evaluates each task once;
 which failures run again is the planner's decision, the same retry loop
 the in-process engine uses.  Determinism carries through: point
-evaluation is pure and stores upsert on the engine's resume keys — so
-the final record set is bit-identical to a single-process run of the
-same request, however leases interleave or workers die
-(``tests/test_paths.py`` pins this).
+evaluation is pure, and only a lease's holder can resolve it, so each
+key is written at most once per enqueue — the final record set is
+bit-identical to a single-process run of the same request, however
+leases interleave or workers die (``tests/test_paths.py`` pins this).
 """
 
 from __future__ import annotations
@@ -57,12 +58,7 @@ from repro.dse.engine import (
 from repro.dse.explorer import ExplorationRecord, SynthesisCache
 from repro.dse.planner import Execute, plan_and_run
 from repro.dse.request import SweepRequest
-from repro.dse.resilience import (
-    TERMINAL,
-    ResilienceConfig,
-    check_count,
-    check_duration,
-)
+from repro.dse.resilience import ResilienceConfig, check_count, check_duration
 from repro.dse.sqlite_store import SqliteResultStore
 from repro.dse.store import open_store
 from repro.service.queue import LeaseQueue
@@ -172,12 +168,9 @@ class SweepCoordinator:
     """Shards :class:`SweepRequest` s over queue-fed worker processes.
 
     Args:
-        store_path: the shared result store; must resolve to the SQLite
-            backend (WAL + upserts admit the concurrent writers).
-        queue_path: the lease-queue database.  Defaults to
-            ``store_path`` — the queue tables are ``svc_``-prefixed, so
-            store and queue colocate in one file and a whole
-            distributed sweep shares a single path.
+        store_path: the shared result store, which also holds the lease
+            queue; must resolve to the SQLite backend (WAL admits the
+            concurrent writers).
         workers: local worker processes to fork per session.  0 forks
             none — external workers (``repro worker``) pointed at the
             same queue/store do the evaluating (multi-host mode, and
@@ -196,7 +189,6 @@ class SweepCoordinator:
         base_config: synthesis defaults, identical to the engine's;
             persisted in the queue, which is where workers read it.
         store_backend: forwarded to :func:`~repro.dse.store.open_store`.
-        fsync_every: forwarded to :func:`~repro.dse.store.open_store`.
         http_port: when not ``None``, serve the read-only
             :class:`~repro.service.view.SweepViewServer` on this port
             for the duration of :meth:`submit` (0 = ephemeral port),
@@ -206,7 +198,6 @@ class SweepCoordinator:
     def __init__(
         self,
         store_path: str | Path,
-        queue_path: str | Path | None = None,
         workers: int = 2,
         lease_size: int = 8,
         lease_timeout_s: float = 60.0,
@@ -215,7 +206,6 @@ class SweepCoordinator:
         resilience: ResilienceConfig | None = None,
         base_config: DiacConfig | None = None,
         store_backend: str = "auto",
-        fsync_every: int = 0,
         http_port: int | None = None,
     ) -> None:
         check_count("workers", workers, 0)
@@ -224,9 +214,6 @@ class SweepCoordinator:
         check_duration("lease_timeout_s", lease_timeout_s)
         check_duration("poll_s", poll_s)
         self.store_path = Path(store_path)
-        self.queue_path = (
-            Path(queue_path) if queue_path is not None else self.store_path
-        )
         self.workers = workers
         self.lease_size = lease_size
         self.lease_timeout_s = lease_timeout_s
@@ -237,7 +224,6 @@ class SweepCoordinator:
         )
         self.base_config = base_config
         self.store_backend = store_backend
-        self.fsync_every = fsync_every
         self.http_port = http_port
 
     def submit(
@@ -280,11 +266,7 @@ class SweepCoordinator:
                 "the coordinator needs a named strategy; strategy "
                 "instances cannot cross process boundaries"
             )
-        store = open_store(
-            self.store_path,
-            backend=self.store_backend,
-            fsync_every=self.fsync_every,
-        )
+        store = open_store(self.store_path, backend=self.store_backend)
         if not isinstance(store, SqliteResultStore):
             raise ValueError(
                 f"the sweep service requires the SQLite store backend; "
@@ -333,8 +315,8 @@ class SweepCoordinator:
             stats: receives the execution counters — ``n_batches``
                 (stage groups enqueued) and ``n_timeouts`` (stragglers
                 killed).
-            store: the SQLite store at ``store_path``, which the
-                workers write.
+            store: the SQLite store at ``store_path``, which holds the
+                queue and receives the records as leases resolve.
             netlists: circuit name -> netlist, handed to the forked
                 workers and to an in-process drain.
             sources: circuit name -> netlist file path for non-roster
@@ -342,20 +324,17 @@ class SweepCoordinator:
             caches: the synthesis-cache map of an in-process drain
                 (the planner counts the stages built on it).
             commit: called on each poll that finds new records, with
-                those records, so the caller can stream them on; a
-                record written again unchanged is not passed twice.
+                those records, so the caller can stream them on.
         """
-        queue = LeaseQueue(self.queue_path, lease_timeout_s=self.lease_timeout_s)
+        queue = LeaseQueue(self.store_path, lease_timeout_s=self.lease_timeout_s)
         netlists = netlists if netlists is not None else {}
         caches = caches if caches is not None else {}
         inline = f"{socket.gethostname()}-{os.getpid()}-inline"
         fleet: _Fleet | None = None
         view: multiprocessing.process.BaseProcess | None = None
         cursor = store.last_rowid()
-        # Every record written this session, newest write per key.  A
-        # record stored by a lease that then failed is returned only
-        # after a later round runs its task again; that write is a new
-        # row, so the cursor reads it too.
+        # Every record written this session: a key is written once per
+        # enqueue, and only by the lease that marks its task done.
         streamed: dict[_TaskKey, ExplorationRecord] = {}
 
         def execute(tasks: list[_Task]) -> tuple[
@@ -371,11 +350,7 @@ class SweepCoordinator:
             within budget), reclaims expired leases, kills stragglers
             and reads the records written since the last poll; once the
             fleet is gone for good, this process runs one lease per poll
-            itself.  Only tasks that did not fail are returned, so a
-            record stored by a failed lease never stands in for a point
-            this round failed.  A task that is done but has no record
-            written this session (its worker wrote to another store)
-            comes back as a terminal failure.
+            itself.
             """
             nonlocal cursor
             stats.n_batches += len(
@@ -389,29 +364,22 @@ class SweepCoordinator:
                     # Killed here, reaped (and replaced) next poll; its
                     # lease failed when the queue marked it dead.
                     stats.n_timeouts += fleet.kill_stragglers()
-                # Workers store before they resolve, and a resolved task
-                # can only turn from failed to done (a late report), so
-                # once the queue is seen drained every task missing from
-                # this failure snapshot is stored before the read below.
+                # A task's record commits with its done mark, so once
+                # the queue is seen drained the read below finds every
+                # record of this round.
                 drained = queue.unfinished() == 0
                 if drained:
                     failed = queue.failures()
                 records, cursor = store.records_after(cursor)
-                # A task run again after its lease failed writes the
-                # same record again; it is handed on once.
-                fresh = []
-                for record in records:
-                    key = record.key()
-                    if streamed.get(key) != record:
-                        streamed[key] = record
-                        fresh.append((key, record))
+                fresh = [(record.key(), record) for record in records]
+                streamed.update(fresh)
                 if commit is not None and fresh:
                     commit(fresh)
                 if drained:
                     break
                 if fleet is not None and not fleet.procs:
                     if run_lease(
-                        queue, store, inline, self.lease_size, netlists,
+                        queue, inline, self.lease_size, netlists,
                         self.resilience.fault_plan, caches,
                     ) is not None:
                         continue
@@ -428,21 +396,10 @@ class SweepCoordinator:
                 for entry in failed
                 if tuple(entry["key"]) in wanted
             }
-            done = [task for task in tasks if task[0] not in failures]
-            for key, circuit, scenario, point in done:
-                if key not in streamed:
-                    failures[key] = SweepFailure(
-                        circuit=circuit,
-                        label=point.label(),
-                        error=(
-                            f"task is done but its record is not in "
-                            f"{self.store_path}: its worker stored it elsewhere"
-                        ),
-                        scenario=scenario.label(),
-                        kind=TERMINAL,
-                    )
             return {
-                key: streamed[key] for key, *_rest in done if key in streamed
+                key: streamed[key]
+                for key, *_rest in tasks
+                if key not in failures
             }, failures
 
         try:
@@ -455,13 +412,10 @@ class SweepCoordinator:
             if self.workers:
                 fleet = _Fleet(
                     self.workers, self.max_respawns, queue,
-                    queue_path=self.queue_path,
-                    store_path=self.store_path,
+                    path=self.store_path,
                     lease_size=self.lease_size,
                     poll_s=self.poll_s,
                     fault_plan=self.resilience.fault_plan,
-                    store_backend=self.store_backend,
-                    fsync_every=self.fsync_every,
                     netlists=netlists,
                 )
             if self.http_port is not None:
@@ -485,9 +439,7 @@ class SweepCoordinator:
         """
         from repro.service.view import SweepViewServer
 
-        server = SweepViewServer(
-            self.store_path, queue_path=self.queue_path, port=self.http_port or 0
-        )
+        server = SweepViewServer(self.store_path, port=self.http_port or 0)
         proc = multiprocessing.get_context("fork").Process(
             target=server.serve_forever, daemon=True
         )

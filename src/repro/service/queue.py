@@ -1,8 +1,8 @@
 """The SQLite-backed lease queue behind the sweep service.
 
-One queue = one SQLite file (WAL) holding three ``svc_``-prefixed
-tables, so it can *colocate with the SQLite result store in the same
-database* — a distributed sweep then needs exactly one shared path:
+The queue lives in the SQLite result store's own file (WAL), as three
+``svc_``-prefixed tables beside the store's ``records`` and ``meta``, so
+a distributed sweep needs exactly one shared path:
 
 * ``svc_tasks`` — one row per evaluation task, keyed by the engine's
   resume key.  Lifecycle: ``pending`` -> ``leased`` (claimed by a
@@ -27,12 +27,15 @@ Claims batch by *stage* (circuit x policy) — the synthesis-sharing
 group of :func:`repro.dse.engine._evaluate_batch` — so a lease is one
 warm-cache batch, not a grab-bag of unrelated synthesis runs.  The
 lease is also the unit of commit: :meth:`LeaseQueue.claim` (reclaim
-included) and :meth:`LeaseQueue.resolve` are one transaction each.
+included) and :meth:`LeaseQueue.resolve` are one transaction each, and
+``resolve`` writes the lease's records in the same transaction as its
+``done`` marks, so a task is either done with its record stored or not
+done and without one.
 
-Completion is idempotent by construction: the result store upserts on
-the same key, and :meth:`LeaseQueue.resolve` marks ``done`` whatever
-state the row is in — a reclaimed task finished twice lands on one
-record and one ``done`` row.
+Only the lease holder's report counts.  A worker whose lease was
+reclaimed reports into nothing: its late records are not written and
+its tasks are not marked, so each key is written at most once per
+enqueue.
 """
 
 from __future__ import annotations
@@ -46,9 +49,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.diac import DiacConfig
-from repro.dse.explorer import DesignPoint
+from repro.dse.explorer import DesignPoint, ExplorationRecord
 from repro.dse.resilience import TRANSIENT
-from repro.dse.sqlite_store import decode_key, enable_wal, encode_key
+from repro.dse.sqlite_store import (
+    create_schema,
+    decode_key,
+    enable_wal,
+    encode_key,
+    write_records,
+)
 from repro.dse.store import (
     config_from_dict,
     config_to_dict,
@@ -135,18 +144,19 @@ class Lease(list[LeaseTask]):
 
 
 class LeaseQueue:
-    """Durable lease queue over one SQLite file (see module docs).
+    """Durable lease queue inside a SQLite result store (see module docs).
 
     Args:
-        path: queue database; shares a file with
-            :class:`~repro.dse.sqlite_store.SqliteResultStore` cleanly
-            (all tables here are ``svc_``-prefixed).
+        path: the :class:`~repro.dse.sqlite_store.SqliteResultStore`
+            file; its record tables are created here if absent, since
+            :meth:`resolve` writes the records.
         lease_timeout_s: fallback lease lifetime, same rule.
         busy_timeout_s: how long concurrent openers wait on a locked
             database before erroring.
 
     Raises:
-        ValueError: for a queue written under a newer layout version.
+        ValueError: for a file written under a newer store schema or
+            queue layout version, before anything is written to it.
     """
 
     def __init__(
@@ -162,6 +172,7 @@ class LeaseQueue:
         # across processes), so autocommit between them.
         self._conn.isolation_level = None
         enable_wal(self._conn, busy_timeout_s)
+        create_schema(self._conn, self.path)
         self._conn.executescript(_SCHEMA)
         # Insert-if-absent, then read back, so concurrent first openers
         # agree on one stamp.
@@ -370,44 +381,57 @@ class LeaseQueue:
     def resolve(
         self,
         worker: str,
-        done: Iterable[tuple],
+        done: Iterable[tuple[tuple, ExplorationRecord]],
         failed: Iterable[tuple[tuple, str, str]] = (),
     ) -> None:
         """Resolve one lease's outcomes in one transaction.
 
-        ``done`` keys are marked ``done`` idempotently, whoever holds
-        them now: each record already landed in the result store (an
-        upsert on the same key), so a double completion after a lease
-        reclaim is harmless.  ``failed`` holds ``(key, error, kind)``
-        entries, each landing in ``failed`` whatever its kind — the
-        planner decides what runs again.  Only the lease holder's
-        failure report counts — failing a task that was already
-        reclaimed (or completed) is a no-op.  The worker's
-        ``n_done``/``n_failed`` counters and ``last_seen`` move in the
-        same transaction.
+        ``done`` holds ``(key, record)`` pairs: each record is written
+        to the store's ``records`` table and its task marked ``done``.
+        ``failed`` holds ``(key, error, kind)`` entries, each landing in
+        ``failed`` whatever its kind — the planner decides what runs
+        again.  Only tasks ``worker`` still holds are resolved: a report
+        on a task that was reclaimed (or resolved) since writes no
+        record and changes no row.  The worker's ``n_done``/``n_failed``
+        counters and ``last_seen`` move in the same transaction.
         """
         now = time.time()
         with self._transaction():
-            n_done = self._conn.executemany(
-                "UPDATE svc_tasks SET status = 'done', worker = ?, "
-                "lease_deadline = NULL, error = NULL, kind = NULL "
-                "WHERE task_key = ? AND status != 'done'",
-                [(worker, encode_key(key)) for key in done],
-            ).rowcount
-            n_failed = self._conn.executemany(
+            held = {
+                row[0]
+                for row in self._conn.execute(
+                    "SELECT task_key FROM svc_tasks "
+                    "WHERE status = 'leased' AND worker = ?",
+                    (worker,),
+                )
+            }
+            finished = [
+                (encoded, record)
+                for key, record in done
+                if (encoded := encode_key(key)) in held
+            ]
+            lost = [
+                (error, kind, encoded)
+                for key, error, kind in failed
+                if (encoded := encode_key(key)) in held
+            ]
+            write_records(self._conn, (record for _k, record in finished))
+            self._conn.executemany(
+                "UPDATE svc_tasks SET status = 'done', "
+                "lease_deadline = NULL WHERE task_key = ?",
+                [(encoded,) for encoded, _record in finished],
+            )
+            self._conn.executemany(
                 "UPDATE svc_tasks SET status = 'failed', "
                 "lease_deadline = NULL, error = ?, kind = ? "
-                "WHERE task_key = ? AND status = 'leased' AND worker = ?",
-                [
-                    (error, kind, encode_key(key), worker)
-                    for key, error, kind in failed
-                ],
-            ).rowcount
+                "WHERE task_key = ?",
+                lost,
+            )
             self._conn.execute(
                 "UPDATE svc_workers SET n_done = n_done + ?, "
                 "n_failed = n_failed + ?, last_seen = ?, status = 'active' "
                 "WHERE worker = ?",
-                (n_done, n_failed, now, worker),
+                (len(finished), len(lost), now, worker),
             )
 
     def reclaim_expired(self, dead: Iterable[str] = ()) -> int:

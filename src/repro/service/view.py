@@ -10,7 +10,8 @@ Endpoints:
 
 * ``/`` — endpoint index;
 * ``/stats`` — record counts per (scenario, circuit) group, plus the
-  queue's task-status and state summary when a queue is attached;
+  queue's task-status and state summary when the store file holds a
+  lease queue;
 * ``/fronts`` — the per-group Pareto front and PDP-best record, as the
   store wire dicts (:func:`~repro.dse.store.record_to_dict`);
 * ``/failures`` — the queue's failed-task table (empty without one);
@@ -19,7 +20,9 @@ Endpoints:
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sqlite3
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -28,7 +31,25 @@ from repro.dse.store import open_store, record_to_dict
 from repro.service.queue import LeaseQueue
 
 
-def _stats_payload(store_path: Path, queue_path: Path | None) -> dict:
+def _holds_queue(store_path: Path) -> bool:
+    """Whether ``store_path`` is a SQLite file holding a lease queue.
+
+    Probed read-only, so a missing or JSONL store is neither created
+    nor changed.
+    """
+    uri = f"{store_path.resolve().as_uri()}?mode=ro"
+    try:
+        with contextlib.closing(sqlite3.connect(uri, uri=True)) as conn:
+            found = conn.execute(
+                "SELECT 1 FROM sqlite_master "
+                "WHERE type = 'table' AND name = 'svc_tasks'"
+            ).fetchone()
+    except sqlite3.Error:
+        return False
+    return found is not None
+
+
+def _stats_payload(store_path: Path) -> dict:
     """The ``/stats`` document: store group counts + queue summary."""
     store = open_store(store_path)
     try:
@@ -44,8 +65,8 @@ def _stats_payload(store_path: Path, queue_path: Path | None) -> dict:
             )
         ],
     }
-    if queue_path is not None:
-        queue = LeaseQueue(queue_path)
+    if _holds_queue(store_path):
+        queue = LeaseQueue(store_path)
         try:
             payload["queue"] = {
                 "tasks": queue.stats(),
@@ -79,11 +100,11 @@ def _fronts_payload(store_path: Path) -> dict:
     }
 
 
-def _queue_payload(queue_path: Path | None, table: str) -> dict:
+def _queue_payload(store_path: Path, table: str) -> dict:
     """``/failures`` or ``/workers``: queue tables, or empty lists."""
-    if queue_path is None:
+    if not _holds_queue(store_path):
         return {table: []}
-    queue = LeaseQueue(queue_path)
+    queue = LeaseQueue(store_path)
     try:
         rows = (
             queue.failures() if table == "failures" else queue.workers()
@@ -115,14 +136,12 @@ class _ViewHandler(BaseHTTPRequestHandler):
                     ]
                 }
             elif path == "/stats":
-                payload = _stats_payload(
-                    self.server.store_path, self.server.queue_path
-                )
+                payload = _stats_payload(self.server.store_path)
             elif path == "/fronts":
                 payload = _fronts_payload(self.server.store_path)
             elif path in ("/failures", "/workers"):
                 payload = _queue_payload(
-                    self.server.queue_path, path.lstrip("/")
+                    self.server.store_path, path.lstrip("/")
                 )
             else:
                 self._reply(404, {"error": f"unknown endpoint {path}"})
@@ -149,10 +168,10 @@ class SweepViewServer(ThreadingHTTPServer):
 
     Args:
         store_path: result store to render (any backend; SQLite in
-            service deployments).
-        queue_path: optional :class:`~repro.service.queue.LeaseQueue`
-            for the ``/failures``/``/workers`` endpoints and the queue
-            block of ``/stats``.
+            service deployments).  When the file holds a
+            :class:`~repro.service.queue.LeaseQueue`, it feeds the
+            ``/failures``/``/workers`` endpoints and the queue block of
+            ``/stats``.
         host: bind address (default loopback).
         port: bind port; 0 picks an ephemeral one (read it back via
             :attr:`port`).
@@ -161,14 +180,10 @@ class SweepViewServer(ThreadingHTTPServer):
     def __init__(
         self,
         store_path: str | Path,
-        queue_path: str | Path | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self.store_path = Path(store_path)
-        self.queue_path = (
-            Path(queue_path) if queue_path is not None else None
-        )
         super().__init__((host, port), _ViewHandler)
 
     @property

@@ -1,23 +1,24 @@
 """The sweep-service worker loop behind ``repro worker``.
 
-A worker is a plain process pointed at two paths — the lease queue and
-the SQLite result store (often the same file).  It claims one
-stage-batch lease at a time, evaluates it through *exactly* the
-engine's batch path (:func:`repro.dse.engine._evaluate_batch`, under the
-base configuration the coordinator persisted in the queue, with the
-process-global synthesis cache so repeated leases of one stage stay
-warm), upserts the records into the store, and only then resolves the
-lease — so a crash between the store write and the completion mark
-costs a redundant re-evaluation, never a lost or duplicated record.
-:func:`run_lease` is that one step; a coordinator whose local workers
-are all gone runs it in its own process to drain the rest.
+A worker is a plain process pointed at one path: the SQLite result
+store that holds the lease queue.  It claims one stage-batch lease at
+a time, evaluates it through *exactly* the engine's batch path
+(:func:`repro.dse.engine._evaluate_batch`, under the base configuration
+the coordinator persisted in the queue, with the process-global
+synthesis cache so repeated leases of one stage stay warm), and hands
+the records to :meth:`~repro.service.queue.LeaseQueue.resolve`, which
+writes them in the same transaction as the lease's ``done`` marks.  A
+crash before that commit costs a re-evaluation and stores nothing; a
+late report from a worker whose lease was reclaimed is dropped, since
+only the lease holder's report counts.  :func:`run_lease` is that one
+step; a coordinator whose local workers are all gone runs it in its
+own process to drain the rest.
 
 A worker evaluates each task it claims once and never retries: per-job
 exceptions arrive pre-classified by the engine's taxonomy and are
-reported with the lease's records in one
-:meth:`~repro.service.queue.LeaseQueue.resolve`, landing in ``failed``
-whatever their kind; a worker death mid-lease is caught by its
-coordinator reaping the process, or by lease expiry (the next claim
+reported with the lease's records in the same ``resolve``, landing in
+``failed`` whatever their kind; a worker death mid-lease is caught by
+its coordinator reaping the process, or by lease expiry (the next claim
 reclaims it), and fails the lease ``transient``.  Whether a failed task
 runs again is the coordinator's planner's decision, made by enqueueing
 it anew.  An idle worker heartbeats and exits once the queue is drained
@@ -32,14 +33,13 @@ import socket
 import time
 from pathlib import Path
 
-from repro.circuits import netlist_parser
+from repro.circuits import NETLIST_SUFFIXES, netlist_parser
 from repro.circuits.netlist import Netlist
 from repro.dse.engine import _evaluate_batch
 from repro.dse.explorer import SynthesisCache
 from repro.dse.faults import FaultPlan
 from repro.dse.resilience import check_count, check_duration
-from repro.dse.sqlite_store import SqliteResultStore
-from repro.dse.store import open_store
+from repro.dse.store import detect_backend
 from repro.service.queue import LeaseQueue
 from repro.suite.registry import load_circuit
 
@@ -51,21 +51,20 @@ def _load_netlist(circuit: str, source: str | None) -> Netlist:
     parser = netlist_parser(source)
     if parser is None:
         raise ValueError(
-            f"cannot load netlist {source!r}: expected .bench or .blif"
+            f"cannot load netlist {source!r}: expected {NETLIST_SUFFIXES}"
         )
     return parser(source)
 
 
 def run_lease(
     queue: LeaseQueue,
-    store: SqliteResultStore,
     worker: str,
     lease_size: int,
     netlists: dict[str, Netlist],
     fault_plan: FaultPlan | None = None,
     caches: dict[str, SynthesisCache] | None = None,
 ) -> tuple[int, int] | None:
-    """Claim one lease and run it: evaluate, store, then resolve.
+    """Claim one lease and run it: evaluate, then resolve with the records.
 
     ``netlists`` is filled in place with every circuit a lease loads.
     ``caches`` selects :func:`~repro.dse.engine._evaluate_batch`'s
@@ -89,20 +88,15 @@ def run_lease(
         circuit, netlists[circuit], jobs, lease.base_config, fault_plan,
         caches,
     )
-    # Store first, then resolve: a death in between re-runs the point,
-    # and the store upsert absorbs the duplicate.
-    store.extend([record for _key, record in records])
     queue.resolve(
-        worker,
-        [key for key, _record in records],
-        [(key, f.error, f.kind) for key, f in failures],
+        worker, records, [(key, f.error, f.kind) for key, f in failures]
     )
     return len(records), len(failures)
 
 
 def run_worker(
-    queue_path: str | Path,
-    store_path: str | Path,
+    path: str | Path,
+    store_path: str | Path | None = None,
     worker_id: str | None = None,
     lease_size: int = 8,
     poll_s: float = 0.2,
@@ -110,15 +104,16 @@ def run_worker(
     idle_timeout_s: float | None = None,
     fault_plan: FaultPlan | None = None,
     store_backend: str = "auto",
-    fsync_every: int = 0,
     netlists: dict[str, Netlist] | None = None,
 ) -> dict:
     """Claim, evaluate and resolve leases until the queue winds down.
 
     Args:
-        queue_path: the :class:`~repro.service.queue.LeaseQueue` file.
-        store_path: the shared result store; must resolve to the SQLite
-            backend (concurrent writers need WAL + upserts).
+        path: the SQLite result store holding the
+            :class:`~repro.service.queue.LeaseQueue`; records are
+            written there, with their leases' ``done`` marks.
+        store_path: accepted for callers that name the store apart
+            from the queue; it must be ``path`` itself.
         worker_id: queue-visible identity; default ``host-pid``.
         lease_size: max tasks per claim (one synthesis stage each).
         poll_s: idle sleep between empty claims.
@@ -131,8 +126,9 @@ def run_worker(
         fault_plan: deterministic chaos (``repro worker
             --inject-faults``); crash faults kill this process outright,
             exercising the dead-worker path for real.
-        store_backend: forwarded to :func:`~repro.dse.store.open_store`.
-        fsync_every: forwarded to :func:`~repro.dse.store.open_store`.
+        store_backend: how ``path`` is to be read, as in
+            :func:`~repro.dse.store.open_store`; it must resolve to
+            ``sqlite``.
         netlists: circuit name -> netlist used instead of loading by
             name (a coordinator's forked workers inherit its in-memory
             netlists this way); other circuits load from the lease's
@@ -143,23 +139,27 @@ def run_worker(
 
     Raises:
         TypeError: when ``lease_size`` is not an ``int``.
-        ValueError: when ``store_path`` does not resolve to SQLite, or
-            ``lease_size``, ``poll_s`` or ``idle_timeout_s`` is out of
-            range (checked before the store or queue is touched).
+        ValueError: when ``store_path`` is another file, ``path`` does
+            not resolve to SQLite, or ``lease_size``, ``poll_s`` or
+            ``idle_timeout_s`` is out of range (all checked before any
+            file is opened or created).
     """
     check_count("lease_size", lease_size, 1)
     check_duration("poll_s", poll_s)
     if idle_timeout_s is not None:
         check_duration("idle_timeout_s", idle_timeout_s, allow_zero=True)
-    store = open_store(
-        store_path, backend=store_backend, fsync_every=fsync_every
-    )
-    if not isinstance(store, SqliteResultStore):
+    if store_path is not None and Path(store_path).resolve() != Path(path).resolve():
+        raise ValueError(
+            f"service workers store records in the queue's own SQLite "
+            f"file {path}; store_path {store_path} is another file"
+        )
+    backend = detect_backend(path) if store_backend == "auto" else store_backend
+    if backend != "sqlite":
         raise ValueError(
             f"service workers require the SQLite store backend; "
-            f"{store_path} resolved to {type(store).__name__}"
+            f"{path} resolved to {backend}"
         )
-    queue = LeaseQueue(queue_path)
+    queue = LeaseQueue(path)
     worker = worker_id or f"{socket.gethostname()}-{os.getpid()}"
     queue.register_worker(worker, os.getpid())
     netlists = dict(netlists or {})
@@ -167,9 +167,7 @@ def run_worker(
     idle_since: float | None = None
     try:
         while True:
-            ran = run_lease(
-                queue, store, worker, lease_size, netlists, fault_plan
-            )
+            ran = run_lease(queue, worker, lease_size, netlists, fault_plan)
             if ran is not None:
                 idle_since = None
                 n_leases += 1
@@ -195,7 +193,6 @@ def run_worker(
     finally:
         queue.worker_exited(worker)
         queue.close()
-        store.close()
     return {
         "worker": worker,
         "n_done": n_done,

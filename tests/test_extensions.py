@@ -234,6 +234,16 @@ class TestCli:
         assert _load_netlist("MINE", str(bench)).gates == expected.gates
         assert main(["synth", str(bench)]) == 0
 
+    def test_cli_and_worker_name_every_netlist_suffix(self, tmp_path):
+        from repro.cli import _resolve_netlist
+        from repro.service.worker import _load_netlist
+
+        unknown = str(tmp_path / "mine.v")
+        with pytest.raises(SystemExit, match=r"\.bench/\.blif/\.mcnc file"):
+            _resolve_netlist(unknown)
+        with pytest.raises(ValueError, match=r"expected \.bench/\.blif/\.mcnc"):
+            _load_netlist("MINE", unknown)
+
     def test_evaluate_command(self, capsys):
         from repro.cli import main
 

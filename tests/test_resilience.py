@@ -94,16 +94,17 @@ def plan(tmp_path, text):
 
 
 def die_once_before_resolving(tmp_path, monkeypatch):
-    """Make the first forked worker to finish a lease exit before it
-    resolves the lease, after storing its records; returns the marker
-    file that worker leaves."""
-    from repro.service.queue import LeaseQueue
+    """Make the first forked worker to finish a lease exit inside its
+    resolve, after writing the lease's records but before the
+    transaction commits; returns the marker file that worker leaves."""
+    from repro.service import queue as module
 
     parent = os.getpid()
     marker = tmp_path / "died-before-resolve"
-    resolve = LeaseQueue.resolve
+    write_records = module.write_records
 
-    def die_once(queue, *args, **kwargs):
+    def die_once(conn, records):
+        write_records(conn, records)
         if os.getpid() != parent:
             try:
                 marker.touch(exist_ok=False)
@@ -111,9 +112,8 @@ def die_once_before_resolving(tmp_path, monkeypatch):
                 pass
             else:
                 os._exit(1)
-        return resolve(queue, *args, **kwargs)
 
-    monkeypatch.setattr(LeaseQueue, "resolve", die_once)
+    monkeypatch.setattr(module, "write_records", die_once)
     return marker
 
 
@@ -489,10 +489,10 @@ class TestParallelRecovery:
     def test_record_stored_before_a_failed_lease_is_returned(
         self, tmp_path, netlists, clean_fingerprints, monkeypatch
     ):
-        # The first worker to finish a lease stores its records and dies
-        # before resolving it, so the lease fails transient.  The retry
-        # round re-stores the same keys, each write a new row after the
-        # session's cursor, so the stream reads them again.
+        # The first worker to finish a lease dies inside its resolve,
+        # before the transaction that writes the records commits, so
+        # nothing is stored and the lease fails transient.  The retry
+        # round stores each key once.
         marker = die_once_before_resolving(tmp_path, monkeypatch)
         result = engine(2).submit(SweepRequest(spec=RES_SPEC), netlists=netlists)
         assert marker.exists()
@@ -503,8 +503,9 @@ class TestParallelRecovery:
     def test_record_written_twice_is_committed_once(
         self, tmp_path, netlists, monkeypatch
     ):
-        # The retry round writes the failed lease's records again,
-        # unchanged; the engine's store receives each of them once.
+        # The dead worker's records never committed, so the retry
+        # round writes each key once and the engine's store receives
+        # each of them once.
         die_once_before_resolving(tmp_path, monkeypatch)
         path = tmp_path / "r.jsonl"
         result = SweepEngine(

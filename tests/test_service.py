@@ -33,7 +33,7 @@ from repro.dse import (
     request_from_config,
     request_to_config,
 )
-from repro.dse.engine import SweepStats, expand_tasks
+from repro.dse.engine import expand_tasks
 from repro.dse.store import config_to_dict
 from repro.dse.faults import FaultPlan
 from repro.dse.resilience import (
@@ -85,6 +85,30 @@ class _AfterBegin:
         return getattr(self._conn, name)
 
 
+class _FailAfterRecordWrite:
+    """A connection proxy that raises on the first ``executemany`` after
+    the one writing records — inside the transaction, once the records
+    are in place."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.wrote = False
+
+    def executemany(self, sql, rows):
+        if self.wrote:
+            (n_records,) = self._conn.execute(
+                "SELECT COUNT(*) FROM records"
+            ).fetchone()
+            assert n_records == 1  # the insert landed, uncommitted
+            raise RuntimeError("power cut inside resolve")
+        cursor = self._conn.executemany(sql, rows)
+        self.wrote = "INTO records" in sql
+        return cursor
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
 def fingerprints(records):
     return sorted(
         json.dumps(record_to_dict(r), sort_keys=True) for r in records
@@ -95,6 +119,12 @@ def fingerprints(records):
 def reference():
     """The single-process ground truth every service run must match."""
     return SweepEngine(workers=1).submit(SweepRequest(spec=SPEC))
+
+
+@pytest.fixture(scope="module")
+def record_of(reference):
+    """Task key -> its reference record, for resolving leases by hand."""
+    return {record.key(): record for record in reference.records}
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +239,12 @@ class TestLeaseQueue:
             "SELECT status, worker, kind FROM svc_tasks"
         ).fetchone()
 
+    @staticmethod
+    def record_rows(queue):
+        return queue._conn.execute(
+            "SELECT COUNT(*), MAX(rowid) FROM records"
+        ).fetchone()
+
     def test_claims_batch_by_stage(self, tmp_path):
         queue = self.make_queue(tmp_path)
         queue.enqueue(expand_tasks(SPEC))
@@ -220,13 +256,37 @@ class TestLeaseQueue:
         assert {t.key for t in other}.isdisjoint({t.key for t in lease})
         queue.close()
 
-    def test_complete_is_idempotent(self, tmp_path):
+    def test_complete_is_idempotent(self, tmp_path, record_of):
+        """A second report of a resolved lease writes no second row."""
         queue = self.make_queue(tmp_path)
         queue.enqueue(expand_tasks(SPEC))
         task = queue.claim("w1", limit=1)[0]
-        queue.resolve("w1", [task.key])
-        queue.resolve("w1", [task.key])  # reclaimed-then-finished twice
+        queue.resolve("w1", [(task.key, record_of[task.key])])
+        first = self.record_rows(queue)
+        assert first[0] == 1
+        queue.resolve("w1", [(task.key, record_of[task.key])])
+        assert self.record_rows(queue) == first
         assert queue.stats()["done"] == 1
+        queue.close()
+
+    def test_resolve_commits_records_and_marks_together(
+        self, tmp_path, record_of
+    ):
+        """An error inside resolve's transaction, after the record
+        insert, leaves neither the record nor the done mark."""
+        queue = self.make_queue(tmp_path)
+        queue.enqueue(expand_tasks(SPEC)[:1])
+        queue.register_worker("w1", 0)
+        task = queue.claim("w1", limit=1)[0]
+        conn = queue._conn
+        queue._conn = _FailAfterRecordWrite(conn)
+        with pytest.raises(RuntimeError, match="power cut"):
+            queue.resolve("w1", [(task.key, record_of[task.key])])
+        assert queue._conn.wrote
+        queue._conn = conn
+        assert self.record_rows(queue) == (0, None)
+        assert self.row(queue) == ("leased", "w1", None)
+        assert queue.workers()[0]["n_done"] == 0
         queue.close()
 
     def test_transient_failure_waits_for_enqueue(self, tmp_path):
@@ -297,7 +357,9 @@ class TestLeaseQueue:
         }
         queue.close()
 
-    def test_resolve_moves_worker_counters_and_last_seen(self, tmp_path):
+    def test_resolve_moves_worker_counters_and_last_seen(
+        self, tmp_path, record_of
+    ):
         queue = self.make_queue(tmp_path)
         spec = SweepSpec(circuits=("s27",), policies=(1,), safe_zones=(True,))
         queue.enqueue(expand_tasks(spec))
@@ -306,7 +368,9 @@ class TestLeaseQueue:
         first, second, third = queue.claim("w1", limit=8)
         time.sleep(0.01)
         queue.resolve(
-            "w1", [first.key, second.key], [(third.key, "boom", TERMINAL)]
+            "w1",
+            [(task.key, record_of[task.key]) for task in (first, second)],
+            [(third.key, "boom", TERMINAL)],
         )
         (after,) = queue.workers()
         assert (after["n_done"], after["n_failed"]) == (2, 1)
@@ -316,8 +380,11 @@ class TestLeaseQueue:
         queue.close()
 
     @pytest.mark.parametrize("kind", [TRANSIENT, TERMINAL])
-    def test_stale_fail_leaves_a_reclaimed_lease_alone(self, tmp_path, kind):
-        """A failure reported after a reclaim and re-claim is a no-op."""
+    def test_stale_fail_leaves_a_reclaimed_lease_alone(
+        self, tmp_path, kind, record_of
+    ):
+        """A failure or a completion reported after a reclaim and
+        re-claim is a no-op: no record row, no mark, no counter."""
         queue = self.make_queue(tmp_path)
         tasks = expand_tasks(SPEC)[:1]
         queue.enqueue(tasks)
@@ -329,11 +396,12 @@ class TestLeaseQueue:
         queue.enqueue(tasks)  # the planner's retry
         assert queue.claim("fresh", limit=1)[0].key == task.key
         queue.resolve("stale", [], [(task.key, "late report", kind)])
+        queue.resolve("stale", [(task.key, record_of[task.key])], [])
         assert self.row(queue) == ("leased", "fresh", None)
-        assert {w["worker"]: w["n_failed"] for w in queue.workers()} == {
-            "stale": 0,
-            "fresh": 0,
-        }
+        assert self.record_rows(queue) == (0, None)
+        assert {
+            w["worker"]: (w["n_done"], w["n_failed"]) for w in queue.workers()
+        } == {"stale": (0, 0), "fresh": (0, 0)}
         queue.close()
 
     @pytest.mark.parametrize("kind", [TRANSIENT, TERMINAL])
@@ -394,6 +462,30 @@ class TestLeaseQueue:
         conn.close()
         with pytest.raises(ValueError, match="queue schema 99"):
             LeaseQueue(tmp_path / "queue.sqlite")
+
+    def test_newer_store_schema_refused_before_any_write(self, tmp_path):
+        """The queue opens the store's schema first: a store written
+        under a newer schema is refused before a queue table exists."""
+        import sqlite3
+
+        from repro.dse.sqlite_store import SqliteResultStore
+
+        path = tmp_path / "svc.sqlite"
+        SqliteResultStore(path).close()
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "UPDATE meta SET value = '99' WHERE key = 'schema_version'"
+        )
+        conn.commit()
+        with pytest.raises(ValueError, match="store schema 99"):
+            LeaseQueue(path)
+        tables = {
+            name for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        conn.close()
+        assert tables == {"meta", "records"}
 
     def test_concurrent_first_open_never_races(self, tmp_path):
         """Stores and queues opening one fresh file at once all succeed.
@@ -471,13 +563,14 @@ class TestWorkerParity:
             return claim(queue, worker, limit)
 
         monkeypatch.setattr(LeaseQueue, "claim", coordinator_lands_first)
-        queue, store = LeaseQueue(path), open_store(path)
+        queue = LeaseQueue(path)
         try:
-            assert run_lease(queue, store, "w1", 8, {}, caches={})[:2] == (2, 0)
-            stored = list(store.iter_records())
+            assert run_lease(queue, "w1", 8, {}, caches={})[:2] == (2, 0)
         finally:
             queue.close()
-            store.close()
+        store = open_store(path)
+        stored = list(store.iter_records())
+        store.close()
         expected = SweepEngine(workers=1, base_config=base).submit(
             SweepRequest(spec=SPEC)
         )
@@ -491,6 +584,22 @@ class TestWorkerParity:
                 tmp_path / "results.jsonl",
                 drain=True,
             )
+        with pytest.raises(ValueError, match="SQLite"):
+            run_worker(tmp_path / "results.jsonl", drain=True)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_worker_refuses_a_store_apart_from_its_queue(self, tmp_path):
+        """Records commit with their lease, so they go to the queue's
+        own file; a second path naming another file is refused before
+        either file is created."""
+        path, other = tmp_path / "svc.sqlite", tmp_path / "other.sqlite"
+        with pytest.raises(ValueError, match="another file"):
+            run_worker(path, other, drain=True, store_backend="sqlite")
+        assert not path.exists() and not other.exists()
+        LeaseQueue(path).close()
+        alias = tmp_path / "alias.sqlite"
+        alias.symlink_to(path)
+        assert run_worker(path, alias, drain=True)["n_leases"] == 0
 
     @pytest.mark.parametrize(
         "knobs, error, match",
@@ -539,10 +648,7 @@ class TestWorkerParity:
 
         path = str(tmp_path / "svc.sqlite")
         with pytest.raises(SystemExit, match=r"^error: .*must be finite"):
-            main([
-                "worker", "--queue", path, "--results", path,
-                "--store-backend", "sqlite", "--drain", flag, "nan",
-            ])
+            main(["worker", "--results", path, "--drain", flag, "nan"])
 
 
 class TestCoordinator:
@@ -699,43 +805,6 @@ class TestCoordinator:
         assert not second.failures
         assert fingerprints(second.records) == fingerprints(expected.records)
 
-    @pytest.mark.parametrize("streamed", [False, True], ids=["read-back", "streamed"])
-    def test_records_stored_elsewhere_fail_loudly(self, tmp_path, streamed):
-        """A worker pointed at another store finishes every task, yet
-        none of its records reaches the coordinator's store: each task
-        comes back as a terminal failure naming that store, whether the
-        round reads its records back or streams them on."""
-        path = tmp_path / "svc.sqlite"
-        coordinator = self.coordinator(tmp_path)
-        worker = threading.Thread(
-            target=run_worker,
-            args=(path, tmp_path / "other.sqlite"),
-            kwargs={"poll_s": 0.01, "store_backend": "sqlite"},
-            daemon=True,
-        )
-        worker.start()
-        try:
-            if streamed:
-                store, streamed_records = open_store(path, backend="sqlite"), []
-                try:
-                    with coordinator.session(
-                        SweepStats(), store, commit=streamed_records.extend
-                    ) as execute:
-                        records, by_key = execute(expand_tasks(SPEC))
-                finally:
-                    store.close()
-                assert streamed_records == []
-                failures = list(by_key.values())
-            else:
-                result = coordinator.submit(SweepRequest(spec=SPEC))
-                records, failures = result.records, result.failures
-        finally:
-            worker.join(timeout=30)
-        assert not records
-        assert len(failures) == 6
-        assert {failure.kind for failure in failures} == {TERMINAL}
-        assert all(str(path) in failure.error for failure in failures)
-
     def test_strategy_instances_rejected(self, tmp_path):
         coordinator = self.coordinator(tmp_path)
         request = SweepRequest(
@@ -762,6 +831,24 @@ class TestCoordinatorCli:
         config = tmp_path / "sweep.toml"
         config.write_text("[execution]\nbatch_timeout = 3.0\n")
         with pytest.raises(SystemExit, match="--lease-timeout"):
+            main(["coordinator", "s27", "--results", results,
+                  "--config", str(config)])
+        assert not (tmp_path / "svc.sqlite").exists()
+
+    def test_fsync_every_is_engine_only(self, tmp_path):
+        from repro.cli import main
+
+        results = str(tmp_path / "svc.sqlite")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["coordinator", "s27", "--results", results,
+                  "--fsync-every", "1"])
+        assert exit_info.value.code == 2  # argparse: unknown option
+        config = tmp_path / "sweep.toml"
+        config.write_text("[store]\nfsync_every = 1\n")
+        with pytest.raises(
+            SystemExit, match="fsync_every applies to 'sweep' only.*commit "
+            "with their lease"
+        ):
             main(["coordinator", "s27", "--results", results,
                   "--config", str(config)])
         assert not (tmp_path / "svc.sqlite").exists()
@@ -882,17 +969,16 @@ class TestSweepView:
                 self.get(port, "/nope")
             assert excinfo.value.code == 404
 
-    def test_queue_tables_surface(self, tmp_path, store_path):
-        queue_path = tmp_path / "queue.sqlite"
-        queue = LeaseQueue(queue_path)
+    def test_queue_tables_surface(self, store_path, reference):
+        queue = LeaseQueue(store_path)
         queue.enqueue(expand_tasks(SPEC)[:2])
         queue.register_worker("w1", 4242)
         task = queue.claim("w1", limit=1)[0]
         queue.resolve("w1", [], [(task.key, "boom", TERMINAL)])
         queue.close()
-        server = SweepViewServer(store_path, queue_path=queue_path)
-        with self.serving(server) as port:
+        with self.serving(SweepViewServer(store_path)) as port:
             _status, stats = self.get(port, "/stats")
+            assert stats["n_records"] == len(reference.records)
             assert stats["queue"]["tasks"]["failed"] == 1
             assert stats["queue"]["state"] == "open"
             _status, failures = self.get(port, "/failures")
