@@ -33,7 +33,7 @@ from repro.dse import (
     request_from_config,
     request_to_config,
 )
-from repro.dse.engine import expand_tasks
+from repro.dse.engine import SweepStats, expand_tasks
 from repro.dse.store import config_to_dict
 from repro.dse.faults import FaultPlan
 from repro.dse.resilience import (
@@ -804,6 +804,50 @@ class TestCoordinator:
         )
         assert not second.failures
         assert fingerprints(second.records) == fingerprints(expected.records)
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["read-back", "streamed"])
+    def test_records_stored_elsewhere_fail_loudly(
+        self, tmp_path, reference, streamed
+    ):
+        """A worker pointed at another store is refused before it
+        creates either file, so no record can land apart from the
+        coordinator's store: a worker on the queue's own file then
+        brings every record there, whether the round reads its records
+        back or streams them on."""
+        path, other = tmp_path / "svc.sqlite", tmp_path / "other.sqlite"
+        with pytest.raises(ValueError, match="another file"):
+            run_worker(path, other, poll_s=0.01, store_backend="sqlite")
+        assert not path.exists() and not other.exists()
+        coordinator = self.coordinator(tmp_path)
+        if streamed:
+            worker = threading.Thread(
+                target=run_worker,
+                args=(path, path),
+                kwargs={"poll_s": 0.01, "store_backend": "sqlite"},
+                daemon=True,
+            )
+            worker.start()
+            store, streamed_records = open_store(path, backend="sqlite"), []
+            try:
+                with coordinator.session(
+                    SweepStats(), store, commit=streamed_records.extend
+                ) as execute:
+                    by_key, failed = execute(expand_tasks(SPEC))
+            finally:
+                store.close()
+                worker.join(timeout=30)
+            records, failures = list(by_key.values()), list(failed.values())
+            assert sorted(key for key, _record in streamed_records) == sorted(
+                by_key
+            )
+        else:
+            result = self.run_with_thread_worker(
+                coordinator, SweepRequest(spec=SPEC), path
+            )
+            records, failures = result.records, result.failures
+        assert not failures
+        assert fingerprints(records) == fingerprints(reference.records)
+        assert not other.exists()
 
     def test_strategy_instances_rejected(self, tmp_path):
         coordinator = self.coordinator(tmp_path)
