@@ -398,6 +398,10 @@ def _report_sweep(
         else ""
     )
     pruned = f"{stats.n_pruned} pruned, " if stats.n_pruned else ""
+    waited = (
+        f" ({stats.wait_s:.2f} s waiting on the queue)" if stats.wait_s
+        else ""
+    )
     synthesis = (
         f"{stats.synthesize_calls} synthesis runs over " if in_process
         else ""
@@ -405,7 +409,7 @@ def _report_sweep(
     print(
         f"{search}{stats.n_points} points ({stats.n_resumed} resumed, "
         f"{pruned}{stats.n_failed} failed) in "
-        f"{stats.wall_s:.2f} s with {stats.workers} worker(s); "
+        f"{stats.wall_s:.2f} s{waited} with {stats.workers} worker(s); "
         f"{synthesis}{stats.n_batches} batches"
     )
     recovery = []
@@ -989,7 +993,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--poll", type=float, default=0.2, metavar="SECONDS",
-        help="coordinator supervision interval",
+        help="coordinator supervision interval, and the longest idle "
+        "wait (waits back off from SECONDS/32)",
     )
     service.add_argument(
         "--max-respawns", type=int, default=4, metavar="N",
@@ -1027,7 +1032,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--poll", type=float, default=0.2, metavar="SECONDS",
-        help="idle sleep between empty claims",
+        help="longest idle sleep between empty claims (sleeps back "
+        "off from SECONDS/32)",
     )
     p_worker.add_argument(
         "--drain", action="store_true",

@@ -337,6 +337,8 @@ class SweepStats:
             failures (each retry of one task counts once).
         n_timeouts: workers killed for holding a lease past its
             deadline (the lease failed ``transient``).
+        wait_s: seconds the coordinator slept waiting on the lease
+            queue (0.0 on the serial path); timing, like ``wall_s``.
     """
 
     n_points: int = 0
@@ -351,6 +353,7 @@ class SweepStats:
     wall_s: float = 0.0
     n_retries: int = 0
     n_timeouts: int = 0
+    wait_s: float = 0.0
 
     @property
     def cache_hit_ratio(self) -> float:

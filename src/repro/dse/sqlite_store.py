@@ -130,28 +130,43 @@ def write_records(
     )
 
 
+def read_or_stamp(
+    conn: sqlite3.Connection, table: str, key: str, value: object
+) -> object:
+    """The JSON value under ``key`` in the key/value ``table``.
+
+    A missing value is stamped ``value`` first.  Only that first opener
+    writes, so opening a set-up file never waits on another
+    connection's write lock.  The stamp is insert-if-absent, then read
+    back: a read-then-insert would race a concurrent first opener into
+    a UNIQUE violation.
+    """
+    query = f"SELECT value FROM {table} WHERE key = ?"
+    row = conn.execute(query, (key,)).fetchone()
+    if row is None:
+        conn.execute(
+            f"INSERT INTO {table} (key, value) VALUES (?, ?) "
+            "ON CONFLICT(key) DO NOTHING",
+            (key, json.dumps(value)),
+        )
+        row = conn.execute(query, (key,)).fetchone()
+    return json.loads(row[0])
+
+
 def create_schema(conn: sqlite3.Connection, path: Path) -> None:
     """Create the record tables if absent, then check their version.
 
     Shared by every opener of a store file, the lease queue included,
     so a file written under a newer schema is refused before anything
-    is written to it.
+    is written to it.  A file that already has its tables and stamp is
+    only read.
 
     Raises:
         ValueError: for a database written under a newer schema.
     """
     conn.executescript(_SCHEMA)
-    # Insert-if-absent, then read back: a read-then-insert races a
-    # concurrent first opener into a UNIQUE violation.
-    conn.execute(
-        "INSERT INTO meta (key, value) VALUES (?, ?) "
-        "ON CONFLICT(key) DO NOTHING",
-        ("schema_version", json.dumps(STORE_SCHEMA_VERSION)),
-    )
-    stored = json.loads(
-        conn.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'"
-        ).fetchone()[0]
+    stored = read_or_stamp(
+        conn, "meta", "schema_version", STORE_SCHEMA_VERSION
     )
     if stored > STORE_SCHEMA_VERSION:
         raise ValueError(

@@ -61,7 +61,7 @@ from repro.dse.request import SweepRequest
 from repro.dse.resilience import ResilienceConfig, check_count, check_duration
 from repro.dse.sqlite_store import SqliteResultStore
 from repro.dse.store import open_store
-from repro.service.queue import LeaseQueue
+from repro.service.queue import LeaseQueue, idle_waits
 from repro.service.worker import run_lease, run_worker
 
 #: Numbers the local workers this process forks: ``host-pid-wN``.
@@ -180,8 +180,10 @@ class SweepCoordinator:
             wall time of one lease, since workers heartbeat *between*
             leases (see docs/service.md).  A local worker still
             holding an expired lease is killed.
-        poll_s: supervision interval (and the local workers' idle
-            poll).
+        poll_s: supervision interval, and the longest idle wait of
+            the local workers and of the coordinator between two
+            supervision passes (see
+            :func:`~repro.service.queue.idle_waits`).
         max_respawns: replacement local workers allowed per session
             after deaths and straggler kills.
         resilience: the planner's retry policy (``resilience.retry``)
@@ -313,8 +315,9 @@ class SweepCoordinator:
 
         Args:
             stats: receives the execution counters — ``n_batches``
-                (stage groups enqueued) and ``n_timeouts`` (stragglers
-                killed).
+                (stage groups enqueued), ``n_timeouts`` (stragglers
+                killed) and ``wait_s`` (time spent waiting on the
+                queue).
             store: the SQLite store at ``store_path``, which holds the
                 queue and receives the records as leases resolve.
             netlists: circuit name -> netlist, handed to the forked
@@ -350,7 +353,8 @@ class SweepCoordinator:
             within budget), reclaims expired leases, kills stragglers
             and reads the records written since the last poll; once the
             fleet is gone for good, this process runs one lease per poll
-            itself.
+            itself.  Between two polls, ``poll_s`` apart,
+            :meth:`_await_drain` waits on the queue.
             """
             nonlocal cursor
             stats.n_batches += len(
@@ -383,7 +387,7 @@ class SweepCoordinator:
                         self.resilience.fault_plan, caches,
                     ) is not None:
                         continue
-                time.sleep(self.poll_s)
+                stats.wait_s += self._await_drain(queue)
             wanted = {key for key, *_rest in tasks}
             failures = {
                 tuple(entry["key"]): SweepFailure(
@@ -429,6 +433,24 @@ class SweepCoordinator:
             if fleet is not None:
                 fleet.shutdown()
             queue.close()
+
+    def _await_drain(self, queue: LeaseQueue) -> float:
+        """Wait up to ``poll_s`` for the round to drain; return the seconds.
+
+        The sleeps follow :func:`~repro.service.queue.idle_waits`, cut
+        to ``poll_s`` in total, and each but the last is followed by
+        one indexed :meth:`~repro.service.queue.LeaseQueue.unfinished`
+        read, so no write transaction runs between two polls and a
+        drained round goes to its final poll at once.
+        """
+        start = time.perf_counter()
+        left = self.poll_s
+        for wait in idle_waits(self.poll_s):
+            time.sleep(min(wait, left))
+            left -= wait
+            if left <= 0 or queue.unfinished() == 0:
+                break
+        return time.perf_counter() - start
 
     def _fork_view(self) -> multiprocessing.process.BaseProcess:
         """Serve the read-only view from a process of its own.

@@ -56,6 +56,7 @@ from repro.dse.sqlite_store import (
     decode_key,
     enable_wal,
     encode_key,
+    read_or_stamp,
     write_records,
 )
 from repro.dse.store import (
@@ -103,6 +104,21 @@ CREATE TABLE IF NOT EXISTS svc_workers (
     status TEXT NOT NULL DEFAULT 'active'
 );
 """
+
+
+def idle_waits(longest_s: float) -> Iterator[float]:
+    """The idle backoff shared by workers and the coordinator.
+
+    The first wait is ``longest_s / 32``; each one doubles the last,
+    up to ``longest_s``, which repeats from then on.  Work that arrives
+    just after a waiter goes idle is picked up within a few
+    milliseconds, and a long idle spell still polls only once per
+    ``longest_s``.
+    """
+    wait = longest_s / 32
+    while True:
+        yield wait
+        wait = min(2 * wait, longest_s)
 
 
 @dataclass(frozen=True)
@@ -154,6 +170,9 @@ class LeaseQueue:
         busy_timeout_s: how long concurrent openers wait on a locked
             database before erroring.
 
+    Opening a file that already holds a stamped queue writes nothing,
+    so a reader (the view) never waits on a running transaction.
+
     Raises:
         ValueError: for a file written under a newer store schema or
             queue layout version, before anything is written to it.
@@ -174,14 +193,10 @@ class LeaseQueue:
         enable_wal(self._conn, busy_timeout_s)
         create_schema(self._conn, self.path)
         self._conn.executescript(_SCHEMA)
-        # Insert-if-absent, then read back, so concurrent first openers
-        # agree on one stamp.
-        self._conn.execute(
-            "INSERT INTO svc_meta (key, value) VALUES (?, ?) "
-            "ON CONFLICT(key) DO NOTHING",
-            ("queue_schema_version", json.dumps(QUEUE_SCHEMA_VERSION)),
+        stored = read_or_stamp(
+            self._conn, "svc_meta", "queue_schema_version",
+            QUEUE_SCHEMA_VERSION,
         )
-        stored = self._meta_get("queue_schema_version")
         if not isinstance(stored, int) or stored > QUEUE_SCHEMA_VERSION:
             raise ValueError(
                 f"{self.path} was written under queue schema {stored}; "

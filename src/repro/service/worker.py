@@ -23,7 +23,9 @@ reclaims it), and fails the lease ``transient``.  Whether a failed task
 runs again is the coordinator's planner's decision, made by enqueueing
 it anew.  An idle worker heartbeats and exits once the queue is drained
 *and* closed (or after ``idle_timeout_s``, or immediately in ``drain``
-mode).
+mode).  Its idle sleeps back off from ``poll_s / 32`` to ``poll_s``
+(:func:`~repro.service.queue.idle_waits`), so work enqueued just after
+it went idle waits milliseconds, not a whole ``poll_s``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.dse.explorer import SynthesisCache
 from repro.dse.faults import FaultPlan
 from repro.dse.resilience import check_count, check_duration
 from repro.dse.store import detect_backend
-from repro.service.queue import LeaseQueue
+from repro.service.queue import LeaseQueue, idle_waits
 from repro.suite.registry import load_circuit
 
 
@@ -116,7 +118,9 @@ def run_worker(
             from the queue; it must be ``path`` itself.
         worker_id: queue-visible identity; default ``host-pid``.
         lease_size: max tasks per claim (one synthesis stage each).
-        poll_s: idle sleep between empty claims.
+        poll_s: the longest idle sleep between empty claims; the
+            sleeps follow :func:`~repro.service.queue.idle_waits`,
+            from its start in every idle spell.
         drain: exit as soon as nothing is left to resolve, even while
             the queue is still ``open`` (one-shot helpers and tests).
             Failed tasks stay failed: a drain evaluates each pending
@@ -184,12 +188,13 @@ def run_worker(
             now = time.time()
             if idle_since is None:
                 idle_since = now
+                waits = idle_waits(poll_s)
             if (
                 idle_timeout_s is not None
                 and now - idle_since >= idle_timeout_s
             ):
                 break
-            time.sleep(poll_s)
+            time.sleep(next(waits))
     finally:
         queue.worker_exited(worker)
         queue.close()

@@ -12,6 +12,8 @@ view) exists to make that guarantee operable.
 from __future__ import annotations
 
 import json
+import re
+import sqlite3
 import threading
 import time
 import urllib.error
@@ -44,6 +46,8 @@ from repro.dse.resilience import (
 )
 from repro.dse.strategies import RandomStrategy
 from repro.service import LeaseQueue, SweepCoordinator, run_worker
+from repro.service import coordinator as coordinator_module
+from repro.service import worker as worker_module
 from repro.service.view import SweepViewServer
 from repro.tech import RERAM
 
@@ -752,6 +756,7 @@ class TestCoordinator:
             self.coordinator(tmp_path), SweepRequest(spec=SPEC), path
         )
         assert first.stats.n_evaluated == 6
+        assert 0.0 < first.stats.wait_s <= first.stats.wall_s
         again = self.run_with_thread_worker(
             self.coordinator(tmp_path),
             SweepRequest(spec=SPEC, resume=True),
@@ -945,8 +950,145 @@ class TestCoordinatorCli:
             "--poll", "0.02",
         ]) == 0
         out = capsys.readouterr().out
-        assert "with 2 worker(s); 1 batches" in out
+        assert re.search(
+            r"s \(\d+\.\d\d s waiting on the queue\) with 2 worker\(s\); "
+            r"1 batches", out
+        )
         assert "synthesis runs" not in out
+
+
+# ---------------------------------------------------------------------------
+# Idle waits: one backoff schedule, recorded instead of slept.
+# ---------------------------------------------------------------------------
+
+#: A poll interval whose schedule steps are exact binary fractions of it.
+POLL = 0.32
+
+
+def schedule(n):
+    """The first ``n`` idle waits at :data:`POLL`."""
+    return [min(POLL / 32 * 2**i, POLL) for i in range(n)]
+
+
+class TestIdleBackoff:
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "svc.sqlite"
+        LeaseQueue(path).close()
+        return path
+
+    @staticmethod
+    def close_queue(path):
+        queue = LeaseQueue(path)
+        queue.set_state("closed")
+        queue.close()
+
+    def test_worker_waits_double_up_to_poll(self, path, monkeypatch):
+        waits = []
+
+        def sleep(seconds):
+            waits.append(seconds)
+            if len(waits) == 8:
+                self.close_queue(path)
+
+        monkeypatch.setattr(worker_module.time, "sleep", sleep)
+        assert run_worker(path, poll_s=POLL)["n_leases"] == 0
+        assert waits == schedule(8)
+        assert waits[-3:] == [POLL] * 3
+
+    def test_claimed_lease_restarts_the_schedule(self, path, monkeypatch):
+        waits = []
+
+        def sleep(seconds):
+            waits.append(seconds)
+            if len(waits) == 3:
+                queue = LeaseQueue(path)
+                queue.enqueue(expand_tasks(SPEC)[:1])
+                queue.close()
+            elif len(waits) == 5:
+                self.close_queue(path)
+
+        monkeypatch.setattr(worker_module.time, "sleep", sleep)
+        assert run_worker(path, poll_s=POLL)["n_leases"] == 1
+        assert waits == schedule(3) + schedule(2)
+
+    def test_idle_timeout_counts_from_the_first_empty_claim(
+        self, path, monkeypatch
+    ):
+        """A fake clock advanced only by the recorded sleeps: the
+        timeout (2 x poll) ends the worker after the first sleep that
+        crosses it, however the waits are split."""
+        clock = [1000.0]
+        waits = []
+
+        def sleep(seconds):
+            waits.append(seconds)
+            clock[0] += seconds
+
+        monkeypatch.setattr(worker_module.time, "sleep", sleep)
+        monkeypatch.setattr(worker_module.time, "time", lambda: clock[0])
+        run_worker(path, poll_s=POLL, idle_timeout_s=2 * POLL)
+        assert waits == schedule(7)
+
+    @pytest.mark.parametrize(
+        "knobs", [{"idle_timeout_s": 0.0}, {"drain": True}],
+        ids=["zero-idle-timeout", "drain"],
+    )
+    def test_worker_exits_without_waiting(self, path, monkeypatch, knobs):
+        waits = []
+        monkeypatch.setattr(worker_module.time, "sleep", waits.append)
+        assert run_worker(path, poll_s=POLL, **knobs)["n_leases"] == 0
+        assert waits == []
+
+    def test_coordinator_reads_only_unfinished_between_tends(
+        self, path, monkeypatch, reference
+    ):
+        """Every statement on the coordinator's queue connection, and
+        every sleep, in order.  A worker drains the round during the
+        8th sleep: the second wait of the round ends there, after
+        poll/32 + poll/16, and the final tend follows at once."""
+        log = []
+
+        class TracedQueue(LeaseQueue):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self._conn.set_trace_callback(log.append)
+
+        def sleep(seconds):
+            log.append(seconds)
+            if sum(isinstance(entry, float) for entry in log) == 8:
+                run_worker(path, drain=True, worker_id="drainer")
+
+        monkeypatch.setattr(coordinator_module, "LeaseQueue", TracedQueue)
+        monkeypatch.setattr(coordinator_module.time, "sleep", sleep)
+        result = SweepCoordinator(
+            path, workers=0, poll_s=POLL, store_backend="sqlite"
+        ).submit(SweepRequest(spec=SPEC))
+        assert fingerprints(result.records) == fingerprints(
+            reference.records
+        )
+        waits, between = [], []
+        for entry in log[next(
+            i for i, entry in enumerate(log) if isinstance(entry, float)
+        ):]:
+            if isinstance(entry, float):
+                waits.append(entry)
+                between.append([])
+            else:
+                between[-1].append(entry)
+        # Six sleeps of poll_s in total, a tend, then two more.
+        assert waits == pytest.approx(schedule(5) + [POLL / 32] + schedule(2))
+        assert sum(waits[:6]) == pytest.approx(POLL)
+        unfinished = "SELECT COUNT(*) FROM svc_tasks WHERE status IN"
+        # Inside a wait: one read of unfinished() per sleep, no writes.
+        for statements in between[:5] + between[6:7]:
+            assert len(statements) == 1
+            assert statements[0].startswith(unfinished)
+        # A tend is one write transaction: reclaim_expired.
+        assert between[5].count("BEGIN IMMEDIATE") == 1
+        # The read that saw 0, then straight to the final tend.
+        assert between[7][0].startswith(unfinished)
+        assert between[7].count("BEGIN IMMEDIATE") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1029,3 +1171,24 @@ class TestSweepView:
             assert failures["failures"][0]["error"] == "boom"
             _status, workers = self.get(port, "/workers")
             assert workers["workers"][0]["worker"] == "w1"
+
+    def test_view_never_waits_on_a_writer(self, store_path):
+        """The view reads beside another connection's open write
+        transaction, well inside the 5 s busy timeout: opening the
+        store or the queue of a set-up file writes nothing."""
+        queue = LeaseQueue(store_path)
+        queue.register_worker("w1", 4242)
+        queue.close()
+        writer = sqlite3.connect(store_path, isolation_level=None)
+        writer.execute("BEGIN IMMEDIATE")
+        try:
+            with self.serving(SweepViewServer(store_path)) as port:
+                start = time.monotonic()
+                for endpoint in ("/stats", "/fronts", "/failures", "/workers"):
+                    status, payload = self.get(port, endpoint)
+                    assert status == 200, payload
+                assert time.monotonic() - start < 2.0
+                assert payload["workers"][0]["worker"] == "w1"
+        finally:
+            writer.execute("ROLLBACK")
+            writer.close()
